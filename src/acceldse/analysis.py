@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .dataflow import FabricSpec
@@ -39,7 +39,6 @@ class MetricPoint:
     latency: float
     energy: float
     edp: float
-    edp_normalized: float | None = None
 
 
 def peak_flops(fabric: FabricSpec, clock: ClockSpec) -> float:
@@ -61,16 +60,6 @@ def edp(energy: float, latency: float) -> MetricPoint:
     if energy < 0 or latency < 0:
         raise ValueError("energy and latency must be non-negative")
     return MetricPoint(latency=latency, energy=energy, edp=energy * latency)
-
-
-def normalize_edp(points: list[MetricPoint]) -> list[MetricPoint]:
-    """Grid-wide normalization to the minimum EDP (min cell becomes 1.0)."""
-    finite = [p.edp for p in points if math.isfinite(p.edp)]
-    if not finite:
-        return points
-    lowest = min(finite)
-    return [replace(p, edp_normalized=p.edp / lowest if lowest > 0 else None)
-            for p in points]
 
 
 @dataclass(frozen=True)
@@ -98,20 +87,6 @@ class MetricGrid:
                 if math.isnan(v):
                     continue
                 if best is None or v < best:
-                    best, best_cell = v, (s, f)
-        if best_cell is None:
-            raise ValueError("grid has no finite cells")
-        return best_cell
-
-    def argmax(self) -> tuple[int, float]:
-        best = None
-        best_cell = None
-        for si, s in enumerate(self.s_axis):
-            for fi, f in enumerate(self.f_axis):
-                v = self.values[si][fi]
-                if math.isnan(v):
-                    continue
-                if best is None or v > best:
                     best, best_cell = v, (s, f)
         if best_cell is None:
             raise ValueError("grid has no finite cells")

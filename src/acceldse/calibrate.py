@@ -5,6 +5,8 @@ access_energy_ref): multiplicative neighbor steps, accept only strict
 improvements in grid-step displacement of the decode EDP argmin from the
 target cell, stop at a fixed point.  Started from constants that already
 achieve the minimum displacement, the search returns them unchanged.
+The energy constants never touch cycles or traffic, so every trial
+re-evaluates one (phase, S) table.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass, replace
 
 from .analysis import Metric
 from .config import HardwareConfig
-from .sweep import SweepSpec, metric_grid, run_sweep
+from .sweep import (SweepResult, SweepSpec, evaluate_sweep, metric_grid,
+                    phase_table)
 from .workload import InferenceRequest, ModelSpec, Phase
 
 STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
@@ -38,10 +41,9 @@ class CalibrationOutcome:
     evaluations: int
 
 
-def _displacement(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
-                  req: InferenceRequest, target: CalibrationTarget,
-                  decode_step: int) -> tuple[int, int, float]:
-    result = run_sweep(spec, hw, model, req, decode_step=decode_step)
+def _displacement(result: SweepResult,
+                  target: CalibrationTarget) -> tuple[int, int, float]:
+    spec = result.spec
     grid = metric_grid(result, target.metric, target.phase, spec.bw_values[0])
     s_min, f_min = grid.argmin()
     steps = (abs(spec.s_values.index(s_min) - spec.s_values.index(target.s_bytes))
@@ -63,12 +65,13 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
     leakage = hw.sram.leakage_per_byte
     access = hw.sram.access_energy_ref
     evals = 0
+    table = phase_table(spec, hw, model, req, decode_step)
 
     def measure(lk: float, ac: float) -> tuple[int, int, float]:
         nonlocal evals
         evals += 1
-        return _displacement(_with_constants(hw, lk, ac), spec, model, req,
-                             target, decode_step)
+        return _displacement(evaluate_sweep(spec, _with_constants(hw, lk, ac),
+                                            table, decode_step), target)
 
     best_disp, best_s, best_f = measure(leakage, access)
     for _ in range(MAX_ROUNDS):

@@ -13,7 +13,8 @@ from .config import (ConfigError, HardwareConfig, apply_overrides,
                      load_request, load_sweep_axes, parse_config)
 from .memory import GB, KIB
 from .sweep import (DesignPoint, SweepRecord, SweepSpec, emit_reports,
-                    evaluate_point, run_sweep, summary_dict, trace_for)
+                    evaluate_point, run_sweep, summary_dict, tile_phase,
+                    trace_for)
 from .workload import Phase
 
 EXIT_OK = 0
@@ -107,7 +108,8 @@ def _simulate_record(values: dict[str, str], hw: HardwareConfig,
     trace = trace_for(phase, model, req, step)
     point = DesignPoint(hw.buffers.local.capacity, hw.clock.frequency,
                         hw.mem.ext_bandwidth)
-    return evaluate_point(trace, phase, hw, point, model.bytes_per_element)
+    totals = tile_phase(trace, hw, point.s, model.bytes_per_element)
+    return evaluate_point(totals, phase, hw, point)
 
 
 def _print_csv(record: SweepRecord) -> None:
@@ -166,19 +168,18 @@ def _decode_mean(values: dict[str, str], hw: HardwareConfig) -> dict:
     return decode_mean_over_generation(hw, model, req, point)
 
 
-def _sweep_from_config(values: dict[str, str], hw: HardwareConfig, jobs: int):
+def _sweep_from_config(values: dict[str, str], hw: HardwareConfig):
     model = load_model_spec(values)
     req = load_request(values)
     s_values, f_values, bw_values, phases = load_sweep_axes(values)
     spec = SweepSpec(tuple(s_values), tuple(f_values), tuple(bw_values),
                      tuple(phases))
-    return run_sweep(spec, hw, model, req, decode_step=decode_step(values),
-                     jobs=jobs)
+    return run_sweep(spec, hw, model, req, decode_step=decode_step(values))
 
 
 def cmd_sweep(args) -> int:
     values, hw = _load(args)
-    result = _sweep_from_config(values, hw, args.jobs)
+    result = _sweep_from_config(values, hw)
     written = emit_reports(result, args.out)
     print(f"evaluated {len(result.records)} records, "
           f"wrote {len(written)} files to {args.out}")
@@ -192,7 +193,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_roofline(args) -> int:
     values, hw = _load(args)
-    result = _sweep_from_config(values, hw, args.jobs)
+    result = _sweep_from_config(values, hw)
     phase = _phase_from_name(args.phase)
     print("bandwidth,S_bytes,f_hz,oi,attainable,achieved,bound")
     for bw in result.spec.bw_values:
@@ -234,23 +235,21 @@ def cmd_calibrate(args) -> int:
 
 def cmd_report(args) -> int:
     values, hw = _load(args)
-    result = _sweep_from_config(values, hw, args.jobs)
+    result = _sweep_from_config(values, hw)
     summary = summary_dict(result)
     print(f"records: {summary['record_count']}  complete: {summary['complete']}")
     print(f"decode convention: {summary['decode_convention']} "
           f"(step {summary['decode_step']})")
     for key in sorted(summary["grids"]):
         entry = summary["grids"][key]
-        lat = entry["latency_argmin"]
-        en = entry["total_energy_argmin"]
-        ed = entry["edp_argmin"]
         print(f"{key}:")
-        print(f"  latency argmin      S={lat['S_bytes'] / KIB:g} KB, "
-              f"f={lat['f_hz'] / 1e6:g} MHz")
-        print(f"  total energy argmin S={en['S_bytes'] / KIB:g} KB, "
-              f"f={en['f_hz'] / 1e6:g} MHz")
-        print(f"  EDP argmin          S={ed['S_bytes'] / KIB:g} KB, "
-              f"f={ed['f_hz'] / 1e6:g} MHz")
+        for label, metric in (("latency", "latency"),
+                              ("total energy", "total_energy"),
+                              ("EDP", "edp")):
+            cell = entry[f"{metric}_argmin"]  # None: every cell infeasible
+            where = "none" if cell is None else (
+                f"S={cell['S_bytes'] / KIB:g} KB, f={cell['f_hz'] / 1e6:g} MHz")
+            print(f"  {label + ' argmin':<20}{where}")
         transitions = {
             f"{int(s) / KIB:g}KB": (f"{mhz:g} MHz" if mhz else "none")
             for s, mhz in entry["bound_transition_mhz"].items()}
@@ -273,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable, last writer wins")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel evaluation workers")
+                       help="accepted and ignored: evaluation is serial, "
+                            "and outputs are identical for any N")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
 

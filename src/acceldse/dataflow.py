@@ -13,19 +13,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
 from math import ceil
 
 import numpy as np
 
-from .workload import MatmulDims, PhaseTrace
+from .workload import MatmulDims
 
 SIMULATION_MAC_GUARD = 1_000_000
-
-
-class Dataflow(Enum):
-    WEIGHT_STATIONARY = "weight_stationary"
 
 
 class SimulationGuardError(ValueError):
@@ -36,7 +30,6 @@ class SimulationGuardError(ValueError):
 class ArraySpec:
     rows: int = 16
     cols: int = 16
-    dataflow: Dataflow = Dataflow.WEIGHT_STATIONARY
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -78,14 +71,6 @@ class AccessCounts:
     output_writes: int = 0
     output_reads: int = 0  # read-modify-write per extra K-fold
 
-    def __add__(self, other: "AccessCounts") -> "AccessCounts":
-        return AccessCounts(
-            self.input_reads + other.input_reads,
-            self.weight_reads + other.weight_reads,
-            self.output_writes + other.output_writes,
-            self.output_reads + other.output_reads,
-        )
-
     @property
     def reads(self) -> int:
         return self.input_reads + self.weight_reads + self.output_reads
@@ -111,7 +96,6 @@ def per_fold_cycles(m: MatmulDims, array: ArraySpec) -> int:
     return m.M + 2 * array.rows + array.cols - 2
 
 
-@lru_cache(maxsize=None)
 def analytic_cycles(m: MatmulDims, fabric: FabricSpec) -> CycleEstimate:
     folds = fold_count(m, fabric.array)
     rounds = ceil(folds / fabric.total_arrays)
@@ -136,14 +120,6 @@ def matmul_local_accesses(m: MatmulDims, array: ArraySpec) -> AccessCounts:
         output_writes=m.M * m.N * k_folds,
         output_reads=m.M * m.N * (k_folds - 1),
     )
-
-
-def accesses_per_phase(trace: PhaseTrace, fabric: FabricSpec) -> dict[str, int]:
-    """Aggregate local-buffer reads/writes for every matmul in a trace."""
-    total = AccessCounts()
-    for m in trace.matmuls:
-        total = total + matmul_local_accesses(m, fabric.array)
-    return {"local_reads": total.reads, "local_writes": total.writes}
 
 
 # --- cycle-accurate single-array simulator -------------------------------

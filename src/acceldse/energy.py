@@ -85,23 +85,15 @@ def leakage_sum(sram: SramEnergyModel, arrays: ArrayPower,
             + arrays.leakage_w * fabric.total_arrays)
 
 
-def dynamic_energy(result: PhaseResult, sram: SramEnergyModel,
-                   arrays: ArrayPower, clock: ClockSpec,
-                   buffers: Buffers, fabric: FabricSpec) -> float:
-    """SRAM access energy plus array switching energy.
+def dynamic_components(result: PhaseResult, sram: SramEnergyModel,
+                       arrays: ArrayPower, buffers: Buffers,
+                       fabric: FabricSpec) -> dict[str, float]:
+    """SRAM access energy plus array switching energy, per component.
 
     The array term is P_dyn(f, util) * compute_time; written with the
     frequency cancelled (cycles / ref_frequency) so that design points
     with identical cycles get bit-identical energy at every frequency.
     """
-    del clock  # frequency cancels out of the array term exactly
-    parts = dynamic_components(result, sram, arrays, buffers, fabric)
-    return sum(parts.values())
-
-
-def dynamic_components(result: PhaseResult, sram: SramEnergyModel,
-                       arrays: ArrayPower, buffers: Buffers,
-                       fabric: FabricSpec) -> dict[str, float]:
     tr = result.traffic
     local = (tr.local_reads + tr.local_writes) \
         * sram.access_energy(buffers.local.capacity)

@@ -4,18 +4,21 @@ Each core owns one local SRAM buffer that feeds its arrays; all cores
 share one global buffer that double-buffers external-memory transfers.
 Latency is max(compute_time, memory_time): the global buffer decouples
 compute from memory, so whichever side is slower hides the other.
+
+A phase is evaluated in two steps.  `phase_totals` fixes its cycles and
+traffic from the trace, the fabric and the local buffer size alone;
+`phase_result` then applies the clock and the bandwidths in closed form,
+so a sweep tiles each (phase, S) once however many (f, BW) cells share it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import ceil
 
-from .dataflow import (ArraySpec, CycleEstimate, FabricSpec,
-                       analytic_cycles, matmul_local_accesses)
+from .dataflow import (ArraySpec, FabricSpec, analytic_cycles,
+                       matmul_local_accesses)
 from .workload import MatmulDims, PhaseTrace, flops_of
 
 KIB = 1024
@@ -72,7 +75,6 @@ class TilingPlan:
     tile_m: int
     tile_k: int
     tile_n: int
-    double_buffered: bool = True
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,16 @@ class TrafficReport:
         return TrafficReport(*(count * v for v in (
             self.dram_bytes, self.onchip_bytes, self.local_reads,
             self.local_writes, self.global_reads, self.global_writes)))
+
+
+@dataclass(frozen=True)
+class PhaseTotals:
+    """Frequency- and bandwidth-free totals of one phase at one local size."""
+
+    compute_cycles: int
+    macs: int
+    flops: int
+    traffic: TrafficReport
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,6 @@ def _pow2_candidates(dim: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def plan_tiling(m: MatmulDims, local: BufferSpec, bytes_per_element: int,
                 array: ArraySpec = ArraySpec()) -> TilingPlan:
     """Capacity-feasible plan maximizing weight reuse.
@@ -180,7 +191,6 @@ def _search_plan(m: MatmulDims, cap: int, b: int, k_floor: int,
     return best
 
 
-@lru_cache(maxsize=None)
 def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
             fabric: FabricSpec) -> TrafficReport:
     """Byte traffic and access counts for one matmul under a tiling plan.
@@ -219,49 +229,37 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
     )
 
 
-@dataclass(frozen=True)
-class MatmulEvaluation:
-    cycles: CycleEstimate
-    plan: TilingPlan
-    traffic: TrafficReport
+def phase_totals(trace: PhaseTrace, fabric: FabricSpec, local: BufferSpec,
+                 bytes_per_element: int) -> PhaseTotals:
+    """Cycles, MACs, flops and traffic of one phase with a local buffer of
+    `local.capacity` bytes; raises TilingError if no tile set fits it."""
+    cycles = macs = flops = 0
+    total_traffic = TrafficReport()
+    for m, count in trace.matmuls.items():
+        plan = plan_tiling(m, local, bytes_per_element, fabric.array)
+        cycles += analytic_cycles(m, fabric).compute_cycles * count
+        macs += m.M * m.K * m.N * count
+        flops += flops_of(m) * count
+        total_traffic += traffic(m, plan, bytes_per_element,
+                                 fabric).scaled(count)
+    return PhaseTotals(cycles, macs, flops, total_traffic)
 
 
-def evaluate_matmul(m: MatmulDims, fabric: FabricSpec, local: BufferSpec,
-                    bytes_per_element: int) -> MatmulEvaluation:
-    plan = plan_tiling(m, local, bytes_per_element, fabric.array)
-    return MatmulEvaluation(
-        cycles=analytic_cycles(m, fabric),
-        plan=plan,
-        traffic=traffic(m, plan, bytes_per_element, fabric),
-    )
-
-
-def phase_result(trace: PhaseTrace, fabric: FabricSpec, buffers: Buffers,
-                 mem: MemorySpec, clock: ClockSpec,
-                 bytes_per_element: int) -> PhaseResult:
-    """Latency and traffic for one phase at one design point.
+def phase_result(totals: PhaseTotals, fabric: FabricSpec, mem: MemorySpec,
+                 clock: ClockSpec) -> PhaseResult:
+    """Latency of one phase's totals at one clock and bandwidth.
 
     compute_time covers the arrays; memory_time covers external and
     on-chip transfers; perfect double-buffered overlap means latency is
     the max of the two.
     """
-    cycles = 0
-    macs = 0
-    flops = 0
-    total_traffic = TrafficReport()
-    for m, count in Counter(trace.matmuls).items():
-        ev = evaluate_matmul(m, fabric, buffers.local, bytes_per_element)
-        cycles += ev.cycles.compute_cycles * count
-        macs += m.M * m.K * m.N * count
-        flops += flops_of(m) * count
-        total_traffic = total_traffic + ev.traffic.scaled(count)
-
+    cycles = totals.compute_cycles
     compute_time = cycles / clock.frequency
-    memory_time = max(total_traffic.dram_bytes / mem.ext_bandwidth,
-                      total_traffic.onchip_bytes / mem.onchip_bandwidth)
+    memory_time = max(totals.traffic.dram_bytes / mem.ext_bandwidth,
+                      totals.traffic.onchip_bytes / mem.onchip_bandwidth)
     latency = max(compute_time, memory_time)
-    utilization = macs / (fabric.total_arrays * cycles
-                          * fabric.array.rows * fabric.array.cols)
+    utilization = totals.macs / (fabric.total_arrays * cycles
+                                 * fabric.array.rows * fabric.array.cols)
     return PhaseResult(
         compute_cycles=cycles,
         compute_time=compute_time,
@@ -269,7 +267,7 @@ def phase_result(trace: PhaseTrace, fabric: FabricSpec, buffers: Buffers,
         latency=latency,
         total_cycles=latency * clock.frequency,
         compute_fraction=compute_time / latency,
-        traffic=total_traffic,
+        traffic=totals.traffic,
         utilization=utilization,
-        flops=flops,
+        flops=totals.flops,
     )

@@ -1,9 +1,11 @@
 """Cartesian design-space sweep over (local SRAM size, frequency, bandwidth).
 
-Every (S, f, BW, phase) tuple is evaluated independently; evaluation is
-pure, so results are bit-identical regardless of worker count or order.
-Reports are per-metric grid CSVs, a roofline CSV, and a JSON summary
-with argmin cells and bound-transition frequencies.
+Cycles and traffic depend only on the phase and the local buffer size S,
+so the sweep tiles each (phase, S) once into a table and evaluates every
+(f, BW) cell from it in closed form.  Evaluation is serial and pure, so
+results are bit-identical for identical inputs.  Reports are per-metric
+grid CSVs, a roofline CSV, and a JSON summary with argmin cells and
+bound-transition frequencies.
 """
 
 from __future__ import annotations
@@ -11,15 +13,15 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (Metric, MetricGrid, MetricPoint, RooflinePoint,
-                       build_grid, edp, normalize_edp, peak_flops, roofline)
+                       build_grid, edp, peak_flops, roofline)
 from .config import HardwareConfig
 from .energy import EnergyBreakdown, phase_energy
-from .memory import GB, PhaseResult, TilingError, phase_result
+from .memory import (GB, BufferLevel, BufferSpec, PhaseResult, PhaseTotals,
+                     TilingError, phase_result, phase_totals)
 from .workload import (InferenceRequest, ModelSpec, Phase, PhaseTrace,
                        build_decode_trace, build_prefill_trace)
 
@@ -92,6 +94,17 @@ def trace_for(phase: Phase, model: ModelSpec, req: InferenceRequest,
     return build_decode_trace(model, req, decode_step)
 
 
+def tile_phase(trace: PhaseTrace, hw: HardwareConfig, s: int,
+               bytes_per_element: int) -> PhaseTotals | str:
+    """The trace's totals with an S-byte local buffer, or the reason no
+    tile set fits in it."""
+    try:
+        return phase_totals(trace, hw.fabric, BufferSpec(BufferLevel.LOCAL, s),
+                            bytes_per_element)
+    except TilingError as exc:
+        return str(exc)
+
+
 def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
                                 req: InferenceRequest,
                                 point: DesignPoint) -> dict[str, float]:
@@ -106,8 +119,8 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     latency = energy = edp_sum = 0.0
     for step in range(req.gen_tokens):
         trace = build_decode_trace(model, req, step)
-        record = evaluate_point(trace, Phase.DECODE_STEP, hw, point,
-                                model.bytes_per_element)
+        totals = tile_phase(trace, hw, point.s, model.bytes_per_element)
+        record = evaluate_point(totals, Phase.DECODE_STEP, hw, point)
         if not record.ok:
             raise TilingError(record.error)
         latency += record.result.latency
@@ -124,14 +137,13 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     }
 
 
-def evaluate_point(trace: PhaseTrace, phase: Phase, hw: HardwareConfig,
-                   point: DesignPoint, bytes_per_element: int) -> SweepRecord:
+def evaluate_point(totals: PhaseTotals | str, phase: Phase,
+                   hw: HardwareConfig, point: DesignPoint) -> SweepRecord:
+    """One sweep cell: the phase's totals at the point's f and BW."""
+    if isinstance(totals, str):
+        return SweepRecord(point, phase, None, None, None, None, error=totals)
     hw_pt = hw.with_design_point(point.s, point.f, point.bw)
-    try:
-        result = phase_result(trace, hw_pt.fabric, hw_pt.buffers, hw_pt.mem,
-                              hw_pt.clock, bytes_per_element)
-    except TilingError as exc:
-        return SweepRecord(point, phase, None, None, None, None, error=str(exc))
+    result = phase_result(totals, hw_pt.fabric, hw_pt.mem, hw_pt.clock)
     energy = phase_energy(result, phase, hw_pt.sram, hw_pt.arrays,
                           hw_pt.gating, hw_pt.clock, hw_pt.buffers,
                           hw_pt.fabric)
@@ -140,43 +152,35 @@ def evaluate_point(trace: PhaseTrace, phase: Phase, hw: HardwareConfig,
     return SweepRecord(point, phase, result, energy, metrics, roof)
 
 
-def _eval_star(args) -> SweepRecord:
-    return evaluate_point(*args)
+def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
+                req: InferenceRequest,
+                decode_step: int) -> dict[tuple[Phase, int], PhaseTotals | str]:
+    """`tile_phase` for every (phase, S) of the sweep; f and BW never enter."""
+    traces = {phase: trace_for(phase, model, req, decode_step)
+              for phase in spec.phases}
+    return {(phase, s): tile_phase(traces[phase], hw, s,
+                                   model.bytes_per_element)
+            for phase in spec.phases for s in spec.s_values}
+
+
+def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
+                   table: dict[tuple[Phase, int], PhaseTotals | str],
+                   decode_step: int) -> SweepResult:
+    """Every cell of the sweep from its (phase, S) table entry."""
+    records = tuple(evaluate_point(table[phase, s], phase, hw,
+                                   DesignPoint(s, f, bw))
+                    for phase in spec.phases
+                    for bw in spec.bw_values
+                    for s in spec.s_values
+                    for f in spec.f_values)
+    return SweepResult(spec=spec, records=records, decode_step=decode_step)
 
 
 def run_sweep(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
-              req: InferenceRequest, decode_step: int = 0,
-              jobs: int = 1) -> SweepResult:
+              req: InferenceRequest, decode_step: int = 0) -> SweepResult:
     """Evaluate the full cartesian sweep; never aborts on infeasible cells."""
-    traces = {phase: trace_for(phase, model, req, decode_step)
-              for phase in spec.phases}
-    tasks = [(traces[phase], phase, hw, DesignPoint(s, f, bw),
-              model.bytes_per_element)
-             for phase in spec.phases
-             for bw in spec.bw_values
-             for s in spec.s_values
-             for f in spec.f_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_eval_star, tasks, chunksize=16))
-    else:
-        records = [_eval_star(t) for t in tasks]
-    records = _normalize_grids(spec, records)
-    return SweepResult(spec=spec, records=tuple(records),
-                       decode_step=decode_step)
-
-
-def _normalize_grids(spec: SweepSpec, records: list[SweepRecord]) -> list[SweepRecord]:
-    """Fill edp_normalized per (phase, bw) grid."""
-    out = list(records)
-    for phase in spec.phases:
-        for bw in spec.bw_values:
-            idx = [i for i, r in enumerate(out)
-                   if r.phase is phase and r.point.bw == bw and r.ok]
-            normalized = normalize_edp([out[i].metrics for i in idx])
-            for i, point in zip(idx, normalized):
-                out[i] = replace(out[i], metrics=point)
-    return out
+    return evaluate_sweep(spec, hw, phase_table(spec, hw, model, req,
+                                                decode_step), decode_step)
 
 
 # --- report emission ------------------------------------------------------

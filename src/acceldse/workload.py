@@ -45,12 +45,6 @@ class ModelSpec:
     def d_ff(self) -> int:
         return self.mlp_ratio * self.d_model
 
-    def weight_bytes_per_layer(self) -> int:
-        """Bytes of model weights touched by the five matmul groups."""
-        qkv = self.d_model * 3 * self.d_model
-        mlp = 2 * self.d_model * self.d_ff
-        return (qkv + mlp) * self.bytes_per_element
-
 
 @dataclass(frozen=True)
 class InferenceRequest:
@@ -85,7 +79,7 @@ class MatmulDims:
 class PhaseTrace:
     phase: Phase
     kv_len: int
-    matmuls: tuple[MatmulDims, ...]
+    matmuls: dict[MatmulDims, int]  # each distinct GEMM -> count over all layers
 
 
 def flops_of(m: MatmulDims) -> int:
@@ -93,32 +87,27 @@ def flops_of(m: MatmulDims) -> int:
     return 2 * m.M * m.K * m.N
 
 
-def trace_flops(trace: PhaseTrace) -> int:
-    return sum(flops_of(m) for m in trace.matmuls)
-
-
-def weight_bytes_of(trace: PhaseTrace, bytes_per_element: int) -> int:
-    """Bytes of weight-resident operands streamed by the trace."""
-    return sum(m.K * m.N * bytes_per_element
-               for m in trace.matmuls if m.weight_resident)
-
-
 def _layer_matmuls(model: ModelSpec, rows: int, batch: int,
-                   kv_len: int, q_len: int) -> list[MatmulDims]:
-    """Five sublayer groups for one transformer layer.
+                   kv_len: int, q_len: int) -> dict[MatmulDims, int]:
+    """Five sublayer groups, counted over all `n_layers` layers.
 
     rows:   token rows hitting the weight matrices (batch * q_len)
     q_len:  query positions per sequence (prompt_len in prefill, 1 in decode)
     kv_len: context length visible to attention
+
+    Groups whose shapes coincide (e.g. score and output GEMMs when
+    kv_len == head_dim) share one entry.
     """
     d, ff, hd = model.d_model, model.d_ff, model.head_dim
-    out: list[MatmulDims] = [MatmulDims(rows, d, 3 * d, weight_resident=True)]
     per_head = batch * model.n_heads
-    out.extend([MatmulDims(q_len, hd, kv_len)] * per_head)
-    out.extend([MatmulDims(q_len, kv_len, hd)] * per_head)
-    out.append(MatmulDims(rows, d, ff, weight_resident=True))
-    out.append(MatmulDims(rows, ff, d, weight_resident=True))
-    return out
+    counts: dict[MatmulDims, int] = {}
+    for m, count in ((MatmulDims(rows, d, 3 * d, weight_resident=True), 1),
+                     (MatmulDims(q_len, hd, kv_len), per_head),
+                     (MatmulDims(q_len, kv_len, hd), per_head),
+                     (MatmulDims(rows, d, ff, weight_resident=True), 1),
+                     (MatmulDims(rows, ff, d, weight_resident=True), 1)):
+        counts[m] = counts.get(m, 0) + count * model.n_layers
+    return counts
 
 
 def build_prefill_trace(model: ModelSpec, req: InferenceRequest) -> PhaseTrace:
@@ -126,8 +115,7 @@ def build_prefill_trace(model: ModelSpec, req: InferenceRequest) -> PhaseTrace:
     rows = req.batch * req.prompt_len
     matmuls = _layer_matmuls(model, rows, req.batch,
                              kv_len=req.prompt_len, q_len=req.prompt_len)
-    return PhaseTrace(Phase.PREFILL, req.prompt_len,
-                      tuple(matmuls * model.n_layers))
+    return PhaseTrace(Phase.PREFILL, req.prompt_len, matmuls)
 
 
 def build_decode_trace(model: ModelSpec, req: InferenceRequest,
@@ -142,5 +130,4 @@ def build_decode_trace(model: ModelSpec, req: InferenceRequest,
     kv_len = req.prompt_len + step
     matmuls = _layer_matmuls(model, rows=req.batch, batch=req.batch,
                              kv_len=kv_len, q_len=1)
-    return PhaseTrace(Phase.DECODE_STEP, kv_len,
-                      tuple(matmuls * model.n_layers))
+    return PhaseTrace(Phase.DECODE_STEP, kv_len, matmuls)

@@ -91,7 +91,6 @@ def test_criterion_01_cycle_model_oracle_equivalence():
                     assert a.compute_cycles == s.compute_cycles, (rows, m)
                     assert a.folds == s.folds, (rows, m)
     elapsed = time.time() - t0
-    analytic_cycles.cache_clear()
     ok = report("criterion 1: cycle-model oracle equivalence", elapsed < 60,
                 f"4 x 48^3 cases in {elapsed:.1f}s")
     assert ok

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from acceldse.analysis import (Bound, Metric, build_grid, edp, normalize_edp,
-                               peak_flops, roofline)
+from acceldse.analysis import (Bound, Metric, build_grid, edp, peak_flops,
+                               roofline)
 from acceldse.dataflow import FabricSpec
 from acceldse.memory import ClockSpec, PhaseResult, TrafficReport
 
@@ -62,14 +62,6 @@ def test_edp_hand_cases():
         edp(-1.0, 1.0)
 
 
-def test_edp_normalization_minimum_is_one():
-    pts = normalize_edp([edp(2.0, 3.0), edp(1.0, 2.0), edp(5.0, 5.0)])
-    norms = [p.edp_normalized for p in pts]
-    assert min(norms) == 1.0
-    assert sum(1 for n in norms if n == 1.0) == 1  # distinct values: unique min
-    assert all(n >= 1.0 for n in norms)
-
-
 def test_edp_argmin_invariant_under_energy_rescaling():
     rng = random.Random(1)
     pairs = [(rng.uniform(0.1, 10), rng.uniform(0.1, 10)) for _ in range(30)]
@@ -104,11 +96,6 @@ def test_argmin_tie_break_smallest_s_then_f():
 def test_argmin_skips_nan_cells():
     g = grid_from([[math.nan, 4.0], [2.0, 9.0]])
     assert g.argmin() == (32768, 2e8)
-
-
-def test_argmax():
-    g = grid_from([[1.0, 4.0], [2.0, math.nan]])
-    assert g.argmax() == (16384, 4e8)
 
 
 def test_all_nan_grid_raises():

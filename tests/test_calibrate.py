@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from acceldse import calibrate as calibrate_module
 from acceldse.calibrate import (CalibrationTarget, calibrate,
                                 constants_file_text)
 from acceldse.cli import main
@@ -30,11 +31,17 @@ def test_target_must_lie_on_grid():
                   CalibrationTarget(s_bytes=48 * KIB, f_hz=600e6))
 
 
-def test_shipped_constants_are_a_fixed_point():
+def test_shipped_constants_are_a_fixed_point(monkeypatch):
     # the shipped calibration already achieves the minimum reachable
     # displacement, so the search must return it unchanged
+    tables = []
+    build = calibrate_module.phase_table
+    monkeypatch.setattr(calibrate_module, "phase_table",
+                        lambda *args: tables.append(args) or build(*args))
     target = CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6)
     outcome = calibrate(HW, SPEC, MODEL, REQ, target)
+    # every trial reuses one table of cycles and traffic
+    assert outcome.evaluations > 1 and len(tables) == 1
     assert outcome.leakage_per_byte == HW.sram.leakage_per_byte
     assert outcome.access_energy_ref == HW.sram.access_energy_ref
     assert outcome.achieved_f == 600e6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,13 @@ from acceldse.config import (ConfigError, apply_overrides, load_hardware,
                              load_sweep_axes, parse_config)
 from acceldse.memory import GB, KIB
 
-BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
+ROOT = Path(__file__).resolve().parent.parent
+BASELINE = ROOT / "configs" / "baseline.conf"
+
+
+def tree_digests(root):
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def test_parse_baseline_config():
@@ -191,3 +198,47 @@ def test_cli_sweep_exit_1_on_infeasible_cells(tmp_path, capsys):
     assert rc == 1
     assert "could not be evaluated" in capsys.readouterr().err
     assert (tmp_path / "summary.json").exists()
+
+
+def test_cli_sweep_matches_recorded_reference_tree(tmp_path):
+    # the benchmark's record of the default sweep's output files
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    expected = references["workloads"]["sweep_default"]["files"]
+    assert main(["sweep", "--config", str(BASELINE), "--out", str(tmp_path)]) == 0
+    assert tree_digests(tmp_path) == expected
+
+
+def test_cli_jobs_outputs_identical(tmp_path):
+    # --jobs is accepted for any N and selects nothing
+    for jobs in ("1", "3"):
+        assert main(["sweep", "--config", str(BASELINE), "--jobs", jobs,
+                     "--out", str(tmp_path / jobs)]) == 0
+    assert tree_digests(tmp_path / "1") == tree_digests(tmp_path / "3")
+
+
+def test_cli_report_all_infeasible_prints_none(capsys):
+    rc = main(["report", "--config", str(BASELINE),
+               "--override", "sweep.local_buffer_kb=0.01"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "complete: False" in out
+    argmins = [line for line in out.splitlines() if "argmin" in line]
+    assert len(argmins) == 3 * 2 * 3  # 3 metrics x 2 phases x 3 bandwidths
+    assert all(line.endswith(" none") for line in argmins)
+
+
+@pytest.mark.parametrize("verb,override", [
+    ("simulate", "hw.cores=0"),
+    ("simulate", "hw.local_buffer_kb=0"),
+    ("sweep", "sweep.local_buffer_kb=0"),
+    ("simulate", "model.decode_step=99"),
+])
+def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
+                                                   override):
+    args = [verb, "--config", str(BASELINE), "--override", override]
+    if verb == "sweep":
+        args += ["--out", str(tmp_path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert override.split("=")[0] in err

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from acceldse.dataflow import (ArraySpec, FabricSpec, SimulationGuardError,
-                               accesses_per_phase, analytic_cycles,
-                               matmul_local_accesses, simulate_cycles)
+                               analytic_cycles, matmul_local_accesses,
+                               simulate_cycles)
+from acceldse.memory import MIB, BufferLevel, BufferSpec, phase_totals
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, \
     build_prefill_trace
 
@@ -128,9 +129,11 @@ def test_accesses_per_phase_aggregates():
     model = ModelSpec(d_model=4, n_heads=2, head_dim=2)
     trace = build_prefill_trace(model, InferenceRequest(batch=1, prompt_len=2))
     fab = FabricSpec(1, 1, ArraySpec(2, 2))
-    total = accesses_per_phase(trace, fab)
-    by_hand_reads = sum(matmul_local_accesses(m, fab.array).reads
-                        for m in trace.matmuls)
-    by_hand_writes = sum(matmul_local_accesses(m, fab.array).writes
-                         for m in trace.matmuls)
-    assert total == {"local_reads": by_hand_reads, "local_writes": by_hand_writes}
+    total = phase_totals(trace, fab, BufferSpec(BufferLevel.LOCAL, MIB),
+                         2).traffic
+    by_hand_reads = sum(matmul_local_accesses(m, fab.array).reads * n
+                        for m, n in trace.matmuls.items())
+    by_hand_writes = sum(matmul_local_accesses(m, fab.array).writes * n
+                         for m, n in trace.matmuls.items())
+    assert (total.local_reads, total.local_writes) == (by_hand_reads,
+                                                       by_hand_writes)

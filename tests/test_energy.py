@@ -4,11 +4,11 @@ import pytest
 
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
-                             dynamic_components, dynamic_energy, leakage_sum,
-                             phase_energy, static_energy, total_energy)
+                             dynamic_components, leakage_sum, phase_energy,
+                             static_energy, total_energy)
 from acceldse.memory import (GB, KIB, MIB, BufferLevel, Buffers, BufferSpec,
                              ClockSpec, MemorySpec, PhaseResult, TrafficReport,
-                             phase_result)
+                             phase_result, phase_totals)
 from acceldse.workload import (InferenceRequest, ModelSpec, Phase,
                                build_decode_trace, build_prefill_trace)
 
@@ -62,7 +62,9 @@ def test_dynamic_energy_zero_case():
     r = fake_result(cycles=0, util=0.0)
     bufs = Buffers(BufferSpec(BufferLevel.LOCAL, 32 * KIB),
                    BufferSpec(BufferLevel.GLOBAL, 40 * MIB))
-    assert dynamic_energy(r, SRAM, ARRAYS, ClockSpec(1e9), bufs, FABRIC) == 0.0
+    e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
+                     ClockSpec(1e9), bufs, FABRIC)
+    assert e.dynamic_j == 0.0
 
 
 def test_total_energy_hand_cases():
@@ -102,7 +104,9 @@ def test_phase_energy_composition():
                    BufferSpec(BufferLevel.GLOBAL, 40 * MIB))
     mem = MemorySpec(2048 * GB, 16384 * GB)
     clk = ClockSpec(800e6)
-    r = phase_result(build_decode_trace(model, req, 0), FABRIC, bufs, mem, clk, 2)
+    totals = phase_totals(build_decode_trace(model, req, 0), FABRIC,
+                          bufs.local, 2)
+    r = phase_result(totals, FABRIC, mem, clk)
     e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, clk, bufs, FABRIC)
     assert e.total_j == e.static_j + e.dynamic_j
     assert e.dynamic_power_w == e.dynamic_j / r.latency
@@ -118,10 +122,11 @@ def test_memory_bound_array_energy_invariant_to_frequency():
     bufs = Buffers(BufferSpec(BufferLevel.LOCAL, 64 * KIB),
                    BufferSpec(BufferLevel.GLOBAL, 40 * MIB))
     mem = MemorySpec(2048 * GB, 16384 * GB)
-    trace = build_decode_trace(model, req, 0)
+    totals = phase_totals(build_decode_trace(model, req, 0), FABRIC,
+                          bufs.local, 2)
     energies = set()
     for f in (600e6, 800e6, 1000e6, 1200e6, 1400e6):
-        r = phase_result(trace, FABRIC, bufs, mem, ClockSpec(f), 2)
+        r = phase_result(totals, FABRIC, mem, ClockSpec(f))
         e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
                          ClockSpec(f), bufs, FABRIC)
         energies.add((e.static_j, e.dynamic_j))
@@ -134,10 +139,11 @@ def test_compute_bound_static_energy_decreases_with_frequency():
     bufs = Buffers(BufferSpec(BufferLevel.LOCAL, 64 * KIB),
                    BufferSpec(BufferLevel.GLOBAL, 40 * MIB))
     mem = MemorySpec(2048 * GB, 16384 * GB)
-    trace = build_prefill_trace(model, req)
+    totals = phase_totals(build_prefill_trace(model, req), FABRIC,
+                          bufs.local, 2)
     statics = []
     for f in (200e6, 600e6, 1000e6, 1400e6):
-        r = phase_result(trace, FABRIC, bufs, mem, ClockSpec(f), 2)
+        r = phase_result(totals, FABRIC, mem, ClockSpec(f))
         e = phase_energy(r, Phase.PREFILL, SRAM, ARRAYS, GATING,
                          ClockSpec(f), bufs, FABRIC)
         statics.append(e.static_j)

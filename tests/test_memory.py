@@ -4,9 +4,9 @@ from math import ceil
 import pytest
 
 from acceldse.dataflow import ArraySpec, FabricSpec
-from acceldse.memory import (GB, KIB, MIB, BufferLevel, Buffers, BufferSpec,
-                             ClockSpec, MemorySpec, TilingError,
-                             phase_result, plan_tiling, tile_set_bytes,
+from acceldse.memory import (GB, KIB, MIB, BufferLevel, BufferSpec, ClockSpec,
+                             MemorySpec, TilingError, phase_result,
+                             phase_totals, plan_tiling, tile_set_bytes,
                              traffic)
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
                                build_decode_trace, build_prefill_trace)
@@ -181,17 +181,18 @@ def test_dram_non_increasing_in_capacity():
 
 MODEL = ModelSpec()
 REQ = InferenceRequest()
-GLOBAL = BufferSpec(BufferLevel.GLOBAL, 40 * MIB)
 MEM = MemorySpec(2048 * GB, 16384 * GB)
 
 
-def bufs(s_kb):
-    return Buffers(local(s_kb * KIB), GLOBAL)
+def at(trace, f_hz):
+    """The trace with a 64 KB local buffer, evaluated at f_hz and MEM."""
+    totals = phase_totals(trace, FABRIC, local(64 * KIB), 2)
+    return phase_result(totals, FABRIC, MEM, ClockSpec(f_hz))
 
 
 def test_phase_result_overlap_model():
     trace = build_decode_trace(MODEL, REQ, 0)
-    r = phase_result(trace, FABRIC, bufs(64), MEM, ClockSpec(800e6), 2)
+    r = at(trace, 800e6)
     assert r.latency == max(r.compute_time, r.memory_time)
     assert r.compute_fraction == r.compute_time / r.latency
     assert r.total_cycles == pytest.approx(r.latency * 800e6)
@@ -202,7 +203,7 @@ def test_phase_result_overlap_model():
 def test_memory_time_from_bandwidth():
     # dram bytes / ext bandwidth when the external link dominates
     trace = build_decode_trace(MODEL, REQ, 0)
-    r = phase_result(trace, FABRIC, bufs(64), MEM, ClockSpec(800e6), 2)
+    r = at(trace, 800e6)
     assert r.memory_time == pytest.approx(
         max(r.traffic.dram_bytes / MEM.ext_bandwidth,
             r.traffic.onchip_bytes / MEM.onchip_bandwidth))
@@ -210,8 +211,7 @@ def test_memory_time_from_bandwidth():
 
 def test_memory_bound_latency_invariant_to_frequency():
     trace = build_decode_trace(MODEL, REQ, 0)
-    results = [phase_result(trace, FABRIC, bufs(64), MEM, ClockSpec(f * 1e6), 2)
-               for f in (600, 800, 1000, 1200, 1400)]
+    results = [at(trace, f * 1e6) for f in (600, 800, 1000, 1200, 1400)]
     assert all(r.memory_bound for r in results)
     assert len({r.latency for r in results}) == 1
     cycles = [r.total_cycles for r in results]
@@ -221,7 +221,7 @@ def test_memory_bound_latency_invariant_to_frequency():
 def test_compute_bound_latency_is_cycles_over_frequency():
     trace = build_prefill_trace(MODEL, REQ)
     for f in (200e6, 800e6, 1400e6):
-        r = phase_result(trace, FABRIC, bufs(64), MEM, ClockSpec(f), 2)
+        r = at(trace, f)
         assert not r.memory_bound
         assert r.latency * f == pytest.approx(r.compute_cycles, rel=1e-12)
         assert r.compute_fraction == 1.0
@@ -229,8 +229,8 @@ def test_compute_bound_latency_is_cycles_over_frequency():
 
 def test_decode_bound_classification_flip():
     trace = build_decode_trace(MODEL, REQ, 0)
-    low = phase_result(trace, FABRIC, bufs(64), MEM, ClockSpec(400e6), 2)
-    high = phase_result(trace, FABRIC, bufs(64), MEM, ClockSpec(600e6), 2)
+    low = at(trace, 400e6)
+    high = at(trace, 600e6)
     assert not low.memory_bound
     assert high.memory_bound
 
@@ -238,8 +238,8 @@ def test_decode_bound_classification_flip():
 def test_compute_fraction_is_one_at_transition():
     # run the clock exactly at cycles / memory_time: both sides equal
     trace = build_decode_trace(MODEL, REQ, 0)
-    probe = phase_result(trace, FABRIC, bufs(64), MEM, ClockSpec(1e9), 2)
+    probe = at(trace, 1e9)
     f_cross = probe.compute_cycles / probe.memory_time
-    r = phase_result(trace, FABRIC, bufs(64), MEM, ClockSpec(f_cross), 2)
+    r = at(trace, f_cross)
     assert r.compute_fraction == 1.0
     assert r.compute_time == r.memory_time

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from acceldse import sweep
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.memory import GB, KIB
 from acceldse.sweep import (DesignPoint, SweepSpec, emit_reports,
                             evaluate_point, metric_grid, run_sweep,
-                            summary_dict)
+                            summary_dict, tile_phase)
 from acceldse.analysis import Metric
 from acceldse.workload import Phase, build_decode_trace
 
@@ -34,8 +36,15 @@ def test_sweep_spec_validation():
         SweepSpec((2, 1), (1e6,), (1e9,), (Phase.PREFILL,))
 
 
-def test_default_cardinality():
+def test_default_cardinality(monkeypatch):
     assert DEFAULT_SPEC.record_count == 7 * 7 * 3 * 2 == 294
+    # cycles and traffic are computed once per (phase, S), not per cell
+    calls = []
+    counted = sweep.phase_totals
+    monkeypatch.setattr(sweep, "phase_totals",
+                        lambda *args: calls.append(args) or counted(*args))
+    assert len(run_sweep(DEFAULT_SPEC, HW, MODEL, REQ).records) == 294
+    assert len(calls) == 2 * 7
 
 
 def test_small_sweep_complete_and_ordered():
@@ -52,19 +61,14 @@ def test_single_point_matches_direct_evaluation():
     result = run_sweep(spec, HW, MODEL, REQ)
     assert len(result.records) == 1
     trace = build_decode_trace(MODEL, REQ, 0)
-    direct = evaluate_point(trace, Phase.DECODE_STEP, HW,
-                            DesignPoint(64 * KIB, 800e6, 2048 * GB),
-                            MODEL.bytes_per_element)
+    direct = evaluate_point(tile_phase(trace, HW, 64 * KIB,
+                                       MODEL.bytes_per_element),
+                            Phase.DECODE_STEP, HW,
+                            DesignPoint(64 * KIB, 800e6, 2048 * GB))
     got = result.records[0]
     assert got.result == direct.result
     assert got.energy == direct.energy
     assert got.metrics.edp == direct.metrics.edp
-
-
-def test_parallel_map_matches_serial():
-    serial = run_sweep(SMALL_SPEC, HW, MODEL, REQ, jobs=1)
-    parallel = run_sweep(SMALL_SPEC, HW, MODEL, REQ, jobs=3)
-    assert serial.records == parallel.records
 
 
 def test_infeasible_cells_recorded_not_skipped(tmp_path):
@@ -131,10 +135,29 @@ def test_summary_contains_argmins_and_transitions():
         str(s) for s in SMALL_SPEC.s_values}
 
 
-def test_edp_normalized_filled_per_grid():
-    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
-    for phase in SMALL_SPEC.phases:
-        norms = [r.metrics.edp_normalized
-                 for r in result.select(phase, 2048 * GB)]
-        assert all(n is not None and n >= 1.0 for n in norms)
-        assert min(norms) == 1.0
+def ascending(values, scale):
+    return tuple(sorted(v * scale for v in values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(s_kb=st.lists(st.integers(1, 2048), min_size=1, max_size=3,
+                     unique=True),
+       f_mhz=st.lists(st.floats(10, 5000), min_size=1, max_size=3,
+                      unique=True),
+       bw_gbps=st.lists(st.floats(10, 50000), min_size=1, max_size=3,
+                        unique=True))
+def test_cells_share_phase_totals_and_obey_closed_form(s_kb, f_mhz, bw_gbps):
+    spec = SweepSpec(ascending(s_kb, KIB), ascending(f_mhz, 1e6),
+                     ascending(bw_gbps, GB), (Phase.PREFILL, Phase.DECODE_STEP))
+    first = {}
+    for rec in run_sweep(spec, HW, MODEL, REQ).records:
+        r = rec.result
+        # cycles and traffic depend on (phase, S) only, never on f or BW
+        shared = first.setdefault((rec.phase, rec.point.s), r)
+        assert (r.compute_cycles, r.traffic) == (shared.compute_cycles,
+                                                 shared.traffic)
+        assert r.latency >= r.compute_time
+        assert r.latency >= r.traffic.dram_bytes / rec.point.bw
+        assert r.latency >= r.traffic.onchip_bytes / HW.mem.onchip_bandwidth
+        assert r.total_cycles == pytest.approx(r.latency * rec.point.f,
+                                               rel=1e-12)

@@ -1,8 +1,10 @@
 import pytest
 
+from acceldse.dataflow import FabricSpec
+from acceldse.memory import KIB, BufferLevel, BufferSpec, phase_totals
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec, Phase,
                                build_decode_trace, build_prefill_trace,
-                               flops_of, trace_flops, weight_bytes_of)
+                               flops_of)
 
 TOY = ModelSpec(d_model=4, n_heads=2, head_dim=2, mlp_ratio=4,
                 bytes_per_element=2, n_layers=1)
@@ -30,18 +32,17 @@ def test_toy_prefill_shapes():
     trace = build_prefill_trace(TOY, req)
     assert trace.phase is Phase.PREFILL
     assert trace.kv_len == 2
-    ms = trace.matmuls
-    assert ms[0] == MatmulDims(2, 4, 12, weight_resident=True)
-    scores = [m for m in ms if m == MatmulDims(2, 2, 2)]
-    assert len(scores) == 4  # 2 head-score + 2 head-output matmuls
-    assert ms[-2] == MatmulDims(2, 4, 16, weight_resident=True)
-    assert ms[-1] == MatmulDims(2, 16, 4, weight_resident=True)
-    assert len(ms) == 1 + 2 + 2 + 2
+    assert trace.matmuls == {
+        MatmulDims(2, 4, 12, weight_resident=True): 1,
+        MatmulDims(2, 2, 2): 4,  # 2 head-score + 2 head-output matmuls
+        MatmulDims(2, 4, 16, weight_resident=True): 1,
+        MatmulDims(2, 16, 4, weight_resident=True): 1,
+    }
 
 
 def test_gpt3_prefill_qkv_shape():
     trace = build_prefill_trace(GPT3, InferenceRequest(batch=8, prompt_len=2048))
-    qkv = trace.matmuls[0]
+    qkv = next(iter(trace.matmuls))
     assert (qkv.M, qkv.K, qkv.N) == (16384, 12288, 36864)
     assert qkv.weight_resident
 
@@ -66,9 +67,8 @@ def test_decode_kv_growth():
 def test_decode_toy_shapes():
     req = InferenceRequest(batch=1, prompt_len=2, gen_tokens=1)
     trace = build_decode_trace(TOY, req, 0)
-    scores = [m for m in trace.matmuls if m == MatmulDims(1, 2, 2)]
-    assert len(scores) == 4
-    qkv = trace.matmuls[0]
+    assert trace.matmuls[MatmulDims(1, 2, 2)] == 4
+    qkv = next(iter(trace.matmuls))
     assert (qkv.M, qkv.K, qkv.N) == (1, 4, 12)
 
 
@@ -89,7 +89,7 @@ def test_flops_of():
 def test_prefill_score_flops_quadratic_in_prompt():
     def score_flops(prompt_len):
         trace = build_prefill_trace(GPT3, InferenceRequest(batch=2, prompt_len=prompt_len))
-        return sum(flops_of(m) for m in trace.matmuls
+        return sum(flops_of(m) * n for m, n in trace.matmuls.items()
                    if not m.weight_resident and m.N == prompt_len)
 
     assert score_flops(512) * 4 == score_flops(1024)
@@ -101,8 +101,10 @@ def test_decode_mlp_flops_independent_of_kv_attention_affine():
 
     def split(step):
         trace = build_decode_trace(GPT3, req, step)
-        mlp = sum(flops_of(m) for m in trace.matmuls if m.weight_resident)
-        attn = sum(flops_of(m) for m in trace.matmuls if not m.weight_resident)
+        mlp = sum(flops_of(m) * n for m, n in trace.matmuls.items()
+                  if m.weight_resident)
+        attn = sum(flops_of(m) * n for m, n in trace.matmuls.items()
+                   if not m.weight_resident)
         return mlp, attn
 
     mlp0, attn0 = split(0)
@@ -117,14 +119,21 @@ def test_decode_mlp_flops_independent_of_kv_attention_affine():
 def test_decode_weight_bytes_constant_per_step():
     model = ModelSpec(n_layers=3)
     req = InferenceRequest(gen_tokens=8)
-    expected = model.weight_bytes_per_layer() * model.n_layers
+    d, ff, b = model.d_model, model.d_ff, model.bytes_per_element
+    expected = (d * 3 * d + 2 * d * ff) * b * model.n_layers
     for step in (0, 3, 7):
         trace = build_decode_trace(model, req, step)
-        assert weight_bytes_of(trace, model.bytes_per_element) == expected
+        assert sum(m.K * m.N * b * n for m, n in trace.matmuls.items()
+                   if m.weight_resident) == expected
 
 
 def test_n_layers_scales_trace():
     one = build_prefill_trace(GPT3, InferenceRequest())
     three = build_prefill_trace(ModelSpec(n_layers=3), InferenceRequest())
-    assert len(three.matmuls) == 3 * len(one.matmuls)
-    assert trace_flops(three) == 3 * trace_flops(one)
+    assert three.matmuls == {m: 3 * n for m, n in one.matmuls.items()}
+    fabric, local = FabricSpec(), BufferSpec(BufferLevel.LOCAL, 64 * KIB)
+    t1 = phase_totals(one, fabric, local, 2)
+    t3 = phase_totals(three, fabric, local, 2)
+    assert t3.flops == 3 * t1.flops
+    assert t3.compute_cycles == 3 * t1.compute_cycles
+    assert t3.traffic == t1.traffic.scaled(3)
