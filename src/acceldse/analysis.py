@@ -1,4 +1,4 @@
-"""Roofline points, EDP, and S x f metric grids for isoplots and argmins."""
+"""Roofline points and S x f metric grids for isoplots and argmins."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dataflow import FabricSpec
-from .memory import ClockSpec, PhaseResult
+from .memory import PhaseResult
 
 
 class Bound(Enum):
@@ -34,15 +34,8 @@ class RooflinePoint:
     bound: Bound
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    latency: float
-    energy: float
-    edp: float
-
-
-def peak_flops(fabric: FabricSpec, clock: ClockSpec) -> float:
-    return fabric.macs_per_cycle * 2 * clock.frequency
+def peak_flops(fabric: FabricSpec, frequency: float) -> float:
+    return fabric.macs_per_cycle * 2 * frequency
 
 
 def roofline(point: PhaseResult, peak: float, bw: float) -> RooflinePoint:
@@ -54,12 +47,6 @@ def roofline(point: PhaseResult, peak: float, bw: float) -> RooflinePoint:
     bound = Bound.MEMORY if oi < peak / bw else Bound.COMPUTE
     return RooflinePoint(oi=oi, attainable=attainable,
                          achieved=achieved, bound=bound)
-
-
-def edp(energy: float, latency: float) -> MetricPoint:
-    if energy < 0 or latency < 0:
-        raise ValueError("energy and latency must be non-negative")
-    return MetricPoint(latency=latency, energy=energy, edp=energy * latency)
 
 
 @dataclass(frozen=True)
@@ -103,17 +90,3 @@ class MetricGrid:
         step = (hi - lo) / (count - 1)
         return [lo + i * step for i in range(count)]
 
-
-def build_grid(metric: Metric, cells: dict[tuple[int, float], float],
-               s_axis: list[int], f_axis: list[float]) -> MetricGrid:
-    """Dense grid from per-(S, f) values; every cell must be present."""
-    rows = []
-    for s in s_axis:
-        row = []
-        for f in f_axis:
-            if (s, f) not in cells:
-                raise KeyError(f"missing design point (S={s} B, f={f} Hz)")
-            row.append(cells[(s, f)])
-        rows.append(tuple(row))
-    return MetricGrid(metric=metric, s_axis=tuple(s_axis),
-                      f_axis=tuple(f_axis), values=tuple(rows))

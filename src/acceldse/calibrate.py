@@ -77,23 +77,18 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
     for _ in range(MAX_ROUNDS):
         if best_disp == 0:
             break
-        improved = False
-        for coord in ("leakage", "access"):
-            for factor in STEP_FACTORS:
-                for direction in (factor, 1.0 / factor):
-                    lk = leakage * direction if coord == "leakage" else leakage
-                    ac = access * direction if coord == "access" else access
-                    disp, s_min, f_min = measure(lk, ac)
-                    if disp < best_disp:
-                        best_disp, best_s, best_f = disp, s_min, f_min
-                        leakage, access = lk, ac
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
+        # neighbors in order; the first strict improvement is taken
+        trials = ((leakage * d, access) if coord == "leakage"
+                  else (leakage, access * d)
+                  for coord in ("leakage", "access")
+                  for factor in STEP_FACTORS for d in (factor, 1.0 / factor))
+        for lk, ac in trials:
+            disp, s_min, f_min = measure(lk, ac)
+            if disp < best_disp:
+                best_disp, best_s, best_f = disp, s_min, f_min
+                leakage, access = lk, ac
                 break
-        if not improved:
+        else:
             break
     return CalibrationOutcome(
         leakage_per_byte=leakage,

@@ -12,8 +12,9 @@ from .config import (ConfigError, HardwareConfig, apply_overrides,
                      decode_step, load_hardware, load_model_spec,
                      load_request, load_sweep_axes, parse_config)
 from .memory import GB, KIB
-from .sweep import (DesignPoint, SweepRecord, SweepSpec, emit_reports,
-                    evaluate_point, run_sweep, summary_dict, tile_phase,
+from .sweep import (ROOFLINE_HEADER, DesignPoint, SweepRecord, SweepSpec,
+                    decode_mean_over_generation, emit_reports, evaluate_point,
+                    roofline_row, run_sweep, summary_dict, tile_phase,
                     trace_for)
 from .workload import Phase
 
@@ -37,7 +38,7 @@ def _record_dict(record: SweepRecord) -> dict:
         return {"error": record.error,
                 "point": {"S_bytes": record.point.s, "f_hz": record.point.f,
                           "bw_bytes_per_s": record.point.bw}}
-    r, e, m, rf = record.result, record.energy, record.metrics, record.roofline
+    r, e, rf = record.result, record.energy, record.roofline
     return {
         "point": {"S_bytes": record.point.s, "f_hz": record.point.f,
                   "bw_bytes_per_s": record.point.bw},
@@ -66,7 +67,7 @@ def _record_dict(record: SweepRecord) -> dict:
             "dynamic_power_w": e.dynamic_power_w,
             "by_component": e.by_component,
         },
-        "edp_js": m.edp,
+        "edp_js": record.edp,
         "roofline": {"oi": rf.oi, "attainable": rf.attainable,
                      "achieved": rf.achieved, "bound": rf.bound.value},
     }
@@ -104,9 +105,9 @@ def _simulate_record(values: dict[str, str], hw: HardwareConfig,
                      phase: Phase) -> SweepRecord:
     model = load_model_spec(values)
     req = load_request(values)
-    step = decode_step(values)
+    step = decode_step(values, (phase,))
     trace = trace_for(phase, model, req, step)
-    point = DesignPoint(hw.buffers.local.capacity, hw.clock.frequency,
+    point = DesignPoint(hw.buffers.local.capacity, hw.frequency,
                         hw.mem.ext_bandwidth)
     totals = tile_phase(trace, hw, point.s, model.bytes_per_element)
     return evaluate_point(totals, phase, hw, point)
@@ -145,36 +146,38 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         out = _record_dict(record)
         if phase is Phase.DECODE_STEP and args.decode_mode == "mean":
-            out["decode_mean"] = _decode_mean(values, hw)
+            out["decode_mean"] = _decode_mean(values, hw, record.point)
         print(json.dumps(out, indent=2, sort_keys=True))
     elif args.format == "csv":
         _print_csv(record)
     else:
         _print_table(record)
         if phase is Phase.DECODE_STEP and args.decode_mode == "mean":
-            mean = _decode_mean(values, hw)
+            mean = _decode_mean(values, hw, record.point)
             print(f"mean over gen    {mean['mean_latency_s']:.6e} s/token, "
                   f"{mean['mean_total_j']:.6e} J/token "
                   f"({int(mean['steps'])} steps)")
     return EXIT_OK
 
 
-def _decode_mean(values: dict[str, str], hw: HardwareConfig) -> dict:
-    from .sweep import decode_mean_over_generation
-    model = load_model_spec(values)
-    req = load_request(values)
-    point = DesignPoint(hw.buffers.local.capacity, hw.clock.frequency,
-                        hw.mem.ext_bandwidth)
-    return decode_mean_over_generation(hw, model, req, point)
+def _decode_mean(values: dict[str, str], hw: HardwareConfig,
+                 point: DesignPoint) -> dict:
+    return decode_mean_over_generation(hw, load_model_spec(values),
+                                       load_request(values), point)
 
 
-def _sweep_from_config(values: dict[str, str], hw: HardwareConfig):
-    model = load_model_spec(values)
-    req = load_request(values)
+def _sweep_inputs(values: dict[str, str]):
+    """(spec, model, request, decode step) of the configured sweep."""
     s_values, f_values, bw_values, phases = load_sweep_axes(values)
     spec = SweepSpec(tuple(s_values), tuple(f_values), tuple(bw_values),
                      tuple(phases))
-    return run_sweep(spec, hw, model, req, decode_step=decode_step(values))
+    return (spec, load_model_spec(values), load_request(values),
+            decode_step(values, spec.phases))
+
+
+def _sweep_from_config(values: dict[str, str], hw: HardwareConfig):
+    spec, model, req, step = _sweep_inputs(values)
+    return run_sweep(spec, hw, model, req, decode_step=step)
 
 
 def cmd_sweep(args) -> int:
@@ -195,27 +198,26 @@ def cmd_roofline(args) -> int:
     values, hw = _load(args)
     result = _sweep_from_config(values, hw)
     phase = _phase_from_name(args.phase)
-    print("bandwidth,S_bytes,f_hz,oi,attainable,achieved,bound")
-    for bw in result.spec.bw_values:
-        for r in result.select(phase, bw):
-            if r.ok:
-                rf = r.roofline
-                print(f"{bw!r},{r.point.s},{r.point.f!r},{rf.oi!r},"
-                      f"{rf.attainable!r},{rf.achieved!r},{rf.bound.value}")
+    print(ROOFLINE_HEADER)
+    for r in result.records:
+        if r.phase is phase and r.ok:
+            print(roofline_row(r))
     return EXIT_OK if result.complete else EXIT_FAILURE
 
 
 def cmd_calibrate(args) -> int:
     values, hw = _load(args)
-    model = load_model_spec(values)
-    req = load_request(values)
-    s_values, f_values, bw_values, phases = load_sweep_axes(values)
-    spec = SweepSpec(tuple(s_values), tuple(f_values), tuple(bw_values),
-                     tuple(phases))
+    spec, model, req, step = _sweep_inputs(values)
     target = CalibrationTarget(s_bytes=int(args.target_s_kb * KIB),
                                f_hz=args.target_f_mhz * 1e6)
-    outcome = calibrate(hw, spec, model, req, target,
-                        decode_step=decode_step(values))
+    for flag, value, axis in (
+            ("--target-s-kb", target.s_bytes, spec.s_values),
+            ("--target-f-mhz", target.f_hz, spec.f_values),
+            ("sweep.phases", target.phase, spec.phases)):
+        if value not in axis:
+            raise ConfigError(f"bad value for {flag}: the calibration target "
+                              f"must lie on the sweep grid")
+    outcome = calibrate(hw, spec, model, req, target, decode_step=step)
     text = constants_file_text(outcome, target, hw.sram.ref_size,
                                hw.sram.access_exponent)
     if args.out:
@@ -237,7 +239,7 @@ def cmd_report(args) -> int:
     values, hw = _load(args)
     result = _sweep_from_config(values, hw)
     summary = summary_dict(result)
-    print(f"records: {summary['record_count']}  complete: {summary['complete']}")
+    print(f"records: {len(result.records)}  complete: {result.complete}")
     print(f"decode convention: {summary['decode_convention']} "
           f"(step {summary['decode_step']})")
     for key in sorted(summary["grids"]):

@@ -9,12 +9,12 @@ file parsing, last writer wins.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dataflow import ArraySpec, FabricSpec
 from .energy import ArrayPower, GatingPolicy, SramEnergyModel
-from .memory import GB, KIB, MIB, BufferLevel, Buffers, BufferSpec, ClockSpec, MemorySpec
+from .memory import GB, KIB, MIB, Buffers, BufferSpec, MemorySpec
 from .workload import InferenceRequest, ModelSpec, Phase
 
 MHZ = 10**6
@@ -84,23 +84,10 @@ class HardwareConfig:
     fabric: FabricSpec
     buffers: Buffers
     mem: MemorySpec
-    clock: ClockSpec
+    frequency: float  # Hz
     sram: SramEnergyModel
     arrays: ArrayPower
     gating: GatingPolicy
-
-    def with_design_point(self, s_bytes: int, f_hz: float,
-                          bw_bytes_per_s: float) -> "HardwareConfig":
-        """Same hardware with local size, frequency, and ext bandwidth replaced."""
-        return replace(
-            self,
-            buffers=Buffers(
-                local=BufferSpec(BufferLevel.LOCAL, s_bytes),
-                global_=self.buffers.global_,
-            ),
-            clock=ClockSpec(f_hz),
-            mem=replace(self.mem, ext_bandwidth=bw_bytes_per_s),
-        )
 
 
 def load_model_spec(values: dict[str, str]) -> ModelSpec:
@@ -126,10 +113,15 @@ def load_request(values: dict[str, str]) -> InferenceRequest:
         )
 
 
-def decode_step(values: dict[str, str]) -> int:
+def decode_step(values: dict[str, str],
+                phases: tuple[Phase, ...] = (Phase.DECODE_STEP,)) -> int:
+    """`model.decode_step`, checked against `model.gen_tokens`; a run
+    whose `phases` include decode needs at least one generated token."""
     step = _get(values, "model.decode_step", int, 0)
     gen_tokens = load_request(values).gen_tokens
-    # with no generated tokens there is no decode step to check against
+    if not gen_tokens and Phase.DECODE_STEP in phases:
+        raise ConfigError("bad value for model.gen_tokens: 0 leaves no "
+                          "decode step to evaluate (need >= 1)")
     if gen_tokens and not 0 <= step < gen_tokens:
         raise ConfigError(f"bad value for model.decode_step: {step} is not in "
                           f"[0, model.gen_tokens = {gen_tokens})")
@@ -158,14 +150,14 @@ def load_hardware(values: dict[str, str]) -> HardwareConfig:
         )
     with _naming("hw.local_buffer_kb"):
         local = BufferSpec(
-            BufferLevel.LOCAL,
             int(_get(values, "hw.local_buffer_kb", float, 64.0) * KIB))
     with _naming("hw.global_buffer_mb"):
         global_ = BufferSpec(
-            BufferLevel.GLOBAL,
             int(_get(values, "hw.global_buffer_mb", float, 40.0) * MIB))
-    with _naming("hw.frequency_mhz"):
-        clock = ClockSpec(_get(values, "hw.frequency_mhz", float, 800.0) * MHZ)
+    frequency = _get(values, "hw.frequency_mhz", float, 800.0) * MHZ
+    if not frequency > 0:
+        raise ConfigError(f"bad value for hw.frequency_mhz: "
+                          f"{values['hw.frequency_mhz']!r} (need > 0)")
     with _naming("hw.sram_leakage_w_per_byte", "hw.sram_access_energy_j",
                  "hw.sram_access_ref_kb", "hw.sram_access_exponent"):
         sram = SramEnergyModel(
@@ -187,8 +179,9 @@ def load_hardware(values: dict[str, str]) -> HardwareConfig:
             decode_saving=_get(values, "hw.gating_decode", float, 0.20),
         )
     buffers = Buffers(local=local, global_=global_)
-    return HardwareConfig(fabric=fabric, buffers=buffers, mem=mem, clock=clock,
-                          sram=sram, arrays=arrays, gating=gating)
+    return HardwareConfig(fabric=fabric, buffers=buffers, mem=mem,
+                          frequency=frequency, sram=sram, arrays=arrays,
+                          gating=gating)
 
 
 DEFAULT_S_KB = [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataflow import FabricSpec
-from .memory import Buffers, ClockSpec, PhaseResult
+from .memory import Buffers, PhaseResult
 from .workload import Phase
 
 
@@ -114,8 +114,8 @@ def total_energy(static_j: float, dynamic_j: float,
 
 
 def phase_energy(result: PhaseResult, phase: Phase, sram: SramEnergyModel,
-                 arrays: ArrayPower, gating: GatingPolicy, clock: ClockSpec,
-                 buffers: Buffers, fabric: FabricSpec) -> EnergyBreakdown:
+                 arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
+                 fabric: FabricSpec) -> EnergyBreakdown:
     """Full static/dynamic/total breakdown for one evaluated phase."""
     g = gating.saving(phase)
     static = static_energy(result, leakage_sum(sram, arrays, buffers, fabric), g)

@@ -14,7 +14,6 @@ so a sweep tiles each (phase, S) once however many (f, BW) cells share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import ceil
 
 from .dataflow import (ArraySpec, FabricSpec, analytic_cycles,
@@ -26,18 +25,12 @@ MIB = 1024 * 1024
 GB = 10**9  # bandwidth uses SI gigabytes
 
 
-class BufferLevel(Enum):
-    LOCAL = "local"
-    GLOBAL = "global"
-
-
 class TilingError(ValueError):
     """Local buffer cannot hold even a minimal double-buffered tile set."""
 
 
 @dataclass(frozen=True)
 class BufferSpec:
-    level: BufferLevel
     capacity: int  # bytes
 
     def __post_init__(self) -> None:
@@ -59,15 +52,6 @@ class MemorySpec:
     def __post_init__(self) -> None:
         if self.ext_bandwidth <= 0 or self.onchip_bandwidth <= 0:
             raise ValueError("bandwidths must be > 0")
-
-
-@dataclass(frozen=True)
-class ClockSpec:
-    frequency: float  # Hz
-
-    def __post_init__(self) -> None:
-        if self.frequency <= 0:
-            raise ValueError("frequency must be > 0")
 
 
 @dataclass(frozen=True)
@@ -245,18 +229,19 @@ def phase_totals(trace: PhaseTrace, fabric: FabricSpec, local: BufferSpec,
     return PhaseTotals(cycles, macs, flops, total_traffic)
 
 
-def phase_result(totals: PhaseTotals, fabric: FabricSpec, mem: MemorySpec,
-                 clock: ClockSpec) -> PhaseResult:
-    """Latency of one phase's totals at one clock and bandwidth.
+def phase_result(totals: PhaseTotals, fabric: FabricSpec, frequency: float,
+                 ext_bandwidth: float, onchip_bandwidth: float) -> PhaseResult:
+    """Latency of one phase's totals at a clock of `frequency` Hz and
+    bandwidths in bytes/s.
 
     compute_time covers the arrays; memory_time covers external and
     on-chip transfers; perfect double-buffered overlap means latency is
     the max of the two.
     """
     cycles = totals.compute_cycles
-    compute_time = cycles / clock.frequency
-    memory_time = max(totals.traffic.dram_bytes / mem.ext_bandwidth,
-                      totals.traffic.onchip_bytes / mem.onchip_bandwidth)
+    compute_time = cycles / frequency
+    memory_time = max(totals.traffic.dram_bytes / ext_bandwidth,
+                      totals.traffic.onchip_bytes / onchip_bandwidth)
     latency = max(compute_time, memory_time)
     utilization = totals.macs / (fabric.total_arrays * cycles
                                  * fabric.array.rows * fabric.array.cols)
@@ -265,7 +250,7 @@ def phase_result(totals: PhaseTotals, fabric: FabricSpec, mem: MemorySpec,
         compute_time=compute_time,
         memory_time=memory_time,
         latency=latency,
-        total_cycles=latency * clock.frequency,
+        total_cycles=latency * frequency,
         compute_fraction=compute_time / latency,
         traffic=totals.traffic,
         utilization=utilization,

@@ -16,11 +16,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import (Metric, MetricGrid, MetricPoint, RooflinePoint,
-                       build_grid, edp, peak_flops, roofline)
+from .analysis import Metric, MetricGrid, RooflinePoint, peak_flops, roofline
 from .config import HardwareConfig
 from .energy import EnergyBreakdown, phase_energy
-from .memory import (GB, BufferLevel, BufferSpec, PhaseResult, PhaseTotals,
+from .memory import (GB, Buffers, BufferSpec, PhaseResult, PhaseTotals,
                      TilingError, phase_result, phase_totals)
 from .workload import (InferenceRequest, ModelSpec, Phase, PhaseTrace,
                        build_decode_trace, build_prefill_trace)
@@ -44,11 +43,6 @@ class SweepSpec:
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
 
-    @property
-    def record_count(self) -> int:
-        return (len(self.s_values) * len(self.f_values)
-                * len(self.bw_values) * len(self.phases))
-
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -63,7 +57,6 @@ class SweepRecord:
     phase: Phase
     result: PhaseResult | None
     energy: EnergyBreakdown | None
-    metrics: MetricPoint | None
     roofline: RooflinePoint | None
     error: str | None = None
 
@@ -71,20 +64,28 @@ class SweepRecord:
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def edp(self) -> float:
+        return self.energy.total_j * self.result.latency
+
 
 @dataclass(frozen=True)
 class SweepResult:
     spec: SweepSpec
-    records: tuple[SweepRecord, ...]
+    records: tuple[SweepRecord, ...]  # in (phase, bw, s, f) order
     decode_step: int
 
     @property
     def complete(self) -> bool:
         return all(r.ok for r in self.records)
 
-    def select(self, phase: Phase, bw: float) -> list[SweepRecord]:
-        return [r for r in self.records
-                if r.phase is phase and r.point.bw == bw]
+    def select(self, phase: Phase, bw: float) -> tuple[SweepRecord, ...]:
+        """The S x f block of one (phase, BW), S-major."""
+        spec = self.spec
+        size = len(spec.s_values) * len(spec.f_values)
+        start = size * (spec.phases.index(phase) * len(spec.bw_values)
+                        + spec.bw_values.index(bw))
+        return self.records[start:start + size]
 
 
 def trace_for(phase: Phase, model: ModelSpec, req: InferenceRequest,
@@ -99,8 +100,7 @@ def tile_phase(trace: PhaseTrace, hw: HardwareConfig, s: int,
     """The trace's totals with an S-byte local buffer, or the reason no
     tile set fits in it."""
     try:
-        return phase_totals(trace, hw.fabric, BufferSpec(BufferLevel.LOCAL, s),
-                            bytes_per_element)
+        return phase_totals(trace, hw.fabric, BufferSpec(s), bytes_per_element)
     except TilingError as exc:
         return str(exc)
 
@@ -125,7 +125,7 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
             raise TilingError(record.error)
         latency += record.result.latency
         energy += record.energy.total_j
-        edp_sum += record.metrics.edp
+        edp_sum += record.edp
     n = req.gen_tokens
     return {
         "steps": float(n),
@@ -141,15 +141,14 @@ def evaluate_point(totals: PhaseTotals | str, phase: Phase,
                    hw: HardwareConfig, point: DesignPoint) -> SweepRecord:
     """One sweep cell: the phase's totals at the point's f and BW."""
     if isinstance(totals, str):
-        return SweepRecord(point, phase, None, None, None, None, error=totals)
-    hw_pt = hw.with_design_point(point.s, point.f, point.bw)
-    result = phase_result(totals, hw_pt.fabric, hw_pt.mem, hw_pt.clock)
-    energy = phase_energy(result, phase, hw_pt.sram, hw_pt.arrays,
-                          hw_pt.gating, hw_pt.clock, hw_pt.buffers,
-                          hw_pt.fabric)
-    metrics = edp(energy.total_j, result.latency)
-    roof = roofline(result, peak_flops(hw_pt.fabric, hw_pt.clock), point.bw)
-    return SweepRecord(point, phase, result, energy, metrics, roof)
+        return SweepRecord(point, phase, None, None, None, error=totals)
+    result = phase_result(totals, hw.fabric, point.f, point.bw,
+                          hw.mem.onchip_bandwidth)
+    buffers = Buffers(BufferSpec(point.s), hw.buffers.global_)
+    energy = phase_energy(result, phase, hw.sram, hw.arrays, hw.gating,
+                          buffers, hw.fabric)
+    roof = roofline(result, peak_flops(hw.fabric, point.f), point.bw)
+    return SweepRecord(point, phase, result, energy, roof)
 
 
 def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
@@ -188,7 +187,7 @@ def run_sweep(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
 _METRIC_GETTERS = {
     Metric.LATENCY: lambda r: r.result.latency,
     Metric.TOTAL_ENERGY: lambda r: r.energy.total_j,
-    Metric.EDP: lambda r: r.metrics.edp,
+    Metric.EDP: lambda r: r.edp,
     Metric.CYCLES: lambda r: r.result.total_cycles,
     Metric.COMPUTE_FRACTION: lambda r: r.result.compute_fraction,
     Metric.DYNAMIC_POWER: lambda r: r.energy.dynamic_power_w,
@@ -200,10 +199,11 @@ _METRIC_GETTERS = {
 def metric_grid(result: SweepResult, metric: Metric, phase: Phase,
                 bw: float) -> MetricGrid:
     getter = _METRIC_GETTERS[metric]
-    cells = {(r.point.s, r.point.f): getter(r) if r.ok else math.nan
-             for r in result.select(phase, bw)}
-    return build_grid(metric, cells, list(result.spec.s_values),
-                      list(result.spec.f_values))
+    values = [getter(r) if r.ok else math.nan
+              for r in result.select(phase, bw)]
+    n_f = len(result.spec.f_values)
+    rows = tuple(tuple(values[i:i + n_f]) for i in range(0, len(values), n_f))
+    return MetricGrid(metric, result.spec.s_values, result.spec.f_values, rows)
 
 
 def _fmt(value: float) -> str:
@@ -220,25 +220,30 @@ def _grid_csv(grid: MetricGrid, phase: Phase, bw: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+ROOFLINE_HEADER = "bandwidth,S_bytes,f_hz,oi,attainable,achieved,bound"
+
+
+def roofline_row(r: SweepRecord) -> str:
+    """One evaluated record's roofline point, in ROOFLINE_HEADER order."""
+    rf = r.roofline
+    return (f"{_fmt(r.point.bw)},{r.point.s},{_fmt(r.point.f)},"
+            f"{_fmt(rf.oi)},{_fmt(rf.attainable)},{_fmt(rf.achieved)},"
+            f"{rf.bound.value}")
+
+
 def _roofline_csv(result: SweepResult) -> str:
-    lines = ["phase,bandwidth,S_bytes,f_hz,oi,attainable,achieved,bound"]
-    for r in result.records:
-        if not r.ok:
-            continue
-        rf = r.roofline
-        lines.append(
-            f"{r.phase.value},{_fmt(r.point.bw)},{r.point.s},{_fmt(r.point.f)},"
-            f"{_fmt(rf.oi)},{_fmt(rf.attainable)},{_fmt(rf.achieved)},{rf.bound.value}")
+    lines = ["phase," + ROOFLINE_HEADER]
+    lines += [f"{r.phase.value},{roofline_row(r)}"
+              for r in result.records if r.ok]
     return "\n".join(lines) + "\n"
 
 
 def bound_transition_frequency(result: SweepResult, phase: Phase, bw: float,
                                s: int) -> float | None:
     """Lowest swept frequency at which the phase is memory-bound, or None."""
-    for f in result.spec.f_values:
-        for r in result.select(phase, bw):
-            if r.point.s == s and r.point.f == f and r.ok and r.result.memory_bound:
-                return f
+    for r in result.select(phase, bw):  # f ascends within each S
+        if r.point.s == s and r.ok and r.result.memory_bound:
+            return r.point.f
     return None
 
 

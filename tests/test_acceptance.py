@@ -34,10 +34,10 @@ import pytest
 
 from acceldse.analysis import Metric
 from acceldse.config import load_hardware, load_model_spec, load_request
-from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
-                               simulate_cycles)
+from acceldse.dataflow import ArraySpec, FabricSpec, analytic_cycles
 from acceldse.energy import static_energy, total_energy
 from acceldse.memory import GB, KIB, PhaseResult, TrafficReport
+from acceldse.oracle import simulate_cycles
 from acceldse.sweep import SweepSpec, emit_reports, metric_grid, run_sweep
 from acceldse.workload import MatmulDims, Phase
 

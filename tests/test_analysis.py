@@ -1,12 +1,16 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from acceldse.analysis import (Bound, Metric, build_grid, edp, peak_flops,
-                               roofline)
+from acceldse.analysis import Bound, Metric, MetricGrid, peak_flops, roofline
+from acceldse.config import load_hardware
 from acceldse.dataflow import FabricSpec
-from acceldse.memory import ClockSpec, PhaseResult, TrafficReport
+from acceldse.memory import KIB, PhaseResult, TrafficReport
+from acceldse.sweep import DesignPoint, SweepRecord, evaluate_point, tile_phase
+from acceldse.workload import (InferenceRequest, ModelSpec, Phase,
+                               build_decode_trace)
 
 
 def result_with(flops, dram_bytes, latency):
@@ -47,7 +51,7 @@ def test_roofline_rejects_zero_traffic():
 
 def test_peak_flops():
     fab = FabricSpec(cores=2, arrays_per_core=2, array=fab_array())
-    assert peak_flops(fab, ClockSpec(1e9)) == 4 * 16 * 16 * 2 * 1e9
+    assert peak_flops(fab, 1e9) == 4 * 16 * 16 * 2 * 1e9
 
 
 def fab_array():
@@ -55,35 +59,51 @@ def fab_array():
     return ArraySpec(16, 16)
 
 
+HW = load_hardware({})
+DECODE = evaluate_point(
+    tile_phase(build_decode_trace(ModelSpec(), InferenceRequest(), 0), HW,
+               64 * KIB, 2),
+    Phase.DECODE_STEP, HW, DesignPoint(64 * KIB, 800e6, HW.mem.ext_bandwidth))
+
+
+def record_with(total_j, latency):
+    """The decode record with its total energy and latency replaced."""
+    return SweepRecord(
+        DECODE.point, DECODE.phase,
+        dataclasses.replace(DECODE.result, latency=latency),
+        dataclasses.replace(DECODE.energy, total_j=total_j), DECODE.roofline)
+
+
 def test_edp_hand_cases():
-    assert edp(2.0, 3.0).edp == 6.0
-    assert edp(0.0, 5.0).edp == 0.0
-    with pytest.raises(ValueError):
-        edp(-1.0, 1.0)
+    # a record's EDP is exactly total energy times latency
+    assert record_with(2.0, 3.0).edp == 6.0
+    assert record_with(0.0, 5.0).edp == 0.0
+    assert DECODE.edp == DECODE.energy.total_j * DECODE.result.latency > 0
 
 
 def test_edp_argmin_invariant_under_energy_rescaling():
     rng = random.Random(1)
     pairs = [(rng.uniform(0.1, 10), rng.uniform(0.1, 10)) for _ in range(30)]
-    base = [edp(e, t).edp for e, t in pairs]
-    scaled = [edp(e * 1e6, t).edp for e, t in pairs]
+    base = [record_with(e, t).edp for e, t in pairs]
+    scaled = [record_with(e * 1e6, t).edp for e, t in pairs]
     assert base.index(min(base)) == scaled.index(min(scaled))
 
 
 def grid_from(values, metric=Metric.LATENCY):
-    s_axis = list(range(len(values)))
-    s_axis = [16384 * (i + 1) for i in range(len(values))]
-    f_axis = [2e8 * (i + 1) for i in range(len(values[0]))]
-    cells = {(s, f): values[si][fi]
-             for si, s in enumerate(s_axis) for fi, f in enumerate(f_axis)}
-    return build_grid(metric, cells, s_axis, f_axis)
+    s_axis = tuple(16384 * (i + 1) for i in range(len(values)))
+    f_axis = tuple(2e8 * (i + 1) for i in range(len(values[0])))
+    return MetricGrid(metric, s_axis, f_axis,
+                      tuple(tuple(row) for row in values))
 
 
 def test_grid_shape_and_missing_cell():
     g = grid_from([[1.0, 2.0], [3.0, 4.0]])
     assert g.value(16384, 2e8) == 1.0
-    with pytest.raises(KeyError):
-        build_grid(Metric.LATENCY, {(1, 1.0): 0.0}, [1, 2], [1.0])
+    assert g.value(32768, 4e8) == 4.0
+    with pytest.raises(ValueError):  # a row missing a cell
+        MetricGrid(Metric.LATENCY, (1, 2), (1.0,), ((0.0,), ()))
+    with pytest.raises(ValueError):  # a missing row
+        MetricGrid(Metric.LATENCY, (1, 2), (1.0,), ((0.0,),))
 
 
 def test_argmin_tie_break_smallest_s_then_f():

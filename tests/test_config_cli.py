@@ -27,7 +27,7 @@ def test_parse_baseline_config():
     assert hw.buffers.local.capacity == 64 * KIB
     assert hw.mem.ext_bandwidth == 2048 * GB
     assert hw.mem.onchip_bandwidth == 8 * 2048 * GB
-    assert hw.clock.frequency == 800e6
+    assert hw.frequency == 800e6
     assert hw.arrays.leakage_w == 9.31e-3
     assert hw.arrays.dynamic_w_ref == 1.25
     assert hw.gating.prefill_saving == 0.04
@@ -232,13 +232,44 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     ("simulate", "hw.local_buffer_kb=0"),
     ("sweep", "sweep.local_buffer_kb=0"),
     ("simulate", "model.decode_step=99"),
+    ("simulate", "hw.frequency_mhz=0"),
+    ("simulate", "model.gen_tokens=0"),
+    ("simulate --decode-mode mean", "model.gen_tokens=0"),
+    ("sweep", "model.gen_tokens=0"),
 ])
 def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
                                                    override):
-    args = [verb, "--config", str(BASELINE), "--override", override]
+    args = [*verb.split(), "--config", str(BASELINE), "--override", override]
     if verb == "sweep":
         args += ["--out", str(tmp_path)]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert override.split("=")[0] in err
+
+
+def test_cli_prefill_runs_with_no_generated_tokens(tmp_path):
+    # gen_tokens=0 leaves no decode step, but prefill alone is well defined
+    args = ["--config", str(BASELINE), "--override", "model.gen_tokens=0"]
+    assert main(["simulate", "--phase", "prefill", *args]) == 0
+    assert main(["sweep", *args, "--override", "sweep.phases=prefill",
+                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("flag", [
+    "--target-s-kb=48", "--target-f-mhz=500", "--override=sweep.phases=prefill",
+])
+def test_cli_calibrate_target_off_grid_exits_2(capsys, flag):
+    assert main(["calibrate", "--config", str(BASELINE), flag]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert flag.split("=")[-2] in err  # the flag, or the override's key
+
+
+def test_cli_import_leaves_numpy_out():
+    # the PE-grid oracle, and with it numpy, is for tests only
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, acceldse.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

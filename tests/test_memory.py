@@ -4,8 +4,8 @@ from math import ceil
 import pytest
 
 from acceldse.dataflow import ArraySpec, FabricSpec
-from acceldse.memory import (GB, KIB, MIB, BufferLevel, BufferSpec, ClockSpec,
-                             MemorySpec, TilingError, phase_result,
+from acceldse.memory import (GB, KIB, MIB, BufferSpec, MemorySpec,
+                             TilingError, phase_result,
                              phase_totals, plan_tiling, tile_set_bytes,
                              traffic)
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
@@ -16,7 +16,7 @@ FABRIC = FabricSpec(108, 4, ARRAY)
 
 
 def local(nbytes):
-    return BufferSpec(BufferLevel.LOCAL, nbytes)
+    return BufferSpec(nbytes)
 
 
 def exhaustive_plan(m, cap, b, array):
@@ -187,7 +187,8 @@ MEM = MemorySpec(2048 * GB, 16384 * GB)
 def at(trace, f_hz):
     """The trace with a 64 KB local buffer, evaluated at f_hz and MEM."""
     totals = phase_totals(trace, FABRIC, local(64 * KIB), 2)
-    return phase_result(totals, FABRIC, MEM, ClockSpec(f_hz))
+    return phase_result(totals, FABRIC, f_hz, MEM.ext_bandwidth,
+                        MEM.onchip_bandwidth)
 
 
 def test_phase_result_overlap_model():

@@ -73,7 +73,7 @@ STDOUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(STDOUT_DIGESTS))
+@pytest.mark.parametrize("argv", sorted(STDOUT_DIGESTS), ids=" ".join)
 def test_cli_stdout_matches_recorded_digest(argv, capsysbinary):
     code = main([*argv, "--config", BASELINE])
     stdout = capsysbinary.readouterr().out

@@ -5,8 +5,8 @@ from acceldse import sweep
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.memory import GB, KIB
 from acceldse.sweep import (DesignPoint, SweepSpec, emit_reports,
-                            evaluate_point, metric_grid, run_sweep,
-                            summary_dict, tile_phase)
+                            evaluate_point, evaluate_sweep, metric_grid,
+                            phase_table, run_sweep, summary_dict, tile_phase)
 from acceldse.analysis import Metric
 from acceldse.workload import Phase, build_decode_trace
 
@@ -37,23 +37,33 @@ def test_sweep_spec_validation():
 
 
 def test_default_cardinality(monkeypatch):
-    assert DEFAULT_SPEC.record_count == 7 * 7 * 3 * 2 == 294
     # cycles and traffic are computed once per (phase, S), not per cell
     calls = []
     counted = sweep.phase_totals
     monkeypatch.setattr(sweep, "phase_totals",
                         lambda *args: calls.append(args) or counted(*args))
-    assert len(run_sweep(DEFAULT_SPEC, HW, MODEL, REQ).records) == 294
+    assert len(run_sweep(DEFAULT_SPEC, HW, MODEL, REQ).records) == 7 * 7 * 3 * 2
     assert len(calls) == 2 * 7
 
 
 def test_small_sweep_complete_and_ordered():
     result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
-    assert len(result.records) == SMALL_SPEC.record_count
+    assert len(result.records) == 3 * 2 * 1 * 2
     assert result.complete
     points = [(r.phase, r.point.bw, r.point.s, r.point.f) for r in result.records]
     assert points == sorted(points, key=lambda p: (
         [Phase.PREFILL, Phase.DECODE_STEP].index(p[0]), p[1], p[2], p[3]))
+
+
+def test_select_returns_one_phase_bandwidth_block():
+    spec = SweepSpec(SMALL_SPEC.s_values, SMALL_SPEC.f_values,
+                     (2048 * GB, 4096 * GB), SMALL_SPEC.phases)
+    result = run_sweep(spec, HW, MODEL, REQ)
+    for phase in spec.phases:
+        for bw in spec.bw_values:
+            assert result.select(phase, bw) == tuple(
+                r for r in result.records
+                if r.phase is phase and r.point.bw == bw)
 
 
 def test_single_point_matches_direct_evaluation():
@@ -68,7 +78,7 @@ def test_single_point_matches_direct_evaluation():
     got = result.records[0]
     assert got.result == direct.result
     assert got.energy == direct.energy
-    assert got.metrics.edp == direct.metrics.edp
+    assert got.edp == direct.edp
 
 
 def test_infeasible_cells_recorded_not_skipped(tmp_path):
@@ -161,3 +171,28 @@ def test_cells_share_phase_totals_and_obey_closed_form(s_kb, f_mhz, bw_gbps):
         assert r.latency >= r.traffic.onchip_bytes / HW.mem.onchip_bandwidth
         assert r.total_cycles == pytest.approx(r.latency * rec.point.f,
                                                rel=1e-12)
+
+
+DEFAULT_TABLE = phase_table(DEFAULT_SPEC, HW, MODEL, REQ, 0)
+
+
+def with_sram(leakage, access):
+    return load_hardware({"hw.sram_leakage_w_per_byte": repr(leakage),
+                          "hw.sram_access_energy_j": repr(access)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(leakage=st.floats(1e-9, 1e-5), access=st.floats(1e-15, 1e-11),
+       leakage_growth=st.floats(1.0, 100.0),
+       access_growth=st.floats(1.0, 100.0))
+def test_total_energy_monotone_in_sram_constants(leakage, access,
+                                                 leakage_growth,
+                                                 access_growth):
+    # at every cell, more leakage or costlier accesses never save energy
+    base = evaluate_sweep(DEFAULT_SPEC, with_sram(leakage, access),
+                          DEFAULT_TABLE, 0)
+    for hw in (with_sram(leakage * leakage_growth, access),
+               with_sram(leakage, access * access_growth)):
+        grown = evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE, 0)
+        for a, b in zip(base.records, grown.records, strict=True):
+            assert b.energy.total_j >= a.energy.total_j
