@@ -60,7 +60,8 @@ def _with_constants(hw: HardwareConfig, leakage: float,
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
               req: InferenceRequest, target: CalibrationTarget,
               decode_step: int = 0) -> CalibrationOutcome:
-    if target.s_bytes not in spec.s_values or target.f_hz not in spec.f_values:
+    if (target.s_bytes not in spec.s_values or target.f_hz not in spec.f_values
+            or target.phase not in spec.phases):
         raise ValueError("calibration target must lie on the sweep grid")
     leakage = hw.sram.leakage_per_byte
     access = hw.sram.access_energy_ref
