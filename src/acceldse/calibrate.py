@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import Metric
 from .config import HardwareConfig
+from .memory import TilingError
 from .sweep import (SweepResult, SweepSpec, evaluate_sweep, metric_grid,
                     phase_table)
 from .workload import InferenceRequest, ModelSpec, Phase
@@ -66,7 +67,12 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
     leakage = hw.sram.leakage_per_byte
     access = hw.sram.access_energy_ref
     evals = 0
+    # the search reads one S x f block: the target phase at the first BW
+    spec = replace(spec, phases=(target.phase,), bw_values=spec.bw_values[:1])
     table = phase_table(spec, hw, model, req, decode_step)
+    if all(isinstance(totals, str) for totals in table.values()):
+        raise TilingError(f"no {target.phase.value} cell can be evaluated: "
+                          f"{table[target.phase, spec.s_values[-1]]}")
 
     def measure(lk: float, ac: float) -> tuple[int, int, float]:
         nonlocal evals

@@ -5,40 +5,39 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .calibrate import CalibrationTarget, calibrate, constants_file_text
 from .config import (ConfigError, HardwareConfig, apply_overrides,
                      decode_step, load_hardware, load_model_spec,
                      load_request, load_sweep_axes, parse_config)
-from .memory import GB, KIB
+from .memory import GB, KIB, TilingError
 from .sweep import (ROOFLINE_HEADER, DesignPoint, SweepRecord, SweepSpec,
-                    decode_mean_over_generation, emit_reports, evaluate_point,
-                    roofline_row, run_sweep, summary_dict, tile_phase,
-                    trace_for)
+                    decode_mean_over_generation, emit_reports, roofline_row,
+                    run_sweep, summary_dict)
 from .workload import Phase
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BAD_CONFIG = 2
 
-
-def _phase_from_name(name: str) -> Phase:
-    return Phase.PREFILL if name == "prefill" else Phase.DECODE_STEP
+# The columns of `simulate --format csv`: names from the JSON record.
+CSV_FIELDS = ("phase", "S_bytes", "f_hz", "bw_bytes_per_s", "bound",
+              "latency_s", "compute_time_s", "memory_time_s",
+              "compute_cycles", "total_cycles", "compute_fraction",
+              "utilization", "dram_bytes", "static_j", "dynamic_j",
+              "total_j", "edp_js")
 
 
 def _load(args) -> tuple[dict[str, str], HardwareConfig]:
-    values = parse_config(args.config)
-    values = apply_overrides(values, args.override or [])
+    values = apply_overrides(parse_config(args.config), args.override or [])
     return values, load_hardware(values)
 
 
 def _record_dict(record: SweepRecord) -> dict:
-    if not record.ok:
-        return {"error": record.error,
-                "point": {"S_bytes": record.point.s, "f_hz": record.point.f,
-                          "bw_bytes_per_s": record.point.bw}}
-    r, e, rf = record.result, record.energy, record.roofline
+    """The JSON record of one evaluated cell."""
+    r, rf = record.result, record.roofline
     return {
         "point": {"S_bytes": record.point.s, "f_hz": record.point.f,
                   "bw_bytes_per_s": record.point.bw},
@@ -52,21 +51,8 @@ def _record_dict(record: SweepRecord) -> dict:
         "utilization": r.utilization,
         "bound": "memory" if r.memory_bound else "compute",
         "flops": r.flops,
-        "traffic": {
-            "dram_bytes": r.traffic.dram_bytes,
-            "onchip_bytes": r.traffic.onchip_bytes,
-            "local_reads": r.traffic.local_reads,
-            "local_writes": r.traffic.local_writes,
-            "global_reads": r.traffic.global_reads,
-            "global_writes": r.traffic.global_writes,
-        },
-        "energy": {
-            "static_j": e.static_j,
-            "dynamic_j": e.dynamic_j,
-            "total_j": e.total_j,
-            "dynamic_power_w": e.dynamic_power_w,
-            "by_component": e.by_component,
-        },
+        "traffic": asdict(r.traffic),
+        "energy": asdict(record.energy),
         "edp_js": record.edp,
         "roofline": {"oi": rf.oi, "attainable": rf.attainable,
                      "achieved": rf.achieved, "bound": rf.bound.value},
@@ -101,76 +87,48 @@ def _print_table(record: SweepRecord) -> None:
           f"bound={d['roofline']['bound']}")
 
 
-def _simulate_record(values: dict[str, str], hw: HardwareConfig,
-                     phase: Phase) -> SweepRecord:
-    model = load_model_spec(values)
-    req = load_request(values)
-    step = decode_step(values, (phase,))
-    trace = trace_for(phase, model, req, step)
-    point = DesignPoint(hw.buffers.local.capacity, hw.frequency,
-                        hw.mem.ext_bandwidth)
-    totals = tile_phase(trace, hw, point.s, model.bytes_per_element)
-    return evaluate_point(totals, phase, hw, point)
-
-
 def _print_csv(record: SweepRecord) -> None:
     d = _record_dict(record)
-    fields = [
-        ("phase", d["phase"]), ("S_bytes", d["point"]["S_bytes"]),
-        ("f_hz", repr(d["point"]["f_hz"])),
-        ("bw_bytes_per_s", repr(d["point"]["bw_bytes_per_s"])),
-        ("bound", d["bound"]), ("latency_s", repr(d["latency_s"])),
-        ("compute_time_s", repr(d["compute_time_s"])),
-        ("memory_time_s", repr(d["memory_time_s"])),
-        ("compute_cycles", d["compute_cycles"]),
-        ("total_cycles", repr(d["total_cycles"])),
-        ("compute_fraction", repr(d["compute_fraction"])),
-        ("utilization", repr(d["utilization"])),
-        ("dram_bytes", d["traffic"]["dram_bytes"]),
-        ("static_j", repr(d["energy"]["static_j"])),
-        ("dynamic_j", repr(d["energy"]["dynamic_j"])),
-        ("total_j", repr(d["energy"]["total_j"])),
-        ("edp_js", repr(d["edp_js"])),
-    ]
-    print(",".join(name for name, _ in fields))
-    print(",".join(str(value) for _, value in fields))
+    flat = {**d, **d["point"], **d["traffic"], **d["energy"]}
+    print(",".join(CSV_FIELDS))
+    print(",".join(str(flat[name]) for name in CSV_FIELDS))
 
 
 def cmd_simulate(args) -> int:
     values, hw = _load(args)
-    phase = _phase_from_name(args.phase)
-    record = _simulate_record(values, hw, phase)
+    phase = Phase(args.phase)
+    model, req = load_model_spec(values), load_request(values)
+    point = DesignPoint(hw.buffers.local.capacity, hw.frequency,
+                        hw.mem.ext_bandwidth)
+    spec = SweepSpec((point.s,), (point.f,), (point.bw,), (phase,))
+    [record] = run_sweep(spec, hw, model, req,
+                         decode_step(values, spec.phases)).records
     if not record.ok:
         print(f"error: {record.error}", file=sys.stderr)
         return EXIT_FAILURE
+    mean = None
+    if (phase is Phase.DECODE_STEP and args.decode_mode == "mean"
+            and args.format != "csv"):
+        mean = decode_mean_over_generation(hw, model, req, point)
     if args.format == "json":
         out = _record_dict(record)
-        if phase is Phase.DECODE_STEP and args.decode_mode == "mean":
-            out["decode_mean"] = _decode_mean(values, hw, record.point)
+        if mean:
+            out["decode_mean"] = mean
         print(json.dumps(out, indent=2, sort_keys=True))
     elif args.format == "csv":
         _print_csv(record)
     else:
         _print_table(record)
-        if phase is Phase.DECODE_STEP and args.decode_mode == "mean":
-            mean = _decode_mean(values, hw, record.point)
+        if mean:
             print(f"mean over gen    {mean['mean_latency_s']:.6e} s/token, "
                   f"{mean['mean_total_j']:.6e} J/token "
                   f"({int(mean['steps'])} steps)")
     return EXIT_OK
 
 
-def _decode_mean(values: dict[str, str], hw: HardwareConfig,
-                 point: DesignPoint) -> dict:
-    return decode_mean_over_generation(hw, load_model_spec(values),
-                                       load_request(values), point)
-
-
 def _sweep_inputs(values: dict[str, str]):
     """(spec, model, request, decode step) of the configured sweep."""
-    s_values, f_values, bw_values, phases = load_sweep_axes(values)
-    spec = SweepSpec(tuple(s_values), tuple(f_values), tuple(bw_values),
-                     tuple(phases))
+    spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
     return (spec, load_model_spec(values), load_request(values),
             decode_step(values, spec.phases))
 
@@ -197,7 +155,7 @@ def cmd_sweep(args) -> int:
 def cmd_roofline(args) -> int:
     values, hw = _load(args)
     result = _sweep_from_config(values, hw)
-    phase = _phase_from_name(args.phase)
+    phase = Phase(args.phase)
     print(ROOFLINE_HEADER)
     for r in result.records:
         if r.phase is phase and r.ok:
@@ -318,12 +276,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except ConfigError as exc:
+    except (OSError, TilingError) as exc:
+        # an output that cannot be written, or no cell that can be evaluated
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

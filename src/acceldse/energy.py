@@ -45,9 +45,6 @@ class ArrayPower:
         if min(self.leakage_w, self.dynamic_w_ref, self.ref_frequency) <= 0:
             raise ValueError("array power parameters must be positive")
 
-    def dynamic_power(self, frequency: float, utilization: float) -> float:
-        return self.dynamic_w_ref * (frequency / self.ref_frequency) * utilization
-
 
 @dataclass(frozen=True)
 class GatingPolicy:

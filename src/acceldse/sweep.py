@@ -88,13 +88,6 @@ class SweepResult:
         return self.records[start:start + size]
 
 
-def trace_for(phase: Phase, model: ModelSpec, req: InferenceRequest,
-               decode_step: int) -> PhaseTrace:
-    if phase is Phase.PREFILL:
-        return build_prefill_trace(model, req)
-    return build_decode_trace(model, req, decode_step)
-
-
 def tile_phase(trace: PhaseTrace, hw: HardwareConfig, s: int,
                bytes_per_element: int) -> PhaseTotals | str:
     """The trace's totals with an S-byte local buffer, or the reason no
@@ -116,11 +109,10 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     """
     if req.gen_tokens < 1:
         raise ValueError("gen_tokens must be >= 1 to average over generation")
+    spec = SweepSpec((point.s,), (point.f,), (point.bw,), (Phase.DECODE_STEP,))
     latency = energy = edp_sum = 0.0
     for step in range(req.gen_tokens):
-        trace = build_decode_trace(model, req, step)
-        totals = tile_phase(trace, hw, point.s, model.bytes_per_element)
-        record = evaluate_point(totals, Phase.DECODE_STEP, hw, point)
+        [record] = run_sweep(spec, hw, model, req, decode_step=step).records
         if not record.ok:
             raise TilingError(record.error)
         latency += record.result.latency
@@ -155,7 +147,8 @@ def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
                 req: InferenceRequest,
                 decode_step: int) -> dict[tuple[Phase, int], PhaseTotals | str]:
     """`tile_phase` for every (phase, S) of the sweep; f and BW never enter."""
-    traces = {phase: trace_for(phase, model, req, decode_step)
+    traces = {phase: build_prefill_trace(model, req) if phase is Phase.PREFILL
+              else build_decode_trace(model, req, decode_step)
               for phase in spec.phases}
     return {(phase, s): tile_phase(traces[phase], hw, s,
                                    model.bytes_per_element)
@@ -293,20 +286,13 @@ def emit_reports(result: SweepResult, out_dir: str | Path) -> list[Path]:
                 grid = metric_grid(result, metric, phase, bw)
                 name = f"{metric.value}_{phase.value}_bw{int(bw / GB)}.csv"
                 path = out / name
-                _write(path, _grid_csv(grid, phase, bw))
+                path.write_text(_grid_csv(grid, phase, bw))
                 written.append(path)
     roof_path = out / "roofline.csv"
-    _write(roof_path, _roofline_csv(result))
+    roof_path.write_text(_roofline_csv(result))
     written.append(roof_path)
     summary_path = out / "summary.json"
-    _write(summary_path, json.dumps(summary_dict(result), indent=2,
-                                    sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(summary_dict(result), indent=2,
+                                       sort_keys=True) + "\n")
     written.append(summary_path)
     return written
-
-
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"failed to write report {path}: {exc}") from exc

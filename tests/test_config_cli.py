@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from acceldse import config
 from acceldse.cli import main
 from acceldse.config import (ConfigError, apply_overrides, load_hardware,
                              load_sweep_axes, parse_config)
@@ -32,6 +33,14 @@ def test_parse_baseline_config():
     assert hw.arrays.dynamic_w_ref == 1.25
     assert hw.gating.prefill_saving == 0.04
     assert hw.gating.decode_saving == 0.20
+    # the on-chip link is fixed, not derived from the external bandwidth
+    assert load_hardware({"hw.ext_bandwidth_gbps": "4096"}) \
+        .mem.onchip_bandwidth == 16384 * GB
+
+
+def test_baseline_config_sets_every_key():
+    # the annotated reference config and the key tables stay in step
+    assert set(parse_config(BASELINE)) == set(config.KEYS)
 
 
 def test_sweep_axes_defaults():
@@ -46,6 +55,9 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("hw.cores = 108\nthis line has no equals\n")
     with pytest.raises(ConfigError, match="bad.conf:2"):
+        parse_config(bad)
+    bad.write_text("hw.cores = 108\nhw.corez = 4\n")
+    with pytest.raises(ConfigError, match="bad.conf:2: unknown key 'hw.corez'"):
         parse_config(bad)
 
 
@@ -236,6 +248,11 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     ("simulate", "model.gen_tokens=0"),
     ("simulate --decode-mode mean", "model.gen_tokens=0"),
     ("sweep", "model.gen_tokens=0"),
+    ("simulate", "hw.corez=4"),
+    ("simulate", "hw.local_buffer_kb=inf"),
+    ("simulate", "hw.ext_bandwidth_gbps=nan"),
+    ("sweep", "sweep.local_buffer_kb=nan"),
+    ("sweep", "sweep.phases=prefill,bogus"),
 ])
 def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
                                                    override):
@@ -246,6 +263,23 @@ def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert override.split("=")[0] in err
+
+
+@pytest.mark.parametrize("args", [
+    "sweep --out {file}",
+    "sweep --out {file}/sub",
+    "report --out {file}",
+    "calibrate --out {file}/constants.conf",
+    # no cell of the calibration grid fits a tile set
+    "calibrate --override sweep.local_buffer_kb=0.01 --target-s-kb 0.01",
+])
+def test_cli_unusable_run_exits_1_with_one_line(tmp_path, capsys, args):
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = args.format(file=file).split()
+    assert main([*argv, "--config", str(BASELINE)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_cli_prefill_runs_with_no_generated_tokens(tmp_path):
