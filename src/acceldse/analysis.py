@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .dataflow import FabricSpec
@@ -26,12 +26,13 @@ class Metric(Enum):
     STATIC_ENERGY = "static_energy"
 
 
-@dataclass(frozen=True)
-class RooflinePoint:
-    oi: float  # flops per external-memory byte
-    attainable: float  # flops/s under min(peak, bw * oi)
-    achieved: float  # flops/s actually reached
-    bound: Bound
+class RooflinePoint(namedtuple("RooflinePoint", (
+        "oi",  # flops per external-memory byte
+        "attainable",  # flops/s under min(peak, bw * oi)
+        "achieved",  # flops/s actually reached
+        "bound",
+))):
+    __slots__ = ()
 
 
 def peak_flops(fabric: FabricSpec, frequency: float) -> float:
@@ -49,17 +50,20 @@ def roofline(point: PhaseResult, peak: float, bw: float) -> RooflinePoint:
                          achieved=achieved, bound=bound)
 
 
-@dataclass(frozen=True)
-class MetricGrid:
-    metric: Metric
-    s_axis: tuple[int, ...]  # bytes, ascending
-    f_axis: tuple[float, ...]  # Hz, ascending
-    values: tuple[tuple[float, ...], ...]  # [s_index][f_index], NaN = error cell
+class MetricGrid(namedtuple("MetricGrid", (
+        "metric",
+        "s_axis",  # bytes, ascending
+        "f_axis",  # Hz, ascending
+        "values",  # [s_index][f_index], NaN = error cell
+))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.values) != len(self.s_axis) or any(
                 len(row) != len(self.f_axis) for row in self.values):
             raise ValueError("grid shape must be |s_axis| x |f_axis|")
+        return self
 
     def value(self, s: int, f: float) -> float:
         return self.values[self.s_axis.index(s)][self.f_axis.index(f)]

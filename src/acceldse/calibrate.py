@@ -11,7 +11,7 @@ re-evaluates one (phase, S) table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .analysis import Metric
 from .config import HardwareConfig
@@ -24,22 +24,21 @@ STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
 MAX_ROUNDS = 20
 
 
-@dataclass(frozen=True)
-class CalibrationTarget:
-    s_bytes: int
-    f_hz: float
-    phase: Phase = Phase.DECODE_STEP
-    metric: Metric = Metric.EDP
+class CalibrationTarget(namedtuple("CalibrationTarget", (
+        "s_bytes", "f_hz", "phase", "metric"),
+        defaults=(Phase.DECODE_STEP, Metric.EDP))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CalibrationOutcome:
-    leakage_per_byte: float
-    access_energy_ref: float
-    displacement: int  # grid steps from target, summed over both axes
-    achieved_s: int
-    achieved_f: float
-    evaluations: int
+class CalibrationOutcome(namedtuple("CalibrationOutcome", (
+        "leakage_per_byte",
+        "access_energy_ref",
+        "displacement",  # grid steps from target, summed over both axes
+        "achieved_s",
+        "achieved_f",
+        "evaluations",
+))):
+    __slots__ = ()
 
 
 def _displacement(result: SweepResult,
@@ -52,10 +51,16 @@ def _displacement(result: SweepResult,
     return steps, s_min, f_min
 
 
+def _rebuilt(record, **changes):
+    """`record` with `changes`, built through its constructor so that its
+    checks run (a named tuple's `_replace` skips them)."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
 def _with_constants(hw: HardwareConfig, leakage: float,
                     access: float) -> HardwareConfig:
-    return replace(hw, sram=replace(hw.sram, leakage_per_byte=leakage,
-                                    access_energy_ref=access))
+    return _rebuilt(hw, sram=_rebuilt(hw.sram, leakage_per_byte=leakage,
+                                      access_energy_ref=access))
 
 
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
@@ -68,7 +73,8 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
     access = hw.sram.access_energy_ref
     evals = 0
     # the search reads one S x f block: the target phase at the first BW
-    spec = replace(spec, phases=(target.phase,), bw_values=spec.bw_values[:1])
+    spec = _rebuilt(spec, phases=(target.phase,),
+                    bw_values=spec.bw_values[:1])
     table = phase_table(spec, hw, model, req, decode_step)
     if all(isinstance(totals, str) for totals in table.values()):
         raise TilingError(f"no {target.phase.value} cell can be evaluated: "

@@ -5,13 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from .calibrate import CalibrationTarget, calibrate, constants_file_text
 from .config import (ConfigError, HardwareConfig, apply_overrides,
-                     decode_step, load_hardware, load_model_spec,
-                     load_request, load_sweep_axes, parse_config)
+                     check_values, decode_step, load_hardware,
+                     load_model_spec, load_request, load_sweep_axes,
+                     parse_config)
 from .memory import GB, KIB, TilingError
 from .sweep import (ROOFLINE_HEADER, DesignPoint, SweepRecord, SweepSpec,
                     decode_mean_over_generation, emit_reports, roofline_row,
@@ -31,7 +30,8 @@ CSV_FIELDS = ("phase", "S_bytes", "f_hz", "bw_bytes_per_s", "bound",
 
 
 def _load(args) -> tuple[dict[str, str], HardwareConfig]:
-    values = apply_overrides(parse_config(args.config), args.override or [])
+    values = check_values(apply_overrides(parse_config(args.config),
+                                          args.override or []))
     return values, load_hardware(values)
 
 
@@ -51,8 +51,8 @@ def _record_dict(record: SweepRecord) -> dict:
         "utilization": r.utilization,
         "bound": "memory" if r.memory_bound else "compute",
         "flops": r.flops,
-        "traffic": asdict(r.traffic),
-        "energy": asdict(record.energy),
+        "traffic": r.traffic._asdict(),
+        "energy": record.energy._asdict(),
         "edp_js": record.edp,
         "roofline": {"oi": rf.oi, "attainable": rf.attainable,
                      "achieved": rf.achieved, "bound": rf.bound.value},
@@ -164,6 +164,9 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # imported here: no other command needs the search
+    from .calibrate import CalibrationTarget, calibrate, constants_file_text
+
     values, hw = _load(args)
     spec, model, req, step = _sweep_inputs(values)
     target = CalibrationTarget(s_bytes=int(args.target_s_kb * KIB),
@@ -276,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (OSError, TilingError) as exc:

@@ -11,7 +11,7 @@ declares, or a number that is not finite, is rejected naming the key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .dataflow import ArraySpec, FabricSpec
@@ -26,19 +26,22 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HardwareConfig:
-    fabric: FabricSpec
-    buffers: Buffers
-    mem: MemorySpec
-    frequency: float  # Hz
-    sram: SramEnergyModel
-    arrays: ArrayPower
-    gating: GatingPolicy
+class HardwareConfig(namedtuple("HardwareConfig", (
+        "fabric",
+        "buffers",
+        "mem",
+        "frequency",  # Hz
+        "sram",
+        "arrays",
+        "gating",
+))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.frequency > 0:
             raise ValueError("frequency must be > 0")
+        return self
 
 
 def _scaled(unit: float, cast=float):
@@ -116,9 +119,9 @@ _SWEEP = {
     "phases": ("sweep.phases", _phases, "prefill,decode"),
 }
 
-KEYS = frozenset(key for table in (
-    _MODEL, _REQUEST, _STEP, _ARRAY, _FABRIC, _MEMORY, _LOCAL, _GLOBAL,
-    _CLOCK, _SRAM, _ARRAYS, _GATING, _SWEEP) for key, _, _ in table.values())
+_TABLES = (_MODEL, _REQUEST, _STEP, _ARRAY, _FABRIC, _MEMORY, _LOCAL, _GLOBAL,
+           _CLOCK, _SRAM, _ARRAYS, _GATING, _SWEEP)
+KEYS = frozenset(key for table in _TABLES for key, _, _ in table.values())
 
 
 def _entry(text: str, where: str) -> tuple[str, str]:
@@ -135,10 +138,12 @@ def _entry(text: str, where: str) -> tuple[str, str]:
 
 def parse_config(path: str | Path) -> dict[str, str]:
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             key, value = _entry(line, f"{path}:{lineno}")
@@ -164,6 +169,14 @@ def _parse(values: dict[str, str], table: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
     return fields
+
+
+def check_values(values: dict[str, str]) -> dict[str, str]:
+    """`values`, once every key's value has parsed, so that a malformed
+    value is rejected whichever specs a command goes on to load."""
+    for table in _TABLES:
+        _parse(values, table)
+    return values
 
 
 def _build(cls, table: dict, values: dict[str, str], **parts):

@@ -10,31 +10,31 @@ simulates a single array cycle by cycle and pins it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import ceil
 
 from .workload import MatmulDims
 
 
-@dataclass(frozen=True)
-class ArraySpec:
-    rows: int = 16
-    cols: int = 16
+class ArraySpec(namedtuple("ArraySpec", ("rows", "cols"), defaults=(16, 16))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array dims must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class FabricSpec:
-    cores: int = 108
-    arrays_per_core: int = 4
-    array: ArraySpec = ArraySpec()
+class FabricSpec(namedtuple("FabricSpec", ("cores", "arrays_per_core", "array"),
+                            defaults=(108, 4, ArraySpec()))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cores < 1 or self.arrays_per_core < 1:
             raise ValueError("fabric must contain at least one array")
+        return self
 
     @property
     def total_arrays(self) -> int:
@@ -45,21 +45,20 @@ class FabricSpec:
         return self.total_arrays * self.array.rows * self.array.cols
 
 
-@dataclass(frozen=True)
-class CycleEstimate:
-    compute_cycles: int
-    folds: int
-    utilization: float
+class CycleEstimate(namedtuple("CycleEstimate", (
+        "compute_cycles", "folds", "utilization"))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AccessCounts:
+class AccessCounts(namedtuple("AccessCounts", (
+        "input_reads",
+        "weight_reads",
+        "output_writes",
+        "output_reads",  # read-modify-write per extra K-fold
+), defaults=(0, 0, 0, 0))):
     """Local-buffer traffic at the array edge, in element accesses."""
 
-    input_reads: int = 0
-    weight_reads: int = 0
-    output_writes: int = 0
-    output_reads: int = 0  # read-modify-write per extra K-fold
+    __slots__ = ()
 
     @property
     def reads(self) -> int:

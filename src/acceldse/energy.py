@@ -9,24 +9,26 @@ share of all leakage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dataflow import FabricSpec
 from .memory import Buffers, PhaseResult
 from .workload import Phase
 
 
-@dataclass(frozen=True)
-class SramEnergyModel:
-    leakage_per_byte: float  # W/byte
-    access_energy_ref: float  # J/access at ref_size
-    ref_size: int  # bytes
-    access_exponent: float = 0.5
+class SramEnergyModel(namedtuple("SramEnergyModel", (
+        "leakage_per_byte",  # W/byte
+        "access_energy_ref",  # J/access at ref_size
+        "ref_size",  # bytes
+        "access_exponent",
+), defaults=(0.5,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.leakage_per_byte, self.access_energy_ref,
-               self.ref_size, self.access_exponent) <= 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) <= 0:
             raise ValueError("SRAM energy parameters must be positive")
+        return self
 
     def leakage(self, size: int) -> float:
         return self.leakage_per_byte * size
@@ -35,38 +37,43 @@ class SramEnergyModel:
         return self.access_energy_ref * (size / self.ref_size) ** self.access_exponent
 
 
-@dataclass(frozen=True)
-class ArrayPower:
-    leakage_w: float = 9.31e-3  # per array, post-layout
-    dynamic_w_ref: float = 1.25  # per array at ref_frequency, full utilization
-    ref_frequency: float = 1.0e9
+class ArrayPower(namedtuple("ArrayPower", (
+        "leakage_w",  # per array, post-layout
+        "dynamic_w_ref",  # per array at ref_frequency, full utilization
+        "ref_frequency",
+), defaults=(9.31e-3, 1.25, 1.0e9))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.leakage_w, self.dynamic_w_ref, self.ref_frequency) <= 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) <= 0:
             raise ValueError("array power parameters must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class GatingPolicy:
-    prefill_saving: float = 0.04
-    decode_saving: float = 0.20
+class GatingPolicy(namedtuple("GatingPolicy", (
+        "prefill_saving", "decode_saving"), defaults=(0.04, 0.20))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for s in (self.prefill_saving, self.decode_saving):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for s in self:
             if not 0 <= s < 1:
                 raise ValueError("gating saving must be in [0, 1)")
+        return self
 
     def saving(self, phase: Phase) -> float:
         return self.prefill_saving if phase is Phase.PREFILL else self.decode_saving
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    static_j: float
-    dynamic_j: float
-    total_j: float
-    dynamic_power_w: float
-    by_component: dict[str, dict[str, float]]
+class EnergyBreakdown(namedtuple("EnergyBreakdown", (
+        "static_j",
+        "dynamic_j",
+        "total_j",
+        "dynamic_power_w",
+        "by_component",  # {component: {"static_j": J, "dynamic_j": J}}
+))):
+    __slots__ = ()
 
 
 def static_energy(result: PhaseResult, leakage_sum: float,

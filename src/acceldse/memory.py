@@ -13,7 +13,7 @@ so a sweep tiles each (phase, S) once however many (f, BW) cells share it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import ceil
 
 from .dataflow import (ArraySpec, FabricSpec, analytic_cycles,
@@ -29,84 +29,71 @@ class TilingError(ValueError):
     """Local buffer cannot hold even a minimal double-buffered tile set."""
 
 
-@dataclass(frozen=True)
-class BufferSpec:
-    capacity: int  # bytes
+class BufferSpec(namedtuple("BufferSpec", (
+        "capacity",  # bytes
+))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.capacity <= 0:
             raise ValueError("buffer capacity must be > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class Buffers:
-    local: BufferSpec
-    global_: BufferSpec
+class Buffers(namedtuple("Buffers", ("local", "global_"))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MemorySpec:
-    ext_bandwidth: float  # bytes/s into and out of the global buffer
-    onchip_bandwidth: float  # bytes/s aggregate global<->local
+class MemorySpec(namedtuple("MemorySpec", (
+        "ext_bandwidth",  # bytes/s into and out of the global buffer
+        "onchip_bandwidth",  # bytes/s aggregate global<->local
+))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.ext_bandwidth <= 0 or self.onchip_bandwidth <= 0:
             raise ValueError("bandwidths must be > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class TilingPlan:
-    tile_m: int
-    tile_k: int
-    tile_n: int
+class TilingPlan(namedtuple("TilingPlan", ("tile_m", "tile_k", "tile_n"))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrafficReport:
-    dram_bytes: int = 0
-    onchip_bytes: int = 0
-    local_reads: int = 0
-    local_writes: int = 0
-    global_reads: int = 0
-    global_writes: int = 0
+class TrafficReport(namedtuple("TrafficReport", (
+        "dram_bytes", "onchip_bytes", "local_reads", "local_writes",
+        "global_reads", "global_writes"), defaults=(0, 0, 0, 0, 0, 0))):
+    __slots__ = ()
 
     def __add__(self, other: "TrafficReport") -> "TrafficReport":
-        return TrafficReport(
-            self.dram_bytes + other.dram_bytes,
-            self.onchip_bytes + other.onchip_bytes,
-            self.local_reads + other.local_reads,
-            self.local_writes + other.local_writes,
-            self.global_reads + other.global_reads,
-            self.global_writes + other.global_writes,
-        )
+        """Field-wise sum (a plain tuple `+` would concatenate)."""
+        return TrafficReport(*(a + b for a, b in zip(self, other)))
 
     def scaled(self, count: int) -> "TrafficReport":
-        return TrafficReport(*(count * v for v in (
-            self.dram_bytes, self.onchip_bytes, self.local_reads,
-            self.local_writes, self.global_reads, self.global_writes)))
+        return TrafficReport(*(count * v for v in self))
 
 
-@dataclass(frozen=True)
-class PhaseTotals:
+class PhaseTotals(namedtuple("PhaseTotals", (
+        "compute_cycles", "macs", "flops", "traffic"))):
     """Frequency- and bandwidth-free totals of one phase at one local size."""
 
-    compute_cycles: int
-    macs: int
-    flops: int
-    traffic: TrafficReport
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PhaseResult:
-    compute_cycles: int
-    compute_time: float
-    memory_time: float
-    latency: float
-    total_cycles: float  # latency * frequency; grows with f when memory-bound
-    compute_fraction: float
-    traffic: TrafficReport
-    utilization: float
-    flops: int
+class PhaseResult(namedtuple("PhaseResult", (
+        "compute_cycles",
+        "compute_time",
+        "memory_time",
+        "latency",
+        "total_cycles",  # latency * frequency; grows with f when memory-bound
+        "compute_fraction",
+        "traffic",
+        "utilization",
+        "flops",
+))):
+    __slots__ = ()
 
     @property
     def memory_bound(self) -> bool:

@@ -10,7 +10,7 @@ to it exactly.  Only the tests use it; the CLI never imports this module
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
 from math import ceil
 
 import numpy as np
@@ -25,10 +25,8 @@ class SimulationGuardError(ValueError):
     """Matmul too large for desk-scale cycle-accurate simulation."""
 
 
-@dataclass(frozen=True)
-class SimulatedCycles:
-    estimate: CycleEstimate
-    counts: AccessCounts
+class SimulatedCycles(namedtuple("SimulatedCycles", ("estimate", "counts"))):
+    __slots__ = ()
 
 
 _FOLD_CACHE: dict[tuple[int, int, int, int, int], int] = {}

@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
-from .analysis import Metric, MetricGrid, RooflinePoint, peak_flops, roofline
+from .analysis import Metric, MetricGrid, peak_flops, roofline
 from .config import HardwareConfig
-from .energy import EnergyBreakdown, phase_energy
-from .memory import (GB, Buffers, BufferSpec, PhaseResult, PhaseTotals,
-                     TilingError, phase_result, phase_totals)
+from .energy import phase_energy
+from .memory import (GB, Buffers, BufferSpec, PhaseTotals, TilingError,
+                     phase_result, phase_totals)
 from .workload import (InferenceRequest, ModelSpec, Phase, PhaseTrace,
                        build_decode_trace, build_prefill_trace)
 
@@ -28,37 +28,42 @@ SCHEMA_VERSION = 1
 DECODE_CONVENTION = "per_output_token_at_fixed_step"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    s_values: tuple[int, ...]  # bytes, ascending
-    f_values: tuple[float, ...]  # Hz, ascending
-    bw_values: tuple[float, ...]  # bytes/s, ascending
-    phases: tuple[Phase, ...]
+class SweepSpec(namedtuple("SweepSpec", (
+        "s_values",  # bytes, ascending
+        "f_values",  # Hz, ascending
+        "bw_values",  # bytes/s, ascending
+        "phases",
+))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("s_values", "f_values", "bw_values"):
             vals = getattr(self, name)
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
+        return self
 
 
-@dataclass(frozen=True)
-class DesignPoint:
-    s: int  # local buffer bytes
-    f: float  # Hz
-    bw: float  # external bytes/s
+class DesignPoint(namedtuple("DesignPoint", (
+        "s",  # local buffer bytes
+        "f",  # Hz
+        "bw",  # external bytes/s
+))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    point: DesignPoint
-    phase: Phase
-    result: PhaseResult | None
-    energy: EnergyBreakdown | None
-    roofline: RooflinePoint | None
-    error: str | None = None
+class SweepRecord(namedtuple("SweepRecord", (
+        "point",
+        "phase",
+        "result",  # PhaseResult, None when `error` says why not
+        "energy",  # EnergyBreakdown or None
+        "roofline",  # RooflinePoint or None
+        "error",
+), defaults=(None,))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -69,11 +74,12 @@ class SweepRecord:
         return self.energy.total_j * self.result.latency
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    spec: SweepSpec
-    records: tuple[SweepRecord, ...]  # in (phase, bw, s, f) order
-    decode_step: int
+class SweepResult(namedtuple("SweepResult", (
+        "spec",
+        "records",  # in (phase, bw, s, f) order
+        "decode_step",
+))):
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:

@@ -11,7 +11,7 @@ under the head-parallel mapping onto many small arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 
@@ -20,66 +20,63 @@ class Phase(Enum):
     DECODE_STEP = "decode"
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(namedtuple("ModelSpec", (
+        "d_model", "n_heads", "head_dim", "mlp_ratio", "bytes_per_element",
+        "n_layers"), defaults=(12288, 96, 128, 4, 2, 1))):
     """Shape of one transformer layer stack (GPT-3-like defaults)."""
 
-    d_model: int = 12288
-    n_heads: int = 96
-    head_dim: int = 128
-    mlp_ratio: int = 4
-    bytes_per_element: int = 2
-    n_layers: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("d_model", "n_heads", "head_dim", "mlp_ratio",
-                     "bytes_per_element", "n_layers"):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in self._fields:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.n_heads * self.head_dim != self.d_model:
             raise ValueError(
                 f"n_heads * head_dim must equal d_model "
                 f"({self.n_heads} * {self.head_dim} != {self.d_model})")
+        return self
 
     @property
     def d_ff(self) -> int:
         return self.mlp_ratio * self.d_model
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
-    batch: int = 8
-    prompt_len: int = 2048
-    gen_tokens: int = 16
+class InferenceRequest(namedtuple("InferenceRequest", (
+        "batch", "prompt_len", "gen_tokens"), defaults=(8, 2048, 16))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
         if self.prompt_len < 1:
             raise ValueError("prompt_len must be >= 1 (zero-token requests rejected)")
         if self.gen_tokens < 0:
             raise ValueError("gen_tokens must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class MatmulDims:
+class MatmulDims(namedtuple("MatmulDims", ("M", "K", "N", "weight_resident"),
+                            defaults=(False,))):
     """One GEMM (M x K) @ (K x N); weight_resident marks a model-weight operand."""
 
-    M: int
-    K: int
-    N: int
-    weight_resident: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.M, self.K, self.N) < 1:
             raise ValueError("matmul dims must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class PhaseTrace:
-    phase: Phase
-    kv_len: int
-    matmuls: dict[MatmulDims, int]  # each distinct GEMM -> count over all layers
+class PhaseTrace(namedtuple("PhaseTrace", (
+        "phase",
+        "kv_len",
+        "matmuls",  # {MatmulDims: count over all layers}, each GEMM once
+))):
+    __slots__ = ()
 
 
 def flops_of(m: MatmulDims) -> int:

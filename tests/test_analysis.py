@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -70,8 +69,8 @@ def record_with(total_j, latency):
     """The decode record with its total energy and latency replaced."""
     return SweepRecord(
         DECODE.point, DECODE.phase,
-        dataclasses.replace(DECODE.result, latency=latency),
-        dataclasses.replace(DECODE.energy, total_j=total_j), DECODE.roofline)
+        DECODE.result._replace(latency=latency),
+        DECODE.energy._replace(total_j=total_j), DECODE.roofline)
 
 
 def test_edp_hand_cases():
