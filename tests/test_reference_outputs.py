@@ -3,13 +3,15 @@
 The benchmark's four workload commands are run in-process through
 `main()` and gated against `perfbench/references.json`, the same record
 the benchmark checks.  The `simulate`, `roofline` and `report` outputs
-that no workload covers are pinned by sha256 digests recorded before the
-modules behind them were last reshaped; a refactor must leave all of
-them unchanged.
+that no workload covers, and the per-group model counts that
+`perfbench/model_counts.py` reads through the public API, are pinned by
+sha256 digests recorded before the modules behind them were last
+reshaped; a refactor must leave all of them unchanged.
 """
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -21,16 +23,20 @@ ROOT = Path(__file__).resolve().parent.parent
 BASELINE = str(ROOT / "configs" / "baseline.conf")
 
 
-def _benchmark_workloads():
+def _perfbench_module(name: str):
+    """`perfbench/<name>.py`, registered under the name by which the
+    benchmark's scripts import each other (`from workloads import ...`);
+    dataclasses look their module up there too."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-WL = _benchmark_workloads()
+WL = _perfbench_module("workloads")
+MODEL_COUNTS = _perfbench_module("model_counts")
 
 
 @pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
@@ -79,3 +85,27 @@ def test_cli_stdout_matches_recorded_digest(argv, capsysbinary):
     stdout = capsysbinary.readouterr().out
     assert code == 0
     assert hashlib.sha256(stdout).hexdigest() == STDOUT_DIGESTS[argv]
+
+
+# sha256 of json.dumps(model_counts(name), sort_keys=True)
+MODEL_COUNT_DIGESTS = {
+    "sweep_default":
+        "3c85bbc3dc50535daa12c3ef9f36d33883575c5668cc582fd65cc9fc7757116a",
+    "sweep_gpt3":
+        "45848a8d8de171c4d19b41e54406dea95364da6d2bc5ee0d1fb79ab282fb6ade",
+    "calibrate":
+        "3c85bbc3dc50535daa12c3ef9f36d33883575c5668cc582fd65cc9fc7757116a",
+    "decode_mean_gpt3":
+        "45848a8d8de171c4d19b41e54406dea95364da6d2bc5ee0d1fb79ab282fb6ade",
+}
+
+
+def test_model_count_pins_cover_every_workload():
+    assert sorted(MODEL_COUNT_DIGESTS) == sorted(WL.WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_COUNT_DIGESTS))
+def test_perfbench_model_counts_match_recorded_digest(name):
+    counts = json.dumps(MODEL_COUNTS.model_counts(name), sort_keys=True)
+    assert hashlib.sha256(counts.encode()).hexdigest() \
+        == MODEL_COUNT_DIGESTS[name]
