@@ -83,14 +83,12 @@ class MetricGrid(namedtuple("MetricGrid", (
             raise ValueError("grid has no finite cells")
         return best_cell
 
-    def contour_levels(self, count: int = 10) -> list[float]:
-        """Evenly spaced levels between grid min and max (for isoplots)."""
+    def contour_levels(self) -> list[float]:
+        """Ten evenly spaced levels from grid min to max (for isoplots)."""
         finite = [v for row in self.values for v in row if not math.isnan(v)]
         if not finite:
             raise ValueError("grid has no finite cells")
         lo, hi = min(finite), max(finite)
-        if count == 1:
-            return [lo]
-        step = (hi - lo) / (count - 1)
-        return [lo + i * step for i in range(count)]
+        step = (hi - lo) / 9
+        return [lo + i * step for i in range(10)]
 

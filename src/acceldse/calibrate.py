@@ -24,9 +24,9 @@ STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
 MAX_ROUNDS = 20
 
 
-class CalibrationTarget(namedtuple("CalibrationTarget", (
-        "s_bytes", "f_hz", "phase", "metric"),
-        defaults=(Phase.DECODE_STEP, Metric.EDP))):
+class CalibrationTarget(namedtuple("CalibrationTarget", ("s_bytes", "f_hz"))):
+    """The cell at which the decode EDP argmin is wanted."""
+
     __slots__ = ()
 
 
@@ -44,7 +44,8 @@ class CalibrationOutcome(namedtuple("CalibrationOutcome", (
 def _displacement(result: SweepResult,
                   target: CalibrationTarget) -> tuple[int, int, float]:
     spec = result.spec
-    grid = metric_grid(result, target.metric, target.phase, spec.bw_values[0])
+    grid = metric_grid(result, Metric.EDP, Phase.DECODE_STEP,
+                       spec.bw_values[0])
     s_min, f_min = grid.argmin()
     steps = (abs(spec.s_values.index(s_min) - spec.s_values.index(target.s_bytes))
              + abs(spec.f_values.index(f_min) - spec.f_values.index(target.f_hz)))
@@ -67,18 +68,18 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
               req: InferenceRequest, target: CalibrationTarget,
               decode_step: int = 0) -> CalibrationOutcome:
     if (target.s_bytes not in spec.s_values or target.f_hz not in spec.f_values
-            or target.phase not in spec.phases):
+            or Phase.DECODE_STEP not in spec.phases):
         raise ValueError("calibration target must lie on the sweep grid")
     leakage = hw.sram.leakage_per_byte
     access = hw.sram.access_energy_ref
     evals = 0
-    # the search reads one S x f block: the target phase at the first BW
-    spec = _rebuilt(spec, phases=(target.phase,),
+    # the search reads one S x f block: decode at the first BW
+    spec = _rebuilt(spec, phases=(Phase.DECODE_STEP,),
                     bw_values=spec.bw_values[:1])
     table = phase_table(spec, hw, model, req, decode_step)
     if all(isinstance(totals, str) for totals in table.values()):
-        raise TilingError(f"no {target.phase.value} cell can be evaluated: "
-                          f"{table[target.phase, spec.s_values[-1]]}")
+        raise TilingError("no decode cell can be evaluated: "
+                          f"{table[Phase.DECODE_STEP, spec.s_values[-1]]}")
 
     def measure(lk: float, ac: float) -> tuple[int, int, float]:
         nonlocal evals
@@ -118,7 +119,7 @@ def constants_file_text(outcome: CalibrationOutcome,
                         ref_size: int, exponent: float) -> str:
     lines = [
         "# SRAM energy calibration constants",
-        f"# target: {target.phase.value} {target.metric.value} argmin at "
+        "# target: decode edp argmin at "
         f"(S={target.s_bytes} B, f={target.f_hz:g} Hz)",
         f"# achieved: (S={outcome.achieved_s} B, f={outcome.achieved_f:g} Hz), "
         f"displacement {outcome.displacement} grid step(s)",

@@ -7,10 +7,9 @@ import json
 import sys
 from pathlib import Path
 
-from .config import (ConfigError, HardwareConfig, apply_overrides,
-                     check_values, decode_step, load_hardware,
-                     load_model_spec, load_request, load_sweep_axes,
-                     parse_config)
+from .config import (ConfigError, apply_overrides, decode_step,
+                     load_hardware, load_model_spec, load_request,
+                     load_sweep_axes, parse_config)
 from .memory import GB, KIB, TilingError
 from .sweep import (ROOFLINE_HEADER, DesignPoint, SweepRecord, SweepSpec,
                     decode_mean_over_generation, emit_reports, roofline_row,
@@ -29,10 +28,14 @@ CSV_FIELDS = ("phase", "S_bytes", "f_hz", "bw_bytes_per_s", "bound",
               "total_j", "edp_js")
 
 
-def _load(args) -> tuple[dict[str, str], HardwareConfig]:
-    values = check_values(apply_overrides(parse_config(args.config),
-                                          args.override or []))
-    return values, load_hardware(values)
+def _load(args, phases: tuple[Phase, ...] | None = None):
+    """(sweep spec, hardware, model, request, decode step) of the configured
+    run, in `run_sweep`'s order, with every key parsed once; the step is
+    checked for `phases`, by default the sweep's."""
+    values = apply_overrides(parse_config(args.config), args.override or [])
+    spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
+    return (spec, load_hardware(values), load_model_spec(values),
+            load_request(values), decode_step(values, phases or spec.phases))
 
 
 def _record_dict(record: SweepRecord) -> dict:
@@ -95,14 +98,11 @@ def _print_csv(record: SweepRecord) -> None:
 
 
 def cmd_simulate(args) -> int:
-    values, hw = _load(args)
     phase = Phase(args.phase)
-    model, req = load_model_spec(values), load_request(values)
-    point = DesignPoint(hw.buffers.local.capacity, hw.frequency,
-                        hw.mem.ext_bandwidth)
+    _, hw, model, req, step = _load(args, (phase,))
+    point = DesignPoint(hw.buffers.local, hw.frequency, hw.ext_bandwidth)
     spec = SweepSpec((point.s,), (point.f,), (point.bw,), (phase,))
-    [record] = run_sweep(spec, hw, model, req,
-                         decode_step(values, spec.phases)).records
+    [record] = run_sweep(spec, hw, model, req, step).records
     if not record.ok:
         print(f"error: {record.error}", file=sys.stderr)
         return EXIT_FAILURE
@@ -126,21 +126,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_inputs(values: dict[str, str]):
-    """(spec, model, request, decode step) of the configured sweep."""
-    spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
-    return (spec, load_model_spec(values), load_request(values),
-            decode_step(values, spec.phases))
-
-
-def _sweep_from_config(values: dict[str, str], hw: HardwareConfig):
-    spec, model, req, step = _sweep_inputs(values)
-    return run_sweep(spec, hw, model, req, decode_step=step)
-
-
 def cmd_sweep(args) -> int:
-    values, hw = _load(args)
-    result = _sweep_from_config(values, hw)
+    result = run_sweep(*_load(args))
     written = emit_reports(result, args.out)
     print(f"evaluated {len(result.records)} records, "
           f"wrote {len(written)} files to {args.out}")
@@ -153,8 +140,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_roofline(args) -> int:
-    values, hw = _load(args)
-    result = _sweep_from_config(values, hw)
+    result = run_sweep(*_load(args))
     phase = Phase(args.phase)
     print(ROOFLINE_HEADER)
     for r in result.records:
@@ -167,17 +153,18 @@ def cmd_calibrate(args) -> int:
     # imported here: no other command needs the search
     from .calibrate import CalibrationTarget, calibrate, constants_file_text
 
-    values, hw = _load(args)
-    spec, model, req, step = _sweep_inputs(values)
-    target = CalibrationTarget(s_bytes=int(args.target_s_kb * KIB),
-                               f_hz=args.target_f_mhz * 1e6)
+    spec, hw, model, req, step = _load(args)
+    # whole bytes, as the S axis is parsed; nan and inf stay off the grid
+    s_bytes = args.target_s_kb * KIB // 1
+    f_hz = args.target_f_mhz * 1e6
     for flag, value, axis in (
-            ("--target-s-kb", target.s_bytes, spec.s_values),
-            ("--target-f-mhz", target.f_hz, spec.f_values),
-            ("sweep.phases", target.phase, spec.phases)):
+            ("--target-s-kb", s_bytes, spec.s_values),
+            ("--target-f-mhz", f_hz, spec.f_values),
+            ("sweep.phases", Phase.DECODE_STEP, spec.phases)):
         if value not in axis:
             raise ConfigError(f"bad value for {flag}: the calibration target "
                               f"must lie on the sweep grid")
+    target = CalibrationTarget(int(s_bytes), f_hz)
     outcome = calibrate(hw, spec, model, req, target, decode_step=step)
     text = constants_file_text(outcome, target, hw.sram.ref_size,
                                hw.sram.access_exponent)
@@ -197,8 +184,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    values, hw = _load(args)
-    result = _sweep_from_config(values, hw)
+    result = run_sweep(*_load(args))
     summary = summary_dict(result)
     print(f"records: {len(result.records)}  complete: {result.complete}")
     print(f"decode convention: {summary['decode_convention']} "

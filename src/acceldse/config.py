@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .dataflow import ArraySpec, FabricSpec
 from .energy import ArrayPower, GatingPolicy, SramEnergyModel
-from .memory import GB, KIB, MIB, Buffers, BufferSpec, MemorySpec
+from .memory import GB, KIB, MIB, Buffers
 from .workload import InferenceRequest, ModelSpec, Phase
 
 MHZ = 10**6
@@ -29,7 +29,8 @@ class ConfigError(ValueError):
 class HardwareConfig(namedtuple("HardwareConfig", (
         "fabric",
         "buffers",
-        "mem",
+        "ext_bandwidth",  # bytes/s into and out of the global buffer
+        "onchip_bandwidth",  # bytes/s aggregate global<->local
         "frequency",  # Hz
         "sram",
         "arrays",
@@ -39,6 +40,8 @@ class HardwareConfig(namedtuple("HardwareConfig", (
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if self.ext_bandwidth <= 0 or self.onchip_bandwidth <= 0:
+            raise ValueError("bandwidths must be > 0")
         if not self.frequency > 0:
             raise ValueError("frequency must be > 0")
         return self
@@ -65,7 +68,10 @@ def _axis(parse):
 
 
 def _phases(text: str) -> list[Phase]:
-    return [Phase(name.strip()) for name in text.split(",") if name.strip()]
+    phases = [Phase(name.strip()) for name in text.split(",") if name.strip()]
+    if not phases or len(set(phases)) < len(phases):
+        raise ValueError("need one or more phases, each named once")
+    return phases
 
 
 _float = _scaled(1.0)
@@ -89,13 +95,13 @@ _ARRAY = {"rows": ("hw.array_rows", int, "16"),
           "cols": ("hw.array_cols", int, "16")}
 _FABRIC = {"cores": ("hw.cores", int, "108"),
            "arrays_per_core": ("hw.arrays_per_core", int, "4")}
-_MEMORY = {
+_BUFFERS = {"local": ("hw.local_buffer_kb", _scaled(KIB, int), "64"),
+            "global_": ("hw.global_buffer_mb", _scaled(MIB, int), "40")}
+_HARDWARE = {
     "ext_bandwidth": ("hw.ext_bandwidth_gbps", _scaled(GB), "2048"),
     "onchip_bandwidth": ("hw.onchip_bandwidth_gbps", _scaled(GB), "16384"),
+    "frequency": ("hw.frequency_mhz", _scaled(MHZ), "800"),
 }
-_LOCAL = {"capacity": ("hw.local_buffer_kb", _scaled(KIB, int), "64")}
-_GLOBAL = {"capacity": ("hw.global_buffer_mb", _scaled(MIB, int), "40")}
-_CLOCK = {"frequency": ("hw.frequency_mhz", _scaled(MHZ), "800")}
 _SRAM = {
     "leakage_per_byte": ("hw.sram_leakage_w_per_byte", _float, "3.0e-7"),
     "access_energy_ref": ("hw.sram_access_energy_j", _float, "2.0e-13"),
@@ -119,8 +125,8 @@ _SWEEP = {
     "phases": ("sweep.phases", _phases, "prefill,decode"),
 }
 
-_TABLES = (_MODEL, _REQUEST, _STEP, _ARRAY, _FABRIC, _MEMORY, _LOCAL, _GLOBAL,
-           _CLOCK, _SRAM, _ARRAYS, _GATING, _SWEEP)
+_TABLES = (_MODEL, _REQUEST, _STEP, _ARRAY, _FABRIC, _BUFFERS, _HARDWARE,
+           _SRAM, _ARRAYS, _GATING, _SWEEP)
 KEYS = frozenset(key for table in _TABLES for key, _, _ in table.values())
 
 
@@ -171,14 +177,6 @@ def _parse(values: dict[str, str], table: dict) -> dict:
     return fields
 
 
-def check_values(values: dict[str, str]) -> dict[str, str]:
-    """`values`, once every key's value has parsed, so that a malformed
-    value is rejected whichever specs a command goes on to load."""
-    for table in _TABLES:
-        _parse(values, table)
-    return values
-
-
 def _build(cls, table: dict, values: dict[str, str], **parts):
     """`cls` from the fields of `table`; a value the constructor rejects is
     reported naming the table's keys."""
@@ -215,11 +213,9 @@ def decode_step(values: dict[str, str],
 
 def load_hardware(values: dict[str, str]) -> HardwareConfig:
     array = _build(ArraySpec, _ARRAY, values)
-    buffers = Buffers(local=_build(BufferSpec, _LOCAL, values),
-                      global_=_build(BufferSpec, _GLOBAL, values))
-    return _build(HardwareConfig, _CLOCK, values,
+    return _build(HardwareConfig, _HARDWARE, values,
                   fabric=_build(FabricSpec, _FABRIC, values, array=array),
-                  buffers=buffers, mem=_build(MemorySpec, _MEMORY, values),
+                  buffers=_build(Buffers, _BUFFERS, values),
                   sram=_build(SramEnergyModel, _SRAM, values),
                   arrays=_build(ArrayPower, _ARRAYS, values),
                   gating=_build(GatingPolicy, _GATING, values))

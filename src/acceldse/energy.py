@@ -84,8 +84,8 @@ def static_energy(result: PhaseResult, leakage_sum: float,
 
 def leakage_sum(sram: SramEnergyModel, arrays: ArrayPower,
                 buffers: Buffers, fabric: FabricSpec) -> float:
-    return (sram.leakage(buffers.local.capacity) * fabric.cores
-            + sram.leakage(buffers.global_.capacity)
+    return (sram.leakage(buffers.local) * fabric.cores
+            + sram.leakage(buffers.global_)
             + arrays.leakage_w * fabric.total_arrays)
 
 
@@ -100,9 +100,9 @@ def dynamic_components(result: PhaseResult, sram: SramEnergyModel,
     """
     tr = result.traffic
     local = (tr.local_reads + tr.local_writes) \
-        * sram.access_energy(buffers.local.capacity)
+        * sram.access_energy(buffers.local)
     global_ = (tr.global_reads + tr.global_writes) \
-        * sram.access_energy(buffers.global_.capacity)
+        * sram.access_energy(buffers.global_)
     array = (arrays.dynamic_w_ref * result.utilization
              * (result.compute_cycles / arrays.ref_frequency)
              * fabric.total_arrays)
@@ -128,9 +128,9 @@ def phase_energy(result: PhaseResult, phase: Phase, sram: SramEnergyModel,
     total, dyn_power = total_energy(static, dynamic, result.latency)
 
     static_parts = {
-        "local_buffers": result.latency * sram.leakage(buffers.local.capacity)
+        "local_buffers": result.latency * sram.leakage(buffers.local)
         * fabric.cores * (1.0 - g),
-        "global_buffer": result.latency * sram.leakage(buffers.global_.capacity)
+        "global_buffer": result.latency * sram.leakage(buffers.global_)
         * (1.0 - g),
         "arrays": result.latency * arrays.leakage_w * fabric.total_arrays
         * (1.0 - g),

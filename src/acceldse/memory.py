@@ -29,32 +29,15 @@ class TilingError(ValueError):
     """Local buffer cannot hold even a minimal double-buffered tile set."""
 
 
-class BufferSpec(namedtuple("BufferSpec", (
-        "capacity",  # bytes
-))):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.capacity <= 0:
-            raise ValueError("buffer capacity must be > 0")
-        return self
-
-
 class Buffers(namedtuple("Buffers", ("local", "global_"))):
-    __slots__ = ()
+    """Capacities in bytes: one core's local buffer, the shared global one."""
 
-
-class MemorySpec(namedtuple("MemorySpec", (
-        "ext_bandwidth",  # bytes/s into and out of the global buffer
-        "onchip_bandwidth",  # bytes/s aggregate global<->local
-))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.ext_bandwidth <= 0 or self.onchip_bandwidth <= 0:
-            raise ValueError("bandwidths must be > 0")
+        if self.local <= 0 or self.global_ <= 0:
+            raise ValueError("buffer capacity must be > 0")
         return self
 
 
@@ -115,8 +98,8 @@ def _pow2_candidates(dim: int) -> list[int]:
     return out
 
 
-def plan_tiling(m: MatmulDims, local: BufferSpec, bytes_per_element: int,
-                array: ArraySpec = ArraySpec()) -> TilingPlan:
+def plan_tiling(m: MatmulDims, capacity: int, bytes_per_element: int,
+                array: ArraySpec) -> TilingPlan:
     """Capacity-feasible plan maximizing weight reuse.
 
     Deterministic search over power-of-two tile dims clipped to (M, K, N),
@@ -127,17 +110,16 @@ def plan_tiling(m: MatmulDims, local: BufferSpec, bytes_per_element: int,
     tile (tile_m >= rows) are preferred so pipeline fill amortizes; the
     row preference is dropped when capacity cannot afford it.
     """
-    cap = local.capacity
     b = bytes_per_element
     k_floor = min(m.K, array.rows)
     n_floor = min(m.N, array.cols)
     for m_floor in (min(m.M, array.rows), 1):
-        best = _search_plan(m, cap, b, k_floor, n_floor, m_floor)
+        best = _search_plan(m, capacity, b, k_floor, n_floor, m_floor)
         if best is not None:
             _, tm, tn, tk = best
             return TilingPlan(tile_m=tm, tile_k=tk, tile_n=tn)
     raise TilingError(
-        f"local buffer of {cap} bytes cannot hold a minimal "
+        f"local buffer of {capacity} bytes cannot hold a minimal "
         f"double-buffered tile set of "
         f"{tile_set_bytes(1, k_floor, n_floor, b)} bytes")
 
@@ -200,14 +182,14 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
     )
 
 
-def phase_totals(trace: PhaseTrace, fabric: FabricSpec, local: BufferSpec,
+def phase_totals(trace: PhaseTrace, fabric: FabricSpec, capacity: int,
                  bytes_per_element: int) -> PhaseTotals:
     """Cycles, MACs, flops and traffic of one phase with a local buffer of
-    `local.capacity` bytes; raises TilingError if no tile set fits it."""
+    `capacity` bytes; raises TilingError if no tile set fits it."""
     cycles = macs = flops = 0
     total_traffic = TrafficReport()
     for m, count in trace.matmuls.items():
-        plan = plan_tiling(m, local, bytes_per_element, fabric.array)
+        plan = plan_tiling(m, capacity, bytes_per_element, fabric.array)
         cycles += analytic_cycles(m, fabric).compute_cycles * count
         macs += m.M * m.K * m.N * count
         flops += flops_of(m) * count

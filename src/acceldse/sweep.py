@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import namedtuple
 from pathlib import Path
 
 from .analysis import Metric, MetricGrid, peak_flops, roofline
 from .config import HardwareConfig
 from .energy import phase_energy
-from .memory import (GB, Buffers, BufferSpec, PhaseTotals, TilingError,
-                     phase_result, phase_totals)
+from .memory import (GB, Buffers, PhaseTotals, TilingError, phase_result,
+                     phase_totals)
 from .workload import (InferenceRequest, ModelSpec, Phase, PhaseTrace,
                        build_decode_trace, build_prefill_trace)
 
@@ -38,11 +37,14 @@ class SweepSpec(namedtuple("SweepSpec", (
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("s_values", "f_values", "bw_values"):
+        for name in self._fields:
             vals = getattr(self, name)
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
+            if name == "phases":
+                if len(set(vals)) < len(vals):
+                    raise ValueError("phases must not repeat")
+            elif any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
         return self
 
@@ -99,7 +101,7 @@ def tile_phase(trace: PhaseTrace, hw: HardwareConfig, s: int,
     """The trace's totals with an S-byte local buffer, or the reason no
     tile set fits in it."""
     try:
-        return phase_totals(trace, hw.fabric, BufferSpec(s), bytes_per_element)
+        return phase_totals(trace, hw.fabric, s, bytes_per_element)
     except TilingError as exc:
         return str(exc)
 
@@ -141,8 +143,8 @@ def evaluate_point(totals: PhaseTotals | str, phase: Phase,
     if isinstance(totals, str):
         return SweepRecord(point, phase, None, None, None, error=totals)
     result = phase_result(totals, hw.fabric, point.f, point.bw,
-                          hw.mem.onchip_bandwidth)
-    buffers = Buffers(BufferSpec(point.s), hw.buffers.global_)
+                          hw.onchip_bandwidth)
+    buffers = Buffers(point.s, hw.buffers.global_)
     energy = phase_energy(result, phase, hw.sram, hw.arrays, hw.gating,
                           buffers, hw.fabric)
     roof = roofline(result, peak_flops(hw.fabric, point.f), point.bw)
@@ -280,9 +282,6 @@ def summary_dict(result: SweepResult) -> dict:
 
 def emit_reports(result: SweepResult, out_dir: str | Path) -> list[Path]:
     """Write grid CSVs, the roofline CSV, and the JSON summary."""
-    if not result.spec.phases:
-        print("warning: empty phase set, no reports emitted", file=sys.stderr)
-        return []
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -62,7 +62,7 @@ HW = load_hardware({})
 DECODE = evaluate_point(
     tile_phase(build_decode_trace(ModelSpec(), InferenceRequest(), 0), HW,
                64 * KIB, 2),
-    Phase.DECODE_STEP, HW, DesignPoint(64 * KIB, 800e6, HW.mem.ext_bandwidth))
+    Phase.DECODE_STEP, HW, DesignPoint(64 * KIB, 800e6, HW.ext_bandwidth))
 
 
 def record_with(total_j, latency):
@@ -127,7 +127,7 @@ def test_all_nan_grid_raises():
 
 def test_contour_levels_span_grid():
     g = grid_from([[0.0, 1.0], [2.0, 10.0]])
-    levels = g.contour_levels(10)
+    levels = g.contour_levels()
     assert len(levels) == 10
     assert levels[0] == 0.0 and levels[-1] == 10.0
     steps = [b - a for a, b in zip(levels, levels[1:])]

@@ -29,10 +29,9 @@ def test_target_must_lie_on_grid():
     with pytest.raises(ValueError):
         calibrate(HW, SPEC, MODEL, REQ,
                   CalibrationTarget(s_bytes=48 * KIB, f_hz=600e6))
-    with pytest.raises(ValueError):
-        calibrate(HW, SPEC, MODEL, REQ,
-                  CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6,
-                                    phase=Phase.PREFILL))
+    with pytest.raises(ValueError):  # the decode phase is not swept
+        calibrate(HW, SweepSpec(*SPEC[:3], (Phase.PREFILL,)), MODEL, REQ,
+                  CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6))
 
 
 def test_shipped_constants_are_a_fixed_point(monkeypatch):

@@ -25,9 +25,9 @@ def test_parse_baseline_config():
     values = parse_config(BASELINE)
     hw = load_hardware(values)
     assert hw.fabric.total_arrays == 432
-    assert hw.buffers.local.capacity == 64 * KIB
-    assert hw.mem.ext_bandwidth == 2048 * GB
-    assert hw.mem.onchip_bandwidth == 8 * 2048 * GB
+    assert hw.buffers.local == 64 * KIB
+    assert hw.ext_bandwidth == 2048 * GB
+    assert hw.onchip_bandwidth == 8 * 2048 * GB
     assert hw.frequency == 800e6
     assert hw.arrays.leakage_w == 9.31e-3
     assert hw.arrays.dynamic_w_ref == 1.25
@@ -35,7 +35,7 @@ def test_parse_baseline_config():
     assert hw.gating.decode_saving == 0.20
     # the on-chip link is fixed, not derived from the external bandwidth
     assert load_hardware({"hw.ext_bandwidth_gbps": "4096"}) \
-        .mem.onchip_bandwidth == 16384 * GB
+        .onchip_bandwidth == 16384 * GB
 
 
 def test_baseline_config_sets_every_key():
@@ -242,6 +242,8 @@ def test_cli_report_all_infeasible_prints_none(capsys):
 @pytest.mark.parametrize("verb,override", [
     ("simulate", "hw.cores=0"),
     ("simulate", "hw.local_buffer_kb=0"),
+    ("simulate", "hw.global_buffer_mb=0"),
+    ("simulate", "hw.onchip_bandwidth_gbps=0"),
     ("sweep", "sweep.local_buffer_kb=0"),
     ("simulate", "model.decode_step=99"),
     ("simulate", "hw.frequency_mhz=0"),
@@ -253,6 +255,8 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     ("simulate", "hw.ext_bandwidth_gbps=nan"),
     ("sweep", "sweep.local_buffer_kb=nan"),
     ("sweep", "sweep.phases=prefill,bogus"),
+    ("sweep", "sweep.phases=decode,decode"),
+    ("sweep", "sweep.phases=,"),
     # every key is checked, whichever specs the command goes on to load
     ("simulate", "sweep.local_buffer_kb=nan"),
     ("simulate --phase prefill", "sweep.phases=prefill,bogus"),
@@ -298,6 +302,7 @@ def test_cli_prefill_runs_with_no_generated_tokens(tmp_path):
 
 @pytest.mark.parametrize("flag", [
     "--target-s-kb=48", "--target-f-mhz=500", "--override=sweep.phases=prefill",
+    "--target-s-kb=nan", "--target-s-kb=inf",
 ])
 def test_cli_calibrate_target_off_grid_exits_2(capsys, flag):
     assert main(["calibrate", "--config", str(BASELINE), flag]) == 2

@@ -4,7 +4,7 @@ import pytest
 
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                matmul_local_accesses)
-from acceldse.memory import MIB, BufferSpec, phase_totals
+from acceldse.memory import MIB, phase_totals
 from acceldse.oracle import SimulationGuardError, simulate_cycles
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, \
     build_prefill_trace
@@ -129,8 +129,7 @@ def test_accesses_per_phase_aggregates():
     model = ModelSpec(d_model=4, n_heads=2, head_dim=2)
     trace = build_prefill_trace(model, InferenceRequest(batch=1, prompt_len=2))
     fab = FabricSpec(1, 1, ArraySpec(2, 2))
-    total = phase_totals(trace, fab, BufferSpec(MIB),
-                         2).traffic
+    total = phase_totals(trace, fab, MIB, 2).traffic
     by_hand_reads = sum(matmul_local_accesses(m, fab.array).reads * n
                         for m, n in trace.matmuls.items())
     by_hand_writes = sum(matmul_local_accesses(m, fab.array).writes * n

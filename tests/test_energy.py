@@ -6,9 +6,8 @@ from acceldse.dataflow import FabricSpec
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
                              dynamic_components, leakage_sum, phase_energy,
                              static_energy, total_energy)
-from acceldse.memory import (GB, KIB, MIB, Buffers, BufferSpec, MemorySpec,
-                             PhaseResult, TrafficReport,
-                             phase_result, phase_totals)
+from acceldse.memory import (GB, KIB, MIB, Buffers, PhaseResult,
+                             TrafficReport, phase_result, phase_totals)
 from acceldse.workload import (InferenceRequest, ModelSpec, Phase,
                                build_decode_trace, build_prefill_trace)
 
@@ -17,6 +16,7 @@ SRAM = SramEnergyModel(leakage_per_byte=3e-7, access_energy_ref=2e-13,
 ARRAYS = ArrayPower()
 GATING = GatingPolicy()
 FABRIC = FabricSpec()
+EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
 
 
 def fake_result(latency=1.0, cycles=1000, util=0.5,
@@ -52,16 +52,14 @@ def test_array_part_paper_anchor():
     fabric = FabricSpec(cores=1, arrays_per_core=1)
     r = fake_result(latency=1.0, cycles=int(arrays.ref_frequency), util=1.0)
     parts = dynamic_components(r, SRAM, arrays,
-                               Buffers(BufferSpec(32 * KIB),
-                                       BufferSpec(40 * MIB)),
+                               Buffers(32 * KIB, 40 * MIB),
                                fabric)
     assert parts["arrays"] == pytest.approx(1.25)
 
 
 def test_dynamic_energy_zero_case():
     r = fake_result(cycles=0, util=0.0)
-    bufs = Buffers(BufferSpec(32 * KIB),
-                   BufferSpec(40 * MIB))
+    bufs = Buffers(32 * KIB, 40 * MIB)
     e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs, FABRIC)
     assert e.dynamic_j == 0.0
 
@@ -99,13 +97,10 @@ def test_gating_policy_by_phase():
 def test_phase_energy_composition():
     model = ModelSpec()
     req = InferenceRequest()
-    bufs = Buffers(BufferSpec(64 * KIB),
-                   BufferSpec(40 * MIB))
-    mem = MemorySpec(2048 * GB, 16384 * GB)
+    bufs = Buffers(64 * KIB, 40 * MIB)
     totals = phase_totals(build_decode_trace(model, req, 0), FABRIC,
                           bufs.local, 2)
-    r = phase_result(totals, FABRIC, 800e6, mem.ext_bandwidth,
-                     mem.onchip_bandwidth)
+    r = phase_result(totals, FABRIC, 800e6, EXT_BW, ONCHIP_BW)
     e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs, FABRIC)
     assert e.total_j == e.static_j + e.dynamic_j
     assert e.dynamic_power_w == e.dynamic_j / r.latency
@@ -118,15 +113,12 @@ def test_memory_bound_array_energy_invariant_to_frequency():
     # compute_time ~ 1/f cancels P_dyn ~ f: bit-identical dynamic energy
     model = ModelSpec()
     req = InferenceRequest()
-    bufs = Buffers(BufferSpec(64 * KIB),
-                   BufferSpec(40 * MIB))
-    mem = MemorySpec(2048 * GB, 16384 * GB)
+    bufs = Buffers(64 * KIB, 40 * MIB)
     totals = phase_totals(build_decode_trace(model, req, 0), FABRIC,
                           bufs.local, 2)
     energies = set()
     for f in (600e6, 800e6, 1000e6, 1200e6, 1400e6):
-        r = phase_result(totals, FABRIC, f, mem.ext_bandwidth,
-                         mem.onchip_bandwidth)
+        r = phase_result(totals, FABRIC, f, EXT_BW, ONCHIP_BW)
         e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs,
                          FABRIC)
         energies.add((e.static_j, e.dynamic_j))
@@ -136,15 +128,12 @@ def test_memory_bound_array_energy_invariant_to_frequency():
 def test_compute_bound_static_energy_decreases_with_frequency():
     model = ModelSpec()
     req = InferenceRequest()
-    bufs = Buffers(BufferSpec(64 * KIB),
-                   BufferSpec(40 * MIB))
-    mem = MemorySpec(2048 * GB, 16384 * GB)
+    bufs = Buffers(64 * KIB, 40 * MIB)
     totals = phase_totals(build_prefill_trace(model, req), FABRIC,
                           bufs.local, 2)
     statics = []
     for f in (200e6, 600e6, 1000e6, 1400e6):
-        r = phase_result(totals, FABRIC, f, mem.ext_bandwidth,
-                         mem.onchip_bandwidth)
+        r = phase_result(totals, FABRIC, f, EXT_BW, ONCHIP_BW)
         e = phase_energy(r, Phase.PREFILL, SRAM, ARRAYS, GATING, bufs, FABRIC)
         statics.append(e.static_j)
     assert all(b < a for a, b in zip(statics, statics[1:]))

@@ -4,8 +4,7 @@ from math import ceil
 import pytest
 
 from acceldse.dataflow import ArraySpec, FabricSpec
-from acceldse.memory import (GB, KIB, MIB, BufferSpec, MemorySpec,
-                             TilingError, phase_result,
+from acceldse.memory import (GB, KIB, MIB, TilingError, phase_result,
                              phase_totals, plan_tiling, tile_set_bytes,
                              traffic)
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
@@ -13,10 +12,6 @@ from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
 
 ARRAY = ArraySpec(16, 16)
 FABRIC = FabricSpec(108, 4, ARRAY)
-
-
-def local(nbytes):
-    return BufferSpec(nbytes)
 
 
 def exhaustive_plan(m, cap, b, array):
@@ -40,17 +35,17 @@ def exhaustive_plan(m, cap, b, array):
 
 def test_plan_single_tile_when_everything_fits():
     m = MatmulDims(8, 8, 8)
-    plan = plan_tiling(m, local(1 * MIB), 2, ARRAY)
+    plan = plan_tiling(m, 1 * MIB, 2, ARRAY)
     assert (plan.tile_m, plan.tile_k, plan.tile_n) == (8, 8, 8)
 
 
 def test_plan_minimal_boundary():
     # capacity exactly fits the minimal 1x1x1 double-buffered set (5 bytes/elem)
     m = MatmulDims(1, 1, 1)
-    plan = plan_tiling(m, local(10), 2, ARRAY)
+    plan = plan_tiling(m, 10, 2, ARRAY)
     assert (plan.tile_m, plan.tile_k, plan.tile_n) == (1, 1, 1)
     with pytest.raises(TilingError):
-        plan_tiling(m, local(9), 2, ARRAY)
+        plan_tiling(m, 9, 2, ARRAY)
 
 
 def test_plan_8x8x8_at_256_bytes_matches_exhaustive_oracle():
@@ -59,7 +54,7 @@ def test_plan_8x8x8_at_256_bytes_matches_exhaustive_oracle():
     assert best is not None
     _, tm, tn, tk = best
     assert (tm, tk, tn) == (2, 8, 8)  # frozen from the oracle
-    plan = plan_tiling(m, local(256), 2, ARRAY)
+    plan = plan_tiling(m, 256, 2, ARRAY)
     assert (plan.tile_m, plan.tile_k, plan.tile_n) == (tm, tk, tn)
 
 
@@ -72,9 +67,9 @@ def test_plan_matches_exhaustive_oracle_on_random_cases():
         oracle = exhaustive_plan(m, cap, 2, arr)
         if oracle is None:
             with pytest.raises(TilingError):
-                plan_tiling(m, local(cap), 2, arr)
+                plan_tiling(m, cap, 2, arr)
             continue
-        plan = plan_tiling(m, local(cap), 2, arr)
+        plan = plan_tiling(m, cap, 2, arr)
         got = (plan.tile_k * plan.tile_n, plan.tile_m, plan.tile_n, plan.tile_k)
         # the implementation searches power-of-two dims only, so its plan can
         # never beat the unrestricted oracle, and its traffic driver tile_n
@@ -104,7 +99,7 @@ def tile_walk_bytes(m, plan, b):
 
 def test_traffic_single_tile_is_compulsory():
     m = MatmulDims(8, 8, 8)
-    plan = plan_tiling(m, local(1 * MIB), 2, ARRAY)
+    plan = plan_tiling(m, 1 * MIB, 2, ARRAY)
     t = traffic(m, plan, 2, FabricSpec(1, 1, ARRAY))
     assert t.dram_bytes == (8 * 8 + 8 * 8 + 8 * 8) * 2
     assert t.onchip_bytes == t.dram_bytes
@@ -113,7 +108,7 @@ def test_traffic_single_tile_is_compulsory():
 def test_traffic_input_passes_double_when_tile_n_halves():
     m = MatmulDims(8, 64, 64)
     single_core = FabricSpec(1, 1, ARRAY)
-    t_full = traffic(m, plan_tiling(m, local(1 * MIB), 2, ARRAY), 2, single_core)
+    t_full = traffic(m, plan_tiling(m, 1 * MIB, 2, ARRAY), 2, single_core)
     from acceldse.memory import TilingPlan
     halved = TilingPlan(tile_m=8, tile_k=64, tile_n=32)
     t_half = traffic(m, halved, 2, single_core)
@@ -129,7 +124,7 @@ def test_traffic_matches_tile_walk_oracle():
         m = MatmulDims(rng.randint(1, 40), rng.randint(16, 64), rng.randint(16, 64))
         cap = rng.choice((256, 1024, 4096))
         try:
-            plan = plan_tiling(m, local(cap), 2, ARRAY)
+            plan = plan_tiling(m, cap, 2, ARRAY)
         except TilingError:
             continue
         weights, inputs, outputs = tile_walk_bytes(m, plan, 2)
@@ -141,7 +136,7 @@ def test_traffic_matches_tile_walk_oracle():
 def test_traffic_core_amortization():
     # cores sweep distinct column tiles concurrently, sharing each input wave
     m = MatmulDims(8, 64, 2048)
-    plan = plan_tiling(m, local(18_000), 2, ARRAY)
+    plan = plan_tiling(m, 18_000, 2, ARRAY)
     n_tiles = ceil(m.N / plan.tile_n)
     assert n_tiles > 3
     t1 = traffic(m, plan, 2, FabricSpec(1, 1, ARRAY))
@@ -156,7 +151,7 @@ def test_traffic_at_least_compulsory():
     rng = random.Random(9)
     for _ in range(20):
         m = MatmulDims(rng.randint(1, 64), rng.randint(1, 128), rng.randint(1, 128))
-        plan = plan_tiling(m, local(64 * KIB), 2, ARRAY)
+        plan = plan_tiling(m, 64 * KIB, 2, ARRAY)
         t = traffic(m, plan, 2, FABRIC)
         compulsory = (m.K * m.N + m.M * m.K + m.M * m.N) * 2
         assert t.dram_bytes >= compulsory
@@ -171,7 +166,7 @@ def test_dram_non_increasing_in_capacity():
     for m in cases:
         prev = None
         for cap in sizes:
-            t = traffic(m, plan_tiling(m, local(cap), 2, ARRAY), 2, FABRIC)
+            t = traffic(m, plan_tiling(m, cap, 2, ARRAY), 2, FABRIC)
             if prev is not None:
                 assert t.dram_bytes <= prev, (m, cap)
             prev = t.dram_bytes
@@ -181,14 +176,14 @@ def test_dram_non_increasing_in_capacity():
 
 MODEL = ModelSpec()
 REQ = InferenceRequest()
-MEM = MemorySpec(2048 * GB, 16384 * GB)
+EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
 
 
 def at(trace, f_hz):
-    """The trace with a 64 KB local buffer, evaluated at f_hz and MEM."""
-    totals = phase_totals(trace, FABRIC, local(64 * KIB), 2)
-    return phase_result(totals, FABRIC, f_hz, MEM.ext_bandwidth,
-                        MEM.onchip_bandwidth)
+    """The trace with a 64 KB local buffer, evaluated at f_hz and the
+    default bandwidths."""
+    totals = phase_totals(trace, FABRIC, 64 * KIB, 2)
+    return phase_result(totals, FABRIC, f_hz, EXT_BW, ONCHIP_BW)
 
 
 def test_phase_result_overlap_model():
@@ -206,8 +201,8 @@ def test_memory_time_from_bandwidth():
     trace = build_decode_trace(MODEL, REQ, 0)
     r = at(trace, 800e6)
     assert r.memory_time == pytest.approx(
-        max(r.traffic.dram_bytes / MEM.ext_bandwidth,
-            r.traffic.onchip_bytes / MEM.onchip_bandwidth))
+        max(r.traffic.dram_bytes / EXT_BW,
+            r.traffic.onchip_bytes / ONCHIP_BW))
 
 
 def test_memory_bound_latency_invariant_to_frequency():

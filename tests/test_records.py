@@ -8,7 +8,7 @@ from acceldse.calibrate import _rebuilt
 from acceldse.config import load_hardware
 from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.energy import ArrayPower, GatingPolicy, SramEnergyModel
-from acceldse.memory import BufferSpec, MemorySpec
+from acceldse.memory import Buffers
 from acceldse.sweep import SweepSpec
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, Phase
 
@@ -21,8 +21,10 @@ CHECKED = [
     (MatmulDims(2, 3, 4), "K", 0, "matmul dims must be >= 1"),
     (ArraySpec(), "cols", 0, "array dims must be >= 1"),
     (FabricSpec(), "cores", 0, "fabric must contain at least one array"),
-    (BufferSpec(1024), "capacity", 0, "buffer capacity must be > 0"),
-    (MemorySpec(1e9, 1e9), "onchip_bandwidth", 0, "bandwidths must be > 0"),
+    (Buffers(1024, 1024), "local", 0, "buffer capacity must be > 0"),
+    (Buffers(1024, 1024), "global_", 0, "buffer capacity must be > 0"),
+    (load_hardware({}), "ext_bandwidth", 0, "bandwidths must be > 0"),
+    (load_hardware({}), "onchip_bandwidth", 0, "bandwidths must be > 0"),
     (SramEnergyModel(3e-7, 2e-13, 32768), "leakage_per_byte", -1.0,
      "SRAM energy parameters must be positive"),
     (ArrayPower(), "ref_frequency", 0.0,
@@ -33,6 +35,10 @@ CHECKED = [
      "f_values must be non-empty"),
     (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "s_values",
      (2, 1), "s_values must be strictly increasing"),
+    (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "phases", (),
+     "phases must be non-empty"),
+    (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "phases",
+     (Phase.DECODE_STEP, Phase.DECODE_STEP), "phases must not repeat"),
     (MetricGrid(Metric.EDP, (1,), (1.0,), ((1.0,),)), "values", ((1.0, 2.0),),
      "grid shape must be |s_axis| x |f_axis|"),
 ]

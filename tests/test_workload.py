@@ -1,7 +1,7 @@
 import pytest
 
 from acceldse.dataflow import FabricSpec
-from acceldse.memory import KIB, BufferSpec, phase_totals
+from acceldse.memory import KIB, phase_totals
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec, Phase,
                                build_decode_trace, build_prefill_trace,
                                flops_of)
@@ -131,7 +131,7 @@ def test_n_layers_scales_trace():
     one = build_prefill_trace(GPT3, InferenceRequest())
     three = build_prefill_trace(ModelSpec(n_layers=3), InferenceRequest())
     assert three.matmuls == {m: 3 * n for m, n in one.matmuls.items()}
-    fabric, local = FabricSpec(), BufferSpec(64 * KIB)
+    fabric, local = FabricSpec(), 64 * KIB
     t1 = phase_totals(one, fabric, local, 2)
     t3 = phase_totals(three, fabric, local, 2)
     assert t3.flops == 3 * t1.flops
