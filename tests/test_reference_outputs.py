@@ -6,12 +6,16 @@ the benchmark checks.  The `simulate`, `roofline` and `report` outputs
 that no workload covers, and the per-group model counts that
 `perfbench/model_counts.py` reads through the public API, are pinned by
 sha256 digests recorded before the modules behind them were last
-reshaped; a refactor must leave all of them unchanged.
+reshaped; a refactor must leave all of them unchanged.  The benchmark's
+traced run of the default sweep runs in a subprocess, as the benchmark
+runs it, with its layer-boundary and call counts pinned.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,3 +109,37 @@ def test_perfbench_model_counts_match_recorded_digest(name):
     counts = json.dumps(MODEL_COUNTS.model_counts(name), sort_keys=True)
     assert hashlib.sha256(counts.encode()).hexdigest() \
         == MODEL_COUNT_DIGESTS[name]
+
+
+# The layer-boundary counts and call counts of the benchmark's traced run
+# of the default sweep; `perfbench/traced.py` finds traces by their type
+# and functions by module, so a renamed record or module shows here.
+TRACED_COUNTS = {
+    "memory.distinct_matmuls": 70,
+    "memory.entries_scanned": 70,
+    "sweep.emit_reports.bytes": 125994,
+    "sweep.emit_reports.files": 50,
+    "workload.matmuls_emitted": 10,
+}
+TRACED_CALLS = {
+    "memory.phase_totals": 14,
+    "memory.plan_tiling": 70,
+    "sweep.evaluate_point": 294,
+    "energy.phase_energy": 294,
+}
+
+
+def test_traced_harness_counts_default_sweep(tmp_path):
+    summary_path = tmp_path / "summary.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/traced.py", str(summary_path),
+         str(tmp_path / "spans.jsonl"), "sweep", "--config",
+         "configs/baseline.conf", "--out", str(tmp_path / "out")],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(summary_path.read_text())
+    assert summary["counts"] == TRACED_COUNTS
+    calls = {name: summary["functions"][name]["calls"]
+             for name in TRACED_CALLS}
+    assert calls == TRACED_CALLS
