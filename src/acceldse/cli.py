@@ -140,8 +140,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_roofline(args) -> int:
-    result = run_sweep(*_load(args))
     phase = Phase(args.phase)
+    spec, *run = _load(args)
+    if phase not in spec.phases:
+        raise ConfigError(f"bad value for sweep.phases: must include "
+                          f"--phase {phase.value}")
+    result = run_sweep(spec, *run)
     print(ROOFLINE_HEADER)
     for r in result.records:
         if r.phase is phase and r.ok:

@@ -57,6 +57,15 @@ def _scaled(unit: float, cast=float):
     return parse
 
 
+def _whole_gbps(text: str) -> float:
+    """Parser of a bandwidth in whole GB/s, at least 1, as bytes/s: report
+    file names and summary keys carry it as an integer."""
+    gbps = float(text)
+    if not gbps.is_integer() or gbps < 1:
+        raise ValueError("need a whole number of GB/s, at least 1")
+    return gbps * GB
+
+
 def _axis(parse):
     """Parser of a comma-separated list, as its sorted distinct values."""
     def parse_axis(text: str) -> list:
@@ -120,7 +129,7 @@ _SWEEP = {
                  "16,32,64,128,256,512,1024"),
     "f_values": ("sweep.frequency_mhz", _axis(_scaled(MHZ)),
                  "200,400,600,800,1000,1200,1400"),
-    "bw_values": ("sweep.bandwidth_gbps", _axis(_scaled(GB)),
+    "bw_values": ("sweep.bandwidth_gbps", _axis(_whole_gbps),
                   "2048,4096,8192"),
     "phases": ("sweep.phases", _phases, "prefill,decode"),
 }

@@ -16,7 +16,7 @@ from math import ceil
 from .workload import MatmulDims
 
 
-class ArraySpec(namedtuple("ArraySpec", ("rows", "cols"), defaults=(16, 16))):
+class ArraySpec(namedtuple("ArraySpec", ("rows", "cols"))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -26,8 +26,7 @@ class ArraySpec(namedtuple("ArraySpec", ("rows", "cols"), defaults=(16, 16))):
         return self
 
 
-class FabricSpec(namedtuple("FabricSpec", ("cores", "arrays_per_core", "array"),
-                            defaults=(108, 4, ArraySpec()))):
+class FabricSpec(namedtuple("FabricSpec", ("cores", "arrays_per_core", "array"))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -55,7 +54,7 @@ class AccessCounts(namedtuple("AccessCounts", (
         "weight_reads",
         "output_writes",
         "output_reads",  # read-modify-write per extra K-fold
-), defaults=(0, 0, 0, 0))):
+))):
     """Local-buffer traffic at the array edge, in element accesses."""
 
     __slots__ = ()

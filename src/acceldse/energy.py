@@ -21,7 +21,7 @@ class SramEnergyModel(namedtuple("SramEnergyModel", (
         "access_energy_ref",  # J/access at ref_size
         "ref_size",  # bytes
         "access_exponent",
-), defaults=(0.5,))):
+))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -41,7 +41,7 @@ class ArrayPower(namedtuple("ArrayPower", (
         "leakage_w",  # per array, post-layout
         "dynamic_w_ref",  # per array at ref_frequency, full utilization
         "ref_frequency",
-), defaults=(9.31e-3, 1.25, 1.0e9))):
+))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -52,7 +52,7 @@ class ArrayPower(namedtuple("ArrayPower", (
 
 
 class GatingPolicy(namedtuple("GatingPolicy", (
-        "prefill_saving", "decode_saving"), defaults=(0.04, 0.20))):
+        "prefill_saving", "decode_saving"))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -76,62 +76,37 @@ class EnergyBreakdown(namedtuple("EnergyBreakdown", (
     __slots__ = ()
 
 
-def static_energy(result: PhaseResult, leakage_sum: float,
-                  gating: float) -> float:
-    """Leakage integrated over execution time, less the gated share."""
-    return result.latency * leakage_sum * (1.0 - gating)
-
-
-def leakage_sum(sram: SramEnergyModel, arrays: ArrayPower,
-                buffers: Buffers, fabric: FabricSpec) -> float:
-    return (sram.leakage(buffers.local) * fabric.cores
-            + sram.leakage(buffers.global_)
-            + arrays.leakage_w * fabric.total_arrays)
-
-
-def dynamic_components(result: PhaseResult, sram: SramEnergyModel,
-                       arrays: ArrayPower, buffers: Buffers,
-                       fabric: FabricSpec) -> dict[str, float]:
-    """SRAM access energy plus array switching energy, per component.
+def phase_energy(result: PhaseResult, phase: Phase, sram: SramEnergyModel,
+                 arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
+                 fabric: FabricSpec) -> EnergyBreakdown:
+    """Full static/dynamic/total breakdown for one evaluated phase.
 
     The array term is P_dyn(f, util) * compute_time; written with the
     frequency cancelled (cycles / ref_frequency) so that design points
     with identical cycles get bit-identical energy at every frequency.
     """
-    tr = result.traffic
-    local = (tr.local_reads + tr.local_writes) \
-        * sram.access_energy(buffers.local)
-    global_ = (tr.global_reads + tr.global_writes) \
-        * sram.access_energy(buffers.global_)
-    array = (arrays.dynamic_w_ref * result.utilization
-             * (result.compute_cycles / arrays.ref_frequency)
-             * fabric.total_arrays)
-    return {"local_buffers": local, "global_buffer": global_, "arrays": array}
-
-
-def total_energy(static_j: float, dynamic_j: float,
-                 latency: float) -> tuple[float, float]:
-    """Returns (total_j, dynamic_power_w)."""
-    if static_j < 0 or dynamic_j < 0:
-        raise ValueError("energy must be non-negative")
-    return static_j + dynamic_j, dynamic_j / latency
-
-
-def phase_energy(result: PhaseResult, phase: Phase, sram: SramEnergyModel,
-                 arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
-                 fabric: FabricSpec) -> EnergyBreakdown:
-    """Full static/dynamic/total breakdown for one evaluated phase."""
     g = gating.saving(phase)
-    static = static_energy(result, leakage_sum(sram, arrays, buffers, fabric), g)
-    dyn_parts = dynamic_components(result, sram, arrays, buffers, fabric)
+    local_leak = sram.leakage(buffers.local)
+    global_leak = sram.leakage(buffers.global_)
+    static = result.latency * (local_leak * fabric.cores + global_leak
+                               + arrays.leakage_w * fabric.total_arrays) \
+        * (1.0 - g)
+    tr = result.traffic
+    dyn_parts = {
+        "local_buffers": (tr.local_reads + tr.local_writes)
+        * sram.access_energy(buffers.local),
+        "global_buffer": (tr.global_reads + tr.global_writes)
+        * sram.access_energy(buffers.global_),
+        "arrays": (arrays.dynamic_w_ref * result.utilization
+                   * (result.compute_cycles / arrays.ref_frequency)
+                   * fabric.total_arrays),
+    }
     dynamic = sum(dyn_parts.values())
-    total, dyn_power = total_energy(static, dynamic, result.latency)
-
+    if static < 0 or dynamic < 0:
+        raise ValueError("energy must be non-negative")
     static_parts = {
-        "local_buffers": result.latency * sram.leakage(buffers.local)
-        * fabric.cores * (1.0 - g),
-        "global_buffer": result.latency * sram.leakage(buffers.global_)
-        * (1.0 - g),
+        "local_buffers": result.latency * local_leak * fabric.cores * (1.0 - g),
+        "global_buffer": result.latency * global_leak * (1.0 - g),
         "arrays": result.latency * arrays.leakage_w * fabric.total_arrays
         * (1.0 - g),
     }
@@ -142,7 +117,7 @@ def phase_energy(result: PhaseResult, phase: Phase, sram: SramEnergyModel,
     return EnergyBreakdown(
         static_j=static,
         dynamic_j=dynamic,
-        total_j=total,
-        dynamic_power_w=dyn_power,
+        total_j=static + dynamic,
+        dynamic_power_w=dynamic / result.latency,
         by_component=by_component,
     )

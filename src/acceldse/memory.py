@@ -18,7 +18,7 @@ from math import ceil
 
 from .dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                        matmul_local_accesses)
-from .workload import MatmulDims, PhaseTrace, flops_of
+from .workload import MatmulDims, PhaseTrace
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -59,7 +59,7 @@ class TrafficReport(namedtuple("TrafficReport", (
 
 
 class PhaseTotals(namedtuple("PhaseTotals", (
-        "compute_cycles", "macs", "flops", "traffic"))):
+        "compute_cycles", "macs", "traffic"))):
     """Frequency- and bandwidth-free totals of one phase at one local size."""
 
     __slots__ = ()
@@ -74,7 +74,7 @@ class PhaseResult(namedtuple("PhaseResult", (
         "compute_fraction",
         "traffic",
         "utilization",
-        "flops",
+        "flops",  # two per MAC: one multiply, one add
 ))):
     __slots__ = ()
 
@@ -127,13 +127,11 @@ def plan_tiling(m: MatmulDims, capacity: int, bytes_per_element: int,
 def _search_plan(m: MatmulDims, cap: int, b: int, k_floor: int,
                  n_floor: int, m_floor: int) -> tuple[int, int, int, int] | None:
     tm_cands = [t for t in _pow2_candidates(m.M) if t >= m_floor]
+    tk_cands = [t for t in _pow2_candidates(m.K) if t >= k_floor]
+    tn_cands = [t for t in _pow2_candidates(m.N) if t >= n_floor]
     best: tuple[int, int, int, int] | None = None
-    for tk in _pow2_candidates(m.K):
-        if tk < k_floor:
-            continue
-        for tn in _pow2_candidates(m.N):
-            if tn < n_floor:
-                continue
+    for tk in tk_cands:
+        for tn in tn_cands:
             if tile_set_bytes(m_floor, tk, tn, b) > cap:
                 continue
             tm_limit = (cap - b * tk * tn) // (2 * b * (tk + tn))
@@ -184,18 +182,17 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
 
 def phase_totals(trace: PhaseTrace, fabric: FabricSpec, capacity: int,
                  bytes_per_element: int) -> PhaseTotals:
-    """Cycles, MACs, flops and traffic of one phase with a local buffer of
+    """Cycles, MACs and traffic of one phase with a local buffer of
     `capacity` bytes; raises TilingError if no tile set fits it."""
-    cycles = macs = flops = 0
+    cycles = macs = 0
     total_traffic = TrafficReport()
     for m, count in trace.matmuls.items():
         plan = plan_tiling(m, capacity, bytes_per_element, fabric.array)
         cycles += analytic_cycles(m, fabric).compute_cycles * count
         macs += m.M * m.K * m.N * count
-        flops += flops_of(m) * count
         total_traffic += traffic(m, plan, bytes_per_element,
                                  fabric).scaled(count)
-    return PhaseTotals(cycles, macs, flops, total_traffic)
+    return PhaseTotals(cycles, macs, total_traffic)
 
 
 def phase_result(totals: PhaseTotals, fabric: FabricSpec, frequency: float,
@@ -223,5 +220,5 @@ def phase_result(totals: PhaseTotals, fabric: FabricSpec, frequency: float,
         compute_fraction=compute_time / latency,
         traffic=totals.traffic,
         utilization=utilization,
-        flops=totals.flops,
+        flops=2 * totals.macs,
     )

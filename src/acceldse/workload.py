@@ -22,8 +22,8 @@ class Phase(Enum):
 
 class ModelSpec(namedtuple("ModelSpec", (
         "d_model", "n_heads", "head_dim", "mlp_ratio", "bytes_per_element",
-        "n_layers"), defaults=(12288, 96, 128, 4, 2, 1))):
-    """Shape of one transformer layer stack (GPT-3-like defaults)."""
+        "n_layers"))):
+    """Shape of one transformer layer stack."""
 
     __slots__ = ()
 
@@ -44,7 +44,7 @@ class ModelSpec(namedtuple("ModelSpec", (
 
 
 class InferenceRequest(namedtuple("InferenceRequest", (
-        "batch", "prompt_len", "gen_tokens"), defaults=(8, 2048, 16))):
+        "batch", "prompt_len", "gen_tokens"))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -58,9 +58,8 @@ class InferenceRequest(namedtuple("InferenceRequest", (
         return self
 
 
-class MatmulDims(namedtuple("MatmulDims", ("M", "K", "N", "weight_resident"),
-                            defaults=(False,))):
-    """One GEMM (M x K) @ (K x N); weight_resident marks a model-weight operand."""
+class MatmulDims(namedtuple("MatmulDims", ("M", "K", "N"))):
+    """One GEMM (M x K) @ (K x N)."""
 
     __slots__ = ()
 
@@ -72,16 +71,9 @@ class MatmulDims(namedtuple("MatmulDims", ("M", "K", "N", "weight_resident"),
 
 
 class PhaseTrace(namedtuple("PhaseTrace", (
-        "phase",
-        "kv_len",
         "matmuls",  # {MatmulDims: count over all layers}, each GEMM once
 ))):
     __slots__ = ()
-
-
-def flops_of(m: MatmulDims) -> int:
-    """Standard GEMM cost: one multiply plus one add per MAC."""
-    return 2 * m.M * m.K * m.N
 
 
 def _layer_matmuls(model: ModelSpec, rows: int, batch: int,
@@ -92,27 +84,28 @@ def _layer_matmuls(model: ModelSpec, rows: int, batch: int,
     q_len:  query positions per sequence (prompt_len in prefill, 1 in decode)
     kv_len: context length visible to attention
 
-    Groups whose shapes coincide (e.g. score and output GEMMs when
-    kv_len == head_dim) share one entry.
+    GEMMs whose shapes coincide share one entry: score and output when
+    kv_len == head_dim, an attention and a weight GEMM when n_heads == 1.
+    Per-matmul quantities depend on (M, K, N) alone and totals are integer
+    sums, so merging changes no result.
     """
     d, ff, hd = model.d_model, model.d_ff, model.head_dim
     per_head = batch * model.n_heads
     counts: dict[MatmulDims, int] = {}
-    for m, count in ((MatmulDims(rows, d, 3 * d, weight_resident=True), 1),
+    for m, count in ((MatmulDims(rows, d, 3 * d), 1),
                      (MatmulDims(q_len, hd, kv_len), per_head),
                      (MatmulDims(q_len, kv_len, hd), per_head),
-                     (MatmulDims(rows, d, ff, weight_resident=True), 1),
-                     (MatmulDims(rows, ff, d, weight_resident=True), 1)):
+                     (MatmulDims(rows, d, ff), 1),
+                     (MatmulDims(rows, ff, d), 1)):
         counts[m] = counts.get(m, 0) + count * model.n_layers
     return counts
 
 
 def build_prefill_trace(model: ModelSpec, req: InferenceRequest) -> PhaseTrace:
     """Whole-prompt trace: T = batch * prompt_len token rows per layer."""
-    rows = req.batch * req.prompt_len
-    matmuls = _layer_matmuls(model, rows, req.batch,
-                             kv_len=req.prompt_len, q_len=req.prompt_len)
-    return PhaseTrace(Phase.PREFILL, req.prompt_len, matmuls)
+    return PhaseTrace(_layer_matmuls(model, req.batch * req.prompt_len,
+                                     req.batch, kv_len=req.prompt_len,
+                                     q_len=req.prompt_len))
 
 
 def build_decode_trace(model: ModelSpec, req: InferenceRequest,
@@ -124,7 +117,5 @@ def build_decode_trace(model: ModelSpec, req: InferenceRequest,
     """
     if not 0 <= step < req.gen_tokens:
         raise ValueError(f"step {step} out of range [0, {req.gen_tokens})")
-    kv_len = req.prompt_len + step
-    matmuls = _layer_matmuls(model, rows=req.batch, batch=req.batch,
-                             kv_len=kv_len, q_len=1)
-    return PhaseTrace(Phase.DECODE_STEP, kv_len, matmuls)
+    return PhaseTrace(_layer_matmuls(model, rows=req.batch, batch=req.batch,
+                                     kv_len=req.prompt_len + step, q_len=1))

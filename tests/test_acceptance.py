@@ -35,8 +35,9 @@ import pytest
 from acceldse.analysis import Metric
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec, analytic_cycles
-from acceldse.energy import static_energy, total_energy
-from acceldse.memory import GB, KIB, PhaseResult, TrafficReport
+from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
+                             phase_energy)
+from acceldse.memory import GB, KIB, Buffers, PhaseResult, TrafficReport
 from acceldse.oracle import simulate_cycles
 from acceldse.sweep import SweepSpec, emit_reports, metric_grid, run_sweep
 from acceldse.workload import MatmulDims, Phase
@@ -100,21 +101,26 @@ def test_criterion_02_energy_identities():
     """static = latency*leak*(1-g) and total = static + dynamic, 1e-12 rel."""
     import random
     rng = random.Random(42)
+    fabric = FabricSpec(1, 1, HW.fabric.array)
+    buffers = Buffers(1024, 1024)
     worst = 0.0
     for _ in range(1000):
         latency = rng.uniform(1e-9, 100.0)
-        leak = rng.uniform(1e-9, 1000.0)
         gating = rng.uniform(0.0, 0.99)
-        dynamic = rng.uniform(0.0, 1000.0)
-        result = PhaseResult(1, latency, latency, latency, 1.0, 1.0,
-                             TrafficReport(), 1.0, 0)
-        s = static_energy(result, leak, gating)
+        sram = SramEnergyModel(rng.uniform(1e-12, 0.3), 2e-13, 32 * KIB, 0.5)
+        arrays = ArrayPower(rng.uniform(1e-9, 400.0), 1.25, 1e9)
+        result = PhaseResult(rng.randrange(10**12), latency, latency,
+                             latency, 1.0, 1.0, TrafficReport(),
+                             rng.uniform(0.0, 1.0), 0)
+        e = phase_energy(result, Phase.DECODE_STEP, sram, arrays,
+                         GatingPolicy(gating, gating), buffers, fabric)
+        leak = (sram.leakage(buffers.local) + sram.leakage(buffers.global_)
+                + arrays.leakage_w)
         expected = latency * leak * (1.0 - gating)
-        worst = max(worst, abs(s - expected) / expected)
-        total, _ = total_energy(s, dynamic, latency)
-        expected_total = s + dynamic
+        worst = max(worst, abs(e.static_j - expected) / expected)
+        expected_total = e.static_j + e.dynamic_j
         if expected_total:
-            worst = max(worst, abs(total - expected_total) / expected_total)
+            worst = max(worst, abs(e.total_j - expected_total) / expected_total)
     ok = report("criterion 2: energy identities", worst <= 1e-12,
                 f"worst relative error {worst:.2e}")
     assert ok

@@ -4,12 +4,11 @@ import random
 import pytest
 
 from acceldse.analysis import Bound, Metric, MetricGrid, peak_flops, roofline
-from acceldse.config import load_hardware
+from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import FabricSpec
 from acceldse.memory import KIB, PhaseResult, TrafficReport
 from acceldse.sweep import DesignPoint, SweepRecord, evaluate_point, tile_phase
-from acceldse.workload import (InferenceRequest, ModelSpec, Phase,
-                               build_decode_trace)
+from acceldse.workload import Phase, build_decode_trace
 
 
 def result_with(flops, dram_bytes, latency):
@@ -60,7 +59,7 @@ def fab_array():
 
 HW = load_hardware({})
 DECODE = evaluate_point(
-    tile_phase(build_decode_trace(ModelSpec(), InferenceRequest(), 0), HW,
+    tile_phase(build_decode_trace(load_model_spec({}), load_request({}), 0), HW,
                64 * KIB, 2),
     Phase.DECODE_STEP, HW, DesignPoint(64 * KIB, 800e6, HW.ext_bandwidth))
 

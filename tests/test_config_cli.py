@@ -262,6 +262,11 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     ("simulate --phase prefill", "sweep.phases=prefill,bogus"),
     ("roofline", "sweep.bandwidth_gbps=inf"),
     ("roofline", "model.decode_step=one"),
+    # report files and summary keys name a bandwidth by its whole GB/s
+    ("sweep", "sweep.bandwidth_gbps=2048.25,2048.75"),
+    ("sweep", "sweep.bandwidth_gbps=0.5"),
+    # a phase the sweep leaves out has no roofline points to print
+    ("roofline --phase prefill", "sweep.phases=decode"),
 ])
 def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
                                                    override):

@@ -121,13 +121,15 @@ def test_utilization_bounded():
 def test_cycles_independent_of_frequency_inputs():
     # cycles are an architectural quantity: no frequency anywhere in the API
     m = MatmulDims(64, 64, 64)
-    fab = FabricSpec()
+    fab = FabricSpec(108, 4, ArraySpec(16, 16))
     assert analytic_cycles(m, fab) == analytic_cycles(m, fab)
 
 
 def test_accesses_per_phase_aggregates():
-    model = ModelSpec(d_model=4, n_heads=2, head_dim=2)
-    trace = build_prefill_trace(model, InferenceRequest(batch=1, prompt_len=2))
+    model = ModelSpec(d_model=4, n_heads=2, head_dim=2, mlp_ratio=4,
+                      bytes_per_element=2, n_layers=1)
+    trace = build_prefill_trace(model, InferenceRequest(batch=1, prompt_len=2,
+                                                        gen_tokens=0))
     fab = FabricSpec(1, 1, ArraySpec(2, 2))
     total = phase_totals(trace, fab, MIB, 2).traffic
     by_hand_reads = sum(matmul_local_accesses(m, fab.array).reads * n

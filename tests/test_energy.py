@@ -1,21 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from acceldse.config import (load_hardware, load_model_spec, load_request,
+                             load_sweep_axes)
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
-                             dynamic_components, leakage_sum, phase_energy,
-                             static_energy, total_energy)
+                             phase_energy)
 from acceldse.memory import (GB, KIB, MIB, Buffers, PhaseResult,
                              TrafficReport, phase_result, phase_totals)
-from acceldse.workload import (InferenceRequest, ModelSpec, Phase,
-                               build_decode_trace, build_prefill_trace)
+from acceldse.sweep import SweepSpec, evaluate_sweep, phase_table
+from acceldse.workload import Phase, build_decode_trace, build_prefill_trace
 
+HW = load_hardware({})
+MODEL = load_model_spec({})
+REQ = load_request({})
 SRAM = SramEnergyModel(leakage_per_byte=3e-7, access_energy_ref=2e-13,
-                       ref_size=32 * KIB)
-ARRAYS = ArrayPower()
-GATING = GatingPolicy()
-FABRIC = FabricSpec()
+                       ref_size=32 * KIB, access_exponent=0.5)
+ARRAYS = HW.arrays
+GATING = HW.gating
+FABRIC = HW.fabric
+ONE_ARRAY = FabricSpec(cores=1, arrays_per_core=1, array=FABRIC.array)
 EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
 
 
@@ -27,12 +33,27 @@ def fake_result(latency=1.0, cycles=1000, util=0.5,
                        traffic=traffic, utilization=util, flops=0)
 
 
+def leakage_w(sram, arrays, buffers, fabric) -> float:
+    """Leakage power of every buffer and array, before gating."""
+    return (sram.leakage(buffers.local) * fabric.cores
+            + sram.leakage(buffers.global_)
+            + arrays.leakage_w * fabric.total_arrays)
+
+
 def test_static_energy_hand_cases():
-    r = fake_result(latency=1.0)
-    assert static_energy(r, 10e-3, 0.20) == pytest.approx(8e-3)
-    assert static_energy(r, 10e-3, 0.0) == 1.0 * 10e-3
-    assert static_energy(fake_result(latency=2.0), 10e-3, 0.20) == \
-        2 * static_energy(fake_result(latency=1.0), 10e-3, 0.20)
+    # 2 mW per buffer and 6 mW for the one array: 10 mW of leakage
+    sram = SramEnergyModel(2e-6, 2e-13, 32 * KIB, 0.5)
+    arrays = ArrayPower(6e-3, 1.25, 1e9)
+    bufs = Buffers(1000, 1000)
+
+    def static(latency, phase):
+        return phase_energy(fake_result(latency=latency), phase, sram,
+                            arrays, GatingPolicy(0.0, 0.20), bufs,
+                            ONE_ARRAY).static_j
+
+    assert static(1.0, Phase.DECODE_STEP) == pytest.approx(8e-3)
+    assert static(1.0, Phase.PREFILL) == pytest.approx(10e-3, rel=1e-12)
+    assert static(2.0, Phase.DECODE_STEP) == 2 * static(1.0, Phase.DECODE_STEP)
 
 
 def test_leakage_linear_in_capacity():
@@ -48,13 +69,10 @@ def test_access_energy_power_law():
 
 def test_array_part_paper_anchor():
     # 1.25 J per array for 1 s of full-utilization compute at ref frequency
-    arrays = ArrayPower()
-    fabric = FabricSpec(cores=1, arrays_per_core=1)
-    r = fake_result(latency=1.0, cycles=int(arrays.ref_frequency), util=1.0)
-    parts = dynamic_components(r, SRAM, arrays,
-                               Buffers(32 * KIB, 40 * MIB),
-                               fabric)
-    assert parts["arrays"] == pytest.approx(1.25)
+    r = fake_result(latency=1.0, cycles=int(ARRAYS.ref_frequency), util=1.0)
+    e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
+                     Buffers(32 * KIB, 40 * MIB), ONE_ARRAY)
+    assert e.by_component["arrays"]["dynamic_j"] == pytest.approx(1.25)
 
 
 def test_dynamic_energy_zero_case():
@@ -62,59 +80,86 @@ def test_dynamic_energy_zero_case():
     bufs = Buffers(32 * KIB, 40 * MIB)
     e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs, FABRIC)
     assert e.dynamic_j == 0.0
+    assert e.total_j == e.static_j and e.dynamic_power_w == 0.0
 
 
 def test_total_energy_hand_cases():
-    assert total_energy(2.0, 3.0, 1.0) == (5.0, 3.0)
-    assert total_energy(4.0, 0.0, 2.0) == (4.0, 0.0)
-    total, power = total_energy(0.0, 3.0, 2.0)
-    assert power == 1.5
-    with pytest.raises(ValueError):
-        total_energy(-1.0, 0.0, 1.0)
+    # two seconds of full-utilization compute on one array at its
+    # reference clock and no buffer traffic: 2.5 J dynamic, 1.25 W
+    r = fake_result(latency=2.0, cycles=2 * int(ARRAYS.ref_frequency),
+                    util=1.0)
+    e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
+                     Buffers(32 * KIB, 40 * MIB), ONE_ARRAY)
+    assert e.dynamic_j == 2.5
+    assert e.dynamic_power_w == 1.25
+    assert e.total_j == e.static_j + 2.5
+    with pytest.raises(ValueError, match="energy must be non-negative"):
+        phase_energy(fake_result(latency=-1.0), Phase.DECODE_STEP, SRAM,
+                     ARRAYS, GATING, Buffers(32 * KIB, 40 * MIB), ONE_ARRAY)
 
 
 def test_identities_randomized():
     rng = random.Random(0)
+    bufs = Buffers(64 * KIB, 40 * MIB)
     for _ in range(1000):
         latency = rng.uniform(1e-6, 10.0)
-        leak = rng.uniform(1e-6, 100.0)
         gating = rng.uniform(0.0, 0.99)
-        r = fake_result(latency=latency)
-        s = static_energy(r, leak, gating)
-        assert s == pytest.approx(latency * leak * (1 - gating), rel=1e-12)
-        d = rng.uniform(0.0, 50.0)
-        total, _ = total_energy(s, d, latency)
-        assert total == pytest.approx(s + d, rel=1e-12)
+        sram = SramEnergyModel(rng.uniform(1e-9, 1e-5), 2e-13, 32 * KIB, 0.5)
+        arrays = ArrayPower(rng.uniform(1e-4, 1.0), 1.25, 1e9)
+        r = fake_result(latency=latency, cycles=rng.randrange(10**9),
+                        util=rng.uniform(0.0, 1.0))
+        e = phase_energy(r, Phase.PREFILL, sram, arrays,
+                         GatingPolicy(gating, gating), bufs, FABRIC)
+        leak = leakage_w(sram, arrays, bufs, FABRIC)
+        assert e.static_j == pytest.approx(latency * leak * (1 - gating),
+                                           rel=1e-12)
+        assert e.total_j == pytest.approx(e.static_j + e.dynamic_j,
+                                          rel=1e-12)
 
 
 def test_gating_policy_by_phase():
     assert GATING.saving(Phase.PREFILL) == 0.04
     assert GATING.saving(Phase.DECODE_STEP) == 0.20
     with pytest.raises(ValueError):
-        GatingPolicy(prefill_saving=1.0)
+        GatingPolicy(prefill_saving=1.0, decode_saving=0.20)
 
 
 def test_phase_energy_composition():
-    model = ModelSpec()
-    req = InferenceRequest()
     bufs = Buffers(64 * KIB, 40 * MIB)
-    totals = phase_totals(build_decode_trace(model, req, 0), FABRIC,
+    totals = phase_totals(build_decode_trace(MODEL, REQ, 0), FABRIC,
                           bufs.local, 2)
     r = phase_result(totals, FABRIC, 800e6, EXT_BW, ONCHIP_BW)
     e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs, FABRIC)
     assert e.total_j == e.static_j + e.dynamic_j
     assert e.dynamic_power_w == e.dynamic_j / r.latency
     assert set(e.by_component) == {"local_buffers", "global_buffer", "arrays"}
-    leak = leakage_sum(SRAM, ARRAYS, bufs, FABRIC)
+    leak = leakage_w(SRAM, ARRAYS, bufs, FABRIC)
     assert e.static_j == pytest.approx(r.latency * leak * 0.8, rel=1e-12)
+
+
+DEFAULT_SPEC = SweepSpec(*map(tuple, load_sweep_axes({})))
+DEFAULT_TABLE = phase_table(DEFAULT_SPEC, HW, MODEL, REQ, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(leakage=st.floats(1e-9, 1e-5), access=st.floats(1e-15, 1e-11),
+       exponent=st.floats(0.1, 1.0))
+def test_component_split_sums_to_totals(leakage, access, exponent):
+    hw = HW._replace(sram=SramEnergyModel(leakage, access, 32 * KIB,
+                                          exponent))
+    for record in evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE, 0).records:
+        e = record.energy
+        parts = e.by_component.values()
+        assert e.dynamic_j == sum(c["dynamic_j"] for c in parts)
+        assert e.total_j == e.static_j + e.dynamic_j
+        assert sum(c["static_j"] for c in parts) == pytest.approx(
+            e.static_j, rel=1e-12)
 
 
 def test_memory_bound_array_energy_invariant_to_frequency():
     # compute_time ~ 1/f cancels P_dyn ~ f: bit-identical dynamic energy
-    model = ModelSpec()
-    req = InferenceRequest()
     bufs = Buffers(64 * KIB, 40 * MIB)
-    totals = phase_totals(build_decode_trace(model, req, 0), FABRIC,
+    totals = phase_totals(build_decode_trace(MODEL, REQ, 0), FABRIC,
                           bufs.local, 2)
     energies = set()
     for f in (600e6, 800e6, 1000e6, 1200e6, 1400e6):
@@ -126,10 +171,8 @@ def test_memory_bound_array_energy_invariant_to_frequency():
 
 
 def test_compute_bound_static_energy_decreases_with_frequency():
-    model = ModelSpec()
-    req = InferenceRequest()
     bufs = Buffers(64 * KIB, 40 * MIB)
-    totals = phase_totals(build_prefill_trace(model, req), FABRIC,
+    totals = phase_totals(build_prefill_trace(MODEL, REQ), FABRIC,
                           bufs.local, 2)
     statics = []
     for f in (200e6, 600e6, 1000e6, 1400e6):

@@ -3,12 +3,13 @@ from math import ceil
 
 import pytest
 
+from acceldse.config import load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.memory import (GB, KIB, MIB, TilingError, phase_result,
                              phase_totals, plan_tiling, tile_set_bytes,
                              traffic)
-from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
-                               build_decode_trace, build_prefill_trace)
+from acceldse.workload import (MatmulDims, build_decode_trace,
+                               build_prefill_trace)
 
 ARRAY = ArraySpec(16, 16)
 FABRIC = FabricSpec(108, 4, ARRAY)
@@ -174,8 +175,8 @@ def test_dram_non_increasing_in_capacity():
 
 # --- phase_result ----------------------------------------------------------
 
-MODEL = ModelSpec()
-REQ = InferenceRequest()
+MODEL = load_model_spec({})
+REQ = load_request({})
 EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
 
 

@@ -5,32 +5,34 @@ import pytest
 
 from acceldse.analysis import Metric, MetricGrid
 from acceldse.calibrate import _rebuilt
-from acceldse.config import load_hardware
+from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.energy import ArrayPower, GatingPolicy, SramEnergyModel
 from acceldse.memory import Buffers
 from acceldse.sweep import SweepSpec
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, Phase
 
+HW = load_hardware({})
+
 # (valid record, field, bad value, the constructor's message)
 CHECKED = [
-    (ModelSpec(), "d_model", 0, "d_model must be strictly positive"),
-    (ModelSpec(), "head_dim", 64,
+    (load_model_spec({}), "d_model", 0, "d_model must be strictly positive"),
+    (load_model_spec({}), "head_dim", 64,
      "n_heads * head_dim must equal d_model (96 * 64 != 12288)"),
-    (InferenceRequest(), "batch", 0, "batch must be >= 1"),
+    (load_request({}), "batch", 0, "batch must be >= 1"),
     (MatmulDims(2, 3, 4), "K", 0, "matmul dims must be >= 1"),
-    (ArraySpec(), "cols", 0, "array dims must be >= 1"),
-    (FabricSpec(), "cores", 0, "fabric must contain at least one array"),
+    (HW.fabric.array, "cols", 0, "array dims must be >= 1"),
+    (HW.fabric, "cores", 0, "fabric must contain at least one array"),
     (Buffers(1024, 1024), "local", 0, "buffer capacity must be > 0"),
     (Buffers(1024, 1024), "global_", 0, "buffer capacity must be > 0"),
-    (load_hardware({}), "ext_bandwidth", 0, "bandwidths must be > 0"),
-    (load_hardware({}), "onchip_bandwidth", 0, "bandwidths must be > 0"),
-    (SramEnergyModel(3e-7, 2e-13, 32768), "leakage_per_byte", -1.0,
+    (HW, "ext_bandwidth", 0, "bandwidths must be > 0"),
+    (HW, "onchip_bandwidth", 0, "bandwidths must be > 0"),
+    (SramEnergyModel(3e-7, 2e-13, 32768, 0.5), "leakage_per_byte", -1.0,
      "SRAM energy parameters must be positive"),
-    (ArrayPower(), "ref_frequency", 0.0,
+    (HW.arrays, "ref_frequency", 0.0,
      "array power parameters must be positive"),
-    (GatingPolicy(), "decode_saving", 1.0, "gating saving must be in [0, 1)"),
-    (load_hardware({}), "frequency", 0.0, "frequency must be > 0"),
+    (HW.gating, "decode_saving", 1.0, "gating saving must be in [0, 1)"),
+    (HW, "frequency", 0.0, "frequency must be > 0"),
     (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "f_values", (),
      "f_values must be non-empty"),
     (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "s_values",
@@ -68,7 +70,14 @@ def test_checked_record_rejects_bad_field_on_every_path(record, field, bad,
 def test_matmul_dims_is_a_dict_key_by_value():
     counts = {MatmulDims(2, 3, 4): 1}
     counts[MatmulDims(2, 3, 4)] += 1
-    counts[MatmulDims(2, 3, 4, weight_resident=True)] = 5
-    assert counts == {MatmulDims(2, 3, 4): 2,
-                      MatmulDims(2, 3, 4, True): 5}
+    counts[MatmulDims(3, 2, 4)] = 5  # same dims in another order
+    assert counts == {MatmulDims(2, 3, 4): 2, MatmulDims(3, 2, 4): 5}
     assert hash(MatmulDims(2, 3, 4)) == hash(MatmulDims(M=2, K=3, N=4))
+
+
+@pytest.mark.parametrize("cls", [ModelSpec, InferenceRequest, ArraySpec,
+                                 FabricSpec, SramEnergyModel, ArrayPower,
+                                 GatingPolicy], ids=lambda cls: cls.__name__)
+def test_config_built_record_declares_no_defaults(cls):
+    # each default is declared once, in the config tables that build these
+    assert cls._field_defaults == {}
