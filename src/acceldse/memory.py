@@ -6,9 +6,10 @@ Latency is max(compute_time, memory_time): the global buffer decouples
 compute from memory, so whichever side is slower hides the other.
 
 A phase is evaluated in two steps.  `phase_totals` fixes its cycles and
-traffic from the trace, the fabric and the local buffer size alone;
-`phase_result` then applies the clock and the bandwidths in closed form,
-so a sweep tiles each (phase, S) once however many (f, BW) cells share it.
+traffic from the trace, the fabric and the local buffer size alone, as
+the sum of each distinct GEMM's `matmul_totals`; `phase_result` then
+applies the clock and the bandwidths in closed form, so a sweep tiles
+each (phase, S) once however many (f, BW) cells share it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class TrafficReport(namedtuple("TrafficReport", (
 
 class PhaseTotals(namedtuple("PhaseTotals", (
         "compute_cycles", "macs", "traffic"))):
-    """Frequency- and bandwidth-free totals of one phase at one local size."""
+    """Frequency- and bandwidth-free totals of one phase, or of one GEMM,
+    at one local size."""
 
     __slots__ = ()
 
@@ -88,14 +90,18 @@ def tile_set_bytes(tm: int, tk: int, tn: int, b: int) -> int:
     return b * (tk * tn + 2 * tm * tk + 2 * tm * tn)
 
 
-def _pow2_candidates(dim: int) -> list[int]:
-    out = []
-    v = 1
-    while v < dim:
-        out.append(v)
-        v *= 2
-    out.append(dim)
-    return out
+def _snap_up(floor: int, dim: int) -> int:
+    """The smallest tile size for a dim (a power of two below it, or dim
+    itself) that is at least `floor`, which is at most dim."""
+    return min(dim, 1 << (floor - 1).bit_length())
+
+
+def _snap_down(limit: int, dim: int) -> int:
+    """The largest tile size for a dim (a power of two below it, or dim
+    itself) that is at most `limit`; 0 when limit < 1."""
+    if limit >= dim:
+        return dim
+    return 1 << (limit.bit_length() - 1) if limit >= 1 else 0
 
 
 def plan_tiling(m: MatmulDims, capacity: int, bytes_per_element: int,
@@ -109,37 +115,41 @@ def plan_tiling(m: MatmulDims, capacity: int, bytes_per_element: int,
     once, and plans that stream at least an array's worth of rows per
     tile (tile_m >= rows) are preferred so pipeline fill amortizes; the
     row preference is dropped when capacity cannot afford it.
+
+    Only tile_k is enumerated.  For a fixed tile_k the objective grows
+    with tile_n and the tile set's bytes are linear in it, so the widest
+    tile_n that fits beside the smallest tile_m wins; it, and then the
+    widest tile_m beside it, are bounds snapped down to tile sizes.
     """
     b = bytes_per_element
-    k_floor = min(m.K, array.rows)
-    n_floor = min(m.N, array.cols)
+    elements = capacity // b  # most tile-set elements the buffer holds
+    tk_min = _snap_up(min(m.K, array.rows), m.K)
+    tk_cands = []
+    tk = tk_min
+    while tk < m.K:
+        tk_cands.append(tk)
+        tk *= 2
+    tk_cands.append(m.K)
+    tn_min = _snap_up(min(m.N, array.cols), m.N)
     for m_floor in (min(m.M, array.rows), 1):
-        best = _search_plan(m, capacity, b, k_floor, n_floor, m_floor)
+        tm_min = _snap_up(m_floor, m.M)
+        best = None
+        for tk in tk_cands:
+            tn = _snap_down((elements - 2 * tm_min * tk) // (tk + 2 * tm_min),
+                            m.N)
+            if tn < tn_min:
+                continue
+            tm = _snap_down((elements - tk * tn) // (2 * (tk + tn)), m.M)
+            key = (tk * tn, tm, tn, tk)
+            if best is None or key > best:
+                best = key
         if best is not None:
             _, tm, tn, tk = best
             return TilingPlan(tile_m=tm, tile_k=tk, tile_n=tn)
     raise TilingError(
         f"local buffer of {capacity} bytes cannot hold a minimal "
         f"double-buffered tile set of "
-        f"{tile_set_bytes(1, k_floor, n_floor, b)} bytes")
-
-
-def _search_plan(m: MatmulDims, cap: int, b: int, k_floor: int,
-                 n_floor: int, m_floor: int) -> tuple[int, int, int, int] | None:
-    tm_cands = [t for t in _pow2_candidates(m.M) if t >= m_floor]
-    tk_cands = [t for t in _pow2_candidates(m.K) if t >= k_floor]
-    tn_cands = [t for t in _pow2_candidates(m.N) if t >= n_floor]
-    best: tuple[int, int, int, int] | None = None
-    for tk in tk_cands:
-        for tn in tn_cands:
-            if tile_set_bytes(m_floor, tk, tn, b) > cap:
-                continue
-            tm_limit = (cap - b * tk * tn) // (2 * b * (tk + tn))
-            tm = max(t for t in tm_cands if t <= tm_limit)
-            key = (tk * tn, tm, tn, tk)
-            if best is None or key > best:
-                best = key
-    return best
+        f"{tile_set_bytes(1, tk_min, tn_min, b)} bytes")
 
 
 def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
@@ -180,19 +190,40 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
     )
 
 
+def matmul_totals(m: MatmulDims, fabric: FabricSpec, capacity: int,
+                  bytes_per_element: int) -> PhaseTotals:
+    """Cycles, MACs and traffic of one GEMM with a local buffer of
+    `capacity` bytes; raises TilingError if no tile set fits it."""
+    plan = plan_tiling(m, capacity, bytes_per_element, fabric.array)
+    return PhaseTotals(analytic_cycles(m, fabric).compute_cycles,
+                       m.M * m.K * m.N,
+                       traffic(m, plan, bytes_per_element, fabric))
+
+
+def sum_totals(trace: PhaseTrace,
+               per_matmul: dict[MatmulDims, PhaseTotals]) -> PhaseTotals:
+    """The trace's totals from the `matmul_totals` of each of its GEMMs.
+
+    Every total is an integer sum, so the result is exact whichever way
+    the per-GEMM totals were obtained.
+    """
+    cycles = macs = 0
+    total_traffic = TrafficReport()
+    for m, count in trace.matmuls.items():
+        totals = per_matmul[m]
+        cycles += totals.compute_cycles * count
+        macs += totals.macs * count
+        total_traffic += totals.traffic.scaled(count)
+    return PhaseTotals(cycles, macs, total_traffic)
+
+
 def phase_totals(trace: PhaseTrace, fabric: FabricSpec, capacity: int,
                  bytes_per_element: int) -> PhaseTotals:
     """Cycles, MACs and traffic of one phase with a local buffer of
     `capacity` bytes; raises TilingError if no tile set fits it."""
-    cycles = macs = 0
-    total_traffic = TrafficReport()
-    for m, count in trace.matmuls.items():
-        plan = plan_tiling(m, capacity, bytes_per_element, fabric.array)
-        cycles += analytic_cycles(m, fabric).compute_cycles * count
-        macs += m.M * m.K * m.N * count
-        total_traffic += traffic(m, plan, bytes_per_element,
-                                 fabric).scaled(count)
-    return PhaseTotals(cycles, macs, total_traffic)
+    return sum_totals(trace, {
+        m: matmul_totals(m, fabric, capacity, bytes_per_element)
+        for m in trace.matmuls})
 
 
 def phase_result(totals: PhaseTotals, fabric: FabricSpec, frequency: float,

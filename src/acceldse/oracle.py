@@ -1,10 +1,11 @@
-"""PE-grid oracle: a cycle-accurate simulation of one weight-stationary array.
+"""Oracles that the closed forms are pinned to; only the tests use them.
 
 `simulate_cycles` steps a rows x cols grid of processing elements cycle by
 cycle for every distinct fold shape of a matmul and checks the numeric
 result, so the closed form in `dataflow.analytic_cycles` can be pinned
-to it exactly.  Only the tests use it; the CLI never imports this module
-(or numpy).
+to it exactly.  `search_plan` tries every (tile_k, tile_n) pair of tile
+sizes, so the closed-form search in `memory.plan_tiling` can be pinned
+to it.  The CLI never imports this module (or numpy).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import ceil
 import numpy as np
 
 from .dataflow import AccessCounts, ArraySpec, CycleEstimate
+from .memory import TilingError, TilingPlan, tile_set_bytes
 from .workload import MatmulDims
 
 SIMULATION_MAC_GUARD = 1_000_000
@@ -141,3 +143,48 @@ def simulate_cycles(m: MatmulDims, array: ArraySpec) -> SimulatedCycles:
     folds = k_folds * n_folds
     util = (m.M * m.K * m.N) / (cycles * rows * cols)
     return SimulatedCycles(CycleEstimate(cycles, folds, util), counts)
+
+
+def _tile_sizes(dim: int) -> list[int]:
+    """The powers of two below `dim`, then `dim` itself."""
+    out = []
+    v = 1
+    while v < dim:
+        out.append(v)
+        v *= 2
+    out.append(dim)
+    return out
+
+
+def search_plan(m: MatmulDims, capacity: int, bytes_per_element: int,
+                array: ArraySpec) -> TilingPlan:
+    """`memory.plan_tiling` by exhaustive search over (tile_k, tile_n).
+
+    Every pair of tile sizes at or above the array floors is tried with
+    the widest tile_m that fits beside it; a pair that no tile_m at or
+    above the row floor fits beside is skipped.  The first row floor with
+    a fitting pair wins.  Raises the same TilingError as `plan_tiling`,
+    naming the smallest tile set the search tries.
+    """
+    b = bytes_per_element
+    tk_cands = [t for t in _tile_sizes(m.K) if t >= min(m.K, array.rows)]
+    tn_cands = [t for t in _tile_sizes(m.N) if t >= min(m.N, array.cols)]
+    for m_floor in (min(m.M, array.rows), 1):
+        tm_cands = [t for t in _tile_sizes(m.M) if t >= m_floor]
+        best = None
+        for tk in tk_cands:
+            for tn in tn_cands:
+                fitting = [tm for tm in tm_cands
+                           if tile_set_bytes(tm, tk, tn, b) <= capacity]
+                if not fitting:
+                    continue
+                key = (tk * tn, max(fitting), tn, tk)
+                if best is None or key > best:
+                    best = key
+        if best is not None:
+            _, tm, tn, tk = best
+            return TilingPlan(tile_m=tm, tile_k=tk, tile_n=tn)
+    raise TilingError(
+        f"local buffer of {capacity} bytes cannot hold a minimal "
+        f"double-buffered tile set of "
+        f"{tile_set_bytes(1, tk_cands[0], tn_cands[0], b)} bytes")

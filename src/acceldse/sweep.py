@@ -18,10 +18,10 @@ from pathlib import Path
 from .analysis import Metric, MetricGrid, peak_flops, roofline
 from .config import HardwareConfig
 from .energy import phase_energy
-from .memory import (GB, Buffers, PhaseTotals, TilingError, phase_result,
-                     phase_totals)
-from .workload import (InferenceRequest, ModelSpec, Phase, PhaseTrace,
-                       build_decode_trace, build_prefill_trace)
+from .memory import (GB, Buffers, PhaseTotals, TilingError, matmul_totals,
+                     phase_result, phase_totals, sum_totals)
+from .workload import (InferenceRequest, MatmulDims, ModelSpec, Phase,
+                       PhaseTrace, build_decode_trace, build_prefill_trace)
 
 SCHEMA_VERSION = 1
 DECODE_CONVENTION = "per_output_token_at_fixed_step"
@@ -113,16 +113,22 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
 
     The default reporting convention is a single fixed step; this is the
     alternative convention for workloads where KV growth over the whole
-    generation matters.
+    generation matters.  The weight GEMMs recur at every step and only
+    the attention GEMMs grow with the KV cache, so each step keeps the
+    previous step's per-GEMM totals and tiles only the GEMMs that are new.
     """
     if req.gen_tokens < 1:
         raise ValueError("gen_tokens must be >= 1 to average over generation")
-    spec = SweepSpec((point.s,), (point.f,), (point.bw,), (Phase.DECODE_STEP,))
     latency = energy = edp_sum = 0.0
+    per_matmul: dict[MatmulDims, PhaseTotals] = {}
     for step in range(req.gen_tokens):
-        [record] = run_sweep(spec, hw, model, req, decode_step=step).records
-        if not record.ok:
-            raise TilingError(record.error)
+        trace = build_decode_trace(model, req, step)
+        per_matmul = {m: per_matmul[m] if m in per_matmul
+                      else matmul_totals(m, hw.fabric, point.s,
+                                         model.bytes_per_element)
+                      for m in trace.matmuls}
+        record = evaluate_point(sum_totals(trace, per_matmul),
+                                Phase.DECODE_STEP, hw, point)
         latency += record.result.latency
         energy += record.energy.total_j
         edp_sum += record.edp

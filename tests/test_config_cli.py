@@ -212,6 +212,17 @@ def test_cli_sweep_exit_1_on_infeasible_cells(tmp_path, capsys):
     assert (tmp_path / "summary.json").exists()
 
 
+def test_cli_array_rows_not_a_power_of_two(tmp_path, capsys):
+    # 12 rows is no tile size; tile_m falls back below it where no tile
+    # size of at least 12 fits, instead of the search crashing
+    rows = ["--config", str(BASELINE), "--override", "hw.array_rows=12"]
+    assert main(["sweep", *rows, "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.iterdir())) == 50
+    assert main(["simulate", "--phase", "prefill", *rows,
+                 "--override", "hw.local_buffer_kb=16"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_sweep_matches_recorded_reference_tree(tmp_path):
     # the benchmark's record of the default sweep's output files
     references = json.loads((ROOT / "perfbench" / "references.json").read_text())

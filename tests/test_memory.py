@@ -2,12 +2,14 @@ import random
 from math import ceil
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from acceldse.config import load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.memory import (GB, KIB, MIB, TilingError, phase_result,
                              phase_totals, plan_tiling, tile_set_bytes,
                              traffic)
+from acceldse.oracle import search_plan
 from acceldse.workload import (MatmulDims, build_decode_trace,
                                build_prefill_trace)
 
@@ -78,6 +80,58 @@ def test_plan_matches_exhaustive_oracle_on_random_cases():
         assert got <= oracle
         _, _, tn_oracle, _ = oracle
         assert plan.tile_n * 2 > tn_oracle or plan.tile_n == m.N
+
+
+def reported_bytes(exc):
+    """The tile-set size a TilingError names."""
+    return int(str(exc).rsplit(" of ", 1)[1].split()[0])
+
+
+@st.composite
+def tiling_cases(draw):
+    """(matmul, capacity, bytes per element, array) with array shapes that
+    need not be powers of two and capacities often within a few bytes of
+    a tile set of tile sizes fitting."""
+    m = MatmulDims(*(draw(st.integers(1, 600)) for _ in range(3)))
+    array = ArraySpec(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    b = draw(st.sampled_from((1, 2, 4)))
+    tm, tk, tn = (min(dim, 1 << draw(st.integers(0, 10))) for dim in m)
+    edge = tile_set_bytes(tm, tk, tn, b)
+    capacity = draw(st.one_of(st.integers(max(1, edge - 8), edge + 8),
+                              st.integers(1, 1 << 22)))
+    return m, capacity, b, array
+
+
+@settings(max_examples=500, deadline=None)
+@given(tiling_cases())
+# 12 rows is no tile size, so no tile_m >= 12 may fit beside a pair
+@example((MatmulDims(128, 64, 64), 6000, 2, ArraySpec(12, 16)))
+# 24 rows make 32 the smallest tile_k: 24 x 16 tile sets are never tried
+@example((MatmulDims(8, 12288, 36864), 1024, 2, ArraySpec(24, 16)))
+def test_plan_matches_exhaustive_tile_size_search(case):
+    m, capacity, b, array = case
+    try:
+        expected = search_plan(m, capacity, b, array)
+    except TilingError as exc:
+        with pytest.raises(TilingError) as raised:
+            plan_tiling(m, capacity, b, array)
+        assert str(raised.value) == str(exc)
+        assert reported_bytes(raised.value) > capacity
+    else:
+        assert plan_tiling(m, capacity, b, array) == expected
+
+
+def test_tiling_error_names_a_tile_set_the_search_tries():
+    # 24 rows: the smallest tile_k tried is 32, not 24 (928 bytes would fit
+    # nothing the search considers, and contradicts the capacity)
+    with pytest.raises(TilingError, match="cannot hold a minimal "
+                       "double-buffered tile set of 1216 bytes") as raised:
+        plan_tiling(MatmulDims(8, 12288, 36864), 1024, 2, ArraySpec(24, 16))
+    assert reported_bytes(raised.value) > 1024
+    # a power-of-two array floors tile_k and tile_n at its own rows and cols
+    with pytest.raises(TilingError, match=f"tile set of "
+                       f"{tile_set_bytes(1, 16, 16, 2)} bytes"):
+        plan_tiling(MatmulDims(8, 12288, 36864), 512, 2, ARRAY)
 
 
 def tile_walk_bytes(m, plan, b):

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from acceldse import sweep
+from acceldse import memory, sweep
 from acceldse.config import load_hardware, load_model_spec, load_request
-from acceldse.memory import GB, KIB
-from acceldse.sweep import (DesignPoint, SweepSpec, emit_reports,
+from acceldse.memory import GB, KIB, TilingError
+from acceldse.sweep import (DesignPoint, SweepSpec,
+                            decode_mean_over_generation, emit_reports,
                             evaluate_point, evaluate_sweep, metric_grid,
                             phase_table, run_sweep, summary_dict, tile_phase)
 from acceldse.analysis import Metric
@@ -188,3 +189,80 @@ def test_total_energy_monotone_in_sram_constants(leakage, access,
         grown = evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE, 0)
         for a, b in zip(base.records, grown.records, strict=True):
             assert b.energy.total_j >= a.energy.total_j
+
+
+# --- decode mean over the generation -----------------------------------------
+
+def per_step_mean(hw, model, req, point):
+    """The decode mean as one single-cell `run_sweep` per generation step,
+    every step tiled from scratch."""
+    spec = SweepSpec((point.s,), (point.f,), (point.bw,), (Phase.DECODE_STEP,))
+    latency = energy = edp_sum = 0.0
+    for step in range(req.gen_tokens):
+        [record] = run_sweep(spec, hw, model, req, decode_step=step).records
+        if not record.ok:
+            raise TilingError(record.error)
+        latency += record.result.latency
+        energy += record.energy.total_j
+        edp_sum += record.edp
+    n = req.gen_tokens
+    return {
+        "steps": float(n),
+        "mean_latency_s": latency / n,
+        "mean_total_j": energy / n,
+        "mean_edp_js": edp_sum / n,
+        "aggregate_latency_s": latency,
+        "aggregate_total_j": energy,
+    }
+
+
+def small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows, cols,
+              s_bytes):
+    """(hardware, model, request, point) of a small decode run."""
+    values = {"model.n_heads": str(n_heads), "model.head_dim": str(head_dim),
+              "model.d_model": str(n_heads * head_dim),
+              "model.n_layers": "2", "model.batch": str(batch),
+              "model.prompt_len": str(prompt_len),
+              "model.gen_tokens": str(gen_tokens),
+              "hw.array_rows": str(rows), "hw.array_cols": str(cols),
+              "hw.cores": "3"}
+    hw = load_hardware(values)
+    point = DesignPoint(s_bytes, hw.frequency, hw.ext_bandwidth)
+    return hw, load_model_spec(values), load_request(values), point
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_heads=st.sampled_from((1, 2, 3)), head_dim=st.integers(1, 12),
+       batch=st.integers(1, 3), prompt_len=st.integers(1, 30),
+       gen_tokens=st.integers(1, 30), rows=st.integers(1, 6),
+       cols=st.integers(1, 6), s_bytes=st.integers(16, 2048))
+# kv_len passes head_dim (score and output GEMMs share an entry) and, with
+# one head and one sequence, 3 * d_model (attention shares the QKV entry)
+@example(n_heads=1, head_dim=8, batch=1, prompt_len=6, gen_tokens=20,
+         rows=4, cols=4, s_bytes=1024)
+def test_decode_mean_matches_a_sweep_per_step(n_heads, head_dim, batch,
+                                              prompt_len, gen_tokens, rows,
+                                              cols, s_bytes):
+    run = small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows,
+                    cols, s_bytes)
+    try:
+        expected = per_step_mean(*run)
+    except TilingError as exc:
+        with pytest.raises(TilingError) as raised:
+            decode_mean_over_generation(*run)
+        assert str(raised.value) == str(exc)
+    else:
+        # repr spells every float exactly: the sums are bit-identical
+        assert repr(decode_mean_over_generation(*run)) == repr(expected)
+
+
+def test_decode_mean_tiles_each_distinct_gemm_once(monkeypatch):
+    calls = []
+    tile = memory.plan_tiling
+    monkeypatch.setattr(memory, "plan_tiling",
+                        lambda *args: calls.append(args) or tile(*args))
+    req = load_request({"model.gen_tokens": "256"})
+    point = DesignPoint(HW.buffers.local, HW.frequency, HW.ext_bandwidth)
+    decode_mean_over_generation(HW, MODEL, req, point)
+    # the three weight GEMMs once, the two attention GEMMs once per kv_len
+    assert len(calls) == 3 + 2 * 256
