@@ -99,6 +99,10 @@ def _print_csv(record: SweepRecord) -> None:
 
 def cmd_simulate(args) -> int:
     phase = Phase(args.phase)
+    if args.decode_mode == "mean" and (phase is Phase.PREFILL
+                                       or args.format == "csv"):
+        raise ConfigError("--decode-mode mean needs --phase decode and "
+                          "--format table or json")
     _, hw, model, req, step = _load(args, (phase,))
     point = DesignPoint(hw.buffers.local, hw.frequency, hw.ext_bandwidth)
     spec = SweepSpec((point.s,), (point.f,), (point.bw,), (phase,))
@@ -106,10 +110,8 @@ def cmd_simulate(args) -> int:
     if not record.ok:
         print(f"error: {record.error}", file=sys.stderr)
         return EXIT_FAILURE
-    mean = None
-    if (phase is Phase.DECODE_STEP and args.decode_mode == "mean"
-            and args.format != "csv"):
-        mean = decode_mean_over_generation(hw, model, req, point)
+    mean = (decode_mean_over_generation(hw, model, req, point)
+            if args.decode_mode == "mean" else None)
     if args.format == "json":
         out = _record_dict(record)
         if mean:

@@ -15,6 +15,7 @@ each (phase, S) once however many (f, BW) cells share it.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from math import ceil
 
 from .dataflow import (ArraySpec, FabricSpec, analytic_cycles,
@@ -50,13 +51,6 @@ class TrafficReport(namedtuple("TrafficReport", (
         "dram_bytes", "onchip_bytes", "local_reads", "local_writes",
         "global_reads", "global_writes"), defaults=(0, 0, 0, 0, 0, 0))):
     __slots__ = ()
-
-    def __add__(self, other: "TrafficReport") -> "TrafficReport":
-        """Field-wise sum (a plain tuple `+` would concatenate)."""
-        return TrafficReport(*(a + b for a, b in zip(self, other)))
-
-    def scaled(self, count: int) -> "TrafficReport":
-        return TrafficReport(*(count * v for v in self))
 
 
 class PhaseTotals(namedtuple("PhaseTotals", (
@@ -200,30 +194,37 @@ def matmul_totals(m: MatmulDims, fabric: FabricSpec, capacity: int,
                        traffic(m, plan, bytes_per_element, fabric))
 
 
-def sum_totals(trace: PhaseTrace,
-               per_matmul: dict[MatmulDims, PhaseTotals]) -> PhaseTotals:
-    """The trace's totals from the `matmul_totals` of each of its GEMMs.
+def sum_totals(terms: Iterable[tuple[PhaseTotals, int]]) -> PhaseTotals:
+    """The count-weighted sum of (totals, count) pairs: a trace's totals
+    from the `matmul_totals` of each of its GEMMs, or one part's sum plus
+    another's.
 
-    Every total is an integer sum, so the result is exact whichever way
-    the per-GEMM totals were obtained.
+    Every total is an integer, so the sum is exact in any order.
     """
-    cycles = macs = 0
-    total_traffic = TrafficReport()
-    for m, count in trace.matmuls.items():
-        totals = per_matmul[m]
-        cycles += totals.compute_cycles * count
-        macs += totals.macs * count
-        total_traffic += totals.traffic.scaled(count)
-    return PhaseTotals(cycles, macs, total_traffic)
+    cycles = macs = dram_bytes = onchip_bytes = 0
+    local_reads = local_writes = global_reads = global_writes = 0
+    for (c, mac, (dram, onchip, lr, lw, gr, gw)), n in terms:
+        cycles += c * n
+        macs += mac * n
+        dram_bytes += dram * n
+        onchip_bytes += onchip * n
+        local_reads += lr * n
+        local_writes += lw * n
+        global_reads += gr * n
+        global_writes += gw * n
+    return PhaseTotals(cycles, macs, TrafficReport(
+        dram_bytes, onchip_bytes, local_reads, local_writes, global_reads,
+        global_writes))
 
 
 def phase_totals(trace: PhaseTrace, fabric: FabricSpec, capacity: int,
                  bytes_per_element: int) -> PhaseTotals:
     """Cycles, MACs and traffic of one phase with a local buffer of
-    `capacity` bytes; raises TilingError if no tile set fits it."""
-    return sum_totals(trace, {
-        m: matmul_totals(m, fabric, capacity, bytes_per_element)
-        for m in trace.matmuls})
+    `capacity` bytes; raises TilingError if no tile set fits it, naming
+    the first GEMM in trace order that none fits."""
+    return sum_totals([
+        (matmul_totals(m, fabric, capacity, bytes_per_element), count)
+        for m, count in trace.matmuls.items()])
 
 
 def phase_result(totals: PhaseTotals, fabric: FabricSpec, frequency: float,

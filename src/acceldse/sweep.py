@@ -20,8 +20,9 @@ from .config import HardwareConfig
 from .energy import phase_energy
 from .memory import (GB, Buffers, PhaseTotals, TilingError, matmul_totals,
                      phase_result, phase_totals, sum_totals)
-from .workload import (InferenceRequest, MatmulDims, ModelSpec, Phase,
-                       PhaseTrace, build_decode_trace, build_prefill_trace)
+from .workload import (InferenceRequest, ModelSpec, Phase, PhaseTrace,
+                       attention_matmuls, build_decode_trace,
+                       build_prefill_trace, weight_matmuls)
 
 SCHEMA_VERSION = 1
 DECODE_CONVENTION = "per_output_token_at_fixed_step"
@@ -113,22 +114,29 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
 
     The default reporting convention is a single fixed step; this is the
     alternative convention for workloads where KV growth over the whole
-    generation matters.  The weight GEMMs recur at every step and only
-    the attention GEMMs grow with the KV cache, so each step keeps the
-    previous step's per-GEMM totals and tiles only the GEMMs that are new.
+    generation matters.  The weight GEMMs are the same at every step, so
+    their totals are tiled and summed once; each step tiles only the two
+    attention GEMMs of its kv_len and adds their totals to that sum.
+    Step 0 is tiled in trace order, so an S too small for one of its GEMMs
+    raises the TilingError a sweep of that step raises.
     """
     if req.gen_tokens < 1:
         raise ValueError("gen_tokens must be >= 1 to average over generation")
+    b = model.bytes_per_element
+    tiled = {m: matmul_totals(m, hw.fabric, point.s, b)
+             for m in build_decode_trace(model, req, 0).matmuls}
+    weights = sum_totals([(tiled[m], count) for m, count
+                          in weight_matmuls(model, rows=req.batch)])
     latency = energy = edp_sum = 0.0
-    per_matmul: dict[MatmulDims, PhaseTotals] = {}
     for step in range(req.gen_tokens):
-        trace = build_decode_trace(model, req, step)
-        per_matmul = {m: per_matmul[m] if m in per_matmul
-                      else matmul_totals(m, hw.fabric, point.s,
-                                         model.bytes_per_element)
-                      for m in trace.matmuls}
-        record = evaluate_point(sum_totals(trace, per_matmul),
-                                Phase.DECODE_STEP, hw, point)
+        attention = attention_matmuls(model, req.batch, q_len=1,
+                                      kv_len=req.prompt_len + step)
+        if step:  # step 0's attention GEMMs were tiled with its trace
+            tiled = {m: matmul_totals(m, hw.fabric, point.s, b)
+                     for m, _ in attention}
+        totals = sum_totals([(weights, 1),
+                             *((tiled[m], count) for m, count in attention)])
+        record = evaluate_point(totals, Phase.DECODE_STEP, hw, point)
         latency += record.result.latency
         energy += record.energy.total_j
         edp_sum += record.edp

@@ -76,28 +76,48 @@ class PhaseTrace(namedtuple("PhaseTrace", (
     __slots__ = ()
 
 
-def _layer_matmuls(model: ModelSpec, rows: int, batch: int,
-                   kv_len: int, q_len: int) -> dict[MatmulDims, int]:
-    """Five sublayer groups, counted over all `n_layers` layers.
+def weight_matmuls(model: ModelSpec,
+                   rows: int) -> tuple[tuple[MatmulDims, int], ...]:
+    """(GEMM, count over all layers) of the QKV projection, the MLP
+    up-projection and the MLP down-projection, in that order.
 
-    rows:   token rows hitting the weight matrices (batch * q_len)
+    rows: token rows hitting the weight matrices (batch * q_len).  No
+    weight GEMM depends on the context length.
+    """
+    d, ff, n = model.d_model, model.d_ff, model.n_layers
+    return ((MatmulDims(rows, d, 3 * d), n), (MatmulDims(rows, d, ff), n),
+            (MatmulDims(rows, ff, d), n))
+
+
+def attention_matmuls(model: ModelSpec, batch: int, q_len: int,
+                      kv_len: int) -> tuple[tuple[MatmulDims, int], ...]:
+    """(GEMM, count over all layers) of the attention score and the
+    attention output, one of each per (batch, head) pair.
+
     q_len:  query positions per sequence (prompt_len in prefill, 1 in decode)
     kv_len: context length visible to attention
-
-    GEMMs whose shapes coincide share one entry: score and output when
-    kv_len == head_dim, an attention and a weight GEMM when n_heads == 1.
-    Per-matmul quantities depend on (M, K, N) alone and totals are integer
-    sums, so merging changes no result.
     """
-    d, ff, hd = model.d_model, model.d_ff, model.head_dim
-    per_head = batch * model.n_heads
+    hd = model.head_dim
+    count = batch * model.n_heads * model.n_layers
+    return ((MatmulDims(q_len, hd, kv_len), count),
+            (MatmulDims(q_len, kv_len, hd), count))
+
+
+def _layer_matmuls(model: ModelSpec, rows: int, batch: int,
+                   kv_len: int, q_len: int) -> dict[MatmulDims, int]:
+    """Five sublayer groups in layer order: QKV, attention, MLP.
+
+    GEMMs whose shapes coincide share one entry, where the first of them
+    stands: score and output when kv_len == head_dim, an attention and a
+    weight GEMM when n_heads == 1.  Per-matmul quantities depend on
+    (M, K, N) alone and totals are integer sums, so merging changes no
+    result.
+    """
+    qkv, *mlp = weight_matmuls(model, rows)
     counts: dict[MatmulDims, int] = {}
-    for m, count in ((MatmulDims(rows, d, 3 * d), 1),
-                     (MatmulDims(q_len, hd, kv_len), per_head),
-                     (MatmulDims(q_len, kv_len, hd), per_head),
-                     (MatmulDims(rows, d, ff), 1),
-                     (MatmulDims(rows, ff, d), 1)):
-        counts[m] = counts.get(m, 0) + count * model.n_layers
+    for m, count in (qkv, *attention_matmuls(model, batch, q_len, kv_len),
+                     *mlp):
+        counts[m] = counts.get(m, 0) + count
     return counts
 
 

@@ -161,6 +161,21 @@ def test_cli_decode_mean_mode(capsys):
     assert mean["mean_latency_s"] >= record["latency_s"]
 
 
+@pytest.mark.parametrize("flags", [
+    "--format csv",
+    "--phase prefill --format json",
+])
+def test_cli_decode_mean_needs_decode_phase_and_table_or_json(capsys, flags):
+    # a mean the output would drop is refused, not silently skipped
+    argv = ["simulate", "--config", str(BASELINE), "--decode-mode", "mean",
+            *flags.split()]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "--decode-mode" in captured.err
+
+
 def test_sweep_axes_canonical_order(tmp_path):
     # reversed sweep lists produce byte-identical reports
     args = ["sweep", "--config", str(BASELINE)]

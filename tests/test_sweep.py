@@ -240,6 +240,13 @@ def small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows, cols,
 # one head and one sequence, 3 * d_model (attention shares the QKV entry)
 @example(n_heads=1, head_dim=8, batch=1, prompt_len=6, gen_tokens=20,
          rows=4, cols=4, s_bytes=1024)
+# 24 bytes fit QKV but neither step 0's attention score nor an MLP GEMM,
+# and the two errors differ: step 0 must be tiled in trace order.  40
+# bytes fit step 0, but not the score once kv_len passes the 6 columns.
+@example(n_heads=1, head_dim=1, batch=1, prompt_len=5, gen_tokens=4,
+         rows=1, cols=6, s_bytes=24)
+@example(n_heads=1, head_dim=1, batch=1, prompt_len=1, gen_tokens=30,
+         rows=1, cols=6, s_bytes=40)
 def test_decode_mean_matches_a_sweep_per_step(n_heads, head_dim, batch,
                                               prompt_len, gen_tokens, rows,
                                               cols, s_bytes):

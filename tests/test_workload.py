@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.memory import KIB, phase_result, phase_totals
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
-                               PhaseTrace, build_decode_trace,
-                               build_prefill_trace)
+                               PhaseTrace, attention_matmuls,
+                               build_decode_trace, build_prefill_trace,
+                               weight_matmuls)
 
 TOY = ModelSpec(d_model=4, n_heads=2, head_dim=2, mlp_ratio=4,
                 bytes_per_element=2, n_layers=1)
@@ -163,4 +165,47 @@ def test_n_layers_scales_trace():
     t3 = phase_totals(three, fabric, local, 2)
     assert t3.macs == 3 * t1.macs
     assert t3.compute_cycles == 3 * t1.compute_cycles
-    assert t3.traffic == t1.traffic.scaled(3)
+    assert t3.traffic == tuple(3 * v for v in t1.traffic)
+
+
+def merged(pairs) -> list[tuple[MatmulDims, int]]:
+    """Each distinct GEMM of (GEMM, count) pairs once, where it first
+    appears, with the counts of all its appearances summed."""
+    gemms = list(dict.fromkeys(m for m, _ in pairs))
+    return [(g, sum(n for m, n in pairs if m == g)) for g in gemms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_heads=st.integers(1, 3), head_dim=st.integers(1, 8),
+       mlp_ratio=st.integers(1, 4), n_layers=st.integers(1, 3),
+       batch=st.integers(1, 3), prompt_len=st.integers(1, 40),
+       step=st.integers(0, 40))
+# with one head and one sequence, kv_len == head_dim merges score and
+# output; kv_len == 3 * d_model merges the decode score into QKV;
+# kv_len == d_ff merges score into MLP up and output into MLP down;
+# mlp_ratio 3 merges MLP up into QKV and mlp_ratio 1 MLP down into MLP up
+@example(n_heads=1, head_dim=4, mlp_ratio=4, n_layers=2, batch=1,
+         prompt_len=4, step=0)
+@example(n_heads=1, head_dim=4, mlp_ratio=4, n_layers=2, batch=1,
+         prompt_len=10, step=2)
+@example(n_heads=1, head_dim=4, mlp_ratio=4, n_layers=2, batch=1,
+         prompt_len=16, step=0)
+@example(n_heads=1, head_dim=4, mlp_ratio=3, n_layers=1, batch=1,
+         prompt_len=12, step=0)
+@example(n_heads=2, head_dim=3, mlp_ratio=1, n_layers=1, batch=2,
+         prompt_len=3, step=0)
+def test_traces_merge_weight_and_attention_gemms(n_heads, head_dim, mlp_ratio,
+                                                 n_layers, batch, prompt_len,
+                                                 step):
+    spec = ModelSpec(d_model=n_heads * head_dim, n_heads=n_heads,
+                     head_dim=head_dim, mlp_ratio=mlp_ratio,
+                     bytes_per_element=2, n_layers=n_layers)
+    req = InferenceRequest(batch, prompt_len, gen_tokens=step + 1)
+    for trace, rows, q_len, kv_len in (
+            (build_decode_trace(spec, req, step), batch, 1, prompt_len + step),
+            (build_prefill_trace(spec, req), batch * prompt_len, prompt_len,
+             prompt_len)):
+        qkv, *mlp = weight_matmuls(spec, rows)
+        attention = attention_matmuls(spec, batch, q_len, kv_len)
+        # layer order: QKV, attention score and output, MLP up and down
+        assert list(trace.matmuls.items()) == merged([qkv, *attention, *mlp])
