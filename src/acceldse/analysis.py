@@ -4,33 +4,16 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 
 from .dataflow import FabricSpec
 from .memory import PhaseResult
-
-
-class Bound(Enum):
-    COMPUTE = "compute"
-    MEMORY = "memory"
-
-
-class Metric(Enum):
-    LATENCY = "latency"
-    TOTAL_ENERGY = "total_energy"
-    EDP = "edp"
-    CYCLES = "cycles"
-    COMPUTE_FRACTION = "compute_fraction"
-    DYNAMIC_POWER = "dynamic_power"
-    DYNAMIC_ENERGY = "dynamic_energy"
-    STATIC_ENERGY = "static_energy"
 
 
 class RooflinePoint(namedtuple("RooflinePoint", (
         "oi",  # flops per external-memory byte
         "attainable",  # flops/s under min(peak, bw * oi)
         "achieved",  # flops/s actually reached
-        "bound",
+        "bound",  # "memory" below the ridge point peak / bw, else "compute"
 ))):
     __slots__ = ()
 
@@ -45,13 +28,13 @@ def roofline(point: PhaseResult, peak: float, bw: float) -> RooflinePoint:
     oi = point.flops / point.traffic.dram_bytes
     attainable = min(peak, bw * oi)
     achieved = point.flops / point.latency
-    bound = Bound.MEMORY if oi < peak / bw else Bound.COMPUTE
+    bound = "memory" if oi < peak / bw else "compute"
     return RooflinePoint(oi=oi, attainable=attainable,
                          achieved=achieved, bound=bound)
 
 
 class MetricGrid(namedtuple("MetricGrid", (
-        "metric",
+        "metric",  # a name in sweep.METRICS
         "s_axis",  # bytes, ascending
         "f_axis",  # Hz, ascending
         "values",  # [s_index][f_index], NaN = error cell

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .analysis import Metric
 from .config import HardwareConfig
 from .memory import TilingError
 from .sweep import (SweepResult, SweepSpec, evaluate_sweep, metric_grid,
@@ -44,7 +43,7 @@ class CalibrationOutcome(namedtuple("CalibrationOutcome", (
 def _displacement(result: SweepResult,
                   target: CalibrationTarget) -> tuple[int, int, float]:
     spec = result.spec
-    grid = metric_grid(result, Metric.EDP, Phase.DECODE_STEP,
+    grid = metric_grid(result, "edp", Phase.DECODE_STEP,
                        spec.bw_values[0])
     s_min, f_min = grid.argmin()
     steps = (abs(spec.s_values.index(s_min) - spec.s_values.index(target.s_bytes))

@@ -58,7 +58,7 @@ def _record_dict(record: SweepRecord) -> dict:
         "energy": record.energy._asdict(),
         "edp_js": record.edp,
         "roofline": {"oi": rf.oi, "attainable": rf.attainable,
-                     "achieved": rf.achieved, "bound": rf.bound.value},
+                     "achieved": rf.achieved, "bound": rf.bound},
     }
 
 

@@ -208,9 +208,10 @@ def load_request(values: dict[str, str]) -> InferenceRequest:
 def decode_step(values: dict[str, str],
                 phases: tuple[Phase, ...] = (Phase.DECODE_STEP,)) -> int:
     """`model.decode_step`, checked against `model.gen_tokens`; a run
-    whose `phases` include decode needs at least one generated token."""
-    step = _parse(values, _STEP)["step"]
-    gen_tokens = load_request(values).gen_tokens
+    whose `phases` include decode needs at least one generated token.
+    `load_request` checks `model.gen_tokens` itself."""
+    fields = _parse(values, {**_STEP, "gen_tokens": _REQUEST["gen_tokens"]})
+    step, gen_tokens = fields["step"], fields["gen_tokens"]
     if not gen_tokens and Phase.DECODE_STEP in phases:
         raise ConfigError("bad value for model.gen_tokens: 0 leaves no "
                           "decode step to evaluate (need >= 1)")

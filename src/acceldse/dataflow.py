@@ -1,11 +1,13 @@
-"""Compute-cycle and utilization model for weight-stationary systolic arrays.
+"""Analytic compute-cycle model for weight-stationary systolic arrays.
 
 A matmul is executed as a grid of weight folds: each fold pins one
 rows x cols weight tile in an array, streams all M input rows through it,
 and drains the pipeline before the next fold is loaded.  Folds are
 distributed round-robin across every array in the fabric; M is never
-split.  `analytic_cycles` is the closed form; `oracle.simulate_cycles`
-simulates a single array cycle by cycle and pins it exactly.
+split.  `analytic_cycles` is the closed form; the tests pin it exactly to
+a cycle-by-cycle simulation of one array (`simulate_cycles` in
+tests/oracle.py).  Utilization is a phase quantity, derived in
+`memory.phase_result`.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ class FabricSpec(namedtuple("FabricSpec", ("cores", "arrays_per_core", "array"))
         return self.total_arrays * self.array.rows * self.array.cols
 
 
-class CycleEstimate(namedtuple("CycleEstimate", (
-        "compute_cycles", "folds", "utilization"))):
+class CycleEstimate(namedtuple("CycleEstimate", ("compute_cycles", "folds"))):
     __slots__ = ()
 
 
@@ -81,10 +82,7 @@ def per_fold_cycles(m: MatmulDims, array: ArraySpec) -> int:
 def analytic_cycles(m: MatmulDims, fabric: FabricSpec) -> CycleEstimate:
     folds = fold_count(m, fabric.array)
     rounds = ceil(folds / fabric.total_arrays)
-    cycles = rounds * per_fold_cycles(m, fabric.array)
-    util = (m.M * m.K * m.N) / (fabric.total_arrays * cycles
-                                * fabric.array.rows * fabric.array.cols)
-    return CycleEstimate(cycles, folds, util)
+    return CycleEstimate(rounds * per_fold_cycles(m, fabric.array), folds)
 
 
 def matmul_local_accesses(m: MatmulDims, array: ArraySpec) -> AccessCounts:

@@ -49,7 +49,7 @@ class TilingPlan(namedtuple("TilingPlan", ("tile_m", "tile_k", "tile_n"))):
 
 class TrafficReport(namedtuple("TrafficReport", (
         "dram_bytes", "onchip_bytes", "local_reads", "local_writes",
-        "global_reads", "global_writes"), defaults=(0, 0, 0, 0, 0, 0))):
+        "global_reads", "global_writes"))):
     __slots__ = ()
 
 

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from .analysis import Metric, MetricGrid, peak_flops, roofline
+from .analysis import MetricGrid, peak_flops, roofline
 from .config import HardwareConfig
 from .energy import phase_energy
 from .memory import (GB, Buffers, PhaseTotals, TilingError, matmul_totals,
@@ -199,21 +199,23 @@ def run_sweep(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
 
 # --- report emission ------------------------------------------------------
 
-_METRIC_GETTERS = {
-    Metric.LATENCY: lambda r: r.result.latency,
-    Metric.TOTAL_ENERGY: lambda r: r.energy.total_j,
-    Metric.EDP: lambda r: r.edp,
-    Metric.CYCLES: lambda r: r.result.total_cycles,
-    Metric.COMPUTE_FRACTION: lambda r: r.result.compute_fraction,
-    Metric.DYNAMIC_POWER: lambda r: r.energy.dynamic_power_w,
-    Metric.DYNAMIC_ENERGY: lambda r: r.energy.dynamic_j,
-    Metric.STATIC_ENERGY: lambda r: r.energy.static_j,
+# Every reported metric: its name, as grid files and summary keys carry
+# it, and its value in one evaluated record, in grid-file order.
+METRICS = {
+    "latency": lambda r: r.result.latency,
+    "total_energy": lambda r: r.energy.total_j,
+    "edp": lambda r: r.edp,
+    "cycles": lambda r: r.result.total_cycles,
+    "compute_fraction": lambda r: r.result.compute_fraction,
+    "dynamic_power": lambda r: r.energy.dynamic_power_w,
+    "dynamic_energy": lambda r: r.energy.dynamic_j,
+    "static_energy": lambda r: r.energy.static_j,
 }
 
 
-def metric_grid(result: SweepResult, metric: Metric, phase: Phase,
+def metric_grid(result: SweepResult, metric: str, phase: Phase,
                 bw: float) -> MetricGrid:
-    getter = _METRIC_GETTERS[metric]
+    getter = METRICS[metric]
     values = [getter(r) if r.ok else math.nan
               for r in result.select(phase, bw)]
     n_f = len(result.spec.f_values)
@@ -227,7 +229,7 @@ def _fmt(value: float) -> str:
 
 def _grid_csv(grid: MetricGrid, phase: Phase, bw: float) -> str:
     lines = ["metric,phase,bandwidth",
-             f"{grid.metric.value},{phase.value},{_fmt(bw)}",
+             f"{grid.metric},{phase.value},{_fmt(bw)}",
              "S_bytes,f_hz,value"]
     for si, s in enumerate(grid.s_axis):
         for fi, f in enumerate(grid.f_axis):
@@ -243,7 +245,7 @@ def roofline_row(r: SweepRecord) -> str:
     rf = r.roofline
     return (f"{_fmt(r.point.bw)},{r.point.s},{_fmt(r.point.f)},"
             f"{_fmt(rf.oi)},{_fmt(rf.attainable)},{_fmt(rf.achieved)},"
-            f"{rf.bound.value}")
+            f"{rf.bound}")
 
 
 def _roofline_csv(result: SweepResult) -> str:
@@ -251,15 +253,6 @@ def _roofline_csv(result: SweepResult) -> str:
     lines += [f"{r.phase.value},{roofline_row(r)}"
               for r in result.records if r.ok]
     return "\n".join(lines) + "\n"
-
-
-def bound_transition_frequency(result: SweepResult, phase: Phase, bw: float,
-                               s: int) -> float | None:
-    """Lowest swept frequency at which the phase is memory-bound, or None."""
-    for r in result.select(phase, bw):  # f ascends within each S
-        if r.point.s == s and r.ok and r.result.memory_bound:
-            return r.point.f
-    return None
 
 
 def summary_dict(result: SweepResult) -> dict:
@@ -274,22 +267,24 @@ def summary_dict(result: SweepResult) -> dict:
     for phase in result.spec.phases:
         for bw in result.spec.bw_values:
             key = f"{phase.value}@{int(bw / GB)}GBps"
-            entry: dict = {"bound_transition_mhz": {}}
-            for metric in (Metric.LATENCY, Metric.TOTAL_ENERGY, Metric.EDP):
+            # the lowest frequency at which each S is memory-bound, if any
+            lowest: dict[int, float] = {}
+            for r in result.select(phase, bw):  # f ascends within each S
+                if r.ok and r.result.memory_bound:
+                    lowest.setdefault(r.point.s, r.point.f / 1e6)
+            entry: dict = {"bound_transition_mhz": {
+                str(s): lowest.get(s) for s in result.spec.s_values}}
+            for metric in ("latency", "total_energy", "edp"):
                 grid = metric_grid(result, metric, phase, bw)
                 try:
                     s_min, f_min = grid.argmin()
-                    entry[f"{metric.value}_argmin"] = {
+                    entry[f"{metric}_argmin"] = {
                         "S_bytes": s_min, "f_hz": f_min}
-                    entry[f"{metric.value}_contour_levels"] = [
+                    entry[f"{metric}_contour_levels"] = [
                         float(v) for v in grid.contour_levels()]
                 except ValueError:  # every cell infeasible
-                    entry[f"{metric.value}_argmin"] = None
-                    entry[f"{metric.value}_contour_levels"] = []
-            for s in result.spec.s_values:
-                f_t = bound_transition_frequency(result, phase, bw, s)
-                entry["bound_transition_mhz"][str(s)] = (
-                    f_t / 1e6 if f_t is not None else None)
+                    entry[f"{metric}_argmin"] = None
+                    entry[f"{metric}_contour_levels"] = []
             summary["grids"][key] = entry
     return summary
 
@@ -299,11 +294,11 @@ def emit_reports(result: SweepResult, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for metric in Metric:
+    for metric in METRICS:
         for phase in result.spec.phases:
             for bw in result.spec.bw_values:
                 grid = metric_grid(result, metric, phase, bw)
-                name = f"{metric.value}_{phase.value}_bw{int(bw / GB)}.csv"
+                name = f"{metric}_{phase.value}_bw{int(bw / GB)}.csv"
                 path = out / name
                 path.write_text(_grid_csv(grid, phase, bw))
                 written.append(path)

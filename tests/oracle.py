@@ -1,11 +1,11 @@
-"""Oracles that the closed forms are pinned to; only the tests use them.
+"""Oracles that the closed forms are pinned to.
 
 `simulate_cycles` steps a rows x cols grid of processing elements cycle by
 cycle for every distinct fold shape of a matmul and checks the numeric
 result, so the closed form in `dataflow.analytic_cycles` can be pinned
 to it exactly.  `search_plan` tries every (tile_k, tile_n) pair of tile
 sizes, so the closed-form search in `memory.plan_tiling` can be pinned
-to it.  The CLI never imports this module (or numpy).
+to it.  It lives with the tests, so the package never imports numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from math import ceil
 
 import numpy as np
 
-from .dataflow import AccessCounts, ArraySpec, CycleEstimate
-from .memory import TilingError, TilingPlan, tile_set_bytes
-from .workload import MatmulDims
+from acceldse.dataflow import AccessCounts, ArraySpec, CycleEstimate
+from acceldse.memory import TilingError, TilingPlan, tile_set_bytes
+from acceldse.workload import MatmulDims
 
 SIMULATION_MAC_GUARD = 1_000_000
 
@@ -140,9 +140,7 @@ def simulate_cycles(m: MatmulDims, array: ArraySpec) -> SimulatedCycles:
     # psum re-read per extra K-fold (fold index > 0 along K)
     out_reads = m.M * m.N * (k_folds - 1)
     counts = AccessCounts(in_reads, w_reads, out_writes, out_reads)
-    folds = k_folds * n_folds
-    util = (m.M * m.K * m.N) / (cycles * rows * cols)
-    return SimulatedCycles(CycleEstimate(cycles, folds, util), counts)
+    return SimulatedCycles(CycleEstimate(cycles, k_folds * n_folds), counts)
 
 
 def _tile_sizes(dim: int) -> list[int]:

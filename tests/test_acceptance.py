@@ -32,15 +32,14 @@ import time
 
 import pytest
 
-from acceldse.analysis import Metric
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec, analytic_cycles
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
                              phase_energy)
 from acceldse.memory import GB, KIB, Buffers, PhaseResult, TrafficReport
-from acceldse.oracle import simulate_cycles
 from acceldse.sweep import SweepSpec, emit_reports, metric_grid, run_sweep
 from acceldse.workload import MatmulDims, Phase
+from oracle import simulate_cycles
 
 S_KB = (16, 32, 64, 128, 256, 512, 1024)
 F_MHZ = (200, 400, 600, 800, 1000, 1200, 1400)
@@ -110,7 +109,8 @@ def test_criterion_02_energy_identities():
         sram = SramEnergyModel(rng.uniform(1e-12, 0.3), 2e-13, 32 * KIB, 0.5)
         arrays = ArrayPower(rng.uniform(1e-9, 400.0), 1.25, 1e9)
         result = PhaseResult(rng.randrange(10**12), latency, latency,
-                             latency, 1.0, 1.0, TrafficReport(),
+                             latency, 1.0, 1.0,
+                             TrafficReport(0, 0, 0, 0, 0, 0),
                              rng.uniform(0.0, 1.0), 0)
         e = phase_energy(result, Phase.DECODE_STEP, sram, arrays,
                          GatingPolicy(gating, gating), buffers, fabric)
@@ -144,8 +144,8 @@ def test_criterion_03_roofline_law(sweep_result):
 
 def test_criterion_04_memory_bound_plateau(sweep_result):
     """Decode latency flat (<2%) for f in [600,1400] at S >= 32 KB; cycles rise."""
-    lat = grid(sweep_result, Metric.LATENCY, Phase.DECODE_STEP)
-    cyc = grid(sweep_result, Metric.CYCLES, Phase.DECODE_STEP)
+    lat = grid(sweep_result, "latency", Phase.DECODE_STEP)
+    cyc = grid(sweep_result, "cycles", Phase.DECODE_STEP)
     f_hi = [f * 1e6 for f in F_MHZ if f >= 600]
     worst_var = 0.0
     for s_kb in (32, 64, 128, 256, 512, 1024):
@@ -226,8 +226,8 @@ def test_criterion_06_decode_compute_fraction(sweep_result):
 
 def test_criterion_07_prefill_frequency_scaling(sweep_result):
     """Prefill latency strictly falls with f; total energy never rises."""
-    lat = grid(sweep_result, Metric.LATENCY, Phase.PREFILL)
-    en = grid(sweep_result, Metric.TOTAL_ENERGY, Phase.PREFILL)
+    lat = grid(sweep_result, "latency", Phase.PREFILL)
+    en = grid(sweep_result, "total_energy", Phase.PREFILL)
     f_values = [f * 1e6 for f in F_MHZ]
     for s_kb in S_KB:
         s = s_kb * KIB
@@ -243,7 +243,7 @@ def test_criterion_07_prefill_frequency_scaling(sweep_result):
 def test_criterion_08_leakage_tax_monotonic(sweep_result):
     """Total energy strictly increasing in S for S >= 64 KB, both phases."""
     for phase in (Phase.PREFILL, Phase.DECODE_STEP):
-        en = grid(sweep_result, Metric.TOTAL_ENERGY, phase)
+        en = grid(sweep_result, "total_energy", phase)
         for f in (f * 1e6 for f in F_MHZ):
             tail = [en.value(s_kb * KIB, f) for s_kb in S_KB if s_kb >= 64]
             assert all(b > a for a, b in zip(tail, tail[1:])), (phase, f)
@@ -255,7 +255,7 @@ def test_criterion_08_energy_argmin_bound(sweep_result):
     """Per-frequency total-energy argmin over S is <= 64 KB, both phases."""
     worst = 0
     for phase in (Phase.PREFILL, Phase.DECODE_STEP):
-        en = grid(sweep_result, Metric.TOTAL_ENERGY, phase)
+        en = grid(sweep_result, "total_energy", phase)
         for f in (f * 1e6 for f in F_MHZ):
             col = [en.value(s_kb * KIB, f) for s_kb in S_KB]
             argmin_kb = S_KB[col.index(min(col))]
@@ -267,7 +267,7 @@ def test_criterion_08_energy_argmin_bound(sweep_result):
 
 def test_criterion_08_prefill_argmin_is_32kb(sweep_result):
     """Prefill per-frequency energy argmin is exactly 32 KB (default calib)."""
-    en = grid(sweep_result, Metric.TOTAL_ENERGY, Phase.PREFILL)
+    en = grid(sweep_result, "total_energy", Phase.PREFILL)
     argmins = set()
     for f in (f * 1e6 for f in F_MHZ):
         col = [en.value(s_kb * KIB, f) for s_kb in S_KB]
@@ -292,7 +292,7 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
     from 32 KB to 1024 KB.  This is stricter than the <= 64 KB argmin
     bound and the S >= 64 KB leakage-tax criteria.
     """
-    en = grid(sweep_result, Metric.TOTAL_ENERGY, Phase.DECODE_STEP)
+    en = grid(sweep_result, "total_energy", Phase.DECODE_STEP)
     argmins = set()
     for f in (f * 1e6 for f in F_MHZ):
         traffic = [r.result.traffic
@@ -312,7 +312,7 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
 
 
 def _edp_argmin(result, bw):
-    g = grid(result, Metric.EDP, Phase.DECODE_STEP, bw)
+    g = grid(result, "edp", Phase.DECODE_STEP, bw)
     s, f = g.argmin()
     return S_KB.index(s // KIB), F_MHZ.index(int(f / 1e6))
 

@@ -11,6 +11,7 @@ from acceldse.cli import main
 from acceldse.config import (ConfigError, apply_overrides, load_hardware,
                              load_sweep_axes, parse_config)
 from acceldse.memory import GB, KIB
+from acceldse.workload import InferenceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "configs" / "baseline.conf"
@@ -88,6 +89,19 @@ def test_cli_simulate_baseline_decode_is_memory_bound(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "bound            memory" in out
+
+
+def test_cli_simulate_builds_the_request_once(monkeypatch, capsys):
+    built = []
+    new = InferenceRequest.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(InferenceRequest, "__new__", counted)
+    assert main(["simulate", "--config", str(BASELINE)]) == 0
+    assert built == [InferenceRequest]
 
 
 def test_cli_simulate_override_applies(capsys):

@@ -26,7 +26,7 @@ EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
 
 
 def fake_result(latency=1.0, cycles=1000, util=0.5,
-                traffic=TrafficReport()) -> PhaseResult:
+                traffic=TrafficReport(0, 0, 0, 0, 0, 0)) -> PhaseResult:
     return PhaseResult(compute_cycles=cycles, compute_time=latency,
                        memory_time=latency / 2, latency=latency,
                        total_cycles=float(cycles), compute_fraction=1.0,

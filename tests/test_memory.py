@@ -9,9 +9,9 @@ from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.memory import (GB, KIB, MIB, TilingError, phase_result,
                              phase_totals, plan_tiling, tile_set_bytes,
                              traffic)
-from acceldse.oracle import search_plan
 from acceldse.workload import (MatmulDims, build_decode_trace,
                                build_prefill_trace)
+from oracle import search_plan
 
 ARRAY = ArraySpec(16, 16)
 FABRIC = FabricSpec(108, 4, ARRAY)

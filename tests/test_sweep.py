@@ -4,11 +4,10 @@ from hypothesis import example, given, settings, strategies as st
 from acceldse import memory, sweep
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.memory import GB, KIB, TilingError
-from acceldse.sweep import (DesignPoint, SweepSpec,
+from acceldse.sweep import (METRICS, DesignPoint, SweepSpec,
                             decode_mean_over_generation, emit_reports,
                             evaluate_point, evaluate_sweep, metric_grid,
                             phase_table, run_sweep, summary_dict, tile_phase)
-from acceldse.analysis import Metric
 from acceldse.workload import Phase, build_decode_trace
 
 HW = load_hardware({})
@@ -90,7 +89,7 @@ def test_infeasible_cells_recorded_not_skipped(tmp_path):
     assert len(bad) == 1 and bad[0].point.s == 8
     assert not result.complete
     # grids stay dense: the error cell is NaN
-    grid = metric_grid(result, Metric.LATENCY, Phase.DECODE_STEP, 2048 * GB)
+    grid = metric_grid(result, "latency", Phase.DECODE_STEP, 2048 * GB)
     import math
     assert math.isnan(grid.value(8, 800e6))
     assert not math.isnan(grid.value(64 * KIB, 800e6))
@@ -104,10 +103,11 @@ def test_emit_reports_file_set(tmp_path):
     written = emit_reports(result, tmp_path)
     # 8 metrics x 2 phases x 1 bandwidth + roofline + summary
     assert len(written) == 8 * 2 * 1 + 2
-    names = {p.name for p in written}
-    assert "roofline.csv" in names
-    assert "summary.json" in names
-    assert "latency_prefill_bw2048.csv" in names
+    assert [p.name for p in written] == [
+        f"{metric}_{phase}_bw2048.csv" for metric in METRICS
+        for phase in ("prefill", "decode")] + ["roofline.csv", "summary.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in written)
     grid_text = (tmp_path / "latency_decode_bw2048.csv").read_text()
     lines = grid_text.splitlines()
     assert lines[0] == "metric,phase,bandwidth"
@@ -138,6 +138,30 @@ def test_summary_contains_argmins_and_transitions():
         str(s) for s in SMALL_SPEC.s_values}
 
 
+@pytest.mark.parametrize("spec", [
+    DEFAULT_SPEC,
+    SweepSpec((8, 64 * KIB), DEFAULT_SPEC.f_values, (2048 * GB,),
+              (Phase.DECODE_STEP,)),
+], ids=["default", "infeasible_8_bytes"])
+def test_bound_transition_is_lowest_memory_bound_frequency(spec):
+    result = run_sweep(spec, HW, MODEL, REQ)
+    grids = summary_dict(result)["grids"]
+    seen = set()
+    for phase in spec.phases:
+        for bw in spec.bw_values:
+            got = grids[f"{phase.value}@{int(bw / GB)}GBps"][
+                "bound_transition_mhz"]
+            assert list(got) == [str(s) for s in spec.s_values]
+            for s in spec.s_values:
+                bound = [r.point.f for r in result.records
+                         if (r.phase, r.point.bw, r.point.s) == (phase, bw, s)
+                         and r.ok and r.result.memory_bound]
+                want = min(bound) / 1e6 if bound else None
+                assert got[str(s)] == want, (phase, bw, s)
+                seen.add(want is None)
+    assert seen == {True, False}  # both a transition and none occur
+
+
 def ascending(values, scale):
     return tuple(sorted(v * scale for v in values))
 
@@ -164,6 +188,51 @@ def test_cells_share_phase_totals_and_obey_closed_form(s_kb, f_mhz, bw_gbps):
         assert r.latency >= r.traffic.onchip_bytes / HW.onchip_bandwidth
         assert r.total_cycles == pytest.approx(r.latency * rec.point.f,
                                                rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_heads=st.sampled_from((1, 2, 3)), head_dim=st.integers(1, 12),
+       n_layers=st.integers(1, 3), batch=st.integers(1, 3),
+       prompt_len=st.integers(1, 30), rows=st.integers(1, 8),
+       cols=st.integers(1, 8), cores=st.integers(1, 4),
+       onchip_gbps=st.integers(1, 100_000),
+       s_bytes=st.lists(st.integers(16, 8192), min_size=1, max_size=3,
+                        unique=True),
+       f_mhz=st.lists(st.floats(10, 5000), min_size=1, max_size=3,
+                      unique=True),
+       bw_gbps=st.lists(st.integers(1, 50_000), min_size=1, max_size=3,
+                        unique=True))
+# memory-bound: achieved and attainable round flops * bw / dram_bytes in
+# different orders and differ in the last bit
+@example(n_heads=1, head_dim=8, n_layers=1, batch=1, prompt_len=3, rows=3,
+         cols=1, cores=4, onchip_gbps=2, s_bytes=[64], f_mhz=[63.0],
+         bw_gbps=[1])
+def test_model_invariants_hold_on_random_small_configs(
+        n_heads, head_dim, n_layers, batch, prompt_len, rows, cols, cores,
+        onchip_gbps, s_bytes, f_mhz, bw_gbps):
+    values = {"model.n_heads": str(n_heads), "model.head_dim": str(head_dim),
+              "model.d_model": str(n_heads * head_dim),
+              "model.n_layers": str(n_layers), "model.batch": str(batch),
+              "model.prompt_len": str(prompt_len),
+              "hw.array_rows": str(rows), "hw.array_cols": str(cols),
+              "hw.cores": str(cores),
+              "hw.onchip_bandwidth_gbps": str(onchip_gbps)}
+    spec = SweepSpec(ascending(s_bytes, 1), ascending(f_mhz, 1e6),
+                     ascending(bw_gbps, GB), (Phase.PREFILL, Phase.DECODE_STEP))
+    result = run_sweep(spec, load_hardware(values), load_model_spec(values),
+                       load_request(values))
+    latencies = {}
+    for rec in result.records:
+        if not rec.ok:  # no tile set fits this S
+            continue
+        r, rf = rec.result, rec.roofline
+        assert 0 < r.utilization <= 1
+        assert rf.achieved <= rf.attainable * (1 + 1e-15)
+        assert 0 < r.compute_fraction <= 1
+        latencies.setdefault((rec.phase, rec.point.bw, rec.point.s),
+                             []).append(r.latency)  # f ascends
+    for cell, lat in latencies.items():
+        assert all(b <= a for a, b in zip(lat, lat[1:])), cell
 
 
 DEFAULT_TABLE = phase_table(DEFAULT_SPEC, HW, MODEL, REQ, 0)
