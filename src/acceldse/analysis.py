@@ -1,4 +1,8 @@
-"""Roofline points and S x f metric grids for isoplots and argmins."""
+"""Roofline points and S x f metric grids for isoplots and argmins.
+
+A phase's operational intensity is fixed by its (phase, S) terms; the
+roofline point at one (f, BW) cell is computed from it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import math
 from collections import namedtuple
 
 from .dataflow import FabricSpec
-from .memory import PhaseResult
+from .memory import PhaseResult, PhaseTerms
 
 
 class RooflinePoint(namedtuple("RooflinePoint", (
@@ -22,15 +26,20 @@ def peak_flops(fabric: FabricSpec, frequency: float) -> float:
     return fabric.macs_per_cycle * 2 * frequency
 
 
-def roofline(point: PhaseResult, peak: float, bw: float) -> RooflinePoint:
-    if point.traffic.dram_bytes <= 0:
+def operational_intensity(terms: PhaseTerms) -> float:
+    """Flops per external-memory byte; no clock or bandwidth enters."""
+    if terms.traffic.dram_bytes <= 0:
         raise ValueError("roofline undefined for zero external traffic")
-    oi = point.flops / point.traffic.dram_bytes
+    return terms.flops / terms.traffic.dram_bytes
+
+
+def roofline(result: PhaseResult, oi: float, peak: float,
+             bw: float) -> RooflinePoint:
+    """The roofline point of a result whose operational intensity is `oi`."""
     attainable = min(peak, bw * oi)
-    achieved = point.flops / point.latency
+    achieved = result.flops / result.latency
     bound = "memory" if oi < peak / bw else "compute"
-    return RooflinePoint(oi=oi, attainable=attainable,
-                         achieved=achieved, bound=bound)
+    return RooflinePoint(oi, attainable, achieved, bound)
 
 
 class MetricGrid(namedtuple("MetricGrid", (

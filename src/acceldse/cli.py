@@ -10,10 +10,11 @@ from pathlib import Path
 from .config import (ConfigError, apply_overrides, decode_step,
                      load_hardware, load_model_spec, load_request,
                      load_sweep_axes, parse_config)
+from .energy import by_component
 from .memory import GB, KIB, TilingError
-from .sweep import (ROOFLINE_HEADER, DesignPoint, SweepRecord, SweepSpec,
-                    decode_mean_over_generation, emit_reports, roofline_row,
-                    run_sweep, summary_dict)
+from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, SweepRecord,
+                    SweepSpec, decode_mean_over_generation, emit_reports,
+                    roofline_row, run_sweep, summary_dict)
 from .workload import Phase
 
 EXIT_OK = 0
@@ -40,7 +41,7 @@ def _load(args, phases: tuple[Phase, ...] | None = None):
 
 def _record_dict(record: SweepRecord) -> dict:
     """The JSON record of one evaluated cell."""
-    r, rf = record.result, record.roofline
+    r, e, rf = record.result, record.energy, record.roofline
     return {
         "point": {"S_bytes": record.point.s, "f_hz": record.point.f,
                   "bw_bytes_per_s": record.point.bw},
@@ -55,7 +56,9 @@ def _record_dict(record: SweepRecord) -> dict:
         "bound": "memory" if r.memory_bound else "compute",
         "flops": r.flops,
         "traffic": r.traffic._asdict(),
-        "energy": record.energy._asdict(),
+        "energy": {"static_j": e.static_j, "dynamic_j": e.dynamic_j,
+                   "total_j": e.total_j, "dynamic_power_w": e.dynamic_power_w,
+                   "by_component": by_component(e, r.latency)},
         "edp_js": record.edp,
         "roofline": {"oi": rf.oi, "attainable": rf.attainable,
                      "achieved": rf.achieved, "bound": rf.bound},
@@ -198,9 +201,7 @@ def cmd_report(args) -> int:
     for key in sorted(summary["grids"]):
         entry = summary["grids"][key]
         print(f"{key}:")
-        for label, metric in (("latency", "latency"),
-                              ("total energy", "total_energy"),
-                              ("EDP", "edp")):
+        for metric, label in ARGMIN_METRICS.items():
             cell = entry[f"{metric}_argmin"]  # None: every cell infeasible
             where = "none" if cell is None else (
                 f"S={cell['S_bytes'] / KIB:g} KB, f={cell['f_hz'] / 1e6:g} MHz")

@@ -7,7 +7,7 @@ distributed round-robin across every array in the fabric; M is never
 split.  `analytic_cycles` is the closed form; the tests pin it exactly to
 a cycle-by-cycle simulation of one array (`simulate_cycles` in
 tests/oracle.py).  Utilization is a phase quantity, derived in
-`memory.phase_result`.
+`memory.phase_terms`.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ law in capacity (longer wordlines and bitlines cost more per access).
 Arrays draw dynamic power only while computing (clock-gated when
 stalled) and leak all the time; power gating trims a phase-dependent
 share of all leakage.
+
+`energy_terms` computes, once per (phase, S), the leakage power and each
+component's dynamic energy; `phase_energy` scales the leakage by one
+cell's latency.  `by_component` splits a printed record's energy.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .dataflow import FabricSpec
-from .memory import Buffers, PhaseResult
+from .memory import Buffers, PhaseTerms
 from .workload import Phase
 
 
@@ -66,58 +70,79 @@ class GatingPolicy(namedtuple("GatingPolicy", (
         return self.prefill_saving if phase is Phase.PREFILL else self.decode_saving
 
 
+class EnergyTerms(namedtuple("EnergyTerms", (
+        "leakage",  # {component: (W per instance, instances)}, ungated
+        "static_w",  # the leakage of every component, ungated
+        "ungated",  # 1 - the phase's gating saving
+        "dynamic_parts",  # {component: J}
+        "dynamic_j",
+))):
+    """The frequency- and bandwidth-free energy terms of one phase."""
+
+    __slots__ = ()
+
+
 class EnergyBreakdown(namedtuple("EnergyBreakdown", (
         "static_j",
         "dynamic_j",
         "total_j",
         "dynamic_power_w",
-        "by_component",  # {component: {"static_j": J, "dynamic_j": J}}
+        "terms",  # the EnergyTerms it was evaluated from
 ))):
     __slots__ = ()
 
 
-def phase_energy(result: PhaseResult, phase: Phase, sram: SramEnergyModel,
+def energy_terms(terms: PhaseTerms, phase: Phase, sram: SramEnergyModel,
                  arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
-                 fabric: FabricSpec) -> EnergyBreakdown:
-    """Full static/dynamic/total breakdown for one evaluated phase.
+                 fabric: FabricSpec) -> EnergyTerms:
+    """Leakage power and dynamic energy of one phase's terms.
 
     The array term is P_dyn(f, util) * compute_time; written with the
     frequency cancelled (cycles / ref_frequency) so that design points
     with identical cycles get bit-identical energy at every frequency.
     """
-    g = gating.saving(phase)
-    local_leak = sram.leakage(buffers.local)
-    global_leak = sram.leakage(buffers.global_)
-    static = result.latency * (local_leak * fabric.cores + global_leak
-                               + arrays.leakage_w * fabric.total_arrays) \
-        * (1.0 - g)
-    tr = result.traffic
-    dyn_parts = {
+    local_w = sram.leakage(buffers.local)
+    global_w = sram.leakage(buffers.global_)
+    static_w = (local_w * fabric.cores + global_w
+                + arrays.leakage_w * fabric.total_arrays)
+    leakage = {  # one global buffer: multiplying by 1 is exact
+        "local_buffers": (local_w, fabric.cores),
+        "global_buffer": (global_w, 1),
+        "arrays": (arrays.leakage_w, fabric.total_arrays),
+    }
+    tr = terms.traffic
+    dynamic_parts = {
         "local_buffers": (tr.local_reads + tr.local_writes)
         * sram.access_energy(buffers.local),
         "global_buffer": (tr.global_reads + tr.global_writes)
         * sram.access_energy(buffers.global_),
-        "arrays": (arrays.dynamic_w_ref * result.utilization
-                   * (result.compute_cycles / arrays.ref_frequency)
+        "arrays": (arrays.dynamic_w_ref * terms.utilization
+                   * (terms.compute_cycles / arrays.ref_frequency)
                    * fabric.total_arrays),
     }
-    dynamic = sum(dyn_parts.values())
-    if static < 0 or dynamic < 0:
+    dynamic = sum(dynamic_parts.values())
+    if dynamic < 0:
         raise ValueError("energy must be non-negative")
-    static_parts = {
-        "local_buffers": result.latency * local_leak * fabric.cores * (1.0 - g),
-        "global_buffer": result.latency * global_leak * (1.0 - g),
-        "arrays": result.latency * arrays.leakage_w * fabric.total_arrays
-        * (1.0 - g),
-    }
-    by_component = {
-        name: {"static_j": static_parts[name], "dynamic_j": dyn_parts[name]}
-        for name in ("local_buffers", "global_buffer", "arrays")
-    }
-    return EnergyBreakdown(
-        static_j=static,
-        dynamic_j=dynamic,
-        total_j=static + dynamic,
-        dynamic_power_w=dynamic / result.latency,
-        by_component=by_component,
-    )
+    return EnergyTerms(leakage, static_w, 1.0 - gating.saving(phase),
+                       dynamic_parts, dynamic)
+
+
+def phase_energy(terms: EnergyTerms, latency: float) -> EnergyBreakdown:
+    """Static, dynamic and total energy of one phase that takes `latency`
+    seconds."""
+    static = latency * terms.static_w * terms.ungated
+    if static < 0:
+        raise ValueError("energy must be non-negative")
+    return EnergyBreakdown(static, terms.dynamic_j, static + terms.dynamic_j,
+                           terms.dynamic_j / latency, terms)
+
+
+def by_component(energy: EnergyBreakdown,
+                 latency: float) -> dict[str, dict[str, float]]:
+    """{component: {"static_j": J, "dynamic_j": J}} of a phase's energy
+    that took `latency` seconds; the static parts sum to its static_j
+    only up to rounding."""
+    terms = energy.terms
+    return {name: {"static_j": latency * watts * count * terms.ungated,
+                   "dynamic_j": terms.dynamic_parts[name]}
+            for name, (watts, count) in terms.leakage.items()}

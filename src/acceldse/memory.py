@@ -5,11 +5,13 @@ share one global buffer that double-buffers external-memory transfers.
 Latency is max(compute_time, memory_time): the global buffer decouples
 compute from memory, so whichever side is slower hides the other.
 
-A phase is evaluated in two steps.  `phase_totals` fixes its cycles and
+A phase is evaluated in three steps.  `phase_totals` fixes its cycles and
 traffic from the trace, the fabric and the local buffer size alone, as
-the sum of each distinct GEMM's `matmul_totals`; `phase_result` then
-applies the clock and the bandwidths in closed form, so a sweep tiles
-each (phase, S) once however many (f, BW) cells share it.
+the sum of each distinct GEMM's `matmul_totals`.  `phase_terms` derives
+what else the clock and the external bandwidth never touch: utilization,
+flops and the on-chip transfer time.  `phase_result` then applies the
+clock and the external bandwidth in closed form.  A sweep runs the first
+two steps once per (phase, S), however many (f, BW) cells share it.
 """
 
 from __future__ import annotations
@@ -57,6 +59,19 @@ class PhaseTotals(namedtuple("PhaseTotals", (
         "compute_cycles", "macs", "traffic"))):
     """Frequency- and bandwidth-free totals of one phase, or of one GEMM,
     at one local size."""
+
+    __slots__ = ()
+
+
+class PhaseTerms(namedtuple("PhaseTerms", (
+        "compute_cycles",
+        "traffic",
+        "utilization",
+        "flops",  # two per MAC: one multiply, one add
+        "onchip_time",  # seconds on the on-chip link
+))):
+    """The frequency- and external-bandwidth-free terms of one phase's
+    totals."""
 
     __slots__ = ()
 
@@ -227,30 +242,31 @@ def phase_totals(trace: PhaseTrace, fabric: FabricSpec, capacity: int,
         for m, count in trace.matmuls.items()])
 
 
-def phase_result(totals: PhaseTotals, fabric: FabricSpec, frequency: float,
-                 ext_bandwidth: float, onchip_bandwidth: float) -> PhaseResult:
-    """Latency of one phase's totals at a clock of `frequency` Hz and
-    bandwidths in bytes/s.
+def phase_terms(totals: PhaseTotals, fabric: FabricSpec,
+                onchip_bandwidth: float) -> PhaseTerms:
+    """The terms of one phase's totals that no clock or external bandwidth
+    enters, with the on-chip bandwidth in bytes/s."""
+    cycles = totals.compute_cycles
+    utilization = totals.macs / (fabric.total_arrays * cycles
+                                 * fabric.array.rows * fabric.array.cols)
+    return PhaseTerms(cycles, totals.traffic, utilization, 2 * totals.macs,
+                      totals.traffic.onchip_bytes / onchip_bandwidth)
+
+
+def phase_result(terms: PhaseTerms, frequency: float,
+                 ext_bandwidth: float) -> PhaseResult:
+    """Latency of one phase's terms at a clock of `frequency` Hz and an
+    external bandwidth in bytes/s.
 
     compute_time covers the arrays; memory_time covers external and
     on-chip transfers; perfect double-buffered overlap means latency is
     the max of the two.
     """
-    cycles = totals.compute_cycles
+    cycles = terms.compute_cycles
     compute_time = cycles / frequency
-    memory_time = max(totals.traffic.dram_bytes / ext_bandwidth,
-                      totals.traffic.onchip_bytes / onchip_bandwidth)
+    memory_time = max(terms.traffic.dram_bytes / ext_bandwidth,
+                      terms.onchip_time)
     latency = max(compute_time, memory_time)
-    utilization = totals.macs / (fabric.total_arrays * cycles
-                                 * fabric.array.rows * fabric.array.cols)
-    return PhaseResult(
-        compute_cycles=cycles,
-        compute_time=compute_time,
-        memory_time=memory_time,
-        latency=latency,
-        total_cycles=latency * frequency,
-        compute_fraction=compute_time / latency,
-        traffic=totals.traffic,
-        utilization=utilization,
-        flops=2 * totals.macs,
-    )
+    return PhaseResult(cycles, compute_time, memory_time, latency,
+                       latency * frequency, compute_time / latency,
+                       terms.traffic, terms.utilization, terms.flops)

@@ -1,9 +1,11 @@
 """Cartesian design-space sweep over (local SRAM size, frequency, bandwidth).
 
 Cycles and traffic depend only on the phase and the local buffer size S,
-so the sweep tiles each (phase, S) once into a table and evaluates every
-(f, BW) cell from it in closed form.  Evaluation is serial and pure, so
-results are bit-identical for identical inputs.  Reports are per-metric
+so the sweep tiles each (phase, S) once into a table.  An evaluation of
+the table computes each entry's f- and BW-free terms once
+(`entry_terms`), then each (f, BW) cell from them in closed form
+(`evaluate_point`).  Evaluation is serial and pure, so results are
+bit-identical for identical inputs.  Reports are per-metric
 grid CSVs, a roofline CSV, and a JSON summary with argmin cells and
 bound-transition frequencies.
 """
@@ -15,11 +17,12 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from .analysis import MetricGrid, peak_flops, roofline
+from .analysis import MetricGrid, operational_intensity, peak_flops, roofline
 from .config import HardwareConfig
-from .energy import phase_energy
-from .memory import (GB, Buffers, PhaseTotals, TilingError, matmul_totals,
-                     phase_result, phase_totals, sum_totals)
+from .energy import EnergyTerms, energy_terms, phase_energy
+from .memory import (GB, Buffers, PhaseTerms, PhaseTotals, TilingError,
+                     matmul_totals, phase_result, phase_terms, phase_totals,
+                     sum_totals)
 from .workload import (InferenceRequest, ModelSpec, Phase, PhaseTrace,
                        attention_matmuls, build_decode_trace,
                        build_prefill_trace, weight_matmuls)
@@ -136,7 +139,9 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
                      for m, _ in attention}
         totals = sum_totals([(weights, 1),
                              *((tiled[m], count) for m, count in attention)])
-        record = evaluate_point(totals, Phase.DECODE_STEP, hw, point)
+        record = evaluate_point(
+            entry_terms(totals, Phase.DECODE_STEP, hw, point.s),
+            Phase.DECODE_STEP, hw, point)
         latency += record.result.latency
         energy += record.energy.total_j
         edp_sum += record.edp
@@ -151,18 +156,32 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     }
 
 
-def evaluate_point(totals: PhaseTotals | str, phase: Phase,
-                   hw: HardwareConfig, point: DesignPoint) -> SweepRecord:
-    """One sweep cell: the phase's totals at the point's f and BW."""
+def entry_terms(totals: PhaseTotals | str, phase: Phase, hw: HardwareConfig,
+                s: int) -> tuple[PhaseTerms, EnergyTerms, float] | str:
+    """The terms of one (phase, S) entry's totals that f and BW never
+    touch, with its operational intensity, or the entry's reason that no
+    tile set fits."""
     if isinstance(totals, str):
-        return SweepRecord(point, phase, None, None, None, error=totals)
-    result = phase_result(totals, hw.fabric, point.f, point.bw,
-                          hw.onchip_bandwidth)
-    buffers = Buffers(point.s, hw.buffers.global_)
-    energy = phase_energy(result, phase, hw.sram, hw.arrays, hw.gating,
-                          buffers, hw.fabric)
-    roof = roofline(result, peak_flops(hw.fabric, point.f), point.bw)
-    return SweepRecord(point, phase, result, energy, roof)
+        return totals
+    terms = phase_terms(totals, hw.fabric, hw.onchip_bandwidth)
+    energy = energy_terms(terms, phase, hw.sram, hw.arrays, hw.gating,
+                          Buffers(s, hw.buffers.global_), hw.fabric)
+    return terms, energy, operational_intensity(terms)
+
+
+def evaluate_point(entry: tuple[PhaseTerms, EnergyTerms, float] | str,
+                   phase: Phase, hw: HardwareConfig,
+                   point: DesignPoint) -> SweepRecord:
+    """One sweep cell: its (phase, S) entry's terms at the point's f and
+    BW."""
+    if isinstance(entry, str):
+        return SweepRecord(point, phase, None, None, None, error=entry)
+    terms, energy, oi = entry
+    result = phase_result(terms, point.f, point.bw)
+    return SweepRecord(point, phase, result,
+                       phase_energy(energy, result.latency),
+                       roofline(result, oi, peak_flops(hw.fabric, point.f),
+                                point.bw))
 
 
 def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
@@ -180,12 +199,14 @@ def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
 def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
                    table: dict[tuple[Phase, int], PhaseTotals | str],
                    decode_step: int) -> SweepResult:
-    """Every cell of the sweep from its (phase, S) table entry."""
-    records = tuple(evaluate_point(table[phase, s], phase, hw,
-                                   DesignPoint(s, f, bw))
+    """Every cell of the sweep from its (phase, S) table entry, whose
+    terms are computed once for all of its cells."""
+    entries = {phase: [(s, entry_terms(table[phase, s], phase, hw, s))
+                       for s in spec.s_values] for phase in spec.phases}
+    records = tuple(evaluate_point(entry, phase, hw, DesignPoint(s, f, bw))
                     for phase in spec.phases
                     for bw in spec.bw_values
-                    for s in spec.s_values
+                    for s, entry in entries[phase]
                     for f in spec.f_values)
     return SweepResult(spec=spec, records=records, decode_step=decode_step)
 
@@ -211,6 +232,10 @@ METRICS = {
     "dynamic_energy": lambda r: r.energy.dynamic_j,
     "static_energy": lambda r: r.energy.static_j,
 }
+
+# The metrics whose argmin cell the summary gives, with `report`'s label.
+ARGMIN_METRICS = {"latency": "latency", "total_energy": "total energy",
+                  "edp": "EDP"}
 
 
 def metric_grid(result: SweepResult, metric: str, phase: Phase,
@@ -274,7 +299,7 @@ def summary_dict(result: SweepResult) -> dict:
                     lowest.setdefault(r.point.s, r.point.f / 1e6)
             entry: dict = {"bound_transition_mhz": {
                 str(s): lowest.get(s) for s in result.spec.s_values}}
-            for metric in ("latency", "total_energy", "edp"):
+            for metric in ARGMIN_METRICS:
                 grid = metric_grid(result, metric, phase, bw)
                 try:
                     s_min, f_min = grid.argmin()

@@ -5,7 +5,10 @@ cycle for every distinct fold shape of a matmul and checks the numeric
 result, so the closed form in `dataflow.analytic_cycles` can be pinned
 to it exactly.  `search_plan` tries every (tile_k, tile_n) pair of tile
 sizes, so the closed-form search in `memory.plan_tiling` can be pinned
-to it.  It lives with the tests, so the package never imports numpy.
+to it.  `evaluate_cell` evaluates one sweep cell from its phase totals
+in one pass, the way the model reads on paper, so the package's split
+into per-(phase, S) terms and per-(f, BW) cells can be pinned to it bit
+for bit.  It lives with the tests, so the package never imports numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from math import ceil
 
 import numpy as np
 
+from acceldse.analysis import RooflinePoint, peak_flops
 from acceldse.dataflow import AccessCounts, ArraySpec, CycleEstimate
-from acceldse.memory import TilingError, TilingPlan, tile_set_bytes
+from acceldse.memory import (Buffers, PhaseResult, TilingError, TilingPlan,
+                             tile_set_bytes)
 from acceldse.workload import MatmulDims
 
 SIMULATION_MAC_GUARD = 1_000_000
@@ -186,3 +191,93 @@ def search_plan(m: MatmulDims, capacity: int, bytes_per_element: int,
         f"local buffer of {capacity} bytes cannot hold a minimal "
         f"double-buffered tile set of "
         f"{tile_set_bytes(1, tk_cands[0], tn_cands[0], b)} bytes")
+
+
+# --- one sweep cell, unsplit ---------------------------------------------
+
+def cell_result(totals, fabric, frequency, ext_bandwidth,
+                onchip_bandwidth) -> PhaseResult:
+    """Latency of one phase's totals at a clock and bandwidths."""
+    cycles = totals.compute_cycles
+    compute_time = cycles / frequency
+    memory_time = max(totals.traffic.dram_bytes / ext_bandwidth,
+                      totals.traffic.onchip_bytes / onchip_bandwidth)
+    latency = max(compute_time, memory_time)
+    utilization = totals.macs / (fabric.total_arrays * cycles
+                                 * fabric.array.rows * fabric.array.cols)
+    return PhaseResult(
+        compute_cycles=cycles,
+        compute_time=compute_time,
+        memory_time=memory_time,
+        latency=latency,
+        total_cycles=latency * frequency,
+        compute_fraction=compute_time / latency,
+        traffic=totals.traffic,
+        utilization=utilization,
+        flops=2 * totals.macs,
+    )
+
+
+def cell_energy(result, phase, sram, arrays, gating, buffers,
+                fabric) -> dict:
+    """The energy of one evaluated phase, as `simulate --format json`
+    prints it."""
+    g = gating.saving(phase)
+    local_leak = sram.leakage(buffers.local)
+    global_leak = sram.leakage(buffers.global_)
+    static = result.latency * (local_leak * fabric.cores + global_leak
+                               + arrays.leakage_w * fabric.total_arrays) \
+        * (1.0 - g)
+    tr = result.traffic
+    dyn_parts = {
+        "local_buffers": (tr.local_reads + tr.local_writes)
+        * sram.access_energy(buffers.local),
+        "global_buffer": (tr.global_reads + tr.global_writes)
+        * sram.access_energy(buffers.global_),
+        "arrays": (arrays.dynamic_w_ref * result.utilization
+                   * (result.compute_cycles / arrays.ref_frequency)
+                   * fabric.total_arrays),
+    }
+    dynamic = sum(dyn_parts.values())
+    if static < 0 or dynamic < 0:
+        raise ValueError("energy must be non-negative")
+    static_parts = {
+        "local_buffers": result.latency * local_leak * fabric.cores * (1.0 - g),
+        "global_buffer": result.latency * global_leak * (1.0 - g),
+        "arrays": result.latency * arrays.leakage_w * fabric.total_arrays
+        * (1.0 - g),
+    }
+    return {
+        "static_j": static,
+        "dynamic_j": dynamic,
+        "total_j": static + dynamic,
+        "dynamic_power_w": dynamic / result.latency,
+        "by_component": {
+            name: {"static_j": static_parts[name],
+                   "dynamic_j": dyn_parts[name]}
+            for name in ("local_buffers", "global_buffer", "arrays")},
+    }
+
+
+def cell_roofline(point: PhaseResult, peak: float,
+                  bw: float) -> RooflinePoint:
+    if point.traffic.dram_bytes <= 0:
+        raise ValueError("roofline undefined for zero external traffic")
+    oi = point.flops / point.traffic.dram_bytes
+    attainable = min(peak, bw * oi)
+    achieved = point.flops / point.latency
+    bound = "memory" if oi < peak / bw else "compute"
+    return RooflinePoint(oi=oi, attainable=attainable,
+                         achieved=achieved, bound=bound)
+
+
+def evaluate_cell(totals, phase, hw,
+                  point) -> tuple[PhaseResult, dict, RooflinePoint]:
+    """(result, energy, roofline point) of one sweep cell from its phase's
+    totals."""
+    result = cell_result(totals, hw.fabric, point.f, point.bw,
+                         hw.onchip_bandwidth)
+    energy = cell_energy(result, phase, hw.sram, hw.arrays, hw.gating,
+                         Buffers(point.s, hw.buffers.global_), hw.fabric)
+    roof = cell_roofline(result, peak_flops(hw.fabric, point.f), point.bw)
+    return result, energy, roof

@@ -35,8 +35,8 @@ import pytest
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec, analytic_cycles
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
-                             phase_energy)
-from acceldse.memory import GB, KIB, Buffers, PhaseResult, TrafficReport
+                             energy_terms, phase_energy)
+from acceldse.memory import GB, KIB, Buffers, PhaseTerms, TrafficReport
 from acceldse.sweep import SweepSpec, emit_reports, metric_grid, run_sweep
 from acceldse.workload import MatmulDims, Phase
 from oracle import simulate_cycles
@@ -108,12 +108,12 @@ def test_criterion_02_energy_identities():
         gating = rng.uniform(0.0, 0.99)
         sram = SramEnergyModel(rng.uniform(1e-12, 0.3), 2e-13, 32 * KIB, 0.5)
         arrays = ArrayPower(rng.uniform(1e-9, 400.0), 1.25, 1e9)
-        result = PhaseResult(rng.randrange(10**12), latency, latency,
-                             latency, 1.0, 1.0,
-                             TrafficReport(0, 0, 0, 0, 0, 0),
-                             rng.uniform(0.0, 1.0), 0)
-        e = phase_energy(result, Phase.DECODE_STEP, sram, arrays,
-                         GatingPolicy(gating, gating), buffers, fabric)
+        terms = PhaseTerms(rng.randrange(10**12),
+                           TrafficReport(0, 0, 0, 0, 0, 0),
+                           rng.uniform(0.0, 1.0), 0, 0.0)
+        e = phase_energy(energy_terms(terms, Phase.DECODE_STEP, sram, arrays,
+                                      GatingPolicy(gating, gating), buffers,
+                                      fabric), latency)
         leak = (sram.leakage(buffers.local) + sram.leakage(buffers.global_)
                 + arrays.leakage_w)
         expected = latency * leak * (1.0 - gating)

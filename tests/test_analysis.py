@@ -3,48 +3,60 @@ import random
 
 import pytest
 
-from acceldse.analysis import MetricGrid, peak_flops, roofline
+from acceldse.analysis import (MetricGrid, operational_intensity, peak_flops,
+                               roofline)
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import FabricSpec
-from acceldse.memory import KIB, PhaseResult, TrafficReport
-from acceldse.sweep import DesignPoint, SweepRecord, evaluate_point, tile_phase
+from acceldse.memory import KIB, PhaseResult, PhaseTerms, TrafficReport
+from acceldse.sweep import (DesignPoint, SweepRecord, entry_terms,
+                            evaluate_point, tile_phase)
 from acceldse.workload import Phase, build_decode_trace
 
 
-def result_with(flops, dram_bytes, latency):
-    return PhaseResult(compute_cycles=1, compute_time=latency,
-                       memory_time=latency, latency=latency,
-                       total_cycles=1.0, compute_fraction=1.0,
-                       traffic=TrafficReport(dram_bytes, 0, 0, 0, 0, 0),
-                       utilization=1.0, flops=flops)
+def terms_with(flops, dram_bytes):
+    return PhaseTerms(compute_cycles=1,
+                      traffic=TrafficReport(dram_bytes, 0, 0, 0, 0, 0),
+                      utilization=1.0, flops=flops, onchip_time=0.0)
+
+
+def point_with(flops, dram_bytes, latency, peak, bw):
+    """The roofline point of a phase of `flops` and `dram_bytes` that
+    takes `latency` seconds."""
+    terms = terms_with(flops, dram_bytes)
+    result = PhaseResult(compute_cycles=1, compute_time=latency,
+                         memory_time=latency, latency=latency,
+                         total_cycles=1.0, compute_fraction=1.0,
+                         traffic=terms.traffic, utilization=1.0, flops=flops)
+    return roofline(result, operational_intensity(terms), peak, bw)
 
 
 def test_roofline_min_law():
     # oi = 5, peak 100 GF/s, bw 10 GB/s -> attainable 50 GF/s, memory-bound
-    r = result_with(flops=50 * 10**9, dram_bytes=10**10, latency=1.0)
-    pt = roofline(r, peak=100e9, bw=10e9)
+    pt = point_with(flops=50 * 10**9, dram_bytes=10**10, latency=1.0,
+                    peak=100e9, bw=10e9)
     assert pt.oi == 5.0
     assert pt.attainable == 50e9
     assert pt.bound == "memory"
 
 
 def test_roofline_compute_bound_above_ridge():
-    r = result_with(flops=10**12, dram_bytes=10**9, latency=1.0)  # oi = 1000
-    pt = roofline(r, peak=100e9, bw=10e9)
+    pt = point_with(flops=10**12, dram_bytes=10**9, latency=1.0,  # oi = 1000
+                    peak=100e9, bw=10e9)
     assert pt.attainable == 100e9
     assert pt.bound == "compute"
 
 
 def test_roofline_bandwidth_linearity_below_roof():
-    r = result_with(flops=50 * 10**9, dram_bytes=10**10, latency=1.0)
-    low = roofline(r, peak=1e15, bw=10e9)
-    high = roofline(r, peak=1e15, bw=20e9)
+    def at(bw):
+        return point_with(flops=50 * 10**9, dram_bytes=10**10, latency=1.0,
+                          peak=1e15, bw=bw)
+    low, high = at(10e9), at(20e9)
     assert high.attainable == 2 * low.attainable
 
 
 def test_roofline_rejects_zero_traffic():
     with pytest.raises(ValueError):
-        roofline(result_with(1, 0, 1.0), peak=1e9, bw=1e9)
+        operational_intensity(terms_with(1, 0))
 
 
 def test_peak_flops():
@@ -59,8 +71,9 @@ def fab_array():
 
 HW = load_hardware({})
 DECODE = evaluate_point(
-    tile_phase(build_decode_trace(load_model_spec({}), load_request({}), 0), HW,
-               64 * KIB, 2),
+    entry_terms(tile_phase(build_decode_trace(load_model_spec({}),
+                                              load_request({}), 0),
+                           HW, 64 * KIB, 2), Phase.DECODE_STEP, HW, 64 * KIB),
     Phase.DECODE_STEP, HW, DesignPoint(64 * KIB, 800e6, HW.ext_bandwidth))
 
 

@@ -11,6 +11,7 @@ from acceldse.cli import main
 from acceldse.config import (ConfigError, apply_overrides, load_hardware,
                              load_sweep_axes, parse_config)
 from acceldse.memory import GB, KIB
+from acceldse.sweep import ARGMIN_METRICS
 from acceldse.workload import InferenceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,6 +227,30 @@ def test_cli_report_prints_argmins(capsys):
     assert "records: 8  complete: True" in out
     assert "EDP argmin" in out
     assert "memory-bound from" in out
+
+
+def test_cli_report_prints_one_argmin_line_per_summary_argmin(tmp_path,
+                                                             capsys):
+    rc = main(["report", "--config", str(BASELINE), "--out", str(tmp_path),
+               "--override", "sweep.local_buffer_kb=16,64",
+               "--override", "sweep.frequency_mhz=400,800"])
+    assert rc == 0
+    blocks: dict[str, list[str]] = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.endswith(":") and not line.startswith(" "):
+            blocks[line[:-1]] = block = []
+        elif line.startswith("  ") and blocks:
+            block.append(line)
+    grids = json.loads((tmp_path / "summary.json").read_text())["grids"]
+    assert set(blocks) == set(grids)
+    for key, entry in grids.items():
+        argmins = [line for line in blocks[key] if " argmin " in line]
+        names = [name for name in entry if name.endswith("_argmin")]
+        assert len(argmins) == len(names) == len(ARGMIN_METRICS)
+        for name in names:
+            label = ARGMIN_METRICS[name.removesuffix("_argmin")]
+            assert sum(line.startswith(f"  {label} argmin ")
+                       for line in argmins) == 1, (key, name)
 
 
 def test_cli_sweep_exit_1_on_infeasible_cells(tmp_path, capsys):

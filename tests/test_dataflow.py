@@ -4,7 +4,7 @@ import pytest
 
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                matmul_local_accesses)
-from acceldse.memory import GB, MIB, matmul_totals, phase_result, phase_totals
+from acceldse.memory import GB, MIB, matmul_totals, phase_terms, phase_totals
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, \
     build_prefill_trace
 from oracle import SimulationGuardError, simulate_cycles
@@ -102,7 +102,7 @@ def test_fold_distribution_across_fabric():
 def utilization(m, fabric):
     """The array utilization of a phase made of the one GEMM `m`."""
     totals = matmul_totals(m, fabric, 64 * MIB, 2)
-    return phase_result(totals, fabric, 1e9, 1000 * GB, 1000 * GB).utilization
+    return phase_terms(totals, fabric, 1000 * GB).utilization
 
 
 def test_utilization_single_full_fold_formula():

@@ -7,9 +7,10 @@ from acceldse.config import (load_hardware, load_model_spec, load_request,
                              load_sweep_axes)
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
-                             phase_energy)
-from acceldse.memory import (GB, KIB, MIB, Buffers, PhaseResult,
-                             TrafficReport, phase_result, phase_totals)
+                             by_component, energy_terms, phase_energy)
+from acceldse.memory import (GB, KIB, MIB, Buffers, PhaseTerms,
+                             TrafficReport, phase_result, phase_terms,
+                             phase_totals)
 from acceldse.sweep import SweepSpec, evaluate_sweep, phase_table
 from acceldse.workload import Phase, build_decode_trace, build_prefill_trace
 
@@ -25,12 +26,24 @@ ONE_ARRAY = FabricSpec(cores=1, arrays_per_core=1, array=FABRIC.array)
 EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
 
 
-def fake_result(latency=1.0, cycles=1000, util=0.5,
-                traffic=TrafficReport(0, 0, 0, 0, 0, 0)) -> PhaseResult:
-    return PhaseResult(compute_cycles=cycles, compute_time=latency,
-                       memory_time=latency / 2, latency=latency,
-                       total_cycles=float(cycles), compute_fraction=1.0,
-                       traffic=traffic, utilization=util, flops=0)
+def fake_energy(latency, phase, sram, arrays, gating, buffers, fabric,
+                cycles=1000, util=0.5):
+    """The energy of a phase of `cycles` at `util` and no buffer traffic
+    that takes `latency` seconds."""
+    terms = PhaseTerms(compute_cycles=cycles,
+                       traffic=TrafficReport(0, 0, 0, 0, 0, 0),
+                       utilization=util, flops=0, onchip_time=0.0)
+    return phase_energy(energy_terms(terms, phase, sram, arrays, gating,
+                                     buffers, fabric), latency)
+
+
+def evaluate(totals, phase, buffers, f):
+    """(result, energy) of a phase's totals at f and the default
+    bandwidths."""
+    terms = phase_terms(totals, FABRIC, ONCHIP_BW)
+    r = phase_result(terms, f, EXT_BW)
+    return r, phase_energy(energy_terms(terms, phase, SRAM, ARRAYS, GATING,
+                                        buffers, FABRIC), r.latency)
 
 
 def leakage_w(sram, arrays, buffers, fabric) -> float:
@@ -47,9 +60,8 @@ def test_static_energy_hand_cases():
     bufs = Buffers(1000, 1000)
 
     def static(latency, phase):
-        return phase_energy(fake_result(latency=latency), phase, sram,
-                            arrays, GatingPolicy(0.0, 0.20), bufs,
-                            ONE_ARRAY).static_j
+        return fake_energy(latency, phase, sram, arrays,
+                           GatingPolicy(0.0, 0.20), bufs, ONE_ARRAY).static_j
 
     assert static(1.0, Phase.DECODE_STEP) == pytest.approx(8e-3)
     assert static(1.0, Phase.PREFILL) == pytest.approx(10e-3, rel=1e-12)
@@ -69,16 +81,16 @@ def test_access_energy_power_law():
 
 def test_array_part_paper_anchor():
     # 1.25 J per array for 1 s of full-utilization compute at ref frequency
-    r = fake_result(latency=1.0, cycles=int(ARRAYS.ref_frequency), util=1.0)
-    e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
-                     Buffers(32 * KIB, 40 * MIB), ONE_ARRAY)
-    assert e.by_component["arrays"]["dynamic_j"] == pytest.approx(1.25)
+    e = fake_energy(1.0, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
+                    Buffers(32 * KIB, 40 * MIB), ONE_ARRAY,
+                    cycles=int(ARRAYS.ref_frequency), util=1.0)
+    assert by_component(e, 1.0)["arrays"]["dynamic_j"] == pytest.approx(1.25)
 
 
 def test_dynamic_energy_zero_case():
-    r = fake_result(cycles=0, util=0.0)
     bufs = Buffers(32 * KIB, 40 * MIB)
-    e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs, FABRIC)
+    e = fake_energy(1.0, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs,
+                    FABRIC, cycles=0, util=0.0)
     assert e.dynamic_j == 0.0
     assert e.total_j == e.static_j and e.dynamic_power_w == 0.0
 
@@ -86,16 +98,15 @@ def test_dynamic_energy_zero_case():
 def test_total_energy_hand_cases():
     # two seconds of full-utilization compute on one array at its
     # reference clock and no buffer traffic: 2.5 J dynamic, 1.25 W
-    r = fake_result(latency=2.0, cycles=2 * int(ARRAYS.ref_frequency),
-                    util=1.0)
-    e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
-                     Buffers(32 * KIB, 40 * MIB), ONE_ARRAY)
+    e = fake_energy(2.0, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
+                    Buffers(32 * KIB, 40 * MIB), ONE_ARRAY,
+                    cycles=2 * int(ARRAYS.ref_frequency), util=1.0)
     assert e.dynamic_j == 2.5
     assert e.dynamic_power_w == 1.25
     assert e.total_j == e.static_j + 2.5
     with pytest.raises(ValueError, match="energy must be non-negative"):
-        phase_energy(fake_result(latency=-1.0), Phase.DECODE_STEP, SRAM,
-                     ARRAYS, GATING, Buffers(32 * KIB, 40 * MIB), ONE_ARRAY)
+        fake_energy(-1.0, Phase.DECODE_STEP, SRAM, ARRAYS, GATING,
+                    Buffers(32 * KIB, 40 * MIB), ONE_ARRAY)
 
 
 def test_identities_randomized():
@@ -106,10 +117,10 @@ def test_identities_randomized():
         gating = rng.uniform(0.0, 0.99)
         sram = SramEnergyModel(rng.uniform(1e-9, 1e-5), 2e-13, 32 * KIB, 0.5)
         arrays = ArrayPower(rng.uniform(1e-4, 1.0), 1.25, 1e9)
-        r = fake_result(latency=latency, cycles=rng.randrange(10**9),
+        e = fake_energy(latency, Phase.PREFILL, sram, arrays,
+                        GatingPolicy(gating, gating), bufs, FABRIC,
+                        cycles=rng.randrange(10**9),
                         util=rng.uniform(0.0, 1.0))
-        e = phase_energy(r, Phase.PREFILL, sram, arrays,
-                         GatingPolicy(gating, gating), bufs, FABRIC)
         leak = leakage_w(sram, arrays, bufs, FABRIC)
         assert e.static_j == pytest.approx(latency * leak * (1 - gating),
                                            rel=1e-12)
@@ -128,11 +139,11 @@ def test_phase_energy_composition():
     bufs = Buffers(64 * KIB, 40 * MIB)
     totals = phase_totals(build_decode_trace(MODEL, REQ, 0), FABRIC,
                           bufs.local, 2)
-    r = phase_result(totals, FABRIC, 800e6, EXT_BW, ONCHIP_BW)
-    e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs, FABRIC)
+    r, e = evaluate(totals, Phase.DECODE_STEP, bufs, 800e6)
     assert e.total_j == e.static_j + e.dynamic_j
     assert e.dynamic_power_w == e.dynamic_j / r.latency
-    assert set(e.by_component) == {"local_buffers", "global_buffer", "arrays"}
+    assert set(by_component(e, r.latency)) == {"local_buffers",
+                                               "global_buffer", "arrays"}
     leak = leakage_w(SRAM, ARRAYS, bufs, FABRIC)
     assert e.static_j == pytest.approx(r.latency * leak * 0.8, rel=1e-12)
 
@@ -149,7 +160,7 @@ def test_component_split_sums_to_totals(leakage, access, exponent):
                                           exponent))
     for record in evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE, 0).records:
         e = record.energy
-        parts = e.by_component.values()
+        parts = by_component(e, record.result.latency).values()
         assert e.dynamic_j == sum(c["dynamic_j"] for c in parts)
         assert e.total_j == e.static_j + e.dynamic_j
         assert sum(c["static_j"] for c in parts) == pytest.approx(
@@ -163,9 +174,7 @@ def test_memory_bound_array_energy_invariant_to_frequency():
                           bufs.local, 2)
     energies = set()
     for f in (600e6, 800e6, 1000e6, 1200e6, 1400e6):
-        r = phase_result(totals, FABRIC, f, EXT_BW, ONCHIP_BW)
-        e = phase_energy(r, Phase.DECODE_STEP, SRAM, ARRAYS, GATING, bufs,
-                         FABRIC)
+        _, e = evaluate(totals, Phase.DECODE_STEP, bufs, f)
         energies.add((e.static_j, e.dynamic_j))
     assert len(energies) == 1
 
@@ -176,7 +185,6 @@ def test_compute_bound_static_energy_decreases_with_frequency():
                           bufs.local, 2)
     statics = []
     for f in (200e6, 600e6, 1000e6, 1400e6):
-        r = phase_result(totals, FABRIC, f, EXT_BW, ONCHIP_BW)
-        e = phase_energy(r, Phase.PREFILL, SRAM, ARRAYS, GATING, bufs, FABRIC)
+        _, e = evaluate(totals, Phase.PREFILL, bufs, f)
         statics.append(e.static_j)
     assert all(b < a for a, b in zip(statics, statics[1:]))

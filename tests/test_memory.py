@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from acceldse.config import load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.memory import (GB, KIB, MIB, TilingError, phase_result,
-                             phase_totals, plan_tiling, tile_set_bytes,
-                             traffic)
+                             phase_terms, phase_totals, plan_tiling,
+                             tile_set_bytes, traffic)
 from acceldse.workload import (MatmulDims, build_decode_trace,
                                build_prefill_trace)
 from oracle import search_plan
@@ -238,7 +238,7 @@ def at(trace, f_hz):
     """The trace with a 64 KB local buffer, evaluated at f_hz and the
     default bandwidths."""
     totals = phase_totals(trace, FABRIC, 64 * KIB, 2)
-    return phase_result(totals, FABRIC, f_hz, EXT_BW, ONCHIP_BW)
+    return phase_result(phase_terms(totals, FABRIC, ONCHIP_BW), f_hz, EXT_BW)
 
 
 def test_phase_result_overlap_model():

@@ -126,6 +126,11 @@ TRACED_CALLS = {
     "memory.plan_tiling": 70,
     "sweep.evaluate_point": 294,
     "energy.phase_energy": 294,
+    # the f- and BW-free terms: once per (phase, S) entry
+    "sweep.entry_terms": 14,
+    "memory.phase_terms": 14,
+    "energy.energy_terms": 14,
+    "analysis.operational_intensity": 14,
 }
 
 

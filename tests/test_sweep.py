@@ -1,14 +1,27 @@
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acceldse import memory, sweep
-from acceldse.config import load_hardware, load_model_spec, load_request
+from acceldse.cli import main
+from acceldse.config import (apply_overrides, load_hardware, load_model_spec,
+                             load_request, load_sweep_axes, parse_config)
+from acceldse.energy import by_component
 from acceldse.memory import GB, KIB, TilingError
 from acceldse.sweep import (METRICS, DesignPoint, SweepSpec,
                             decode_mean_over_generation, emit_reports,
-                            evaluate_point, evaluate_sweep, metric_grid,
-                            phase_table, run_sweep, summary_dict, tile_phase)
+                            entry_terms, evaluate_point, evaluate_sweep,
+                            metric_grid, phase_table, run_sweep, summary_dict,
+                            tile_phase)
 from acceldse.workload import Phase, build_decode_trace
+from oracle import evaluate_cell
+
+BASELINE = str(Path(__file__).resolve().parent.parent / "configs"
+               / "baseline.conf")
 
 HW = load_hardware({})
 MODEL = load_model_spec({})
@@ -71,8 +84,9 @@ def test_single_point_matches_direct_evaluation():
     result = run_sweep(spec, HW, MODEL, REQ)
     assert len(result.records) == 1
     trace = build_decode_trace(MODEL, REQ, 0)
-    direct = evaluate_point(tile_phase(trace, HW, 64 * KIB,
-                                       MODEL.bytes_per_element),
+    totals = tile_phase(trace, HW, 64 * KIB, MODEL.bytes_per_element)
+    direct = evaluate_point(entry_terms(totals, Phase.DECODE_STEP, HW,
+                                        64 * KIB),
                             Phase.DECODE_STEP, HW,
                             DesignPoint(64 * KIB, 800e6, 2048 * GB))
     got = result.records[0]
@@ -233,6 +247,84 @@ def test_model_invariants_hold_on_random_small_configs(
                              []).append(r.latency)  # f ascends
     for cell, lat in latencies.items():
         assert all(b <= a for a, b in zip(lat, lat[1:])), cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_heads=st.sampled_from((1, 2, 3)), head_dim=st.integers(1, 12),
+       n_layers=st.integers(1, 3), batch=st.integers(1, 3),
+       prompt_len=st.integers(1, 30), rows=st.integers(1, 8),
+       cols=st.integers(1, 8), cores=st.integers(1, 4),
+       onchip_gbps=st.integers(1, 100_000),
+       gating=st.tuples(*[st.sampled_from((0.0, 0.04, 0.2))
+                          | st.floats(0.0, 0.99)] * 2),
+       s_bytes=st.lists(st.integers(16, 8192), min_size=1, max_size=3,
+                        unique=True),
+       f_mhz=st.lists(st.floats(10, 5000), min_size=1, max_size=3,
+                      unique=True),
+       bw_gbps=st.lists(st.integers(1, 50_000), min_size=1, max_size=3,
+                        unique=True),
+       printed=st.sampled_from(("prefill", "decode")))
+# one head, no gating, compute- and memory-bound cells at 1 GB/s, and an
+# S (16 bytes) that no tile set fits beside one that fits every GEMM
+@example(n_heads=1, head_dim=8, n_layers=1, batch=1, prompt_len=3, rows=3,
+         cols=1, cores=4, onchip_gbps=100_000, gating=(0.0, 0.0),
+         s_bytes=[16, 4096], f_mhz=[63.0, 5000.0], bw_gbps=[1],
+         printed="decode")
+def test_split_cells_match_the_unsplit_oracle(
+        n_heads, head_dim, n_layers, batch, prompt_len, rows, cols, cores,
+        onchip_gbps, gating, s_bytes, f_mhz, bw_gbps, printed):
+    # the overrides that configure one run, for `run_sweep` and `simulate`
+    overrides = {
+        "model.n_heads": n_heads, "model.head_dim": head_dim,
+        "model.d_model": n_heads * head_dim, "model.n_layers": n_layers,
+        "model.batch": batch, "model.prompt_len": prompt_len,
+        "hw.array_rows": rows, "hw.array_cols": cols, "hw.cores": cores,
+        "hw.onchip_bandwidth_gbps": onchip_gbps,
+        "hw.gating_prefill": gating[0], "hw.gating_decode": gating[1],
+        "sweep.local_buffer_kb": ",".join(repr(s / KIB) for s in s_bytes),
+        "sweep.frequency_mhz": ",".join(map(repr, f_mhz)),
+        "sweep.bandwidth_gbps": ",".join(map(str, bw_gbps)),
+        # simulate prints the largest S at the highest f and lowest BW
+        "hw.local_buffer_kb": repr(max(s_bytes) / KIB),
+        "hw.frequency_mhz": repr(max(f_mhz)), "hw.ext_bandwidth_gbps":
+        str(min(bw_gbps))}
+    argv = [f"{key}={value}" for key, value in overrides.items()]
+    values = apply_overrides(parse_config(BASELINE), argv)
+    hw = load_hardware(values)
+    spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
+    model, req = load_model_spec(values), load_request(values)
+    table = phase_table(spec, hw, model, req, 0)
+    oracle = {}
+    for rec in run_sweep(spec, hw, model, req).records:
+        totals = table[rec.phase, rec.point.s]
+        if isinstance(totals, str):  # no tile set fits this S
+            assert rec.error == totals
+            oracle[rec.phase, rec.point] = None
+            continue
+        result, energy, roof = evaluate_cell(totals, rec.phase, hw, rec.point)
+        oracle[rec.phase, rec.point] = energy
+        e = rec.energy
+        assert repr(rec.result) == repr(result)
+        assert repr(rec.roofline) == repr(roof)
+        assert repr({"static_j": e.static_j, "dynamic_j": e.dynamic_j,
+                     "total_j": e.total_j,
+                     "dynamic_power_w": e.dynamic_power_w,
+                     "by_component": by_component(e, rec.result.latency)}) \
+            == repr(energy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["simulate", "--config", BASELINE, "--phase", printed,
+                     "--format", "json", *(f"--override={o}" for o in argv)])
+    want = oracle[Phase(printed), DesignPoint(hw.buffers.local, hw.frequency,
+                                              hw.ext_bandwidth)]
+    if want is None:
+        assert code == 1
+    else:
+        assert code == 0
+        # json spells floats by repr; both sides sort their keys
+        assert json.dumps(json.loads(out.getvalue())["energy"],
+                          sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 DEFAULT_TABLE = phase_table(DEFAULT_SPEC, HW, MODEL, REQ, 0)
