@@ -15,8 +15,7 @@ from collections import namedtuple
 
 from .config import HardwareConfig
 from .memory import TilingError
-from .sweep import (SweepResult, SweepSpec, evaluate_sweep, metric_grid,
-                    phase_table)
+from .sweep import SweepResult, SweepSpec, argmin, evaluate_sweep, phase_table
 from .workload import InferenceRequest, ModelSpec, Phase
 
 STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
@@ -43,9 +42,8 @@ class CalibrationOutcome(namedtuple("CalibrationOutcome", (
 def _displacement(result: SweepResult,
                   target: CalibrationTarget) -> tuple[int, int, float]:
     spec = result.spec
-    grid = metric_grid(result, "edp", Phase.DECODE_STEP,
-                       spec.bw_values[0])
-    s_min, f_min = grid.argmin()
+    s_min, f_min = argmin(result.select(Phase.DECODE_STEP, spec.bw_values[0]),
+                          "edp")
     steps = (abs(spec.s_values.index(s_min) - spec.s_values.index(target.s_bytes))
              + abs(spec.f_values.index(f_min) - spec.f_values.index(target.f_hz)))
     return steps, s_min, f_min

@@ -46,7 +46,7 @@ class FabricSpec(namedtuple("FabricSpec", ("cores", "arrays_per_core", "array"))
         return self.total_arrays * self.array.rows * self.array.cols
 
 
-class CycleEstimate(namedtuple("CycleEstimate", ("compute_cycles", "folds"))):
+class CycleEstimate(namedtuple("CycleEstimate", ("compute_cycles",))):
     __slots__ = ()
 
 
@@ -80,9 +80,8 @@ def per_fold_cycles(m: MatmulDims, array: ArraySpec) -> int:
 
 
 def analytic_cycles(m: MatmulDims, fabric: FabricSpec) -> CycleEstimate:
-    folds = fold_count(m, fabric.array)
-    rounds = ceil(folds / fabric.total_arrays)
-    return CycleEstimate(rounds * per_fold_cycles(m, fabric.array), folds)
+    rounds = ceil(fold_count(m, fabric.array) / fabric.total_arrays)
+    return CycleEstimate(rounds * per_fold_cycles(m, fabric.array))
 
 
 def matmul_local_accesses(m: MatmulDims, array: ArraySpec) -> AccessCounts:

@@ -5,19 +5,20 @@ so the sweep tiles each (phase, S) once into a table.  An evaluation of
 the table computes each entry's f- and BW-free terms once
 (`entry_terms`), then each (f, BW) cell from them in closed form
 (`evaluate_point`).  Evaluation is serial and pure, so results are
-bit-identical for identical inputs.  Reports are per-metric
-grid CSVs, a roofline CSV, and a JSON summary with argmin cells and
+bit-identical for identical inputs.  The records of one (phase, BW) are
+its S x f grid (`SweepResult.select`); the argmin cells and contour
+levels are read from them.  Reports are per-metric grid CSVs, a roofline
+CSV, and a JSON summary with argmin cells, contour levels and
 bound-transition frequencies.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import namedtuple
 from pathlib import Path
 
-from .analysis import MetricGrid, operational_intensity, peak_flops, roofline
+from .analysis import operational_intensity, peak_flops, roofline
 from .config import HardwareConfig
 from .energy import EnergyTerms, energy_terms, phase_energy
 from .memory import (GB, Buffers, PhaseTerms, PhaseTotals, TilingError,
@@ -92,7 +93,7 @@ class SweepResult(namedtuple("SweepResult", (
         return all(r.ok for r in self.records)
 
     def select(self, phase: Phase, bw: float) -> tuple[SweepRecord, ...]:
-        """The S x f block of one (phase, BW), S-major."""
+        """The S x f grid of one (phase, BW): S-major, f ascending."""
         spec = self.spec
         size = len(spec.s_values) * len(spec.f_values)
         start = size * (spec.phases.index(phase) * len(spec.bw_values)
@@ -238,27 +239,41 @@ ARGMIN_METRICS = {"latency": "latency", "total_energy": "total energy",
                   "edp": "EDP"}
 
 
-def metric_grid(result: SweepResult, metric: str, phase: Phase,
-                bw: float) -> MetricGrid:
-    getter = METRICS[metric]
-    values = [getter(r) if r.ok else math.nan
-              for r in result.select(phase, bw)]
-    n_f = len(result.spec.f_values)
-    rows = tuple(tuple(values[i:i + n_f]) for i in range(0, len(values), n_f))
-    return MetricGrid(metric, result.spec.s_values, result.spec.f_values, rows)
+def _evaluated(block: tuple[SweepRecord, ...]) -> list[SweepRecord]:
+    ok = [r for r in block if r.ok]
+    if not ok:
+        raise ValueError("grid has no finite cells")
+    return ok
+
+
+def argmin(block: tuple[SweepRecord, ...], metric: str) -> tuple[int, float]:
+    """The (S, f) of the block's smallest `metric`, error cells skipped;
+    a tie goes to the first in block order, the smallest S then f."""
+    best = min(_evaluated(block), key=METRICS[metric]).point
+    return best.s, best.f
+
+
+def contour_levels(block: tuple[SweepRecord, ...], metric: str) -> list[float]:
+    """Ten evenly spaced levels from the block's min to max of `metric`
+    (for isoplots), error cells skipped."""
+    values = [METRICS[metric](r) for r in _evaluated(block)]
+    lo, hi = min(values), max(values)
+    step = (hi - lo) / 9
+    return [lo + i * step for i in range(10)]
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _grid_csv(grid: MetricGrid, phase: Phase, bw: float) -> str:
+def _grid_csv(block: tuple[SweepRecord, ...], metric: str, phase: Phase,
+              bw: float) -> str:
+    value = METRICS[metric]
     lines = ["metric,phase,bandwidth",
-             f"{grid.metric},{phase.value},{_fmt(bw)}",
+             f"{metric},{phase.value},{_fmt(bw)}",
              "S_bytes,f_hz,value"]
-    for si, s in enumerate(grid.s_axis):
-        for fi, f in enumerate(grid.f_axis):
-            lines.append(f"{s},{_fmt(f)},{_fmt(grid.values[si][fi])}")
+    lines += [f"{r.point.s},{_fmt(r.point.f)},"
+              f"{_fmt(value(r)) if r.ok else 'nan'}" for r in block]
     return "\n".join(lines) + "\n"
 
 
@@ -294,19 +309,19 @@ def summary_dict(result: SweepResult) -> dict:
             key = f"{phase.value}@{int(bw / GB)}GBps"
             # the lowest frequency at which each S is memory-bound, if any
             lowest: dict[int, float] = {}
-            for r in result.select(phase, bw):  # f ascends within each S
+            block = result.select(phase, bw)
+            for r in block:  # f ascends within each S
                 if r.ok and r.result.memory_bound:
                     lowest.setdefault(r.point.s, r.point.f / 1e6)
             entry: dict = {"bound_transition_mhz": {
                 str(s): lowest.get(s) for s in result.spec.s_values}}
             for metric in ARGMIN_METRICS:
-                grid = metric_grid(result, metric, phase, bw)
                 try:
-                    s_min, f_min = grid.argmin()
+                    s_min, f_min = argmin(block, metric)
                     entry[f"{metric}_argmin"] = {
                         "S_bytes": s_min, "f_hz": f_min}
-                    entry[f"{metric}_contour_levels"] = [
-                        float(v) for v in grid.contour_levels()]
+                    entry[f"{metric}_contour_levels"] = contour_levels(
+                        block, metric)
                 except ValueError:  # every cell infeasible
                     entry[f"{metric}_argmin"] = None
                     entry[f"{metric}_contour_levels"] = []
@@ -322,10 +337,10 @@ def emit_reports(result: SweepResult, out_dir: str | Path) -> list[Path]:
     for metric in METRICS:
         for phase in result.spec.phases:
             for bw in result.spec.bw_values:
-                grid = metric_grid(result, metric, phase, bw)
                 name = f"{metric}_{phase.value}_bw{int(bw / GB)}.csv"
                 path = out / name
-                path.write_text(_grid_csv(grid, phase, bw))
+                path.write_text(_grid_csv(result.select(phase, bw), metric,
+                                          phase, bw))
                 written.append(path)
     roof_path = out / "roofline.csv"
     roof_path.write_text(_roofline_csv(result))

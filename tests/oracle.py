@@ -32,7 +32,11 @@ class SimulationGuardError(ValueError):
     """Matmul too large for desk-scale cycle-accurate simulation."""
 
 
-class SimulatedCycles(namedtuple("SimulatedCycles", ("estimate", "counts"))):
+class SimulatedCycles(namedtuple("SimulatedCycles", (
+        "estimate",
+        "folds",  # weight folds run, K-folds x N-folds
+        "counts",
+))):
     __slots__ = ()
 
 
@@ -145,7 +149,7 @@ def simulate_cycles(m: MatmulDims, array: ArraySpec) -> SimulatedCycles:
     # psum re-read per extra K-fold (fold index > 0 along K)
     out_reads = m.M * m.N * (k_folds - 1)
     counts = AccessCounts(in_reads, w_reads, out_writes, out_reads)
-    return SimulatedCycles(CycleEstimate(cycles, k_folds * n_folds), counts)
+    return SimulatedCycles(CycleEstimate(cycles), k_folds * n_folds, counts)
 
 
 def _tile_sizes(dim: int) -> list[int]:

@@ -33,11 +33,13 @@ import time
 import pytest
 
 from acceldse.config import load_hardware, load_model_spec, load_request
-from acceldse.dataflow import ArraySpec, FabricSpec, analytic_cycles
+from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
+                               fold_count)
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
                              energy_terms, phase_energy)
 from acceldse.memory import GB, KIB, Buffers, PhaseTerms, TrafficReport
-from acceldse.sweep import SweepSpec, emit_reports, metric_grid, run_sweep
+from acceldse.sweep import (METRICS, SweepSpec, argmin, emit_reports,
+                            run_sweep)
 from acceldse.workload import MatmulDims, Phase
 from oracle import simulate_cycles
 
@@ -73,7 +75,9 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
 
 
 def grid(result, metric, phase, bw=BASELINE_BW):
-    return metric_grid(result, metric, phase, bw)
+    """{(S, f): metric} over the (phase, BW) block."""
+    value = METRICS[metric]
+    return {(r.point.s, r.point.f): value(r) for r in result.select(phase, bw)}
 
 
 def test_criterion_01_cycle_model_oracle_equivalence():
@@ -87,9 +91,10 @@ def test_criterion_01_cycle_model_oracle_equivalence():
                 for n_dim in range(1, 49):
                     m = MatmulDims(m_dim, k_dim, n_dim)
                     a = analytic_cycles(m, fab)
-                    s = simulate_cycles(m, arr).estimate
-                    assert a.compute_cycles == s.compute_cycles, (rows, m)
-                    assert a.folds == s.folds, (rows, m)
+                    s = simulate_cycles(m, arr)
+                    assert a.compute_cycles == s.estimate.compute_cycles, \
+                        (rows, m)
+                    assert fold_count(m, arr) == s.folds, (rows, m)
     elapsed = time.time() - t0
     ok = report("criterion 1: cycle-model oracle equivalence", elapsed < 60,
                 f"4 x 48^3 cases in {elapsed:.1f}s")
@@ -150,10 +155,10 @@ def test_criterion_04_memory_bound_plateau(sweep_result):
     worst_var = 0.0
     for s_kb in (32, 64, 128, 256, 512, 1024):
         s = s_kb * KIB
-        lats = [lat.value(s, f) for f in f_hi]
+        lats = [lat[s, f] for f in f_hi]
         var = max(lats) / min(lats) - 1.0
         worst_var = max(worst_var, var)
-        cycles = [cyc.value(s, f) for f in f_hi]
+        cycles = [cyc[s, f] for f in f_hi]
         assert all(b > a for a, b in zip(cycles, cycles[1:])), s_kb
     ok = report("criterion 4: memory-bound plateau", worst_var < 0.02,
                 f"worst latency variation {worst_var:.2e}")
@@ -231,9 +236,9 @@ def test_criterion_07_prefill_frequency_scaling(sweep_result):
     f_values = [f * 1e6 for f in F_MHZ]
     for s_kb in S_KB:
         s = s_kb * KIB
-        lats = [lat.value(s, f) for f in f_values]
+        lats = [lat[s, f] for f in f_values]
         assert all(b < a for a, b in zip(lats, lats[1:])), s_kb
-        energies = [en.value(s, f) for f in f_values]
+        energies = [en[s, f] for f in f_values]
         assert all(b <= a for a, b in zip(energies, energies[1:])), s_kb
     ok = report("criterion 7: prefill frequency scaling", True,
                 f"{len(S_KB)} buffer sizes")
@@ -245,7 +250,7 @@ def test_criterion_08_leakage_tax_monotonic(sweep_result):
     for phase in (Phase.PREFILL, Phase.DECODE_STEP):
         en = grid(sweep_result, "total_energy", phase)
         for f in (f * 1e6 for f in F_MHZ):
-            tail = [en.value(s_kb * KIB, f) for s_kb in S_KB if s_kb >= 64]
+            tail = [en[s_kb * KIB, f] for s_kb in S_KB if s_kb >= 64]
             assert all(b > a for a, b in zip(tail, tail[1:])), (phase, f)
     ok = report("criterion 8 (monotonic): energy rises with S >= 64 KB", True)
     assert ok
@@ -257,7 +262,7 @@ def test_criterion_08_energy_argmin_bound(sweep_result):
     for phase in (Phase.PREFILL, Phase.DECODE_STEP):
         en = grid(sweep_result, "total_energy", phase)
         for f in (f * 1e6 for f in F_MHZ):
-            col = [en.value(s_kb * KIB, f) for s_kb in S_KB]
+            col = [en[s_kb * KIB, f] for s_kb in S_KB]
             argmin_kb = S_KB[col.index(min(col))]
             worst = max(worst, argmin_kb)
     ok = report("criterion 8 (bound): per-f energy argmin <= 64 KB",
@@ -270,7 +275,7 @@ def test_criterion_08_prefill_argmin_is_32kb(sweep_result):
     en = grid(sweep_result, "total_energy", Phase.PREFILL)
     argmins = set()
     for f in (f * 1e6 for f in F_MHZ):
-        col = [en.value(s_kb * KIB, f) for s_kb in S_KB]
+        col = [en[s_kb * KIB, f] for s_kb in S_KB]
         argmins.add(S_KB[col.index(min(col))])
     ok = report("criterion 8 (prefill): energy argmin exactly 32 KB",
                 argmins == {32}, f"argmins {sorted(argmins)} KB")
@@ -301,7 +306,7 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
         dram = [t.dram_bytes for t in traffic]
         assert max(dram) / min(dram) - 1.0 < 1e-3, f
         assert len({(t.local_reads, t.local_writes) for t in traffic}) == 1, f
-        col = [en.value(s_kb * KIB, f) for s_kb in S_KB]
+        col = [en[s_kb * KIB, f] for s_kb in S_KB]
         argmins.add(S_KB[col.index(min(col))])
         tail = col[S_KB.index(32):]
         assert all(b > a for a, b in zip(tail, tail[1:])), f
@@ -312,8 +317,7 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
 
 
 def _edp_argmin(result, bw):
-    g = grid(result, "edp", Phase.DECODE_STEP, bw)
-    s, f = g.argmin()
+    s, f = argmin(result.select(Phase.DECODE_STEP, bw), "edp")
     return S_KB.index(s // KIB), F_MHZ.index(int(f / 1e6))
 
 
@@ -345,7 +349,7 @@ def test_criterion_09_bandwidth_shifts_argmin(sweep_result):
     At 2048 GB/s decode EDP is bit-identical for every f >= 600 MHz
     (latency is pinned by DRAM and array energy does not depend on f);
     the baseline argmin of 600 MHz is the smallest-f tie-break of
-    MetricGrid.argmin.
+    sweep.argmin.
 
     Checked instead: the premise (DRAM time is the memory time of every
     decode cell at 2048 and 8192 GB/s; every decode cell is compute-bound

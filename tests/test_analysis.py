@@ -1,15 +1,14 @@
-import math
 import random
 
 import pytest
 
-from acceldse.analysis import (MetricGrid, operational_intensity, peak_flops,
-                               roofline)
+from acceldse.analysis import operational_intensity, peak_flops, roofline
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import FabricSpec
 from acceldse.memory import KIB, PhaseResult, PhaseTerms, TrafficReport
-from acceldse.sweep import (DesignPoint, SweepRecord, entry_terms,
-                            evaluate_point, tile_phase)
+from acceldse.sweep import (DesignPoint, SweepRecord, SweepSpec, argmin,
+                            contour_levels, entry_terms, evaluate_point,
+                            run_sweep, tile_phase)
 from acceldse.workload import Phase, build_decode_trace
 
 
@@ -100,46 +99,58 @@ def test_edp_argmin_invariant_under_energy_rescaling():
     assert base.index(min(base)) == scaled.index(min(scaled))
 
 
-def grid_from(values, metric="latency"):
-    s_axis = tuple(16384 * (i + 1) for i in range(len(values)))
-    f_axis = tuple(2e8 * (i + 1) for i in range(len(values[0])))
-    return MetricGrid(metric, s_axis, f_axis,
-                      tuple(tuple(row) for row in values))
+def block_from(latencies):
+    """The S-major block of decode records whose latency at [s][f] is
+    `latencies[s][f]`; None marks a cell whose tiling failed."""
+    block = []
+    for si, row in enumerate(latencies):
+        for fi, latency in enumerate(row):
+            point = DesignPoint(16384 * (si + 1), 2e8 * (fi + 1),
+                                HW.ext_bandwidth)
+            block.append(
+                SweepRecord(point, Phase.DECODE_STEP, None, None, None,
+                            error="no tile set fits") if latency is None
+                else record_with(1.0, latency)._replace(point=point))
+    return tuple(block)
 
 
-def test_grid_shape_and_missing_cell():
-    g = grid_from([[1.0, 2.0], [3.0, 4.0]])
-    assert g.value(16384, 2e8) == 1.0
-    assert g.value(32768, 4e8) == 4.0
-    with pytest.raises(ValueError):  # a row missing a cell
-        MetricGrid("latency", (1, 2), (1.0,), ((0.0,), ()))
-    with pytest.raises(ValueError):  # a missing row
-        MetricGrid("latency", (1, 2), (1.0,), ((0.0,),))
+def test_select_block_is_the_s_major_grid():
+    # a (phase, BW) block holds every S x f cell, error cells included,
+    # S-major with f ascending within each S
+    spec = SweepSpec((8, 64 * KIB), (4e8, 8e8), (HW.ext_bandwidth,),
+                     (Phase.DECODE_STEP,))
+    result = run_sweep(spec, HW, load_model_spec({}), load_request({}))
+    block = result.select(Phase.DECODE_STEP, HW.ext_bandwidth)
+    assert [(r.point.s, r.point.f, r.ok) for r in block] == [
+        (8, 4e8, False), (8, 8e8, False),
+        (64 * KIB, 4e8, True), (64 * KIB, 8e8, True)]
+    assert argmin(block, "latency") == (64 * KIB, 8e8)
 
 
 def test_argmin_tie_break_smallest_s_then_f():
-    g = grid_from([[5.0, 5.0], [5.0, 5.0]])
-    assert g.argmin() == (16384, 2e8)
-    g2 = grid_from([[7.0, 3.0], [3.0, 9.0]])
-    assert g2.argmin() == (16384, 4e8)  # first minimal cell scanning S-major
+    assert argmin(block_from([[5.0, 5.0], [5.0, 5.0]]), "latency") \
+        == (16384, 2e8)
+    # first minimal cell scanning S-major
+    assert argmin(block_from([[7.0, 3.0], [3.0, 9.0]]), "latency") \
+        == (16384, 4e8)
 
 
-def test_argmin_skips_nan_cells():
-    g = grid_from([[math.nan, 4.0], [2.0, 9.0]])
-    assert g.argmin() == (32768, 2e8)
+def test_argmin_skips_error_cells():
+    assert argmin(block_from([[None, 4.0], [2.0, 9.0]]), "latency") \
+        == (32768, 2e8)
 
 
-def test_all_nan_grid_raises():
-    g = grid_from([[math.nan, math.nan]])
-    with pytest.raises(ValueError):
-        g.argmin()
-    with pytest.raises(ValueError):
-        g.contour_levels()
+def test_all_error_block_raises():
+    block = block_from([[None, None]])
+    with pytest.raises(ValueError, match="grid has no finite cells"):
+        argmin(block, "latency")
+    with pytest.raises(ValueError, match="grid has no finite cells"):
+        contour_levels(block, "latency")
 
 
 def test_contour_levels_span_grid():
-    g = grid_from([[0.0, 1.0], [2.0, 10.0]])
-    levels = g.contour_levels()
+    levels = contour_levels(
+        block_from([[0.0, 1.0], [None, 2.0], [2.0, 10.0]]), "latency")
     assert len(levels) == 10
     assert levels[0] == 0.0 and levels[-1] == 10.0
     steps = [b - a for a, b in zip(levels, levels[1:])]

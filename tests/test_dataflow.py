@@ -3,7 +3,7 @@ import random
 import pytest
 
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
-                               matmul_local_accesses)
+                               fold_count, matmul_local_accesses)
 from acceldse.memory import GB, MIB, matmul_totals, phase_terms, phase_totals
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, \
     build_prefill_trace
@@ -19,7 +19,7 @@ def test_analytic_hand_cases():
     # one full fold: preload + stream + drain
     assert analytic_cycles(MatmulDims(4, 4, 4), single(4)).compute_cycles == 14
     assert analytic_cycles(MatmulDims(16, 16, 16), single(16)).compute_cycles == 62
-    assert analytic_cycles(MatmulDims(4, 32, 32), single(16)).folds == 4
+    assert fold_count(MatmulDims(4, 32, 32), ArraySpec(16, 16)) == 4
 
 
 def test_simulate_hand_cases():
@@ -29,8 +29,7 @@ def test_simulate_hand_cases():
 
 
 def test_single_fold_when_dims_fit():
-    est = simulate_cycles(MatmulDims(7, 13, 11), ArraySpec(16, 16)).estimate
-    assert est.folds == 1
+    assert simulate_cycles(MatmulDims(7, 13, 11), ArraySpec(16, 16)).folds == 1
 
 
 def test_simulation_guard():
@@ -50,7 +49,7 @@ def test_oracle_equivalence_sampled(rows):
                 a = analytic_cycles(m, fab)
                 s = simulate_cycles(m, arr)
                 assert a.compute_cycles == s.estimate.compute_cycles, m
-                assert a.folds == s.estimate.folds
+                assert fold_count(m, arr) == s.folds
 
 
 def test_rectangular_array_equivalence():

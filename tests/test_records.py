@@ -3,7 +3,6 @@ their fields; the checks must hold on every path that builds one."""
 
 import pytest
 
-from acceldse.analysis import MetricGrid
 from acceldse.calibrate import _rebuilt
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec
@@ -41,8 +40,6 @@ CHECKED = [
      "phases must be non-empty"),
     (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "phases",
      (Phase.DECODE_STEP, Phase.DECODE_STEP), "phases must not repeat"),
-    (MetricGrid("edp", (1,), (1.0,), ((1.0,),)), "values", ((1.0, 2.0),),
-     "grid shape must be |s_axis| x |f_axis|"),
 ]
 
 

@@ -91,6 +91,13 @@ def test_cli_stdout_matches_recorded_digest(argv, capsysbinary):
     assert hashlib.sha256(stdout).hexdigest() == STDOUT_DIGESTS[argv]
 
 
+def test_report_out_tree_matches_sweep_reference(tmp_path):
+    # `report --out` emits the tree that `sweep --out` does
+    assert main(["report", "--config", BASELINE, "--out", str(tmp_path)]) == 0
+    assert WL.tree_digests(tmp_path) \
+        == WL.load_references()["sweep_default"]["files"]
+
+
 # sha256 of json.dumps(model_counts(name), sort_keys=True)
 MODEL_COUNT_DIGESTS = {
     "sweep_default":
@@ -131,6 +138,9 @@ TRACED_CALLS = {
     "memory.phase_terms": 14,
     "energy.energy_terms": 14,
     "analysis.operational_intensity": 14,
+    # the summary's argmins: 6 (phase, BW) blocks x 3 metrics
+    "sweep.argmin": 18,
+    "sweep.contour_levels": 18,
 }
 
 

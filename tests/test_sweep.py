@@ -15,8 +15,7 @@ from acceldse.memory import GB, KIB, TilingError
 from acceldse.sweep import (METRICS, DesignPoint, SweepSpec,
                             decode_mean_over_generation, emit_reports,
                             entry_terms, evaluate_point, evaluate_sweep,
-                            metric_grid, phase_table, run_sweep, summary_dict,
-                            tile_phase)
+                            phase_table, run_sweep, summary_dict, tile_phase)
 from acceldse.workload import Phase, build_decode_trace
 from oracle import evaluate_cell
 
@@ -102,14 +101,13 @@ def test_infeasible_cells_recorded_not_skipped(tmp_path):
     bad = [r for r in result.records if not r.ok]
     assert len(bad) == 1 and bad[0].point.s == 8
     assert not result.complete
-    # grids stay dense: the error cell is NaN
-    grid = metric_grid(result, "latency", Phase.DECODE_STEP, 2048 * GB)
-    import math
-    assert math.isnan(grid.value(8, 800e6))
-    assert not math.isnan(grid.value(64 * KIB, 800e6))
+    # grids stay dense: the error cell keeps its place, and its value is NaN
+    block = result.select(Phase.DECODE_STEP, 2048 * GB)
+    assert [(r.point.s, r.ok) for r in block] == [(8, False), (64 * KIB, True)]
     emit_reports(result, tmp_path)
-    text = (tmp_path / "latency_decode_bw2048.csv").read_text()
-    assert "nan" in text
+    rows = (tmp_path / "latency_decode_bw2048.csv").read_text().splitlines()
+    assert rows[3:] == ["8,800000000.0,nan",
+                        f"{64 * KIB},800000000.0,{block[1].result.latency!r}"]
 
 
 def test_emit_reports_file_set(tmp_path):
