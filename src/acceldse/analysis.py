@@ -1,7 +1,7 @@
-"""Roofline points: operational intensity, attainable and achieved flops/s.
+"""Roofline points: attainable and achieved flops/s at one (f, BW) cell.
 
-A phase's operational intensity is fixed by its (phase, S) terms; the
-roofline point at one (f, BW) cell is computed from it.
+A phase's operational intensity is one of its (phase, S) terms
+(`memory.phase_terms`); the roofline point of each cell is read from it.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .dataflow import FabricSpec
-from .memory import PhaseResult, PhaseTerms
+from .memory import PhaseResult
 
 
 class RooflinePoint(namedtuple("RooflinePoint", (
@@ -23,13 +23,6 @@ class RooflinePoint(namedtuple("RooflinePoint", (
 
 def peak_flops(fabric: FabricSpec, frequency: float) -> float:
     return fabric.macs_per_cycle * 2 * frequency
-
-
-def operational_intensity(terms: PhaseTerms) -> float:
-    """Flops per external-memory byte; no clock or bandwidth enters."""
-    if terms.traffic.dram_bytes <= 0:
-        raise ValueError("roofline undefined for zero external traffic")
-    return terms.flops / terms.traffic.dram_bytes
 
 
 def roofline(result: PhaseResult, oi: float, peak: float,

@@ -16,7 +16,7 @@ from collections import namedtuple
 from .config import HardwareConfig
 from .memory import TilingError
 from .sweep import SweepResult, SweepSpec, argmin, evaluate_sweep, phase_table
-from .workload import InferenceRequest, ModelSpec, Phase
+from .workload import InferenceRequest, ModelSpec
 
 STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
 MAX_ROUNDS = 20
@@ -42,8 +42,7 @@ class CalibrationOutcome(namedtuple("CalibrationOutcome", (
 def _displacement(result: SweepResult,
                   target: CalibrationTarget) -> tuple[int, int, float]:
     spec = result.spec
-    s_min, f_min = argmin(result.select(Phase.DECODE_STEP, spec.bw_values[0]),
-                          "edp")
+    s_min, f_min = argmin(result.select("decode", spec.bw_values[0]), "edp")
     steps = (abs(spec.s_values.index(s_min) - spec.s_values.index(target.s_bytes))
              + abs(spec.f_values.index(f_min) - spec.f_values.index(target.f_hz)))
     return steps, s_min, f_min
@@ -65,18 +64,18 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
               req: InferenceRequest, target: CalibrationTarget,
               decode_step: int = 0) -> CalibrationOutcome:
     if (target.s_bytes not in spec.s_values or target.f_hz not in spec.f_values
-            or Phase.DECODE_STEP not in spec.phases):
+            or "decode" not in spec.phases):
         raise ValueError("calibration target must lie on the sweep grid")
     leakage = hw.sram.leakage_per_byte
     access = hw.sram.access_energy_ref
     evals = 0
     # the search reads one S x f block: decode at the first BW
-    spec = _rebuilt(spec, phases=(Phase.DECODE_STEP,),
+    spec = _rebuilt(spec, phases=("decode",),
                     bw_values=spec.bw_values[:1])
     table = phase_table(spec, hw, model, req, decode_step)
     if all(isinstance(totals, str) for totals in table.values()):
         raise TilingError("no decode cell can be evaluated: "
-                          f"{table[Phase.DECODE_STEP, spec.s_values[-1]]}")
+                          f"{table['decode', spec.s_values[-1]]}")
 
     def measure(lk: float, ac: float) -> tuple[int, int, float]:
         nonlocal evals

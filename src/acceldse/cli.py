@@ -15,7 +15,7 @@ from .memory import GB, KIB, TilingError
 from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, SweepRecord,
                     SweepSpec, decode_mean_over_generation, emit_reports,
                     roofline_row, run_sweep, summary_dict)
-from .workload import Phase
+from .workload import PHASES
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -29,14 +29,21 @@ CSV_FIELDS = ("phase", "S_bytes", "f_hz", "bw_bytes_per_s", "bound",
               "total_j", "edp_js")
 
 
-def _load(args, phases: tuple[Phase, ...] | None = None):
+def _load(args, phases: tuple[str, ...] | None = None):
     """(sweep spec, hardware, model, request, decode step) of the configured
     run, in `run_sweep`'s order, with every key parsed once; the step is
     checked for `phases`, by default the sweep's."""
     values = apply_overrides(parse_config(args.config), args.override or [])
     spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
-    return (spec, load_hardware(values), load_model_spec(values),
-            load_request(values), decode_step(values, phases or spec.phases))
+    hw = load_hardware(values)
+    try:  # the exponent is positive: the largest buffer costs most
+        hw.sram.access_energy(max(*hw.buffers, spec.s_values[-1]))
+    except OverflowError:
+        raise ConfigError("bad value for hw.sram_access_exponent: "
+                          f"{hw.sram.access_exponent!r} overflows the SRAM "
+                          "per-access energy") from None
+    return (spec, hw, load_model_spec(values), load_request(values),
+            decode_step(values, phases or spec.phases))
 
 
 def _record_dict(record: SweepRecord) -> dict:
@@ -45,7 +52,7 @@ def _record_dict(record: SweepRecord) -> dict:
     return {
         "point": {"S_bytes": record.point.s, "f_hz": record.point.f,
                   "bw_bytes_per_s": record.point.bw},
-        "phase": record.phase.value,
+        "phase": record.phase,
         "compute_cycles": r.compute_cycles,
         "compute_time_s": r.compute_time,
         "memory_time_s": r.memory_time,
@@ -101,14 +108,13 @@ def _print_csv(record: SweepRecord) -> None:
 
 
 def cmd_simulate(args) -> int:
-    phase = Phase(args.phase)
-    if args.decode_mode == "mean" and (phase is Phase.PREFILL
+    if args.decode_mode == "mean" and (args.phase == "prefill"
                                        or args.format == "csv"):
         raise ConfigError("--decode-mode mean needs --phase decode and "
                           "--format table or json")
-    _, hw, model, req, step = _load(args, (phase,))
+    _, hw, model, req, step = _load(args, (args.phase,))
     point = DesignPoint(hw.buffers.local, hw.frequency, hw.ext_bandwidth)
-    spec = SweepSpec((point.s,), (point.f,), (point.bw,), (phase,))
+    spec = SweepSpec((point.s,), (point.f,), (point.bw,), (args.phase,))
     [record] = run_sweep(spec, hw, model, req, step).records
     if not record.ok:
         print(f"error: {record.error}", file=sys.stderr)
@@ -133,7 +139,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     result = run_sweep(*_load(args))
-    written = emit_reports(result, args.out)
+    written = emit_reports(result, args.out, summary_dict(result))
     print(f"evaluated {len(result.records)} records, "
           f"wrote {len(written)} files to {args.out}")
     if not result.complete:
@@ -145,15 +151,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_roofline(args) -> int:
-    phase = Phase(args.phase)
     spec, *run = _load(args)
-    if phase not in spec.phases:
+    if args.phase not in spec.phases:
         raise ConfigError(f"bad value for sweep.phases: must include "
-                          f"--phase {phase.value}")
+                          f"--phase {args.phase}")
     result = run_sweep(spec, *run)
     print(ROOFLINE_HEADER)
     for r in result.records:
-        if r.phase is phase and r.ok:
+        if r.phase == args.phase and r.ok:
             print(roofline_row(r))
     return EXIT_OK if result.complete else EXIT_FAILURE
 
@@ -169,7 +174,7 @@ def cmd_calibrate(args) -> int:
     for flag, value, axis in (
             ("--target-s-kb", s_bytes, spec.s_values),
             ("--target-f-mhz", f_hz, spec.f_values),
-            ("sweep.phases", Phase.DECODE_STEP, spec.phases)):
+            ("sweep.phases", "decode", spec.phases)):
         if value not in axis:
             raise ConfigError(f"bad value for {flag}: the calibration target "
                               f"must lie on the sweep grid")
@@ -211,7 +216,7 @@ def cmd_report(args) -> int:
             for s, mhz in entry["bound_transition_mhz"].items()}
         print(f"  memory-bound from   {transitions}")
     if args.out:
-        written = emit_reports(result, args.out)
+        written = emit_reports(result, args.out, summary)
         print(f"wrote {len(written)} files to {args.out}")
     return EXIT_OK if result.complete else EXIT_FAILURE
 
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="evaluate one design point")
     common(p)
-    p.add_argument("--phase", choices=("prefill", "decode"), default="decode")
+    p.add_argument("--phase", choices=PHASES, default="decode")
     p.add_argument("--format", choices=("table", "json", "csv"),
                    default="table")
     p.add_argument("--decode-mode", choices=("step", "mean"), default="step",
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roofline", help="print roofline points for a phase")
     common(p)
-    p.add_argument("--phase", choices=("prefill", "decode"), default="decode")
+    p.add_argument("--phase", choices=PHASES, default="decode")
     p.set_defaults(func=cmd_roofline)
 
     p = sub.add_parser("calibrate",

@@ -17,7 +17,7 @@ from pathlib import Path
 from .dataflow import ArraySpec, FabricSpec
 from .energy import ArrayPower, GatingPolicy, SramEnergyModel
 from .memory import GB, KIB, MIB, Buffers
-from .workload import InferenceRequest, ModelSpec, Phase
+from .workload import PHASES, InferenceRequest, ModelSpec
 
 MHZ = 10**6
 
@@ -76,10 +76,12 @@ def _axis(parse):
     return parse_axis
 
 
-def _phases(text: str) -> list[Phase]:
-    phases = [Phase(name.strip()) for name in text.split(",") if name.strip()]
-    if not phases or len(set(phases)) < len(phases):
-        raise ValueError("need one or more phases, each named once")
+def _phases(text: str) -> list[str]:
+    phases = [name.strip() for name in text.split(",") if name.strip()]
+    if (not phases or len(set(phases)) < len(phases)
+            or not set(phases) <= set(PHASES)):
+        raise ValueError(f"need one or more of {', '.join(PHASES)}, "
+                         "each named once")
     return phases
 
 
@@ -206,13 +208,13 @@ def load_request(values: dict[str, str]) -> InferenceRequest:
 
 
 def decode_step(values: dict[str, str],
-                phases: tuple[Phase, ...] = (Phase.DECODE_STEP,)) -> int:
+                phases: tuple[str, ...] = ("decode",)) -> int:
     """`model.decode_step`, checked against `model.gen_tokens`; a run
     whose `phases` include decode needs at least one generated token.
     `load_request` checks `model.gen_tokens` itself."""
     fields = _parse(values, {**_STEP, "gen_tokens": _REQUEST["gen_tokens"]})
     step, gen_tokens = fields["step"], fields["gen_tokens"]
-    if not gen_tokens and Phase.DECODE_STEP in phases:
+    if not gen_tokens and "decode" in phases:
         raise ConfigError("bad value for model.gen_tokens: 0 leaves no "
                           "decode step to evaluate (need >= 1)")
     if gen_tokens and not 0 <= step < gen_tokens:
@@ -231,6 +233,6 @@ def load_hardware(values: dict[str, str]) -> HardwareConfig:
                   gating=_build(GatingPolicy, _GATING, values))
 
 
-def load_sweep_axes(values: dict[str, str]) -> tuple[list[int], list[float], list[float], list[Phase]]:
+def load_sweep_axes(values: dict[str, str]) -> tuple[list[int], list[float], list[float], list[str]]:
     """(S bytes, f Hz, BW bytes/s, phases); each axis sorted and distinct."""
     return tuple(_parse(values, _SWEEP).values())

@@ -6,9 +6,9 @@ Arrays draw dynamic power only while computing (clock-gated when
 stalled) and leak all the time; power gating trims a phase-dependent
 share of all leakage.
 
-`energy_terms` computes, once per (phase, S), the leakage power and each
-component's dynamic energy; `phase_energy` scales the leakage by one
-cell's latency.  `by_component` splits a printed record's energy.
+`energy_terms` computes, once per (phase, S), one table of each
+component's leakage and dynamic energy; `phase_energy` scales the leakage
+by one cell's latency, and `by_component` reads the table.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections import namedtuple
 
 from .dataflow import FabricSpec
 from .memory import Buffers, PhaseTerms
-from .workload import Phase
 
 
 class SramEnergyModel(namedtuple("SramEnergyModel", (
@@ -66,15 +65,14 @@ class GatingPolicy(namedtuple("GatingPolicy", (
                 raise ValueError("gating saving must be in [0, 1)")
         return self
 
-    def saving(self, phase: Phase) -> float:
-        return self.prefill_saving if phase is Phase.PREFILL else self.decode_saving
+    def saving(self, phase: str) -> float:
+        return self.prefill_saving if phase == "prefill" else self.decode_saving
 
 
 class EnergyTerms(namedtuple("EnergyTerms", (
-        "leakage",  # {component: (W per instance, instances)}, ungated
+        "components",  # {name: (W each, instances, dynamic J)}, ungated
         "static_w",  # the leakage of every component, ungated
         "ungated",  # 1 - the phase's gating saving
-        "dynamic_parts",  # {component: J}
         "dynamic_j",
 ))):
     """The frequency- and bandwidth-free energy terms of one phase."""
@@ -92,7 +90,7 @@ class EnergyBreakdown(namedtuple("EnergyBreakdown", (
     __slots__ = ()
 
 
-def energy_terms(terms: PhaseTerms, phase: Phase, sram: SramEnergyModel,
+def energy_terms(terms: PhaseTerms, phase: str, sram: SramEnergyModel,
                  arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
                  fabric: FabricSpec) -> EnergyTerms:
     """Leakage power and dynamic energy of one phase's terms.
@@ -101,30 +99,26 @@ def energy_terms(terms: PhaseTerms, phase: Phase, sram: SramEnergyModel,
     frequency cancelled (cycles / ref_frequency) so that design points
     with identical cycles get bit-identical energy at every frequency.
     """
-    local_w = sram.leakage(buffers.local)
-    global_w = sram.leakage(buffers.global_)
-    static_w = (local_w * fabric.cores + global_w
-                + arrays.leakage_w * fabric.total_arrays)
-    leakage = {  # one global buffer: multiplying by 1 is exact
-        "local_buffers": (local_w, fabric.cores),
-        "global_buffer": (global_w, 1),
-        "arrays": (arrays.leakage_w, fabric.total_arrays),
-    }
     tr = terms.traffic
-    dynamic_parts = {
-        "local_buffers": (tr.local_reads + tr.local_writes)
-        * sram.access_energy(buffers.local),
-        "global_buffer": (tr.global_reads + tr.global_writes)
-        * sram.access_energy(buffers.global_),
-        "arrays": (arrays.dynamic_w_ref * terms.utilization
+    components = {
+        "local_buffers": (sram.leakage(buffers.local), fabric.cores,
+                          (tr.local_reads + tr.local_writes)
+                          * sram.access_energy(buffers.local)),
+        "global_buffer": (sram.leakage(buffers.global_), 1,
+                          (tr.global_reads + tr.global_writes)
+                          * sram.access_energy(buffers.global_)),
+        "arrays": (arrays.leakage_w, fabric.total_arrays,
+                   arrays.dynamic_w_ref * terms.utilization
                    * (terms.compute_cycles / arrays.ref_frequency)
                    * fabric.total_arrays),
     }
-    dynamic = sum(dynamic_parts.values())
+    # summed from 0, left to right: 0 + x and x * 1 are exact
+    static_w = sum(watts * count for watts, count, _ in components.values())
+    dynamic = sum(joules for _, _, joules in components.values())
     if dynamic < 0:
         raise ValueError("energy must be non-negative")
-    return EnergyTerms(leakage, static_w, 1.0 - gating.saving(phase),
-                       dynamic_parts, dynamic)
+    return EnergyTerms(components, static_w, 1.0 - gating.saving(phase),
+                       dynamic)
 
 
 def phase_energy(terms: EnergyTerms, latency: float) -> EnergyBreakdown:
@@ -144,5 +138,5 @@ def by_component(energy: EnergyBreakdown,
     only up to rounding."""
     terms = energy.terms
     return {name: {"static_j": latency * watts * count * terms.ungated,
-                   "dynamic_j": terms.dynamic_parts[name]}
-            for name, (watts, count) in terms.leakage.items()}
+                   "dynamic_j": joules}
+            for name, (watts, count, joules) in terms.components.items()}

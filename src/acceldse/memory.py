@@ -9,8 +9,9 @@ A phase is evaluated in three steps.  `phase_totals` fixes its cycles and
 traffic from the trace, the fabric and the local buffer size alone, as
 the sum of each distinct GEMM's `matmul_totals`.  `phase_terms` derives
 what else the clock and the external bandwidth never touch: utilization,
-flops and the on-chip transfer time.  `phase_result` then applies the
-clock and the external bandwidth in closed form.  A sweep runs the first
+flops, the operational intensity and the on-chip transfer time.
+`phase_result` then applies the clock and the external bandwidth in
+closed form.  A sweep runs the first
 two steps once per (phase, S), however many (f, BW) cells share it.
 """
 
@@ -68,6 +69,7 @@ class PhaseTerms(namedtuple("PhaseTerms", (
         "traffic",
         "utilization",
         "flops",  # two per MAC: one multiply, one add
+        "oi",  # flops per external-memory byte
         "onchip_time",  # seconds on the on-chip link
 ))):
     """The frequency- and external-bandwidth-free terms of one phase's
@@ -246,11 +248,13 @@ def phase_terms(totals: PhaseTotals, fabric: FabricSpec,
                 onchip_bandwidth: float) -> PhaseTerms:
     """The terms of one phase's totals that no clock or external bandwidth
     enters, with the on-chip bandwidth in bytes/s."""
-    cycles = totals.compute_cycles
+    cycles, flops, tr = totals.compute_cycles, 2 * totals.macs, totals.traffic
+    if tr.dram_bytes <= 0:
+        raise ValueError("roofline undefined for zero external traffic")
     utilization = totals.macs / (fabric.total_arrays * cycles
                                  * fabric.array.rows * fabric.array.cols)
-    return PhaseTerms(cycles, totals.traffic, utilization, 2 * totals.macs,
-                      totals.traffic.onchip_bytes / onchip_bandwidth)
+    return PhaseTerms(cycles, tr, utilization, flops, flops / tr.dram_bytes,
+                      tr.onchip_bytes / onchip_bandwidth)
 
 
 def phase_result(terms: PhaseTerms, frequency: float,

@@ -18,13 +18,13 @@ import json
 from collections import namedtuple
 from pathlib import Path
 
-from .analysis import operational_intensity, peak_flops, roofline
+from .analysis import peak_flops, roofline
 from .config import HardwareConfig
 from .energy import EnergyTerms, energy_terms, phase_energy
 from .memory import (GB, Buffers, PhaseTerms, PhaseTotals, TilingError,
                      matmul_totals, phase_result, phase_terms, phase_totals,
                      sum_totals)
-from .workload import (InferenceRequest, ModelSpec, Phase, PhaseTrace,
+from .workload import (PHASES, InferenceRequest, ModelSpec, PhaseTrace,
                        attention_matmuls, build_decode_trace,
                        build_prefill_trace, weight_matmuls)
 
@@ -49,6 +49,8 @@ class SweepSpec(namedtuple("SweepSpec", (
             if name == "phases":
                 if len(set(vals)) < len(vals):
                     raise ValueError("phases must not repeat")
+                if not set(vals) <= set(PHASES):
+                    raise ValueError(f"phases must be among {PHASES}")
             elif any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
         return self
@@ -92,7 +94,7 @@ class SweepResult(namedtuple("SweepResult", (
     def complete(self) -> bool:
         return all(r.ok for r in self.records)
 
-    def select(self, phase: Phase, bw: float) -> tuple[SweepRecord, ...]:
+    def select(self, phase: str, bw: float) -> tuple[SweepRecord, ...]:
         """The S x f grid of one (phase, BW): S-major, f ascending."""
         spec = self.spec
         size = len(spec.s_values) * len(spec.f_values)
@@ -140,9 +142,8 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
                      for m, _ in attention}
         totals = sum_totals([(weights, 1),
                              *((tiled[m], count) for m, count in attention)])
-        record = evaluate_point(
-            entry_terms(totals, Phase.DECODE_STEP, hw, point.s),
-            Phase.DECODE_STEP, hw, point)
+        record = evaluate_point(entry_terms(totals, "decode", hw, point.s),
+                                "decode", hw, point)
         latency += record.result.latency
         energy += record.energy.total_j
         edp_sum += record.edp
@@ -157,39 +158,38 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     }
 
 
-def entry_terms(totals: PhaseTotals | str, phase: Phase, hw: HardwareConfig,
-                s: int) -> tuple[PhaseTerms, EnergyTerms, float] | str:
+def entry_terms(totals: PhaseTotals | str, phase: str, hw: HardwareConfig,
+                s: int) -> tuple[PhaseTerms, EnergyTerms] | str:
     """The terms of one (phase, S) entry's totals that f and BW never
-    touch, with its operational intensity, or the entry's reason that no
-    tile set fits."""
+    touch, or the entry's reason that no tile set fits."""
     if isinstance(totals, str):
         return totals
     terms = phase_terms(totals, hw.fabric, hw.onchip_bandwidth)
     energy = energy_terms(terms, phase, hw.sram, hw.arrays, hw.gating,
                           Buffers(s, hw.buffers.global_), hw.fabric)
-    return terms, energy, operational_intensity(terms)
+    return terms, energy
 
 
-def evaluate_point(entry: tuple[PhaseTerms, EnergyTerms, float] | str,
-                   phase: Phase, hw: HardwareConfig,
+def evaluate_point(entry: tuple[PhaseTerms, EnergyTerms] | str,
+                   phase: str, hw: HardwareConfig,
                    point: DesignPoint) -> SweepRecord:
     """One sweep cell: its (phase, S) entry's terms at the point's f and
     BW."""
     if isinstance(entry, str):
         return SweepRecord(point, phase, None, None, None, error=entry)
-    terms, energy, oi = entry
+    terms, energy = entry
     result = phase_result(terms, point.f, point.bw)
     return SweepRecord(point, phase, result,
                        phase_energy(energy, result.latency),
-                       roofline(result, oi, peak_flops(hw.fabric, point.f),
-                                point.bw))
+                       roofline(result, terms.oi,
+                                peak_flops(hw.fabric, point.f), point.bw))
 
 
 def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
                 req: InferenceRequest,
-                decode_step: int) -> dict[tuple[Phase, int], PhaseTotals | str]:
+                decode_step: int) -> dict[tuple[str, int], PhaseTotals | str]:
     """`tile_phase` for every (phase, S) of the sweep; f and BW never enter."""
-    traces = {phase: build_prefill_trace(model, req) if phase is Phase.PREFILL
+    traces = {phase: build_prefill_trace(model, req) if phase == "prefill"
               else build_decode_trace(model, req, decode_step)
               for phase in spec.phases}
     return {(phase, s): tile_phase(traces[phase], hw, s,
@@ -198,7 +198,7 @@ def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
 
 
 def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
-                   table: dict[tuple[Phase, int], PhaseTotals | str],
+                   table: dict[tuple[str, int], PhaseTotals | str],
                    decode_step: int) -> SweepResult:
     """Every cell of the sweep from its (phase, S) table entry, whose
     terms are computed once for all of its cells."""
@@ -266,11 +266,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _grid_csv(block: tuple[SweepRecord, ...], metric: str, phase: Phase,
+def _grid_csv(block: tuple[SweepRecord, ...], metric: str, phase: str,
               bw: float) -> str:
     value = METRICS[metric]
     lines = ["metric,phase,bandwidth",
-             f"{metric},{phase.value},{_fmt(bw)}",
+             f"{metric},{phase},{_fmt(bw)}",
              "S_bytes,f_hz,value"]
     lines += [f"{r.point.s},{_fmt(r.point.f)},"
               f"{_fmt(value(r)) if r.ok else 'nan'}" for r in block]
@@ -290,7 +290,7 @@ def roofline_row(r: SweepRecord) -> str:
 
 def _roofline_csv(result: SweepResult) -> str:
     lines = ["phase," + ROOFLINE_HEADER]
-    lines += [f"{r.phase.value},{roofline_row(r)}"
+    lines += [f"{r.phase},{roofline_row(r)}"
               for r in result.records if r.ok]
     return "\n".join(lines) + "\n"
 
@@ -306,7 +306,7 @@ def summary_dict(result: SweepResult) -> dict:
     }
     for phase in result.spec.phases:
         for bw in result.spec.bw_values:
-            key = f"{phase.value}@{int(bw / GB)}GBps"
+            key = f"{phase}@{int(bw / GB)}GBps"
             # the lowest frequency at which each S is memory-bound, if any
             lowest: dict[int, float] = {}
             block = result.select(phase, bw)
@@ -329,15 +329,16 @@ def summary_dict(result: SweepResult) -> dict:
     return summary
 
 
-def emit_reports(result: SweepResult, out_dir: str | Path) -> list[Path]:
-    """Write grid CSVs, the roofline CSV, and the JSON summary."""
+def emit_reports(result: SweepResult, out_dir: str | Path,
+                 summary: dict) -> list[Path]:
+    """Write grid CSVs, the roofline CSV, and the result's `summary`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for metric in METRICS:
         for phase in result.spec.phases:
             for bw in result.spec.bw_values:
-                name = f"{metric}_{phase.value}_bw{int(bw / GB)}.csv"
+                name = f"{metric}_{phase}_bw{int(bw / GB)}.csv"
                 path = out / name
                 path.write_text(_grid_csv(result.select(phase, bw), metric,
                                           phase, bw))
@@ -346,7 +347,7 @@ def emit_reports(result: SweepResult, out_dir: str | Path) -> list[Path]:
     roof_path.write_text(_roofline_csv(result))
     written.append(roof_path)
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary_dict(result), indent=2,
+    summary_path.write_text(json.dumps(summary, indent=2,
                                        sort_keys=True) + "\n")
     written.append(summary_path)
     return written

@@ -12,12 +12,8 @@ under the head-parallel mapping onto many small arrays.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
-
-class Phase(Enum):
-    PREFILL = "prefill"
-    DECODE_STEP = "decode"
+PHASES = ("prefill", "decode")  # every phase, by the name outputs carry
 
 
 class ModelSpec(namedtuple("ModelSpec", (

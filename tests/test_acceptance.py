@@ -39,8 +39,8 @@ from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
                              energy_terms, phase_energy)
 from acceldse.memory import GB, KIB, Buffers, PhaseTerms, TrafficReport
 from acceldse.sweep import (METRICS, SweepSpec, argmin, emit_reports,
-                            run_sweep)
-from acceldse.workload import MatmulDims, Phase
+                            run_sweep, summary_dict)
+from acceldse.workload import MatmulDims
 from oracle import simulate_cycles
 
 S_KB = (16, 32, 64, 128, 256, 512, 1024)
@@ -55,7 +55,7 @@ DEFAULT_SPEC = SweepSpec(
     s_values=tuple(k * KIB for k in S_KB),
     f_values=tuple(f * 1e6 for f in F_MHZ),
     bw_values=tuple(b * GB for b in BW_GBPS),
-    phases=(Phase.PREFILL, Phase.DECODE_STEP),
+    phases=("prefill", "decode"),
 )
 
 BASELINE_BW = 2048 * GB
@@ -115,8 +115,8 @@ def test_criterion_02_energy_identities():
         arrays = ArrayPower(rng.uniform(1e-9, 400.0), 1.25, 1e9)
         terms = PhaseTerms(rng.randrange(10**12),
                            TrafficReport(0, 0, 0, 0, 0, 0),
-                           rng.uniform(0.0, 1.0), 0, 0.0)
-        e = phase_energy(energy_terms(terms, Phase.DECODE_STEP, sram, arrays,
+                           rng.uniform(0.0, 1.0), 0, 0.0, 0.0)
+        e = phase_energy(energy_terms(terms, "decode", sram, arrays,
                                       GatingPolicy(gating, gating), buffers,
                                       fabric), latency)
         leak = (sram.leakage(buffers.local) + sram.leakage(buffers.global_)
@@ -149,8 +149,8 @@ def test_criterion_03_roofline_law(sweep_result):
 
 def test_criterion_04_memory_bound_plateau(sweep_result):
     """Decode latency flat (<2%) for f in [600,1400] at S >= 32 KB; cycles rise."""
-    lat = grid(sweep_result, "latency", Phase.DECODE_STEP)
-    cyc = grid(sweep_result, "cycles", Phase.DECODE_STEP)
+    lat = grid(sweep_result, "latency", "decode")
+    cyc = grid(sweep_result, "cycles", "decode")
     f_hi = [f * 1e6 for f in F_MHZ if f >= 600]
     worst_var = 0.0
     for s_kb in (32, 64, 128, 256, 512, 1024):
@@ -171,7 +171,7 @@ def test_criterion_05_bound_transition(sweep_result):
     for s_kb in (32, 64, 128, 256, 512, 1024):
         s = s_kb * KIB
         records = {r.point.f: r for r in
-                   sweep_result.select(Phase.DECODE_STEP, BASELINE_BW)
+                   sweep_result.select("decode", BASELINE_BW)
                    if r.point.s == s}
         assert not records[400e6].result.memory_bound, s_kb
         assert records[600e6].result.memory_bound, s_kb
@@ -184,7 +184,7 @@ def test_criterion_05_bound_transition(sweep_result):
 def test_criterion_06_prefill_compute_fraction(sweep_result):
     """Prefill compute fraction > 90% at every sweep cell."""
     lo = min(r.result.compute_fraction for r in sweep_result.records
-             if r.phase is Phase.PREFILL)
+             if r.phase == "prefill")
     ok = report("criterion 6 (prefill): compute fraction > 90% everywhere",
                 lo > 0.90, f"min fraction {lo:.4f}")
     assert ok
@@ -210,7 +210,7 @@ def test_criterion_06_decode_compute_fraction(sweep_result):
     crossings = []
     for s_kb in S_KB:
         by_f = {r.point.f: r.result
-                for r in sweep_result.select(Phase.DECODE_STEP, BASELINE_BW)
+                for r in sweep_result.select("decode", BASELINE_BW)
                 if r.point.s == s_kb * KIB}
         assert len({res.compute_cycles for res in by_f.values()}) == 1, s_kb
         results = [by_f[f] for f in f_hi]
@@ -231,8 +231,8 @@ def test_criterion_06_decode_compute_fraction(sweep_result):
 
 def test_criterion_07_prefill_frequency_scaling(sweep_result):
     """Prefill latency strictly falls with f; total energy never rises."""
-    lat = grid(sweep_result, "latency", Phase.PREFILL)
-    en = grid(sweep_result, "total_energy", Phase.PREFILL)
+    lat = grid(sweep_result, "latency", "prefill")
+    en = grid(sweep_result, "total_energy", "prefill")
     f_values = [f * 1e6 for f in F_MHZ]
     for s_kb in S_KB:
         s = s_kb * KIB
@@ -247,7 +247,7 @@ def test_criterion_07_prefill_frequency_scaling(sweep_result):
 
 def test_criterion_08_leakage_tax_monotonic(sweep_result):
     """Total energy strictly increasing in S for S >= 64 KB, both phases."""
-    for phase in (Phase.PREFILL, Phase.DECODE_STEP):
+    for phase in ("prefill", "decode"):
         en = grid(sweep_result, "total_energy", phase)
         for f in (f * 1e6 for f in F_MHZ):
             tail = [en[s_kb * KIB, f] for s_kb in S_KB if s_kb >= 64]
@@ -259,7 +259,7 @@ def test_criterion_08_leakage_tax_monotonic(sweep_result):
 def test_criterion_08_energy_argmin_bound(sweep_result):
     """Per-frequency total-energy argmin over S is <= 64 KB, both phases."""
     worst = 0
-    for phase in (Phase.PREFILL, Phase.DECODE_STEP):
+    for phase in ("prefill", "decode"):
         en = grid(sweep_result, "total_energy", phase)
         for f in (f * 1e6 for f in F_MHZ):
             col = [en[s_kb * KIB, f] for s_kb in S_KB]
@@ -272,7 +272,7 @@ def test_criterion_08_energy_argmin_bound(sweep_result):
 
 def test_criterion_08_prefill_argmin_is_32kb(sweep_result):
     """Prefill per-frequency energy argmin is exactly 32 KB (default calib)."""
-    en = grid(sweep_result, "total_energy", Phase.PREFILL)
+    en = grid(sweep_result, "total_energy", "prefill")
     argmins = set()
     for f in (f * 1e6 for f in F_MHZ):
         col = [en[s_kb * KIB, f] for s_kb in S_KB]
@@ -297,11 +297,11 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
     from 32 KB to 1024 KB.  This is stricter than the <= 64 KB argmin
     bound and the S >= 64 KB leakage-tax criteria.
     """
-    en = grid(sweep_result, "total_energy", Phase.DECODE_STEP)
+    en = grid(sweep_result, "total_energy", "decode")
     argmins = set()
     for f in (f * 1e6 for f in F_MHZ):
         traffic = [r.result.traffic
-                   for r in sweep_result.select(Phase.DECODE_STEP, BASELINE_BW)
+                   for r in sweep_result.select("decode", BASELINE_BW)
                    if r.point.f == f]
         dram = [t.dram_bytes for t in traffic]
         assert max(dram) / min(dram) - 1.0 < 1e-3, f
@@ -317,7 +317,7 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
 
 
 def _edp_argmin(result, bw):
-    s, f = argmin(result.select(Phase.DECODE_STEP, bw), "edp")
+    s, f = argmin(result.select("decode", bw), "edp")
     return S_KB.index(s // KIB), F_MHZ.index(int(f / 1e6))
 
 
@@ -357,11 +357,11 @@ def test_criterion_09_bandwidth_shifts_argmin(sweep_result):
     the 2048 GB/s one and in 1200-1400 MHz, and its S is <= 64 KB.
     """
     for bw in (BASELINE_BW, QUAD_BW):
-        for r in sweep_result.select(Phase.DECODE_STEP, bw):
+        for r in sweep_result.select("decode", bw):
             res = r.result
             assert res.memory_time == res.traffic.dram_bytes / bw, r.point
     assert not any(r.result.memory_bound
-                   for r in sweep_result.select(Phase.DECODE_STEP, QUAD_BW))
+                   for r in sweep_result.select("decode", QUAD_BW))
     _, f_base = _edp_argmin(sweep_result, BASELINE_BW)
     s_quad, f_quad = _edp_argmin(sweep_result, QUAD_BW)
     ok = report("criterion 9 (quad BW): decode EDP argmin at higher f in "
@@ -377,9 +377,9 @@ def test_criterion_10_bandwidth_ceiling(sweep_result):
     highest-frequency memory-bound cell."""
     s = 64 * KIB
     f = 1400e6
-    base = next(r for r in sweep_result.select(Phase.DECODE_STEP, BASELINE_BW)
+    base = next(r for r in sweep_result.select("decode", BASELINE_BW)
                 if r.point.s == s and r.point.f == f)
-    quad = next(r for r in sweep_result.select(Phase.DECODE_STEP, QUAD_BW)
+    quad = next(r for r in sweep_result.select("decode", QUAD_BW)
                 if r.point.s == s and r.point.f == f)
     assert base.result.memory_bound
     ratio = quad.roofline.achieved / base.roofline.achieved
@@ -394,8 +394,9 @@ def test_criterion_11_determinism_and_scale(tmp_path):
     first = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
     elapsed = time.time() - t0
     assert len(first.records) == 294
-    emit_reports(first, tmp_path / "a")
-    emit_reports(run_sweep(DEFAULT_SPEC, HW, MODEL, REQ), tmp_path / "b")
+    second = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
+    emit_reports(first, tmp_path / "a", summary_dict(first))
+    emit_reports(second, tmp_path / "b", summary_dict(second))
     identical = all(
         pa.read_bytes() == (tmp_path / "b" / pa.name).read_bytes()
         for pa in sorted((tmp_path / "a").iterdir()))

@@ -2,20 +2,22 @@ import random
 
 import pytest
 
-from acceldse.analysis import operational_intensity, peak_flops, roofline
+from acceldse.analysis import peak_flops, roofline
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import FabricSpec
-from acceldse.memory import KIB, PhaseResult, PhaseTerms, TrafficReport
+from acceldse.memory import (KIB, PhaseResult, PhaseTerms, PhaseTotals,
+                             TrafficReport, phase_terms)
 from acceldse.sweep import (DesignPoint, SweepRecord, SweepSpec, argmin,
                             contour_levels, entry_terms, evaluate_point,
                             run_sweep, tile_phase)
-from acceldse.workload import Phase, build_decode_trace
+from acceldse.workload import build_decode_trace
 
 
 def terms_with(flops, dram_bytes):
     return PhaseTerms(compute_cycles=1,
                       traffic=TrafficReport(dram_bytes, 0, 0, 0, 0, 0),
-                      utilization=1.0, flops=flops, onchip_time=0.0)
+                      utilization=1.0, flops=flops, oi=flops / dram_bytes,
+                      onchip_time=0.0)
 
 
 def point_with(flops, dram_bytes, latency, peak, bw):
@@ -26,7 +28,7 @@ def point_with(flops, dram_bytes, latency, peak, bw):
                          memory_time=latency, latency=latency,
                          total_cycles=1.0, compute_fraction=1.0,
                          traffic=terms.traffic, utilization=1.0, flops=flops)
-    return roofline(result, operational_intensity(terms), peak, bw)
+    return roofline(result, terms.oi, peak, bw)
 
 
 def test_roofline_min_law():
@@ -54,8 +56,9 @@ def test_roofline_bandwidth_linearity_below_roof():
 
 
 def test_roofline_rejects_zero_traffic():
-    with pytest.raises(ValueError):
-        operational_intensity(terms_with(1, 0))
+    totals = PhaseTotals(1, 1, TrafficReport(0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="zero external traffic"):
+        phase_terms(totals, HW.fabric, HW.onchip_bandwidth)
 
 
 def test_peak_flops():
@@ -72,8 +75,8 @@ HW = load_hardware({})
 DECODE = evaluate_point(
     entry_terms(tile_phase(build_decode_trace(load_model_spec({}),
                                               load_request({}), 0),
-                           HW, 64 * KIB, 2), Phase.DECODE_STEP, HW, 64 * KIB),
-    Phase.DECODE_STEP, HW, DesignPoint(64 * KIB, 800e6, HW.ext_bandwidth))
+                           HW, 64 * KIB, 2), "decode", HW, 64 * KIB),
+    "decode", HW, DesignPoint(64 * KIB, 800e6, HW.ext_bandwidth))
 
 
 def record_with(total_j, latency):
@@ -108,7 +111,7 @@ def block_from(latencies):
             point = DesignPoint(16384 * (si + 1), 2e8 * (fi + 1),
                                 HW.ext_bandwidth)
             block.append(
-                SweepRecord(point, Phase.DECODE_STEP, None, None, None,
+                SweepRecord(point, "decode", None, None, None,
                             error="no tile set fits") if latency is None
                 else record_with(1.0, latency)._replace(point=point))
     return tuple(block)
@@ -118,9 +121,9 @@ def test_select_block_is_the_s_major_grid():
     # a (phase, BW) block holds every S x f cell, error cells included,
     # S-major with f ascending within each S
     spec = SweepSpec((8, 64 * KIB), (4e8, 8e8), (HW.ext_bandwidth,),
-                     (Phase.DECODE_STEP,))
+                     ("decode",))
     result = run_sweep(spec, HW, load_model_spec({}), load_request({}))
-    block = result.select(Phase.DECODE_STEP, HW.ext_bandwidth)
+    block = result.select("decode", HW.ext_bandwidth)
     assert [(r.point.s, r.point.f, r.ok) for r in block] == [
         (8, 4e8, False), (8, 8e8, False),
         (64 * KIB, 4e8, True), (64 * KIB, 8e8, True)]

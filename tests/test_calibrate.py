@@ -9,7 +9,6 @@ from acceldse.cli import main
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.memory import GB, KIB
 from acceldse.sweep import SweepSpec
-from acceldse.workload import Phase
 
 BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
 
@@ -21,7 +20,7 @@ SPEC = SweepSpec(
     s_values=tuple(k * KIB for k in (16, 32, 64, 128, 256, 512, 1024)),
     f_values=tuple(f * 1e6 for f in (200, 400, 600, 800, 1000, 1200, 1400)),
     bw_values=(2048 * GB,),
-    phases=(Phase.DECODE_STEP,),
+    phases=("decode",),
 )
 
 
@@ -30,7 +29,7 @@ def test_target_must_lie_on_grid():
         calibrate(HW, SPEC, MODEL, REQ,
                   CalibrationTarget(s_bytes=48 * KIB, f_hz=600e6))
     with pytest.raises(ValueError):  # the decode phase is not swept
-        calibrate(HW, SweepSpec(*SPEC[:3], (Phase.PREFILL,)), MODEL, REQ,
+        calibrate(HW, SweepSpec(*SPEC[:3], ("prefill",)), MODEL, REQ,
                   CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6))
 
 
@@ -63,7 +62,7 @@ def test_reachable_target_reports_zero_displacement():
 
 
 def test_degenerate_single_cell_grid():
-    spec = SweepSpec((32 * KIB,), (600e6,), (2048 * GB,), (Phase.DECODE_STEP,))
+    spec = SweepSpec((32 * KIB,), (600e6,), (2048 * GB,), ("decode",))
     outcome = calibrate(HW, spec, MODEL, REQ,
                         CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6))
     assert outcome.displacement == 0

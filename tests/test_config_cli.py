@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from acceldse import config
-from acceldse.cli import main
+from acceldse import cli, config, sweep
+from acceldse.cli import build_parser, main
 from acceldse.config import (ConfigError, apply_overrides, load_hardware,
                              load_sweep_axes, parse_config)
 from acceldse.memory import GB, KIB
 from acceldse.sweep import ARGMIN_METRICS
-from acceldse.workload import InferenceRequest
+from acceldse.workload import PHASES, InferenceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "configs" / "baseline.conf"
@@ -253,6 +254,38 @@ def test_cli_report_prints_one_argmin_line_per_summary_argmin(tmp_path,
                        for line in argmins) == 1, (key, name)
 
 
+def test_cli_report_out_builds_the_summary_once(tmp_path, monkeypatch,
+                                                 capsys):
+    # the summary `report` prints is the one it writes
+    built = []
+    summary_dict = sweep.summary_dict
+
+    def counted(result):
+        built.append(result)
+        return summary_dict(result)
+
+    for module in (cli, sweep):
+        monkeypatch.setattr(module, "summary_dict", counted)
+    assert main(["report", "--config", str(BASELINE),
+                 "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+
+
+def test_phase_names_are_declared_once():
+    # both --phase options and sweep.phases take exactly PHASES
+    [verbs] = [action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    for verb in ("simulate", "roofline"):
+        [phase] = [action for action in verbs.choices[verb]._actions
+                   if action.dest == "phase"]
+        assert tuple(phase.choices) == PHASES
+    for name in PHASES:
+        assert load_sweep_axes({"sweep.phases": name})[3] == [name]
+    for name in ("decode_step", "Prefill", "DECODE"):
+        with pytest.raises(ConfigError, match="sweep.phases"):
+            load_sweep_axes({"sweep.phases": name})
+
+
 def test_cli_sweep_exit_1_on_infeasible_cells(tmp_path, capsys):
     # a sub-minimal buffer size makes those cells unevaluable; they are
     # recorded and reported, and the run exits nonzero
@@ -332,6 +365,9 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     ("sweep", "sweep.bandwidth_gbps=0.5"),
     # a phase the sweep leaves out has no roofline points to print
     ("roofline --phase prefill", "sweep.phases=decode"),
+    # the SRAM power law overflows at the largest buffer a run uses
+    ("simulate", "hw.sram_access_exponent=100"),
+    ("sweep", "hw.sram_access_exponent=100"),
 ])
 def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
                                                    override):

@@ -9,7 +9,7 @@ from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.energy import ArrayPower, GatingPolicy, SramEnergyModel
 from acceldse.memory import Buffers
 from acceldse.sweep import SweepSpec
-from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, Phase
+from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec
 
 HW = load_hardware({})
 
@@ -32,14 +32,16 @@ CHECKED = [
      "array power parameters must be positive"),
     (HW.gating, "decode_saving", 1.0, "gating saving must be in [0, 1)"),
     (HW, "frequency", 0.0, "frequency must be > 0"),
-    (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "f_values", (),
+    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "f_values", (),
      "f_values must be non-empty"),
-    (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "s_values",
+    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "s_values",
      (2, 1), "s_values must be strictly increasing"),
-    (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "phases", (),
+    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "phases", (),
      "phases must be non-empty"),
-    (SweepSpec((1,), (1.0,), (1.0,), (Phase.DECODE_STEP,)), "phases",
-     (Phase.DECODE_STEP, Phase.DECODE_STEP), "phases must not repeat"),
+    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "phases",
+     ("decode", "decode"), "phases must not repeat"),
+    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "phases", ("decoder",),
+     "phases must be among ('prefill', 'decode')"),
 ]
 
 

@@ -137,7 +137,6 @@ TRACED_CALLS = {
     "sweep.entry_terms": 14,
     "memory.phase_terms": 14,
     "energy.energy_terms": 14,
-    "analysis.operational_intensity": 14,
     # the summary's argmins: 6 (phase, BW) blocks x 3 metrics
     "sweep.argmin": 18,
     "sweep.contour_levels": 18,

@@ -16,7 +16,7 @@ from acceldse.sweep import (METRICS, DesignPoint, SweepSpec,
                             decode_mean_over_generation, emit_reports,
                             entry_terms, evaluate_point, evaluate_sweep,
                             phase_table, run_sweep, summary_dict, tile_phase)
-from acceldse.workload import Phase, build_decode_trace
+from acceldse.workload import build_decode_trace
 from oracle import evaluate_cell
 
 BASELINE = str(Path(__file__).resolve().parent.parent / "configs"
@@ -30,22 +30,22 @@ SMALL_SPEC = SweepSpec(
     s_values=(16 * KIB, 64 * KIB, 256 * KIB),
     f_values=(400e6, 800e6),
     bw_values=(2048 * GB,),
-    phases=(Phase.PREFILL, Phase.DECODE_STEP),
+    phases=("prefill", "decode"),
 )
 
 DEFAULT_SPEC = SweepSpec(
     s_values=tuple(k * KIB for k in (16, 32, 64, 128, 256, 512, 1024)),
     f_values=tuple(f * 1e6 for f in (200, 400, 600, 800, 1000, 1200, 1400)),
     bw_values=tuple(b * GB for b in (2048, 4096, 8192)),
-    phases=(Phase.PREFILL, Phase.DECODE_STEP),
+    phases=("prefill", "decode"),
 )
 
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        SweepSpec((), (1e6,), (1e9,), (Phase.PREFILL,))
+        SweepSpec((), (1e6,), (1e9,), ("prefill",))
     with pytest.raises(ValueError):
-        SweepSpec((2, 1), (1e6,), (1e9,), (Phase.PREFILL,))
+        SweepSpec((2, 1), (1e6,), (1e9,), ("prefill",))
 
 
 def test_default_cardinality(monkeypatch):
@@ -64,7 +64,7 @@ def test_small_sweep_complete_and_ordered():
     assert result.complete
     points = [(r.phase, r.point.bw, r.point.s, r.point.f) for r in result.records]
     assert points == sorted(points, key=lambda p: (
-        [Phase.PREFILL, Phase.DECODE_STEP].index(p[0]), p[1], p[2], p[3]))
+        ["prefill", "decode"].index(p[0]), p[1], p[2], p[3]))
 
 
 def test_select_returns_one_phase_bandwidth_block():
@@ -75,18 +75,18 @@ def test_select_returns_one_phase_bandwidth_block():
         for bw in spec.bw_values:
             assert result.select(phase, bw) == tuple(
                 r for r in result.records
-                if r.phase is phase and r.point.bw == bw)
+                if r.phase == phase and r.point.bw == bw)
 
 
 def test_single_point_matches_direct_evaluation():
-    spec = SweepSpec((64 * KIB,), (800e6,), (2048 * GB,), (Phase.DECODE_STEP,))
+    spec = SweepSpec((64 * KIB,), (800e6,), (2048 * GB,), ("decode",))
     result = run_sweep(spec, HW, MODEL, REQ)
     assert len(result.records) == 1
     trace = build_decode_trace(MODEL, REQ, 0)
     totals = tile_phase(trace, HW, 64 * KIB, MODEL.bytes_per_element)
-    direct = evaluate_point(entry_terms(totals, Phase.DECODE_STEP, HW,
+    direct = evaluate_point(entry_terms(totals, "decode", HW,
                                         64 * KIB),
-                            Phase.DECODE_STEP, HW,
+                            "decode", HW,
                             DesignPoint(64 * KIB, 800e6, 2048 * GB))
     got = result.records[0]
     assert got.result == direct.result
@@ -95,16 +95,16 @@ def test_single_point_matches_direct_evaluation():
 
 
 def test_infeasible_cells_recorded_not_skipped(tmp_path):
-    spec = SweepSpec((8, 64 * KIB), (800e6,), (2048 * GB,), (Phase.DECODE_STEP,))
+    spec = SweepSpec((8, 64 * KIB), (800e6,), (2048 * GB,), ("decode",))
     result = run_sweep(spec, HW, MODEL, REQ)
     assert len(result.records) == 2
     bad = [r for r in result.records if not r.ok]
     assert len(bad) == 1 and bad[0].point.s == 8
     assert not result.complete
     # grids stay dense: the error cell keeps its place, and its value is NaN
-    block = result.select(Phase.DECODE_STEP, 2048 * GB)
+    block = result.select("decode", 2048 * GB)
     assert [(r.point.s, r.ok) for r in block] == [(8, False), (64 * KIB, True)]
-    emit_reports(result, tmp_path)
+    emit_reports(result, tmp_path, summary_dict(result))
     rows = (tmp_path / "latency_decode_bw2048.csv").read_text().splitlines()
     assert rows[3:] == ["8,800000000.0,nan",
                         f"{64 * KIB},800000000.0,{block[1].result.latency!r}"]
@@ -112,7 +112,7 @@ def test_infeasible_cells_recorded_not_skipped(tmp_path):
 
 def test_emit_reports_file_set(tmp_path):
     result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
-    written = emit_reports(result, tmp_path)
+    written = emit_reports(result, tmp_path, summary_dict(result))
     # 8 metrics x 2 phases x 1 bandwidth + roofline + summary
     assert len(written) == 8 * 2 * 1 + 2
     assert [p.name for p in written] == [
@@ -132,8 +132,9 @@ def test_emit_reports_deterministic(tmp_path):
     result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
     a = tmp_path / "a"
     b = tmp_path / "b"
-    emit_reports(result, a)
-    emit_reports(run_sweep(SMALL_SPEC, HW, MODEL, REQ), b)
+    second = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
+    emit_reports(result, a, summary_dict(result))
+    emit_reports(second, b, summary_dict(second))
     for pa in sorted(a.iterdir()):
         assert pa.read_bytes() == (b / pa.name).read_bytes()
 
@@ -153,7 +154,7 @@ def test_summary_contains_argmins_and_transitions():
 @pytest.mark.parametrize("spec", [
     DEFAULT_SPEC,
     SweepSpec((8, 64 * KIB), DEFAULT_SPEC.f_values, (2048 * GB,),
-              (Phase.DECODE_STEP,)),
+              ("decode",)),
 ], ids=["default", "infeasible_8_bytes"])
 def test_bound_transition_is_lowest_memory_bound_frequency(spec):
     result = run_sweep(spec, HW, MODEL, REQ)
@@ -161,7 +162,7 @@ def test_bound_transition_is_lowest_memory_bound_frequency(spec):
     seen = set()
     for phase in spec.phases:
         for bw in spec.bw_values:
-            got = grids[f"{phase.value}@{int(bw / GB)}GBps"][
+            got = grids[f"{phase}@{int(bw / GB)}GBps"][
                 "bound_transition_mhz"]
             assert list(got) == [str(s) for s in spec.s_values]
             for s in spec.s_values:
@@ -187,7 +188,7 @@ def ascending(values, scale):
                         unique=True))
 def test_cells_share_phase_totals_and_obey_closed_form(s_kb, f_mhz, bw_gbps):
     spec = SweepSpec(ascending(s_kb, KIB), ascending(f_mhz, 1e6),
-                     ascending(bw_gbps, GB), (Phase.PREFILL, Phase.DECODE_STEP))
+                     ascending(bw_gbps, GB), ("prefill", "decode"))
     first = {}
     for rec in run_sweep(spec, HW, MODEL, REQ).records:
         r = rec.result
@@ -230,7 +231,7 @@ def test_model_invariants_hold_on_random_small_configs(
               "hw.cores": str(cores),
               "hw.onchip_bandwidth_gbps": str(onchip_gbps)}
     spec = SweepSpec(ascending(s_bytes, 1), ascending(f_mhz, 1e6),
-                     ascending(bw_gbps, GB), (Phase.PREFILL, Phase.DECODE_STEP))
+                     ascending(bw_gbps, GB), ("prefill", "decode"))
     result = run_sweep(spec, load_hardware(values), load_model_spec(values),
                        load_request(values))
     latencies = {}
@@ -314,8 +315,8 @@ def test_split_cells_match_the_unsplit_oracle(
             contextlib.redirect_stderr(io.StringIO()):
         code = main(["simulate", "--config", BASELINE, "--phase", printed,
                      "--format", "json", *(f"--override={o}" for o in argv)])
-    want = oracle[Phase(printed), DesignPoint(hw.buffers.local, hw.frequency,
-                                              hw.ext_bandwidth)]
+    want = oracle[printed, DesignPoint(hw.buffers.local, hw.frequency,
+                                       hw.ext_bandwidth)]
     if want is None:
         assert code == 1
     else:
@@ -355,7 +356,7 @@ def test_total_energy_monotone_in_sram_constants(leakage, access,
 def per_step_mean(hw, model, req, point):
     """The decode mean as one single-cell `run_sweep` per generation step,
     every step tiled from scratch."""
-    spec = SweepSpec((point.s,), (point.f,), (point.bw,), (Phase.DECODE_STEP,))
+    spec = SweepSpec((point.s,), (point.f,), (point.bw,), ("decode",))
     latency = energy = edp_sum = 0.0
     for step in range(req.gen_tokens):
         [record] = run_sweep(spec, hw, model, req, decode_step=step).records
