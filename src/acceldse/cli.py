@@ -13,8 +13,8 @@ from .config import (ConfigError, apply_overrides, decode_step,
 from .energy import by_component
 from .memory import GB, KIB, TilingError
 from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, SweepRecord,
-                    SweepSpec, decode_mean_over_generation, emit_reports,
-                    roofline_row, run_sweep, summary_dict)
+                    SweepResult, SweepSpec, decode_mean_over_generation,
+                    emit_reports, roofline_row, run_sweep, summary_dict)
 from .workload import PHASES
 
 EXIT_OK = 0
@@ -46,29 +46,29 @@ def _load(args, phases: tuple[str, ...] | None = None):
             decode_step(values, phases or spec.phases))
 
 
-def _record_dict(record: SweepRecord) -> dict:
+def _record_dict(r: SweepRecord) -> dict:
     """The JSON record of one evaluated cell."""
-    r, e, rf = record.result, record.energy, record.roofline
+    terms = r.terms
     return {
-        "point": {"S_bytes": record.point.s, "f_hz": record.point.f,
-                  "bw_bytes_per_s": record.point.bw},
-        "phase": record.phase,
-        "compute_cycles": r.compute_cycles,
+        "point": {"S_bytes": r.point.s, "f_hz": r.point.f,
+                  "bw_bytes_per_s": r.point.bw},
+        "phase": r.phase,
+        "compute_cycles": terms.compute_cycles,
         "compute_time_s": r.compute_time,
         "memory_time_s": r.memory_time,
         "latency_s": r.latency,
         "total_cycles": r.total_cycles,
         "compute_fraction": r.compute_fraction,
-        "utilization": r.utilization,
+        "utilization": terms.utilization,
         "bound": "memory" if r.memory_bound else "compute",
-        "flops": r.flops,
-        "traffic": r.traffic._asdict(),
-        "energy": {"static_j": e.static_j, "dynamic_j": e.dynamic_j,
-                   "total_j": e.total_j, "dynamic_power_w": e.dynamic_power_w,
-                   "by_component": by_component(e, r.latency)},
-        "edp_js": record.edp,
-        "roofline": {"oi": rf.oi, "attainable": rf.attainable,
-                     "achieved": rf.achieved, "bound": rf.bound},
+        "flops": terms.flops,
+        "traffic": terms.traffic._asdict(),
+        "energy": {"static_j": r.static_j, "dynamic_j": r.energy.dynamic_j,
+                   "total_j": r.total_j, "dynamic_power_w": r.dynamic_power_w,
+                   "by_component": by_component(r.energy, r.latency)},
+        "edp_js": r.edp,
+        "roofline": {"oi": terms.oi, "attainable": r.attainable,
+                     "achieved": r.achieved, "bound": r.ridge_side},
     }
 
 
@@ -137,17 +137,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _exit_code(result: SweepResult) -> int:
+    """EXIT_OK for a complete grid; else say how many cells failed."""
+    if result.complete:
+        return EXIT_OK
+    failed = sum(not r.ok for r in result.records)
+    print(f"error: {failed} design points could not be evaluated",
+          file=sys.stderr)
+    return EXIT_FAILURE
+
+
 def cmd_sweep(args) -> int:
     result = run_sweep(*_load(args))
     written = emit_reports(result, args.out, summary_dict(result))
     print(f"evaluated {len(result.records)} records, "
           f"wrote {len(written)} files to {args.out}")
-    if not result.complete:
-        failed = [r for r in result.records if not r.ok]
-        print(f"error: {len(failed)} design points could not be evaluated",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return _exit_code(result)
 
 
 def cmd_roofline(args) -> int:
@@ -160,7 +165,7 @@ def cmd_roofline(args) -> int:
     for r in result.records:
         if r.phase == args.phase and r.ok:
             print(roofline_row(r))
-    return EXIT_OK if result.complete else EXIT_FAILURE
+    return _exit_code(result)
 
 
 def cmd_calibrate(args) -> int:
@@ -218,7 +223,7 @@ def cmd_report(args) -> int:
     if args.out:
         written = emit_reports(result, args.out, summary)
         print(f"wrote {len(written)} files to {args.out}")
-    return EXIT_OK if result.complete else EXIT_FAILURE
+    return _exit_code(result)
 
 
 def build_parser() -> argparse.ArgumentParser:

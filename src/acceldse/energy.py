@@ -7,8 +7,9 @@ stalled) and leak all the time; power gating trims a phase-dependent
 share of all leakage.
 
 `energy_terms` computes, once per (phase, S), one table of each
-component's leakage and dynamic energy; `phase_energy` scales the leakage
-by one cell's latency, and `by_component` reads the table.
+component's leakage and dynamic energy.  A sweep cell scales the leakage
+by its latency (`sweep.evaluate_point`), and `by_component` reads the
+table.
 """
 
 from __future__ import annotations
@@ -80,16 +81,6 @@ class EnergyTerms(namedtuple("EnergyTerms", (
     __slots__ = ()
 
 
-class EnergyBreakdown(namedtuple("EnergyBreakdown", (
-        "static_j",
-        "dynamic_j",
-        "total_j",
-        "dynamic_power_w",
-        "terms",  # the EnergyTerms it was evaluated from
-))):
-    __slots__ = ()
-
-
 def energy_terms(terms: PhaseTerms, phase: str, sram: SramEnergyModel,
                  arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
                  fabric: FabricSpec) -> EnergyTerms:
@@ -121,22 +112,11 @@ def energy_terms(terms: PhaseTerms, phase: str, sram: SramEnergyModel,
                        dynamic)
 
 
-def phase_energy(terms: EnergyTerms, latency: float) -> EnergyBreakdown:
-    """Static, dynamic and total energy of one phase that takes `latency`
-    seconds."""
-    static = latency * terms.static_w * terms.ungated
-    if static < 0:
-        raise ValueError("energy must be non-negative")
-    return EnergyBreakdown(static, terms.dynamic_j, static + terms.dynamic_j,
-                           terms.dynamic_j / latency, terms)
-
-
-def by_component(energy: EnergyBreakdown,
+def by_component(terms: EnergyTerms,
                  latency: float) -> dict[str, dict[str, float]]:
     """{component: {"static_j": J, "dynamic_j": J}} of a phase's energy
-    that took `latency` seconds; the static parts sum to its static_j
-    only up to rounding."""
-    terms = energy.terms
+    terms when it takes `latency` seconds; the static parts sum to its
+    static energy only up to rounding."""
     return {name: {"static_j": latency * watts * count * terms.ungated,
                    "dynamic_j": joules}
             for name, (watts, count, joules) in terms.components.items()}

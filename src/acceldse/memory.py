@@ -1,18 +1,16 @@
-"""Buffer hierarchy: tiling, byte traffic per level, and phase latency.
+"""Buffer hierarchy: tiling and byte traffic per level.
 
 Each core owns one local SRAM buffer that feeds its arrays; all cores
 share one global buffer that double-buffers external-memory transfers.
-Latency is max(compute_time, memory_time): the global buffer decouples
-compute from memory, so whichever side is slower hides the other.
 
-A phase is evaluated in three steps.  `phase_totals` fixes its cycles and
-traffic from the trace, the fabric and the local buffer size alone, as
-the sum of each distinct GEMM's `matmul_totals`.  `phase_terms` derives
-what else the clock and the external bandwidth never touch: utilization,
-flops, the operational intensity and the on-chip transfer time.
-`phase_result` then applies the clock and the external bandwidth in
-closed form.  A sweep runs the first
-two steps once per (phase, S), however many (f, BW) cells share it.
+A phase is evaluated in two steps here.  `phase_totals` fixes its cycles
+and traffic from the trace, the fabric and the local buffer size alone,
+as the sum of each distinct GEMM's `matmul_totals`.  `phase_terms`
+derives what else the clock and the external bandwidth never touch:
+utilization, flops, the operational intensity and the on-chip transfer
+time.  A sweep runs both once per (phase, S) and applies the clock and
+the external bandwidth to each (f, BW) cell in closed form
+(`sweep.evaluate_point`).
 """
 
 from __future__ import annotations
@@ -76,24 +74,6 @@ class PhaseTerms(namedtuple("PhaseTerms", (
     totals."""
 
     __slots__ = ()
-
-
-class PhaseResult(namedtuple("PhaseResult", (
-        "compute_cycles",
-        "compute_time",
-        "memory_time",
-        "latency",
-        "total_cycles",  # latency * frequency; grows with f when memory-bound
-        "compute_fraction",
-        "traffic",
-        "utilization",
-        "flops",  # two per MAC: one multiply, one add
-))):
-    __slots__ = ()
-
-    @property
-    def memory_bound(self) -> bool:
-        return self.memory_time > self.compute_time
 
 
 def tile_set_bytes(tm: int, tk: int, tn: int, b: int) -> int:
@@ -255,22 +235,3 @@ def phase_terms(totals: PhaseTotals, fabric: FabricSpec,
                                  * fabric.array.rows * fabric.array.cols)
     return PhaseTerms(cycles, tr, utilization, flops, flops / tr.dram_bytes,
                       tr.onchip_bytes / onchip_bandwidth)
-
-
-def phase_result(terms: PhaseTerms, frequency: float,
-                 ext_bandwidth: float) -> PhaseResult:
-    """Latency of one phase's terms at a clock of `frequency` Hz and an
-    external bandwidth in bytes/s.
-
-    compute_time covers the arrays; memory_time covers external and
-    on-chip transfers; perfect double-buffered overlap means latency is
-    the max of the two.
-    """
-    cycles = terms.compute_cycles
-    compute_time = cycles / frequency
-    memory_time = max(terms.traffic.dram_bytes / ext_bandwidth,
-                      terms.onchip_time)
-    latency = max(compute_time, memory_time)
-    return PhaseResult(cycles, compute_time, memory_time, latency,
-                       latency * frequency, compute_time / latency,
-                       terms.traffic, terms.utilization, terms.flops)

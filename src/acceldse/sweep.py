@@ -4,12 +4,13 @@ Cycles and traffic depend only on the phase and the local buffer size S,
 so the sweep tiles each (phase, S) once into a table.  An evaluation of
 the table computes each entry's f- and BW-free terms once
 (`entry_terms`), then each (f, BW) cell from them in closed form
-(`evaluate_point`).  Evaluation is serial and pure, so results are
-bit-identical for identical inputs.  The records of one (phase, BW) are
-its S x f grid (`SweepResult.select`); the argmin cells and contour
-levels are read from them.  Reports are per-metric grid CSVs, a roofline
-CSV, and a JSON summary with argmin cells, contour levels and
-bound-transition frequencies.
+(`evaluate_point`) as one flat `SweepRecord`, from whose few fields
+every reported quantity is read.  Evaluation is serial and pure, so
+results are bit-identical for identical inputs.  The records of one
+(phase, BW) are its S x f grid (`SweepResult.select`); the argmin cells
+and contour levels are read from them.  Reports are per-metric grid
+CSVs, a roofline CSV, and a JSON summary with argmin cells, contour
+levels and bound-transition frequencies.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import json
 from collections import namedtuple
 from pathlib import Path
 
-from .analysis import peak_flops, roofline
+from .analysis import peak_flops
 from .config import HardwareConfig
-from .energy import EnergyTerms, energy_terms, phase_energy
+from .energy import EnergyTerms, energy_terms
 from .memory import (GB, Buffers, PhaseTerms, PhaseTotals, TilingError,
-                     matmul_totals, phase_result, phase_terms, phase_totals,
-                     sum_totals)
+                     matmul_totals, phase_terms, phase_totals, sum_totals)
 from .workload import (PHASES, InferenceRequest, ModelSpec, PhaseTrace,
                        attention_matmuls, build_decode_trace,
                        build_prefill_trace, weight_matmuls)
@@ -67,11 +67,18 @@ class DesignPoint(namedtuple("DesignPoint", (
 class SweepRecord(namedtuple("SweepRecord", (
         "point",
         "phase",
-        "result",  # PhaseResult, None when `error` says why not
-        "energy",  # EnergyBreakdown or None
-        "roofline",  # RooflinePoint or None
-        "error",
-), defaults=(None,))):
+        "terms",  # the (phase, S) entry's PhaseTerms; None on error
+        "energy",  # the entry's EnergyTerms; None on error
+        # what f and BW set; None on error
+        "compute_time",
+        "memory_time",
+        "latency",
+        "static_j",
+        "peak",  # flops/s at f
+        "error",  # why the cell could not be evaluated, else None
+), defaults=(None,) * 8)):
+    """One sweep cell.  Every other quantity is read from these fields."""
+
     __slots__ = ()
 
     @property
@@ -79,8 +86,45 @@ class SweepRecord(namedtuple("SweepRecord", (
         return self.error is None
 
     @property
+    def total_cycles(self) -> float:
+        # grows with f when memory-bound
+        return self.latency * self.point.f
+
+    @property
+    def compute_fraction(self) -> float:
+        return self.compute_time / self.latency
+
+    @property
+    def memory_bound(self) -> bool:
+        return self.memory_time > self.compute_time
+
+    @property
+    def total_j(self) -> float:
+        return self.static_j + self.energy.dynamic_j
+
+    @property
+    def dynamic_power_w(self) -> float:
+        return self.energy.dynamic_j / self.latency
+
+    @property
     def edp(self) -> float:
-        return self.energy.total_j * self.result.latency
+        return self.total_j * self.latency
+
+    @property
+    def attainable(self) -> float:
+        """Flops/s under the roofline min(peak, bw * oi)."""
+        return min(self.peak, self.point.bw * self.terms.oi)
+
+    @property
+    def achieved(self) -> float:
+        return self.terms.flops / self.latency
+
+    @property
+    def ridge_side(self) -> str:
+        """The roofline side: "memory" below the ridge point peak / bw,
+        else "compute"."""
+        return ("memory" if self.terms.oi < self.peak / self.point.bw
+                else "compute")
 
 
 class SweepResult(namedtuple("SweepResult", (
@@ -144,8 +188,8 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
                              *((tiled[m], count) for m, count in attention)])
         record = evaluate_point(entry_terms(totals, "decode", hw, point.s),
                                 "decode", hw, point)
-        latency += record.result.latency
-        energy += record.energy.total_j
+        latency += record.latency
+        energy += record.total_j
         edp_sum += record.edp
     n = req.gen_tokens
     return {
@@ -174,15 +218,24 @@ def evaluate_point(entry: tuple[PhaseTerms, EnergyTerms] | str,
                    phase: str, hw: HardwareConfig,
                    point: DesignPoint) -> SweepRecord:
     """One sweep cell: its (phase, S) entry's terms at the point's f and
-    BW."""
+    BW.
+
+    compute_time covers the arrays; memory_time covers external and
+    on-chip transfers.  The global buffer decouples compute from memory
+    by double buffering, so whichever side is slower hides the other:
+    latency is the max of the two.
+    """
     if isinstance(entry, str):
-        return SweepRecord(point, phase, None, None, None, error=entry)
+        return SweepRecord(point, phase, error=entry)
     terms, energy = entry
-    result = phase_result(terms, point.f, point.bw)
-    return SweepRecord(point, phase, result,
-                       phase_energy(energy, result.latency),
-                       roofline(result, terms.oi,
-                                peak_flops(hw.fabric, point.f), point.bw))
+    compute_time = terms.compute_cycles / point.f
+    memory_time = max(terms.traffic.dram_bytes / point.bw, terms.onchip_time)
+    latency = max(compute_time, memory_time)
+    static = latency * energy.static_w * energy.ungated
+    if static < 0:
+        raise ValueError("energy must be non-negative")
+    return SweepRecord(point, phase, terms, energy, compute_time, memory_time,
+                       latency, static, peak_flops(hw.fabric, point.f))
 
 
 def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
@@ -224,14 +277,14 @@ def run_sweep(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
 # Every reported metric: its name, as grid files and summary keys carry
 # it, and its value in one evaluated record, in grid-file order.
 METRICS = {
-    "latency": lambda r: r.result.latency,
-    "total_energy": lambda r: r.energy.total_j,
+    "latency": lambda r: r.latency,
+    "total_energy": lambda r: r.total_j,
     "edp": lambda r: r.edp,
-    "cycles": lambda r: r.result.total_cycles,
-    "compute_fraction": lambda r: r.result.compute_fraction,
-    "dynamic_power": lambda r: r.energy.dynamic_power_w,
+    "cycles": lambda r: r.total_cycles,
+    "compute_fraction": lambda r: r.compute_fraction,
+    "dynamic_power": lambda r: r.dynamic_power_w,
     "dynamic_energy": lambda r: r.energy.dynamic_j,
-    "static_energy": lambda r: r.energy.static_j,
+    "static_energy": lambda r: r.static_j,
 }
 
 # The metrics whose argmin cell the summary gives, with `report`'s label.
@@ -282,10 +335,9 @@ ROOFLINE_HEADER = "bandwidth,S_bytes,f_hz,oi,attainable,achieved,bound"
 
 def roofline_row(r: SweepRecord) -> str:
     """One evaluated record's roofline point, in ROOFLINE_HEADER order."""
-    rf = r.roofline
     return (f"{_fmt(r.point.bw)},{r.point.s},{_fmt(r.point.f)},"
-            f"{_fmt(rf.oi)},{_fmt(rf.attainable)},{_fmt(rf.achieved)},"
-            f"{rf.bound}")
+            f"{_fmt(r.terms.oi)},{_fmt(r.attainable)},{_fmt(r.achieved)},"
+            f"{r.ridge_side}")
 
 
 def _roofline_csv(result: SweepResult) -> str:
@@ -311,7 +363,7 @@ def summary_dict(result: SweepResult) -> dict:
             lowest: dict[int, float] = {}
             block = result.select(phase, bw)
             for r in block:  # f ascends within each S
-                if r.ok and r.result.memory_bound:
+                if r.ok and r.memory_bound:
                     lowest.setdefault(r.point.s, r.point.f / 1e6)
             entry: dict = {"bound_transition_mhz": {
                 str(s): lowest.get(s) for s in result.spec.s_values}}

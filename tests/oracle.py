@@ -19,10 +19,9 @@ from math import ceil
 
 import numpy as np
 
-from acceldse.analysis import RooflinePoint, peak_flops
+from acceldse.analysis import peak_flops
 from acceldse.dataflow import AccessCounts, ArraySpec, CycleEstimate
-from acceldse.memory import (Buffers, PhaseResult, TilingError, TilingPlan,
-                             tile_set_bytes)
+from acceldse.memory import Buffers, TilingError, TilingPlan, tile_set_bytes
 from acceldse.workload import MatmulDims
 
 SIMULATION_MAC_GUARD = 1_000_000
@@ -200,7 +199,7 @@ def search_plan(m: MatmulDims, capacity: int, bytes_per_element: int,
 # --- one sweep cell, unsplit ---------------------------------------------
 
 def cell_result(totals, fabric, frequency, ext_bandwidth,
-                onchip_bandwidth) -> PhaseResult:
+                onchip_bandwidth) -> dict:
     """Latency of one phase's totals at a clock and bandwidths."""
     cycles = totals.compute_cycles
     compute_time = cycles / frequency
@@ -209,17 +208,17 @@ def cell_result(totals, fabric, frequency, ext_bandwidth,
     latency = max(compute_time, memory_time)
     utilization = totals.macs / (fabric.total_arrays * cycles
                                  * fabric.array.rows * fabric.array.cols)
-    return PhaseResult(
-        compute_cycles=cycles,
-        compute_time=compute_time,
-        memory_time=memory_time,
-        latency=latency,
-        total_cycles=latency * frequency,
-        compute_fraction=compute_time / latency,
-        traffic=totals.traffic,
-        utilization=utilization,
-        flops=2 * totals.macs,
-    )
+    return {
+        "compute_cycles": cycles,
+        "compute_time": compute_time,
+        "memory_time": memory_time,
+        "latency": latency,
+        "total_cycles": latency * frequency,
+        "compute_fraction": compute_time / latency,
+        "traffic": totals.traffic,
+        "utilization": utilization,
+        "flops": 2 * totals.macs,
+    }
 
 
 def cell_energy(result, phase, sram, arrays, gating, buffers,
@@ -227,35 +226,35 @@ def cell_energy(result, phase, sram, arrays, gating, buffers,
     """The energy of one evaluated phase, as `simulate --format json`
     prints it."""
     g = gating.saving(phase)
+    latency = result["latency"]
     local_leak = sram.leakage(buffers.local)
     global_leak = sram.leakage(buffers.global_)
-    static = result.latency * (local_leak * fabric.cores + global_leak
-                               + arrays.leakage_w * fabric.total_arrays) \
-        * (1.0 - g)
-    tr = result.traffic
+    static = latency * (local_leak * fabric.cores + global_leak
+                        + arrays.leakage_w * fabric.total_arrays) * (1.0 - g)
+    tr = result["traffic"]
     dyn_parts = {
         "local_buffers": (tr.local_reads + tr.local_writes)
         * sram.access_energy(buffers.local),
         "global_buffer": (tr.global_reads + tr.global_writes)
         * sram.access_energy(buffers.global_),
-        "arrays": (arrays.dynamic_w_ref * result.utilization
-                   * (result.compute_cycles / arrays.ref_frequency)
+        "arrays": (arrays.dynamic_w_ref * result["utilization"]
+                   * (result["compute_cycles"] / arrays.ref_frequency)
                    * fabric.total_arrays),
     }
     dynamic = sum(dyn_parts.values())
     if static < 0 or dynamic < 0:
         raise ValueError("energy must be non-negative")
     static_parts = {
-        "local_buffers": result.latency * local_leak * fabric.cores * (1.0 - g),
-        "global_buffer": result.latency * global_leak * (1.0 - g),
-        "arrays": result.latency * arrays.leakage_w * fabric.total_arrays
+        "local_buffers": latency * local_leak * fabric.cores * (1.0 - g),
+        "global_buffer": latency * global_leak * (1.0 - g),
+        "arrays": latency * arrays.leakage_w * fabric.total_arrays
         * (1.0 - g),
     }
     return {
         "static_j": static,
         "dynamic_j": dynamic,
         "total_j": static + dynamic,
-        "dynamic_power_w": dynamic / result.latency,
+        "dynamic_power_w": dynamic / latency,
         "by_component": {
             name: {"static_j": static_parts[name],
                    "dynamic_j": dyn_parts[name]}
@@ -263,20 +262,23 @@ def cell_energy(result, phase, sram, arrays, gating, buffers,
     }
 
 
-def cell_roofline(point: PhaseResult, peak: float,
-                  bw: float) -> RooflinePoint:
-    if point.traffic.dram_bytes <= 0:
+def cell_roofline(result: dict, peak: float, bw: float) -> dict:
+    """The roofline point of one evaluated phase: its operational
+    intensity, attainable and achieved flops/s, and the side of the ridge
+    point it lies on."""
+    dram_bytes = result["traffic"].dram_bytes
+    if dram_bytes <= 0:
         raise ValueError("roofline undefined for zero external traffic")
-    oi = point.flops / point.traffic.dram_bytes
-    attainable = min(peak, bw * oi)
-    achieved = point.flops / point.latency
-    bound = "memory" if oi < peak / bw else "compute"
-    return RooflinePoint(oi=oi, attainable=attainable,
-                         achieved=achieved, bound=bound)
+    oi = result["flops"] / dram_bytes
+    return {
+        "oi": oi,
+        "attainable": min(peak, bw * oi),
+        "achieved": result["flops"] / result["latency"],
+        "bound": "memory" if oi < peak / bw else "compute",
+    }
 
 
-def evaluate_cell(totals, phase, hw,
-                  point) -> tuple[PhaseResult, dict, RooflinePoint]:
+def evaluate_cell(totals, phase, hw, point) -> tuple[dict, dict, dict]:
     """(result, energy, roofline point) of one sweep cell from its phase's
     totals."""
     result = cell_result(totals, hw.fabric, point.f, point.bw,

@@ -36,10 +36,11 @@ from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count)
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
-                             energy_terms, phase_energy)
+                             energy_terms)
 from acceldse.memory import GB, KIB, Buffers, PhaseTerms, TrafficReport
-from acceldse.sweep import (METRICS, SweepSpec, argmin, emit_reports,
-                            run_sweep, summary_dict)
+from acceldse.sweep import (METRICS, DesignPoint, SweepSpec, argmin,
+                            emit_reports, evaluate_point, run_sweep,
+                            summary_dict)
 from acceldse.workload import MatmulDims
 from oracle import simulate_cycles
 
@@ -113,17 +114,23 @@ def test_criterion_02_energy_identities():
         gating = rng.uniform(0.0, 0.99)
         sram = SramEnergyModel(rng.uniform(1e-12, 0.3), 2e-13, 32 * KIB, 0.5)
         arrays = ArrayPower(rng.uniform(1e-9, 400.0), 1.25, 1e9)
-        terms = PhaseTerms(rng.randrange(10**12),
-                           TrafficReport(0, 0, 0, 0, 0, 0),
-                           rng.uniform(0.0, 1.0), 0, 0.0, 0.0)
-        e = phase_energy(energy_terms(terms, "decode", sram, arrays,
-                                      GatingPolicy(gating, gating), buffers,
-                                      fabric), latency)
+        cycles = rng.randrange(10**12)
+        # the latency is the on-chip time: compute takes half as long
+        terms = PhaseTerms(cycles, TrafficReport(0, 0, 0, 0, 0, 0),
+                           rng.uniform(0.0, 1.0), 0, 0.0, latency)
+        energy = energy_terms(terms, "decode", sram, arrays,
+                              GatingPolicy(gating, gating), buffers, fabric)
+        e = evaluate_point((terms, energy), "decode",
+                           HW._replace(fabric=fabric),
+                           DesignPoint(buffers.local,
+                                       2 * (cycles + 1) / latency,
+                                       HW.ext_bandwidth))
+        assert e.latency == latency
         leak = (sram.leakage(buffers.local) + sram.leakage(buffers.global_)
                 + arrays.leakage_w)
         expected = latency * leak * (1.0 - gating)
         worst = max(worst, abs(e.static_j - expected) / expected)
-        expected_total = e.static_j + e.dynamic_j
+        expected_total = e.static_j + e.energy.dynamic_j
         if expected_total:
             worst = max(worst, abs(e.total_j - expected_total) / expected_total)
     ok = report("criterion 2: energy identities", worst <= 1e-12,
@@ -137,11 +144,10 @@ def test_criterion_03_roofline_law(sweep_result):
     checked = 0
     for r in sweep_result.records:
         assert r.ok
-        rf = r.roofline
         fabric = HW.fabric
         peak = fabric.macs_per_cycle * 2 * r.point.f
-        assert rf.attainable == min(peak, r.point.bw * rf.oi)
-        assert rf.achieved <= rf.attainable * (1 + eps), (r.point, r.phase)
+        assert r.attainable == min(peak, r.point.bw * r.terms.oi)
+        assert r.achieved <= r.attainable * (1 + eps), (r.point, r.phase)
         checked += 1
     ok = report("criterion 3: roofline law", True, f"{checked} cells")
     assert ok
@@ -173,8 +179,8 @@ def test_criterion_05_bound_transition(sweep_result):
         records = {r.point.f: r for r in
                    sweep_result.select("decode", BASELINE_BW)
                    if r.point.s == s}
-        assert not records[400e6].result.memory_bound, s_kb
-        assert records[600e6].result.memory_bound, s_kb
+        assert not records[400e6].memory_bound, s_kb
+        assert records[600e6].memory_bound, s_kb
         flips[s_kb] = "400->600"
     ok = report("criterion 5: decode bound transition in (400, 600) MHz",
                 True, f"all of S={list(flips)} KB")
@@ -183,7 +189,7 @@ def test_criterion_05_bound_transition(sweep_result):
 
 def test_criterion_06_prefill_compute_fraction(sweep_result):
     """Prefill compute fraction > 90% at every sweep cell."""
-    lo = min(r.result.compute_fraction for r in sweep_result.records
+    lo = min(r.compute_fraction for r in sweep_result.records
              if r.phase == "prefill")
     ok = report("criterion 6 (prefill): compute fraction > 90% everywhere",
                 lo > 0.90, f"min fraction {lo:.4f}")
@@ -209,10 +215,11 @@ def test_criterion_06_decode_compute_fraction(sweep_result):
     f_hi = [f * 1e6 for f in F_MHZ if f >= 600]
     crossings = []
     for s_kb in S_KB:
-        by_f = {r.point.f: r.result
+        by_f = {r.point.f: r
                 for r in sweep_result.select("decode", BASELINE_BW)
                 if r.point.s == s_kb * KIB}
-        assert len({res.compute_cycles for res in by_f.values()}) == 1, s_kb
+        assert len({res.terms.compute_cycles
+                    for res in by_f.values()}) == 1, s_kb
         results = [by_f[f] for f in f_hi]
         assert all(res.memory_bound for res in results), s_kb
         fractions = [res.compute_fraction for res in results]
@@ -300,7 +307,7 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
     en = grid(sweep_result, "total_energy", "decode")
     argmins = set()
     for f in (f * 1e6 for f in F_MHZ):
-        traffic = [r.result.traffic
+        traffic = [r.terms.traffic
                    for r in sweep_result.select("decode", BASELINE_BW)
                    if r.point.f == f]
         dram = [t.dram_bytes for t in traffic]
@@ -358,9 +365,8 @@ def test_criterion_09_bandwidth_shifts_argmin(sweep_result):
     """
     for bw in (BASELINE_BW, QUAD_BW):
         for r in sweep_result.select("decode", bw):
-            res = r.result
-            assert res.memory_time == res.traffic.dram_bytes / bw, r.point
-    assert not any(r.result.memory_bound
+            assert r.memory_time == r.terms.traffic.dram_bytes / bw, r.point
+    assert not any(r.memory_bound
                    for r in sweep_result.select("decode", QUAD_BW))
     _, f_base = _edp_argmin(sweep_result, BASELINE_BW)
     s_quad, f_quad = _edp_argmin(sweep_result, QUAD_BW)
@@ -381,8 +387,8 @@ def test_criterion_10_bandwidth_ceiling(sweep_result):
                 if r.point.s == s and r.point.f == f)
     quad = next(r for r in sweep_result.select("decode", QUAD_BW)
                 if r.point.s == s and r.point.f == f)
-    assert base.result.memory_bound
-    ratio = quad.roofline.achieved / base.roofline.achieved
+    assert base.memory_bound
+    ratio = quad.achieved / base.achieved
     ok = report("criterion 10: bandwidth ceiling", 2.5 <= ratio <= 4.0,
                 f"achieved ratio {ratio:.3f}")
     assert ok

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from acceldse.analysis import peak_flops, roofline
+from acceldse.analysis import peak_flops
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import FabricSpec
-from acceldse.memory import (KIB, PhaseResult, PhaseTerms, PhaseTotals,
-                             TrafficReport, phase_terms)
+from acceldse.memory import (KIB, PhaseTerms, PhaseTotals, TrafficReport,
+                             phase_terms)
 from acceldse.sweep import (DesignPoint, SweepRecord, SweepSpec, argmin,
                             contour_levels, entry_terms, evaluate_point,
                             run_sweep, tile_phase)
@@ -21,30 +21,28 @@ def terms_with(flops, dram_bytes):
 
 
 def point_with(flops, dram_bytes, latency, peak, bw):
-    """The roofline point of a phase of `flops` and `dram_bytes` that
-    takes `latency` seconds."""
-    terms = terms_with(flops, dram_bytes)
-    result = PhaseResult(compute_cycles=1, compute_time=latency,
-                         memory_time=latency, latency=latency,
-                         total_cycles=1.0, compute_fraction=1.0,
-                         traffic=terms.traffic, utilization=1.0, flops=flops)
-    return roofline(result, terms.oi, peak, bw)
+    """The record of a phase of `flops` and `dram_bytes` that takes
+    `latency` seconds under a compute roof of `peak` flops/s."""
+    return SweepRecord(DesignPoint(64 * KIB, 1e9, bw), "decode",
+                       terms=terms_with(flops, dram_bytes),
+                       compute_time=latency, memory_time=latency,
+                       latency=latency, peak=peak)
 
 
 def test_roofline_min_law():
     # oi = 5, peak 100 GF/s, bw 10 GB/s -> attainable 50 GF/s, memory-bound
     pt = point_with(flops=50 * 10**9, dram_bytes=10**10, latency=1.0,
                     peak=100e9, bw=10e9)
-    assert pt.oi == 5.0
+    assert pt.terms.oi == 5.0
     assert pt.attainable == 50e9
-    assert pt.bound == "memory"
+    assert pt.ridge_side == "memory"
 
 
 def test_roofline_compute_bound_above_ridge():
     pt = point_with(flops=10**12, dram_bytes=10**9, latency=1.0,  # oi = 1000
                     peak=100e9, bw=10e9)
     assert pt.attainable == 100e9
-    assert pt.bound == "compute"
+    assert pt.ridge_side == "compute"
 
 
 def test_roofline_bandwidth_linearity_below_roof():
@@ -80,18 +78,17 @@ DECODE = evaluate_point(
 
 
 def record_with(total_j, latency):
-    """The decode record with its total energy and latency replaced."""
-    return SweepRecord(
-        DECODE.point, DECODE.phase,
-        DECODE.result._replace(latency=latency),
-        DECODE.energy._replace(total_j=total_j), DECODE.roofline)
+    """The decode record with its latency replaced and its energy all
+    static, `total_j` joules."""
+    return DECODE._replace(latency=latency, static_j=total_j,
+                           energy=DECODE.energy._replace(dynamic_j=0.0))
 
 
 def test_edp_hand_cases():
     # a record's EDP is exactly total energy times latency
     assert record_with(2.0, 3.0).edp == 6.0
     assert record_with(0.0, 5.0).edp == 0.0
-    assert DECODE.edp == DECODE.energy.total_j * DECODE.result.latency > 0
+    assert DECODE.edp == DECODE.total_j * DECODE.latency > 0
 
 
 def test_edp_argmin_invariant_under_energy_rescaling():
@@ -111,8 +108,8 @@ def block_from(latencies):
             point = DesignPoint(16384 * (si + 1), 2e8 * (fi + 1),
                                 HW.ext_bandwidth)
             block.append(
-                SweepRecord(point, "decode", None, None, None,
-                            error="no tile set fits") if latency is None
+                SweepRecord(point, "decode", error="no tile set fits")
+                if latency is None
                 else record_with(1.0, latency)._replace(point=point))
     return tuple(block)
 

@@ -286,17 +286,21 @@ def test_phase_names_are_declared_once():
             load_sweep_axes({"sweep.phases": name})
 
 
-def test_cli_sweep_exit_1_on_infeasible_cells(tmp_path, capsys):
+@pytest.mark.parametrize("verb", ["sweep", "roofline", "report"])
+def test_cli_sweep_exit_1_on_infeasible_cells(verb, tmp_path, capsys):
     # a sub-minimal buffer size makes those cells unevaluable; they are
-    # recorded and reported, and the run exits nonzero
-    rc = main(["sweep", "--config", str(BASELINE), "--out", str(tmp_path),
+    # recorded and reported, and the run exits nonzero saying how many
+    out = [] if verb == "roofline" else ["--out", str(tmp_path)]
+    rc = main([verb, "--config", str(BASELINE), *out,
                "--override", "sweep.local_buffer_kb=0.0078125,64",
                "--override", "sweep.frequency_mhz=800",
                "--override", "sweep.bandwidth_gbps=2048",
                "--override", "sweep.phases=decode"])
     assert rc == 1
-    assert "could not be evaluated" in capsys.readouterr().err
-    assert (tmp_path / "summary.json").exists()
+    assert capsys.readouterr().err \
+        == "error: 1 design points could not be evaluated\n"
+    if out:
+        assert (tmp_path / "summary.json").exists()
 
 
 def test_cli_array_rows_not_a_power_of_two(tmp_path, capsys):

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from acceldse.config import (load_hardware, load_model_spec, load_request,
                              load_sweep_axes)
 from acceldse.dataflow import FabricSpec
-from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
-                             by_component, energy_terms, phase_energy)
+from acceldse.energy import (ArrayPower, EnergyTerms, GatingPolicy,
+                             SramEnergyModel, by_component, energy_terms)
 from acceldse.memory import (GB, KIB, MIB, Buffers, PhaseTerms,
-                             TrafficReport, phase_result, phase_terms,
-                             phase_totals)
-from acceldse.sweep import SweepSpec, evaluate_sweep, phase_table
+                             TrafficReport, phase_terms, phase_totals)
+from acceldse.sweep import (DesignPoint, SweepSpec, evaluate_point,
+                            evaluate_sweep, phase_table)
 from acceldse.workload import build_decode_trace, build_prefill_trace
 
 HW = load_hardware({})
@@ -28,22 +28,25 @@ EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
 
 def fake_energy(latency, phase, sram, arrays, gating, buffers, fabric,
                 cycles=1000, util=0.5):
-    """The energy of a phase of `cycles` at `util` and no buffer traffic
-    that takes `latency` seconds."""
+    """The record of a phase of `cycles` at `util` and no buffer traffic
+    that takes `latency` seconds: its on-chip time, at a clock fast
+    enough that compute takes less."""
     terms = PhaseTerms(compute_cycles=cycles,
                        traffic=TrafficReport(0, 0, 0, 0, 0, 0),
-                       utilization=util, flops=0, oi=0.0, onchip_time=0.0)
-    return phase_energy(energy_terms(terms, phase, sram, arrays, gating,
-                                     buffers, fabric), latency)
+                       utilization=util, flops=0, oi=0.0,
+                       onchip_time=latency)
+    energy = energy_terms(terms, phase, sram, arrays, gating, buffers, fabric)
+    point = DesignPoint(buffers.local, 2 * (cycles + 1) / latency, EXT_BW)
+    return evaluate_point((terms, energy), phase, HW._replace(fabric=fabric),
+                          point)
 
 
 def evaluate(totals, phase, buffers, f):
-    """(result, energy) of a phase's totals at f and the default
-    bandwidths."""
+    """The record of a phase's totals at f and the default bandwidths."""
     terms = phase_terms(totals, FABRIC, ONCHIP_BW)
-    r = phase_result(terms, f, EXT_BW)
-    return r, phase_energy(energy_terms(terms, phase, SRAM, ARRAYS, GATING,
-                                        buffers, FABRIC), r.latency)
+    energy = energy_terms(terms, phase, SRAM, ARRAYS, GATING, buffers, FABRIC)
+    return evaluate_point((terms, energy), phase, HW,
+                          DesignPoint(buffers.local, f, EXT_BW))
 
 
 def leakage_w(sram, arrays, buffers, fabric) -> float:
@@ -84,14 +87,15 @@ def test_array_part_paper_anchor():
     e = fake_energy(1.0, "decode", SRAM, ARRAYS, GATING,
                     Buffers(32 * KIB, 40 * MIB), ONE_ARRAY,
                     cycles=int(ARRAYS.ref_frequency), util=1.0)
-    assert by_component(e, 1.0)["arrays"]["dynamic_j"] == pytest.approx(1.25)
+    assert by_component(e.energy, 1.0)["arrays"]["dynamic_j"] \
+        == pytest.approx(1.25)
 
 
 def test_dynamic_energy_zero_case():
     bufs = Buffers(32 * KIB, 40 * MIB)
     e = fake_energy(1.0, "decode", SRAM, ARRAYS, GATING, bufs,
                     FABRIC, cycles=0, util=0.0)
-    assert e.dynamic_j == 0.0
+    assert e.energy.dynamic_j == 0.0
     assert e.total_j == e.static_j and e.dynamic_power_w == 0.0
 
 
@@ -101,12 +105,13 @@ def test_total_energy_hand_cases():
     e = fake_energy(2.0, "decode", SRAM, ARRAYS, GATING,
                     Buffers(32 * KIB, 40 * MIB), ONE_ARRAY,
                     cycles=2 * int(ARRAYS.ref_frequency), util=1.0)
-    assert e.dynamic_j == 2.5
+    assert e.energy.dynamic_j == 2.5
     assert e.dynamic_power_w == 1.25
     assert e.total_j == e.static_j + 2.5
+    # negative leakage makes the static energy of any latency negative
+    negative = EnergyTerms({}, -1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="energy must be non-negative"):
-        fake_energy(-1.0, "decode", SRAM, ARRAYS, GATING,
-                    Buffers(32 * KIB, 40 * MIB), ONE_ARRAY)
+        evaluate_point((e.terms, negative), "decode", HW, e.point)
 
 
 def test_identities_randomized():
@@ -124,7 +129,7 @@ def test_identities_randomized():
         leak = leakage_w(sram, arrays, bufs, FABRIC)
         assert e.static_j == pytest.approx(latency * leak * (1 - gating),
                                            rel=1e-12)
-        assert e.total_j == pytest.approx(e.static_j + e.dynamic_j,
+        assert e.total_j == pytest.approx(e.static_j + e.energy.dynamic_j,
                                           rel=1e-12)
 
 
@@ -135,17 +140,17 @@ def test_gating_policy_by_phase():
         GatingPolicy(prefill_saving=1.0, decode_saving=0.20)
 
 
-def test_phase_energy_composition():
+def test_cell_energy_composition():
     bufs = Buffers(64 * KIB, 40 * MIB)
     totals = phase_totals(build_decode_trace(MODEL, REQ, 0), FABRIC,
                           bufs.local, 2)
-    r, e = evaluate(totals, "decode", bufs, 800e6)
-    assert e.total_j == e.static_j + e.dynamic_j
-    assert e.dynamic_power_w == e.dynamic_j / r.latency
-    assert set(by_component(e, r.latency)) == {"local_buffers",
-                                               "global_buffer", "arrays"}
+    r = evaluate(totals, "decode", bufs, 800e6)
+    assert r.total_j == r.static_j + r.energy.dynamic_j
+    assert r.dynamic_power_w == r.energy.dynamic_j / r.latency
+    assert set(by_component(r.energy, r.latency)) == {
+        "local_buffers", "global_buffer", "arrays"}
     leak = leakage_w(SRAM, ARRAYS, bufs, FABRIC)
-    assert e.static_j == pytest.approx(r.latency * leak * 0.8, rel=1e-12)
+    assert r.static_j == pytest.approx(r.latency * leak * 0.8, rel=1e-12)
 
 
 DEFAULT_SPEC = SweepSpec(*map(tuple, load_sweep_axes({})))
@@ -159,12 +164,11 @@ def test_component_split_sums_to_totals(leakage, access, exponent):
     hw = HW._replace(sram=SramEnergyModel(leakage, access, 32 * KIB,
                                           exponent))
     for record in evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE, 0).records:
-        e = record.energy
-        parts = by_component(e, record.result.latency).values()
-        assert e.dynamic_j == sum(c["dynamic_j"] for c in parts)
-        assert e.total_j == e.static_j + e.dynamic_j
+        parts = by_component(record.energy, record.latency).values()
+        assert record.energy.dynamic_j == sum(c["dynamic_j"] for c in parts)
+        assert record.total_j == record.static_j + record.energy.dynamic_j
         assert sum(c["static_j"] for c in parts) == pytest.approx(
-            e.static_j, rel=1e-12)
+            record.static_j, rel=1e-12)
 
 
 def test_memory_bound_array_energy_invariant_to_frequency():
@@ -174,8 +178,8 @@ def test_memory_bound_array_energy_invariant_to_frequency():
                           bufs.local, 2)
     energies = set()
     for f in (600e6, 800e6, 1000e6, 1200e6, 1400e6):
-        _, e = evaluate(totals, "decode", bufs, f)
-        energies.add((e.static_j, e.dynamic_j))
+        r = evaluate(totals, "decode", bufs, f)
+        energies.add((r.static_j, r.energy.dynamic_j))
     assert len(energies) == 1
 
 
@@ -185,6 +189,5 @@ def test_compute_bound_static_energy_decreases_with_frequency():
                           bufs.local, 2)
     statics = []
     for f in (200e6, 600e6, 1000e6, 1400e6):
-        _, e = evaluate(totals, "prefill", bufs, f)
-        statics.append(e.static_j)
+        statics.append(evaluate(totals, "prefill", bufs, f).static_j)
     assert all(b < a for a, b in zip(statics, statics[1:]))

@@ -4,11 +4,11 @@ from math import ceil
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from acceldse.config import load_model_spec, load_request
+from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec
-from acceldse.memory import (GB, KIB, MIB, TilingError, phase_result,
-                             phase_terms, phase_totals, plan_tiling,
-                             tile_set_bytes, traffic)
+from acceldse.memory import (GB, KIB, MIB, TilingError, phase_totals,
+                             plan_tiling, tile_set_bytes, traffic)
+from acceldse.sweep import DesignPoint, entry_terms, evaluate_point
 from acceldse.workload import (MatmulDims, build_decode_trace,
                                build_prefill_trace)
 from oracle import search_plan
@@ -227,28 +227,30 @@ def test_dram_non_increasing_in_capacity():
             prev = t.dram_bytes
 
 
-# --- phase_result ----------------------------------------------------------
+# --- latency at (f, BW) ---------------------------------------------------
 
 MODEL = load_model_spec({})
 REQ = load_request({})
 EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
+HW = load_hardware({})._replace(fabric=FABRIC, onchip_bandwidth=ONCHIP_BW)
 
 
-def at(trace, f_hz):
-    """The trace with a 64 KB local buffer, evaluated at f_hz and the
-    default bandwidths."""
+def at(trace, f_hz, phase="decode"):
+    """The trace of `phase` with a 64 KB local buffer, evaluated at f_hz
+    and the default bandwidths."""
     totals = phase_totals(trace, FABRIC, 64 * KIB, 2)
-    return phase_result(phase_terms(totals, FABRIC, ONCHIP_BW), f_hz, EXT_BW)
+    return evaluate_point(entry_terms(totals, phase, HW, 64 * KIB), phase,
+                          HW, DesignPoint(64 * KIB, f_hz, EXT_BW))
 
 
-def test_phase_result_overlap_model():
+def test_latency_overlap_model():
     trace = build_decode_trace(MODEL, REQ, 0)
     r = at(trace, 800e6)
     assert r.latency == max(r.compute_time, r.memory_time)
     assert r.compute_fraction == r.compute_time / r.latency
     assert r.total_cycles == pytest.approx(r.latency * 800e6)
-    assert r.total_cycles >= r.compute_cycles
-    assert 0 < r.utilization <= 1
+    assert r.total_cycles >= r.terms.compute_cycles
+    assert 0 < r.terms.utilization <= 1
 
 
 def test_memory_time_from_bandwidth():
@@ -256,8 +258,8 @@ def test_memory_time_from_bandwidth():
     trace = build_decode_trace(MODEL, REQ, 0)
     r = at(trace, 800e6)
     assert r.memory_time == pytest.approx(
-        max(r.traffic.dram_bytes / EXT_BW,
-            r.traffic.onchip_bytes / ONCHIP_BW))
+        max(r.terms.traffic.dram_bytes / EXT_BW,
+            r.terms.traffic.onchip_bytes / ONCHIP_BW))
 
 
 def test_memory_bound_latency_invariant_to_frequency():
@@ -272,9 +274,10 @@ def test_memory_bound_latency_invariant_to_frequency():
 def test_compute_bound_latency_is_cycles_over_frequency():
     trace = build_prefill_trace(MODEL, REQ)
     for f in (200e6, 800e6, 1400e6):
-        r = at(trace, f)
+        r = at(trace, f, "prefill")
         assert not r.memory_bound
-        assert r.latency * f == pytest.approx(r.compute_cycles, rel=1e-12)
+        assert r.latency * f == pytest.approx(r.terms.compute_cycles,
+                                              rel=1e-12)
         assert r.compute_fraction == 1.0
 
 
@@ -290,7 +293,7 @@ def test_compute_fraction_is_one_at_transition():
     # run the clock exactly at cycles / memory_time: both sides equal
     trace = build_decode_trace(MODEL, REQ, 0)
     probe = at(trace, 1e9)
-    f_cross = probe.compute_cycles / probe.memory_time
+    f_cross = probe.terms.compute_cycles / probe.memory_time
     r = at(trace, f_cross)
     assert r.compute_fraction == 1.0
     assert r.compute_time == r.memory_time

@@ -132,7 +132,6 @@ TRACED_CALLS = {
     "memory.phase_totals": 14,
     "memory.plan_tiling": 70,
     "sweep.evaluate_point": 294,
-    "energy.phase_energy": 294,
     # the f- and BW-free terms: once per (phase, S) entry
     "sweep.entry_terms": 14,
     "memory.phase_terms": 14,

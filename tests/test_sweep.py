@@ -89,8 +89,7 @@ def test_single_point_matches_direct_evaluation():
                             "decode", HW,
                             DesignPoint(64 * KIB, 800e6, 2048 * GB))
     got = result.records[0]
-    assert got.result == direct.result
-    assert got.energy == direct.energy
+    assert got == direct
     assert got.edp == direct.edp
 
 
@@ -107,7 +106,7 @@ def test_infeasible_cells_recorded_not_skipped(tmp_path):
     emit_reports(result, tmp_path, summary_dict(result))
     rows = (tmp_path / "latency_decode_bw2048.csv").read_text().splitlines()
     assert rows[3:] == ["8,800000000.0,nan",
-                        f"{64 * KIB},800000000.0,{block[1].result.latency!r}"]
+                        f"{64 * KIB},800000000.0,{block[1].latency!r}"]
 
 
 def test_emit_reports_file_set(tmp_path):
@@ -168,7 +167,7 @@ def test_bound_transition_is_lowest_memory_bound_frequency(spec):
             for s in spec.s_values:
                 bound = [r.point.f for r in result.records
                          if (r.phase, r.point.bw, r.point.s) == (phase, bw, s)
-                         and r.ok and r.result.memory_bound]
+                         and r.ok and r.memory_bound]
                 want = min(bound) / 1e6 if bound else None
                 assert got[str(s)] == want, (phase, bw, s)
                 seen.add(want is None)
@@ -191,16 +190,16 @@ def test_cells_share_phase_totals_and_obey_closed_form(s_kb, f_mhz, bw_gbps):
                      ascending(bw_gbps, GB), ("prefill", "decode"))
     first = {}
     for rec in run_sweep(spec, HW, MODEL, REQ).records:
-        r = rec.result
+        t = rec.terms
         # cycles and traffic depend on (phase, S) only, never on f or BW
-        shared = first.setdefault((rec.phase, rec.point.s), r)
-        assert (r.compute_cycles, r.traffic) == (shared.compute_cycles,
+        shared = first.setdefault((rec.phase, rec.point.s), t)
+        assert (t.compute_cycles, t.traffic) == (shared.compute_cycles,
                                                  shared.traffic)
-        assert r.latency >= r.compute_time
-        assert r.latency >= r.traffic.dram_bytes / rec.point.bw
-        assert r.latency >= r.traffic.onchip_bytes / HW.onchip_bandwidth
-        assert r.total_cycles == pytest.approx(r.latency * rec.point.f,
-                                               rel=1e-12)
+        assert rec.latency >= rec.compute_time
+        assert rec.latency >= t.traffic.dram_bytes / rec.point.bw
+        assert rec.latency >= t.traffic.onchip_bytes / HW.onchip_bandwidth
+        assert rec.total_cycles == pytest.approx(rec.latency * rec.point.f,
+                                                 rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,12 +237,11 @@ def test_model_invariants_hold_on_random_small_configs(
     for rec in result.records:
         if not rec.ok:  # no tile set fits this S
             continue
-        r, rf = rec.result, rec.roofline
-        assert 0 < r.utilization <= 1
-        assert rf.achieved <= rf.attainable * (1 + 1e-15)
-        assert 0 < r.compute_fraction <= 1
+        assert 0 < rec.terms.utilization <= 1
+        assert rec.achieved <= rec.attainable * (1 + 1e-15)
+        assert 0 < rec.compute_fraction <= 1
         latencies.setdefault((rec.phase, rec.point.bw, rec.point.s),
-                             []).append(r.latency)  # f ascends
+                             []).append(rec.latency)  # f ascends
     for cell, lat in latencies.items():
         assert all(b <= a for a, b in zip(lat, lat[1:])), cell
 
@@ -302,14 +300,23 @@ def test_split_cells_match_the_unsplit_oracle(
             continue
         result, energy, roof = evaluate_cell(totals, rec.phase, hw, rec.point)
         oracle[rec.phase, rec.point] = energy
-        e = rec.energy
-        assert repr(rec.result) == repr(result)
-        assert repr(rec.roofline) == repr(roof)
-        assert repr({"static_j": e.static_j, "dynamic_j": e.dynamic_j,
-                     "total_j": e.total_j,
-                     "dynamic_power_w": e.dynamic_power_w,
-                     "by_component": by_component(e, rec.result.latency)}) \
-            == repr(energy)
+        t = rec.terms
+        got = {
+            "compute_cycles": t.compute_cycles,
+            "compute_time": rec.compute_time,
+            "memory_time": rec.memory_time, "latency": rec.latency,
+            "total_cycles": rec.total_cycles,
+            "compute_fraction": rec.compute_fraction, "traffic": t.traffic,
+            "utilization": t.utilization, "flops": t.flops,
+            "oi": t.oi, "attainable": rec.attainable,
+            "achieved": rec.achieved, "bound": rec.ridge_side,
+            "static_j": rec.static_j, "dynamic_j": rec.energy.dynamic_j,
+            "total_j": rec.total_j, "dynamic_power_w": rec.dynamic_power_w,
+            "by_component": by_component(rec.energy, rec.latency)}
+        want = {**result, **roof, **energy}
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert repr(got[name]) == repr(value), name
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -348,7 +355,7 @@ def test_total_energy_monotone_in_sram_constants(leakage, access,
                with_sram(leakage, access * access_growth)):
         grown = evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE, 0)
         for a, b in zip(base.records, grown.records, strict=True):
-            assert b.energy.total_j >= a.energy.total_j
+            assert b.total_j >= a.total_j
 
 
 # --- decode mean over the generation -----------------------------------------
@@ -362,8 +369,8 @@ def per_step_mean(hw, model, req, point):
         [record] = run_sweep(spec, hw, model, req, decode_step=step).records
         if not record.ok:
             raise TilingError(record.error)
-        latency += record.result.latency
-        energy += record.energy.total_j
+        latency += record.latency
+        energy += record.total_j
         edp_sum += record.edp
     n = req.gen_tokens
     return {

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acceldse.config import load_hardware, load_model_spec, load_request
-from acceldse.memory import KIB, phase_result, phase_terms, phase_totals
+from acceldse.memory import KIB, phase_terms, phase_totals
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
                                PhaseTrace, attention_matmuls,
                                build_decode_trace, build_prefill_trace,
@@ -109,9 +109,8 @@ def test_decode_step_range():
 def test_phase_flops_two_per_mac(dims, flops):
     totals = phase_totals(PhaseTrace({MatmulDims(*dims): 1}), HW.fabric,
                           64 * KIB, 2)
-    result = phase_result(phase_terms(totals, HW.fabric, HW.onchip_bandwidth),
-                          HW.frequency, HW.ext_bandwidth)
-    assert result.flops == flops
+    terms = phase_terms(totals, HW.fabric, HW.onchip_bandwidth)
+    assert terms.flops == flops
 
 
 def test_prefill_score_flops_quadratic_in_prompt():
