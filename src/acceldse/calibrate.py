@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .config import HardwareConfig
+from .config import KIB, HardwareConfig
 from .memory import TilingError
 from .sweep import SweepResult, SweepSpec, argmin, evaluate_sweep, phase_table
 from .workload import InferenceRequest, ModelSpec
@@ -121,7 +121,7 @@ def constants_file_text(outcome: CalibrationOutcome,
         f"displacement {outcome.displacement} grid step(s)",
         f"hw.sram_leakage_w_per_byte = {outcome.leakage_per_byte!r}",
         f"hw.sram_access_energy_j = {outcome.access_energy_ref!r}",
-        f"hw.sram_access_ref_kb = {ref_size / 1024!r}",
+        f"hw.sram_access_ref_kb = {ref_size / KIB!r}",
         f"hw.sram_access_exponent = {exponent!r}",
     ]
     return "\n".join(lines) + "\n"

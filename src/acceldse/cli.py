@@ -7,11 +7,11 @@ import json
 import sys
 from pathlib import Path
 
-from .config import (ConfigError, apply_overrides, decode_step,
-                     load_hardware, load_model_spec, load_request,
-                     load_sweep_axes, parse_config)
+from .config import (GB, KIB, MHZ, ConfigError, apply_overrides,
+                     decode_step, load_hardware, load_model_spec,
+                     load_request, load_sweep_axes, parse_config)
 from .energy import by_component
-from .memory import GB, KIB, TilingError
+from .memory import TilingError
 from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, SweepRecord,
                     SweepResult, SweepSpec, decode_mean_over_generation,
                     emit_reports, roofline_row, run_sweep, summary_dict)
@@ -75,7 +75,7 @@ def _record_dict(r: SweepRecord) -> dict:
 def _print_table(record: SweepRecord) -> None:
     d = _record_dict(record)
     s_kb = record.point.s / KIB
-    f_mhz = record.point.f / 1e6
+    f_mhz = record.point.f / MHZ
     bw_gbps = record.point.bw / GB
     print(f"design point     S={s_kb:g} KB  f={f_mhz:g} MHz  BW={bw_gbps:g} GB/s")
     print(f"phase            {d['phase']}")
@@ -175,7 +175,7 @@ def cmd_calibrate(args) -> int:
     spec, hw, model, req, step = _load(args)
     # whole bytes, as the S axis is parsed; nan and inf stay off the grid
     s_bytes = args.target_s_kb * KIB // 1
-    f_hz = args.target_f_mhz * 1e6
+    f_hz = args.target_f_mhz * MHZ
     for flag, value, axis in (
             ("--target-s-kb", s_bytes, spec.s_values),
             ("--target-f-mhz", f_hz, spec.f_values),
@@ -214,7 +214,7 @@ def cmd_report(args) -> int:
         for metric, label in ARGMIN_METRICS.items():
             cell = entry[f"{metric}_argmin"]  # None: every cell infeasible
             where = "none" if cell is None else (
-                f"S={cell['S_bytes'] / KIB:g} KB, f={cell['f_hz'] / 1e6:g} MHz")
+                f"S={cell['S_bytes'] / KIB:g} KB, f={cell['f_hz'] / MHZ:g} MHz")
             print(f"  {label + ' argmin':<20}{where}")
         transitions = {
             f"{int(s) / KIB:g}KB": (f"{mhz:g} MHz" if mhz else "none")

@@ -16,9 +16,12 @@ from pathlib import Path
 
 from .dataflow import ArraySpec, FabricSpec
 from .energy import ArrayPower, GatingPolicy, SramEnergyModel
-from .memory import GB, KIB, MIB, Buffers
+from .memory import Buffers
 from .workload import PHASES, InferenceRequest, ModelSpec
 
+KIB = 1024
+MIB = 1024 * 1024
+GB = 10**9  # bandwidth uses SI gigabytes
 MHZ = 10**6
 
 

@@ -1,13 +1,14 @@
-"""Analytic compute-cycle model for weight-stationary systolic arrays.
+"""Analytic compute cycles and local-buffer access counts for
+weight-stationary systolic arrays.
 
 A matmul is executed as a grid of weight folds: each fold pins one
 rows x cols weight tile in an array, streams all M input rows through it,
 and drains the pipeline before the next fold is loaded.  Folds are
 distributed round-robin across every array in the fabric; M is never
-split.  `analytic_cycles` is the closed form; the tests pin it exactly to
-a cycle-by-cycle simulation of one array (`simulate_cycles` in
-tests/oracle.py).  Utilization is a phase quantity, derived in
-`memory.phase_terms`.
+split.  `analytic_cycles` and `matmul_local_accesses` are the closed
+forms; the tests pin both exactly to a cycle-by-cycle simulation of one
+array (`simulate_cycles` in tests/oracle.py).  Utilization is a phase
+quantity, derived in `memory.phase_terms`.
 """
 
 from __future__ import annotations
@@ -50,25 +51,6 @@ class CycleEstimate(namedtuple("CycleEstimate", ("compute_cycles",))):
     __slots__ = ()
 
 
-class AccessCounts(namedtuple("AccessCounts", (
-        "input_reads",
-        "weight_reads",
-        "output_writes",
-        "output_reads",  # read-modify-write per extra K-fold
-))):
-    """Local-buffer traffic at the array edge, in element accesses."""
-
-    __slots__ = ()
-
-    @property
-    def reads(self) -> int:
-        return self.input_reads + self.weight_reads + self.output_reads
-
-    @property
-    def writes(self) -> int:
-        return self.output_writes
-
-
 def fold_count(m: MatmulDims, array: ArraySpec) -> int:
     return ceil(m.K / array.rows) * ceil(m.N / array.cols)
 
@@ -84,18 +66,13 @@ def analytic_cycles(m: MatmulDims, fabric: FabricSpec) -> CycleEstimate:
     return CycleEstimate(rounds * per_fold_cycles(m, fabric.array))
 
 
-def matmul_local_accesses(m: MatmulDims, array: ArraySpec) -> AccessCounts:
-    """Closed-form local-buffer accesses for one matmul.
-
-    Inputs are re-read once per fold-column, weights are read exactly
-    once, and K-fold partial sums accumulate in the local buffer (one
-    write plus one read-modify-write per extra K-fold).
-    """
+def matmul_local_accesses(m: MatmulDims, array: ArraySpec) -> tuple[int, int]:
+    """Closed-form local-buffer (reads, writes) for one matmul, in element
+    accesses at the array edge."""
     k_folds = ceil(m.K / array.rows)
     n_folds = ceil(m.N / array.cols)
-    return AccessCounts(
-        input_reads=m.M * m.K * n_folds,
-        weight_reads=m.K * m.N,
-        output_writes=m.M * m.N * k_folds,
-        output_reads=m.M * m.N * (k_folds - 1),
-    )
+    reads = (m.M * m.K * n_folds  # inputs, once per fold-column
+             + m.K * m.N  # weights, once
+             + m.M * m.N * (k_folds - 1))  # partial sums, per extra K-fold
+    writes = m.M * m.N * k_folds  # outputs, once per K-fold
+    return reads, writes

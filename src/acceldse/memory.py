@@ -2,6 +2,9 @@
 
 Each core owns one local SRAM buffer that feeds its arrays; all cores
 share one global buffer that double-buffers external-memory transfers.
+`traffic` counts one GEMM's global-buffer reads and writes and derives
+its on-chip and external bytes from them; its local-buffer counts come
+from `dataflow.matmul_local_accesses`.
 
 A phase is evaluated in two steps here.  `phase_totals` fixes its cycles
 and traffic from the trace, the fabric and the local buffer size alone,
@@ -22,10 +25,6 @@ from math import ceil
 from .dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                        matmul_local_accesses)
 from .workload import MatmulDims, PhaseTrace
-
-KIB = 1024
-MIB = 1024 * 1024
-GB = 10**9  # bandwidth uses SI gigabytes
 
 
 class TilingError(ValueError):
@@ -150,32 +149,27 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
     Weight tiles are fetched once (weight-stationary); the input panel is
     re-read from the global buffer for every column tile, but cores sweep
     distinct column tiles concurrently, so external memory sees the panel
-    once per wave of `cores` tiles.  Outputs cross each level once;
-    K-fold partial sums stay in the local buffers.
+    once per wave of `cores` tiles.  K-fold partial sums stay in the
+    local buffers.
+
+    The global buffer writes what external memory sends it (inputs per
+    wave, weights) and the outputs the local buffers return; it reads
+    what it feeds the local buffers (inputs per tile, weights) and the
+    outputs it writes back.  Outputs cross each level once, so the
+    external bytes are the global writes, and the on-chip bytes the
+    global reads, times the element size.
     """
-    b = bytes_per_element
+    inputs, weights, outputs = m.M * m.K, m.K * m.N, m.M * m.N
     n_tiles = ceil(m.N / plan.tile_n)
     waves = ceil(n_tiles / fabric.cores)
-    weight_b = m.K * m.N * b
-    input_b = m.M * m.K * b
-    output_b = m.M * m.N * b
-
-    dram_bytes = weight_b + input_b * waves + output_b
-    onchip_bytes = weight_b + input_b * n_tiles + output_b
-
-    local = matmul_local_accesses(m, fabric.array)
-    in_el = m.M * m.K
-    w_el = m.K * m.N
-    out_el = m.M * m.N
-    # reads: feed locals (inputs per column tile + weights once) and the
-    # DRAM writeback of outputs; writes: DRAM ingress plus output arrival.
-    global_reads = in_el * n_tiles + w_el + out_el
-    global_writes = in_el * waves + w_el + out_el
+    global_reads = inputs * n_tiles + weights + outputs
+    global_writes = inputs * waves + weights + outputs
+    local_reads, local_writes = matmul_local_accesses(m, fabric.array)
     return TrafficReport(
-        dram_bytes=dram_bytes,
-        onchip_bytes=onchip_bytes,
-        local_reads=local.reads,
-        local_writes=local.writes,
+        dram_bytes=global_writes * bytes_per_element,
+        onchip_bytes=global_reads * bytes_per_element,
+        local_reads=local_reads,
+        local_writes=local_writes,
         global_reads=global_reads,
         global_writes=global_writes,
     )
@@ -231,7 +225,6 @@ def phase_terms(totals: PhaseTotals, fabric: FabricSpec,
     cycles, flops, tr = totals.compute_cycles, 2 * totals.macs, totals.traffic
     if tr.dram_bytes <= 0:
         raise ValueError("roofline undefined for zero external traffic")
-    utilization = totals.macs / (fabric.total_arrays * cycles
-                                 * fabric.array.rows * fabric.array.cols)
+    utilization = totals.macs / (cycles * fabric.macs_per_cycle)
     return PhaseTerms(cycles, tr, utilization, flops, flops / tr.dram_bytes,
                       tr.onchip_bytes / onchip_bandwidth)

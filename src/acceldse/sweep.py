@@ -20,9 +20,9 @@ from collections import namedtuple
 from pathlib import Path
 
 from .analysis import peak_flops
-from .config import HardwareConfig
+from .config import GB, MHZ, HardwareConfig
 from .energy import EnergyTerms, energy_terms
-from .memory import (GB, Buffers, PhaseTerms, PhaseTotals, TilingError,
+from .memory import (Buffers, PhaseTerms, PhaseTotals, TilingError,
                      matmul_totals, phase_terms, phase_totals, sum_totals)
 from .workload import (PHASES, InferenceRequest, ModelSpec, PhaseTrace,
                        attention_matmuls, build_decode_trace,
@@ -364,7 +364,7 @@ def summary_dict(result: SweepResult) -> dict:
             block = result.select(phase, bw)
             for r in block:  # f ascends within each S
                 if r.ok and r.memory_bound:
-                    lowest.setdefault(r.point.s, r.point.f / 1e6)
+                    lowest.setdefault(r.point.s, r.point.f / MHZ)
             entry: dict = {"bound_transition_mhz": {
                 str(s): lowest.get(s) for s in result.spec.s_values}}
             for metric in ARGMIN_METRICS:

@@ -20,7 +20,7 @@ from math import ceil
 import numpy as np
 
 from acceldse.analysis import peak_flops
-from acceldse.dataflow import AccessCounts, ArraySpec, CycleEstimate
+from acceldse.dataflow import ArraySpec, CycleEstimate
 from acceldse.memory import Buffers, TilingError, TilingPlan, tile_set_bytes
 from acceldse.workload import MatmulDims
 
@@ -34,7 +34,7 @@ class SimulationGuardError(ValueError):
 class SimulatedCycles(namedtuple("SimulatedCycles", (
         "estimate",
         "folds",  # weight folds run, K-folds x N-folds
-        "counts",
+        "counts",  # local-buffer (reads, writes), in element accesses
 ))):
     __slots__ = ()
 
@@ -147,7 +147,7 @@ def simulate_cycles(m: MatmulDims, array: ArraySpec) -> SimulatedCycles:
             out_writes += count * m.M * n_sub
     # psum re-read per extra K-fold (fold index > 0 along K)
     out_reads = m.M * m.N * (k_folds - 1)
-    counts = AccessCounts(in_reads, w_reads, out_writes, out_reads)
+    counts = (in_reads + w_reads + out_reads, out_writes)
     return SimulatedCycles(CycleEstimate(cycles), k_folds * n_folds, counts)
 
 

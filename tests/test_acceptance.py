@@ -32,12 +32,13 @@ import time
 
 import pytest
 
-from acceldse.config import load_hardware, load_model_spec, load_request
+from acceldse.config import (GB, KIB, load_hardware, load_model_spec,
+                             load_request)
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count)
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
                              energy_terms)
-from acceldse.memory import GB, KIB, Buffers, PhaseTerms, TrafficReport
+from acceldse.memory import Buffers, PhaseTerms, TrafficReport
 from acceldse.sweep import (METRICS, DesignPoint, SweepSpec, argmin,
                             emit_reports, evaluate_point, run_sweep,
                             summary_dict)

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from acceldse.analysis import peak_flops
-from acceldse.config import load_hardware, load_model_spec, load_request
+from acceldse.config import KIB, load_hardware, load_model_spec, load_request
 from acceldse.dataflow import FabricSpec
-from acceldse.memory import (KIB, PhaseTerms, PhaseTotals, TrafficReport,
-                             phase_terms)
+from acceldse.memory import PhaseTerms, PhaseTotals, TrafficReport, phase_terms
 from acceldse.sweep import (DesignPoint, SweepRecord, SweepSpec, argmin,
                             contour_levels, entry_terms, evaluate_point,
                             run_sweep, tile_phase)
@@ -42,6 +41,13 @@ def test_roofline_compute_bound_above_ridge():
     pt = point_with(flops=10**12, dram_bytes=10**9, latency=1.0,  # oi = 1000
                     peak=100e9, bw=10e9)
     assert pt.attainable == 100e9
+    assert pt.ridge_side == "compute"
+
+
+def test_roofline_ridge_point_is_compute_side():
+    pt = point_with(flops=10**11, dram_bytes=10**9, latency=1.0,  # oi = 100
+                    peak=100e9, bw=1e9)
+    assert pt.terms.oi == pt.peak / pt.point.bw
     assert pt.ridge_side == "compute"
 
 

@@ -6,8 +6,8 @@ from acceldse import calibrate as calibrate_module
 from acceldse.calibrate import (CalibrationTarget, calibrate,
                                 constants_file_text)
 from acceldse.cli import main
-from acceldse.config import load_hardware, load_model_spec, load_request
-from acceldse.memory import GB, KIB
+from acceldse.config import (GB, KIB, load_hardware, load_model_spec,
+                             load_request)
 from acceldse.sweep import SweepSpec
 
 BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
@@ -34,8 +34,9 @@ def test_target_must_lie_on_grid():
 
 
 def test_shipped_constants_are_a_fixed_point(monkeypatch):
-    # the shipped calibration already achieves the minimum reachable
-    # displacement, so the search must return it unchanged
+    # started from the shipped calibration, the greedy search stops one
+    # step away: no single step lowers the displacement, so it must
+    # return the shipped constants unchanged (an exact solver would not)
     tables = []
     build = calibrate_module.phase_table
     monkeypatch.setattr(calibrate_module, "phase_table",

@@ -9,9 +9,8 @@ import pytest
 
 from acceldse import cli, config, sweep
 from acceldse.cli import build_parser, main
-from acceldse.config import (ConfigError, apply_overrides, load_hardware,
-                             load_sweep_axes, parse_config)
-from acceldse.memory import GB, KIB
+from acceldse.config import (GB, KIB, ConfigError, apply_overrides,
+                             load_hardware, load_sweep_axes, parse_config)
 from acceldse.sweep import ARGMIN_METRICS
 from acceldse.workload import PHASES, InferenceRequest
 

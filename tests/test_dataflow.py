@@ -4,7 +4,8 @@ import pytest
 
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count, matmul_local_accesses)
-from acceldse.memory import GB, MIB, matmul_totals, phase_terms, phase_totals
+from acceldse.config import GB, MIB
+from acceldse.memory import matmul_totals, phase_terms, phase_totals
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, \
     build_prefill_trace
 from oracle import SimulationGuardError, simulate_cycles
@@ -73,20 +74,19 @@ def test_simulated_counts_match_closed_form():
 
 def test_counts_hand_case():
     # single (1,1,1): one weight read, one input read, one output write
-    c = matmul_local_accesses(MatmulDims(1, 1, 1), ArraySpec(16, 16))
-    assert (c.input_reads, c.weight_reads, c.output_writes, c.output_reads) == (1, 1, 1, 0)
-    c = matmul_local_accesses(MatmulDims(4, 4, 4), ArraySpec(4, 4))
-    assert (c.input_reads, c.weight_reads, c.output_writes) == (16, 16, 16)
+    assert matmul_local_accesses(MatmulDims(1, 1, 1), ArraySpec(16, 16)) == (2, 1)
+    # (4,4,4) on 4x4: 16 input reads, 16 weight reads, 16 output writes
+    assert matmul_local_accesses(MatmulDims(4, 4, 4), ArraySpec(4, 4)) == (32, 16)
 
 
 def test_counts_linearity_in_n():
     arr = ArraySpec(16, 16)
     base = matmul_local_accesses(MatmulDims(8, 16, 16), arr)
     doubled = matmul_local_accesses(MatmulDims(8, 16, 32), arr)
-    assert doubled.weight_reads == 2 * base.weight_reads
-    # input reads scale with the fold-column count, not with N itself
-    assert doubled.input_reads == 2 * base.input_reads
-    assert base.input_reads == 8 * 16  # one fold-column
+    # input reads scale with the fold-column count, weights with N
+    assert doubled == (2 * base[0], 2 * base[1])
+    # inputs over one fold-column plus the weights; one K-fold of outputs
+    assert base == (8 * 16 + 16 * 16, 8 * 16)
 
 
 def test_fold_distribution_across_fabric():
@@ -137,9 +137,10 @@ def test_accesses_per_phase_aggregates():
                                                         gen_tokens=0))
     fab = FabricSpec(1, 1, ArraySpec(2, 2))
     total = phase_totals(trace, fab, MIB, 2).traffic
-    by_hand_reads = sum(matmul_local_accesses(m, fab.array).reads * n
-                        for m, n in trace.matmuls.items())
-    by_hand_writes = sum(matmul_local_accesses(m, fab.array).writes * n
-                         for m, n in trace.matmuls.items())
+    by_hand_reads = by_hand_writes = 0
+    for m, n in trace.matmuls.items():
+        reads, writes = matmul_local_accesses(m, fab.array)
+        by_hand_reads += reads * n
+        by_hand_writes += writes * n
     assert (total.local_reads, total.local_writes) == (by_hand_reads,
                                                        by_hand_writes)

@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceldse.config import (load_hardware, load_model_spec, load_request,
-                             load_sweep_axes)
+from acceldse.config import (GB, KIB, MIB, load_hardware, load_model_spec,
+                             load_request, load_sweep_axes)
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import (ArrayPower, EnergyTerms, GatingPolicy,
                              SramEnergyModel, by_component, energy_terms)
-from acceldse.memory import (GB, KIB, MIB, Buffers, PhaseTerms,
-                             TrafficReport, phase_terms, phase_totals)
+from acceldse.memory import (Buffers, PhaseTerms, TrafficReport, phase_terms,
+                             phase_totals)
 from acceldse.sweep import (DesignPoint, SweepSpec, evaluate_point,
                             evaluate_sweep, phase_table)
 from acceldse.workload import build_decode_trace, build_prefill_trace

@@ -4,10 +4,11 @@ from math import ceil
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from acceldse.config import load_hardware, load_model_spec, load_request
+from acceldse.config import (GB, KIB, MIB, load_hardware, load_model_spec,
+                             load_request)
 from acceldse.dataflow import ArraySpec, FabricSpec
-from acceldse.memory import (GB, KIB, MIB, TilingError, phase_totals,
-                             plan_tiling, tile_set_bytes, traffic)
+from acceldse.memory import (TilingError, phase_totals, plan_tiling,
+                             tile_set_bytes, traffic)
 from acceldse.sweep import DesignPoint, entry_terms, evaluate_point
 from acceldse.workload import (MatmulDims, build_decode_trace,
                                build_prefill_trace)
@@ -186,6 +187,8 @@ def test_traffic_matches_tile_walk_oracle():
         t = traffic(m, plan, 2, single_core)
         assert t.onchip_bytes == weights + inputs + outputs
         assert t.dram_bytes == weights + inputs + outputs  # one core: no sharing
+        assert t.global_reads * 2 == t.global_writes * 2 == \
+            weights + inputs + outputs
 
 
 def test_traffic_core_amortization():

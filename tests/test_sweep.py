@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from acceldse import memory, sweep
 from acceldse.cli import main
-from acceldse.config import (apply_overrides, load_hardware, load_model_spec,
-                             load_request, load_sweep_axes, parse_config)
+from acceldse.config import (GB, KIB, apply_overrides, load_hardware,
+                             load_model_spec, load_request, load_sweep_axes,
+                             parse_config)
 from acceldse.energy import by_component
-from acceldse.memory import GB, KIB, TilingError
+from acceldse.memory import TilingError
 from acceldse.sweep import (METRICS, DesignPoint, SweepSpec,
                             decode_mean_over_generation, emit_reports,
                             entry_terms, evaluate_point, evaluate_sweep,

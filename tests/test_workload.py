@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from acceldse.config import load_hardware, load_model_spec, load_request
-from acceldse.memory import KIB, phase_terms, phase_totals
+from acceldse.config import KIB, load_hardware, load_model_spec, load_request
+from acceldse.memory import phase_terms, phase_totals
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
                                PhaseTrace, attention_matmuls,
                                build_decode_trace, build_prefill_trace,
