@@ -2,7 +2,7 @@
 
 A sweep cell's roofline point (`sweep.SweepRecord`) reads this ceiling,
 the cell's external bandwidth and its phase's operational intensity
-(`memory.phase_terms`).
+(`sweep.SweepRecord.oi`).
 """
 
 from __future__ import annotations

@@ -48,26 +48,25 @@ def _load(args, phases: tuple[str, ...] | None = None):
 
 def _record_dict(r: SweepRecord) -> dict:
     """The JSON record of one evaluated cell."""
-    terms = r.terms
     return {
         "point": {"S_bytes": r.point.s, "f_hz": r.point.f,
                   "bw_bytes_per_s": r.point.bw},
         "phase": r.phase,
-        "compute_cycles": terms.compute_cycles,
+        "compute_cycles": r.totals.compute_cycles,
         "compute_time_s": r.compute_time,
         "memory_time_s": r.memory_time,
         "latency_s": r.latency,
         "total_cycles": r.total_cycles,
         "compute_fraction": r.compute_fraction,
-        "utilization": terms.utilization,
+        "utilization": r.energy.utilization,
         "bound": "memory" if r.memory_bound else "compute",
-        "flops": terms.flops,
-        "traffic": terms.traffic._asdict(),
+        "flops": r.flops,
+        "traffic": r.totals.traffic._asdict(),
         "energy": {"static_j": r.static_j, "dynamic_j": r.energy.dynamic_j,
                    "total_j": r.total_j, "dynamic_power_w": r.dynamic_power_w,
                    "by_component": by_component(r.energy, r.latency)},
         "edp_js": r.edp,
-        "roofline": {"oi": terms.oi, "attainable": r.attainable,
+        "roofline": {"oi": r.oi, "attainable": r.attainable,
                      "achieved": r.achieved, "bound": r.ridge_side},
     }
 

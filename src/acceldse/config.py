@@ -61,12 +61,12 @@ def _scaled(unit: float, cast=float):
 
 
 def _whole_gbps(text: str) -> float:
-    """Parser of a bandwidth in whole GB/s, at least 1, as bytes/s: report
-    file names and summary keys carry it as an integer."""
+    """Parser of a bandwidth in whole GB/s, at least 1, as finite bytes/s:
+    report file names and summary keys carry it as an integer."""
     gbps = float(text)
     if not gbps.is_integer() or gbps < 1:
         raise ValueError("need a whole number of GB/s, at least 1")
-    return gbps * GB
+    return _scaled(GB)(text)
 
 
 def _axis(parse):

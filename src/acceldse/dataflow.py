@@ -8,7 +8,7 @@ distributed round-robin across every array in the fabric; M is never
 split.  `analytic_cycles` and `matmul_local_accesses` are the closed
 forms; the tests pin both exactly to a cycle-by-cycle simulation of one
 array (`simulate_cycles` in tests/oracle.py).  Utilization is a phase
-quantity, derived in `memory.phase_terms`.
+quantity, derived in `energy.energy_terms`.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ Arrays draw dynamic power only while computing (clock-gated when
 stalled) and leak all the time; power gating trims a phase-dependent
 share of all leakage.
 
-`energy_terms` computes, once per (phase, S), one table of each
-component's leakage and dynamic energy.  A sweep cell scales the leakage
-by its latency (`sweep.evaluate_point`), and `by_component` reads the
-table.
+`energy_terms` computes, once per (phase, S), the arrays' utilization
+and one table of each component's leakage and dynamic energy from the
+phase's totals.  A sweep cell scales the leakage by its latency
+(`sweep.evaluate_point`), and `by_component` reads the table.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .dataflow import FabricSpec
-from .memory import Buffers, PhaseTerms
+from .memory import Buffers, PhaseTotals
 
 
 class SramEnergyModel(namedtuple("SramEnergyModel", (
@@ -75,22 +75,24 @@ class EnergyTerms(namedtuple("EnergyTerms", (
         "static_w",  # the leakage of every component, ungated
         "ungated",  # 1 - the phase's gating saving
         "dynamic_j",
+        "utilization",  # the arrays' activity factor: MACs / peak MACs
 ))):
     """The frequency- and bandwidth-free energy terms of one phase."""
 
     __slots__ = ()
 
 
-def energy_terms(terms: PhaseTerms, phase: str, sram: SramEnergyModel,
+def energy_terms(totals: PhaseTotals, phase: str, sram: SramEnergyModel,
                  arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
                  fabric: FabricSpec) -> EnergyTerms:
-    """Leakage power and dynamic energy of one phase's terms.
+    """Leakage power and dynamic energy of one phase's totals.
 
     The array term is P_dyn(f, util) * compute_time; written with the
     frequency cancelled (cycles / ref_frequency) so that design points
     with identical cycles get bit-identical energy at every frequency.
     """
-    tr = terms.traffic
+    cycles, tr = totals.compute_cycles, totals.traffic
+    utilization = totals.macs / (cycles * fabric.macs_per_cycle)
     components = {
         "local_buffers": (sram.leakage(buffers.local), fabric.cores,
                           (tr.local_reads + tr.local_writes)
@@ -99,8 +101,8 @@ def energy_terms(terms: PhaseTerms, phase: str, sram: SramEnergyModel,
                           (tr.global_reads + tr.global_writes)
                           * sram.access_energy(buffers.global_)),
         "arrays": (arrays.leakage_w, fabric.total_arrays,
-                   arrays.dynamic_w_ref * terms.utilization
-                   * (terms.compute_cycles / arrays.ref_frequency)
+                   arrays.dynamic_w_ref * utilization
+                   * (cycles / arrays.ref_frequency)
                    * fabric.total_arrays),
     }
     # summed from 0, left to right: 0 + x and x * 1 are exact
@@ -109,7 +111,7 @@ def energy_terms(terms: PhaseTerms, phase: str, sram: SramEnergyModel,
     if dynamic < 0:
         raise ValueError("energy must be non-negative")
     return EnergyTerms(components, static_w, 1.0 - gating.saving(phase),
-                       dynamic)
+                       dynamic, utilization)
 
 
 def by_component(terms: EnergyTerms,

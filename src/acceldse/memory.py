@@ -6,14 +6,11 @@ share one global buffer that double-buffers external-memory transfers.
 its on-chip and external bytes from them; its local-buffer counts come
 from `dataflow.matmul_local_accesses`.
 
-A phase is evaluated in two steps here.  `phase_totals` fixes its cycles
-and traffic from the trace, the fabric and the local buffer size alone,
-as the sum of each distinct GEMM's `matmul_totals`.  `phase_terms`
-derives what else the clock and the external bandwidth never touch:
-utilization, flops, the operational intensity and the on-chip transfer
-time.  A sweep runs both once per (phase, S) and applies the clock and
-the external bandwidth to each (f, BW) cell in closed form
-(`sweep.evaluate_point`).
+`phase_totals` fixes a phase's cycles and traffic from the trace, the
+fabric and the local buffer size alone, as the sum of each distinct
+GEMM's `matmul_totals`.  No clock or bandwidth enters them, so a sweep
+computes them once per (phase, S) and applies the clock and the
+bandwidths to each (f, BW) cell in closed form (`sweep.evaluate_point`).
 """
 
 from __future__ import annotations
@@ -57,20 +54,6 @@ class PhaseTotals(namedtuple("PhaseTotals", (
         "compute_cycles", "macs", "traffic"))):
     """Frequency- and bandwidth-free totals of one phase, or of one GEMM,
     at one local size."""
-
-    __slots__ = ()
-
-
-class PhaseTerms(namedtuple("PhaseTerms", (
-        "compute_cycles",
-        "traffic",
-        "utilization",
-        "flops",  # two per MAC: one multiply, one add
-        "oi",  # flops per external-memory byte
-        "onchip_time",  # seconds on the on-chip link
-))):
-    """The frequency- and external-bandwidth-free terms of one phase's
-    totals."""
 
     __slots__ = ()
 
@@ -211,20 +194,9 @@ def sum_totals(terms: Iterable[tuple[PhaseTotals, int]]) -> PhaseTotals:
 def phase_totals(trace: PhaseTrace, fabric: FabricSpec, capacity: int,
                  bytes_per_element: int) -> PhaseTotals:
     """Cycles, MACs and traffic of one phase with a local buffer of
-    `capacity` bytes; raises TilingError if no tile set fits it, naming
-    the first GEMM in trace order that none fits."""
+    `capacity` bytes; raises the TilingError of the first GEMM in trace
+    order that no tile set fits, which gives the buffer size and that
+    GEMM's minimal tile-set bytes."""
     return sum_totals([
         (matmul_totals(m, fabric, capacity, bytes_per_element), count)
         for m, count in trace.matmuls.items()])
-
-
-def phase_terms(totals: PhaseTotals, fabric: FabricSpec,
-                onchip_bandwidth: float) -> PhaseTerms:
-    """The terms of one phase's totals that no clock or external bandwidth
-    enters, with the on-chip bandwidth in bytes/s."""
-    cycles, flops, tr = totals.compute_cycles, 2 * totals.macs, totals.traffic
-    if tr.dram_bytes <= 0:
-        raise ValueError("roofline undefined for zero external traffic")
-    utilization = totals.macs / (cycles * fabric.macs_per_cycle)
-    return PhaseTerms(cycles, tr, utilization, flops, flops / tr.dram_bytes,
-                      tr.onchip_bytes / onchip_bandwidth)

@@ -1,16 +1,19 @@
 """Cartesian design-space sweep over (local SRAM size, frequency, bandwidth).
 
 Cycles and traffic depend only on the phase and the local buffer size S,
-so the sweep tiles each (phase, S) once into a table.  An evaluation of
-the table computes each entry's f- and BW-free terms once
-(`entry_terms`), then each (f, BW) cell from them in closed form
-(`evaluate_point`) as one flat `SweepRecord`, from whose few fields
-every reported quantity is read.  Evaluation is serial and pure, so
-results are bit-identical for identical inputs.  The records of one
-(phase, BW) are its S x f grid (`SweepResult.select`); the argmin cells
-and contour levels are read from them.  Reports are per-metric grid
-CSVs, a roofline CSV, and a JSON summary with argmin cells, contour
-levels and bound-transition frequencies.
+so the sweep tiles each (phase, S) once into a table of totals.  An
+evaluation of the table pairs each entry's totals with their energy
+terms, which f and BW never touch (`entry_terms`), then computes each
+(f, BW) cell from them in closed form (`evaluate_point`) as one flat
+`SweepRecord`, from whose few fields every reported quantity is read.
+The clock and the bandwidths enter only there, in the compute time and
+in the memory time: the slower of the external and on-chip links.
+Evaluation is serial and pure, so results are bit-identical for
+identical inputs.  The records of one (phase, BW) are its S x f grid
+(`SweepResult.select`); the argmin cells and contour levels are read
+from them.  Reports are per-metric grid CSVs, a roofline CSV, and a JSON
+summary with argmin cells, contour levels and bound-transition
+frequencies.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from pathlib import Path
 from .analysis import peak_flops
 from .config import GB, MHZ, HardwareConfig
 from .energy import EnergyTerms, energy_terms
-from .memory import (Buffers, PhaseTerms, PhaseTotals, TilingError,
-                     matmul_totals, phase_terms, phase_totals, sum_totals)
+from .memory import (Buffers, PhaseTotals, TilingError, matmul_totals,
+                     phase_totals, sum_totals)
 from .workload import (PHASES, InferenceRequest, ModelSpec, PhaseTrace,
                        attention_matmuls, build_decode_trace,
                        build_prefill_trace, weight_matmuls)
@@ -67,7 +70,7 @@ class DesignPoint(namedtuple("DesignPoint", (
 class SweepRecord(namedtuple("SweepRecord", (
         "point",
         "phase",
-        "terms",  # the (phase, S) entry's PhaseTerms; None on error
+        "totals",  # the (phase, S) entry's PhaseTotals; None on error
         "energy",  # the entry's EnergyTerms; None on error
         # what f and BW set; None on error
         "compute_time",
@@ -111,19 +114,28 @@ class SweepRecord(namedtuple("SweepRecord", (
         return self.total_j * self.latency
 
     @property
+    def flops(self) -> int:
+        return 2 * self.totals.macs  # one multiply, one add
+
+    @property
+    def oi(self) -> float:
+        """Flops per external-memory byte."""
+        return self.flops / self.totals.traffic.dram_bytes
+
+    @property
     def attainable(self) -> float:
         """Flops/s under the roofline min(peak, bw * oi)."""
-        return min(self.peak, self.point.bw * self.terms.oi)
+        return min(self.peak, self.point.bw * self.oi)
 
     @property
     def achieved(self) -> float:
-        return self.terms.flops / self.latency
+        return self.flops / self.latency
 
     @property
     def ridge_side(self) -> str:
         """The roofline side: "memory" below the ridge point peak / bw,
         else "compute"."""
-        return ("memory" if self.terms.oi < self.peak / self.point.bw
+        return ("memory" if self.oi < self.peak / self.point.bw
                 else "compute")
 
 
@@ -203,22 +215,21 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
 
 
 def entry_terms(totals: PhaseTotals | str, phase: str, hw: HardwareConfig,
-                s: int) -> tuple[PhaseTerms, EnergyTerms] | str:
-    """The terms of one (phase, S) entry's totals that f and BW never
-    touch, or the entry's reason that no tile set fits."""
+                s: int) -> tuple[PhaseTotals, EnergyTerms] | str:
+    """One (phase, S) entry's totals with their energy terms, which f and
+    BW never touch, or the entry's reason that no tile set fits."""
     if isinstance(totals, str):
         return totals
-    terms = phase_terms(totals, hw.fabric, hw.onchip_bandwidth)
-    energy = energy_terms(terms, phase, hw.sram, hw.arrays, hw.gating,
-                          Buffers(s, hw.buffers.global_), hw.fabric)
-    return terms, energy
+    if totals.traffic.dram_bytes <= 0:
+        raise ValueError("roofline undefined for zero external traffic")
+    return totals, energy_terms(totals, phase, hw.sram, hw.arrays, hw.gating,
+                                Buffers(s, hw.buffers.global_), hw.fabric)
 
 
-def evaluate_point(entry: tuple[PhaseTerms, EnergyTerms] | str,
+def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
                    phase: str, hw: HardwareConfig,
                    point: DesignPoint) -> SweepRecord:
-    """One sweep cell: its (phase, S) entry's terms at the point's f and
-    BW.
+    """One sweep cell: its (phase, S) entry at the point's f and BW.
 
     compute_time covers the arrays; memory_time covers external and
     on-chip transfers.  The global buffer decouples compute from memory
@@ -227,15 +238,18 @@ def evaluate_point(entry: tuple[PhaseTerms, EnergyTerms] | str,
     """
     if isinstance(entry, str):
         return SweepRecord(point, phase, error=entry)
-    terms, energy = entry
-    compute_time = terms.compute_cycles / point.f
-    memory_time = max(terms.traffic.dram_bytes / point.bw, terms.onchip_time)
+    totals, energy = entry
+    tr = totals.traffic
+    compute_time = totals.compute_cycles / point.f
+    memory_time = max(tr.dram_bytes / point.bw,
+                      tr.onchip_bytes / hw.onchip_bandwidth)
     latency = max(compute_time, memory_time)
     static = latency * energy.static_w * energy.ungated
     if static < 0:
         raise ValueError("energy must be non-negative")
-    return SweepRecord(point, phase, terms, energy, compute_time, memory_time,
-                       latency, static, peak_flops(hw.fabric, point.f))
+    return SweepRecord(point, phase, totals, energy, compute_time,
+                       memory_time, latency, static,
+                       peak_flops(hw.fabric, point.f))
 
 
 def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
@@ -254,7 +268,7 @@ def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
                    table: dict[tuple[str, int], PhaseTotals | str],
                    decode_step: int) -> SweepResult:
     """Every cell of the sweep from its (phase, S) table entry, whose
-    terms are computed once for all of its cells."""
+    energy terms are computed once for all of its cells."""
     entries = {phase: [(s, entry_terms(table[phase, s], phase, hw, s))
                        for s in spec.s_values] for phase in spec.phases}
     records = tuple(evaluate_point(entry, phase, hw, DesignPoint(s, f, bw))
@@ -336,7 +350,7 @@ ROOFLINE_HEADER = "bandwidth,S_bytes,f_hz,oi,attainable,achieved,bound"
 def roofline_row(r: SweepRecord) -> str:
     """One evaluated record's roofline point, in ROOFLINE_HEADER order."""
     return (f"{_fmt(r.point.bw)},{r.point.s},{_fmt(r.point.f)},"
-            f"{_fmt(r.terms.oi)},{_fmt(r.attainable)},{_fmt(r.achieved)},"
+            f"{_fmt(r.oi)},{_fmt(r.attainable)},{_fmt(r.achieved)},"
             f"{r.ridge_side}")
 
 

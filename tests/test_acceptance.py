@@ -38,7 +38,7 @@ from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count)
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
                              energy_terms)
-from acceldse.memory import Buffers, PhaseTerms, TrafficReport
+from acceldse.memory import Buffers, PhaseTotals, TrafficReport
 from acceldse.sweep import (METRICS, DesignPoint, SweepSpec, argmin,
                             emit_reports, evaluate_point, run_sweep,
                             summary_dict)
@@ -111,17 +111,22 @@ def test_criterion_02_energy_identities():
     buffers = Buffers(1024, 1024)
     worst = 0.0
     for _ in range(1000):
-        latency = rng.uniform(1e-9, 100.0)
+        # the latency is the on-chip bytes' time, 1 ns to 100 s
+        onchip_bytes = rng.randrange(round(1e-9 * HW.onchip_bandwidth),
+                                     round(100.0 * HW.onchip_bandwidth))
+        latency = onchip_bytes / HW.onchip_bandwidth
         gating = rng.uniform(0.0, 0.99)
         sram = SramEnergyModel(rng.uniform(1e-12, 0.3), 2e-13, 32 * KIB, 0.5)
         arrays = ArrayPower(rng.uniform(1e-9, 400.0), 1.25, 1e9)
-        cycles = rng.randrange(10**12)
-        # the latency is the on-chip time: compute takes half as long
-        terms = PhaseTerms(cycles, TrafficReport(0, 0, 0, 0, 0, 0),
-                           rng.uniform(0.0, 1.0), 0, 0.0, latency)
-        energy = energy_terms(terms, "decode", sram, arrays,
+        cycles = rng.randrange(1, 10**12)
+        # utilization is the MACs over the fabric's peak MACs in `cycles`
+        macs = rng.randrange(cycles * fabric.macs_per_cycle + 1)
+        totals = PhaseTotals(cycles, macs,
+                             TrafficReport(0, onchip_bytes, 0, 0, 0, 0))
+        energy = energy_terms(totals, "decode", sram, arrays,
                               GatingPolicy(gating, gating), buffers, fabric)
-        e = evaluate_point((terms, energy), "decode",
+        # compute takes under half as long as the on-chip transfer
+        e = evaluate_point((totals, energy), "decode",
                            HW._replace(fabric=fabric),
                            DesignPoint(buffers.local,
                                        2 * (cycles + 1) / latency,
@@ -147,7 +152,7 @@ def test_criterion_03_roofline_law(sweep_result):
         assert r.ok
         fabric = HW.fabric
         peak = fabric.macs_per_cycle * 2 * r.point.f
-        assert r.attainable == min(peak, r.point.bw * r.terms.oi)
+        assert r.attainable == min(peak, r.point.bw * r.oi)
         assert r.achieved <= r.attainable * (1 + eps), (r.point, r.phase)
         checked += 1
     ok = report("criterion 3: roofline law", True, f"{checked} cells")
@@ -219,7 +224,7 @@ def test_criterion_06_decode_compute_fraction(sweep_result):
         by_f = {r.point.f: r
                 for r in sweep_result.select("decode", BASELINE_BW)
                 if r.point.s == s_kb * KIB}
-        assert len({res.terms.compute_cycles
+        assert len({res.totals.compute_cycles
                     for res in by_f.values()}) == 1, s_kb
         results = [by_f[f] for f in f_hi]
         assert all(res.memory_bound for res in results), s_kb
@@ -308,7 +313,7 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
     en = grid(sweep_result, "total_energy", "decode")
     argmins = set()
     for f in (f * 1e6 for f in F_MHZ):
-        traffic = [r.terms.traffic
+        traffic = [r.totals.traffic
                    for r in sweep_result.select("decode", BASELINE_BW)
                    if r.point.f == f]
         dram = [t.dram_bytes for t in traffic]
@@ -366,7 +371,7 @@ def test_criterion_09_bandwidth_shifts_argmin(sweep_result):
     """
     for bw in (BASELINE_BW, QUAD_BW):
         for r in sweep_result.select("decode", bw):
-            assert r.memory_time == r.terms.traffic.dram_bytes / bw, r.point
+            assert r.memory_time == r.totals.traffic.dram_bytes / bw, r.point
     assert not any(r.memory_bound
                    for r in sweep_result.select("decode", QUAD_BW))
     _, f_base = _edp_argmin(sweep_result, BASELINE_BW)

@@ -5,25 +5,20 @@ import pytest
 from acceldse.analysis import peak_flops
 from acceldse.config import KIB, load_hardware, load_model_spec, load_request
 from acceldse.dataflow import FabricSpec
-from acceldse.memory import PhaseTerms, PhaseTotals, TrafficReport, phase_terms
+from acceldse.memory import PhaseTotals, TrafficReport
 from acceldse.sweep import (DesignPoint, SweepRecord, SweepSpec, argmin,
                             contour_levels, entry_terms, evaluate_point,
                             run_sweep, tile_phase)
 from acceldse.workload import build_decode_trace
 
 
-def terms_with(flops, dram_bytes):
-    return PhaseTerms(compute_cycles=1,
-                      traffic=TrafficReport(dram_bytes, 0, 0, 0, 0, 0),
-                      utilization=1.0, flops=flops, oi=flops / dram_bytes,
-                      onchip_time=0.0)
-
-
 def point_with(flops, dram_bytes, latency, peak, bw):
     """The record of a phase of `flops` and `dram_bytes` that takes
     `latency` seconds under a compute roof of `peak` flops/s."""
     return SweepRecord(DesignPoint(64 * KIB, 1e9, bw), "decode",
-                       terms=terms_with(flops, dram_bytes),
+                       totals=PhaseTotals(
+                           1, flops // 2,
+                           TrafficReport(dram_bytes, 0, 0, 0, 0, 0)),
                        compute_time=latency, memory_time=latency,
                        latency=latency, peak=peak)
 
@@ -32,7 +27,7 @@ def test_roofline_min_law():
     # oi = 5, peak 100 GF/s, bw 10 GB/s -> attainable 50 GF/s, memory-bound
     pt = point_with(flops=50 * 10**9, dram_bytes=10**10, latency=1.0,
                     peak=100e9, bw=10e9)
-    assert pt.terms.oi == 5.0
+    assert pt.oi == 5.0
     assert pt.attainable == 50e9
     assert pt.ridge_side == "memory"
 
@@ -47,7 +42,7 @@ def test_roofline_compute_bound_above_ridge():
 def test_roofline_ridge_point_is_compute_side():
     pt = point_with(flops=10**11, dram_bytes=10**9, latency=1.0,  # oi = 100
                     peak=100e9, bw=1e9)
-    assert pt.terms.oi == pt.peak / pt.point.bw
+    assert pt.oi == pt.peak / pt.point.bw
     assert pt.ridge_side == "compute"
 
 
@@ -62,7 +57,7 @@ def test_roofline_bandwidth_linearity_below_roof():
 def test_roofline_rejects_zero_traffic():
     totals = PhaseTotals(1, 1, TrafficReport(0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="zero external traffic"):
-        phase_terms(totals, HW.fabric, HW.onchip_bandwidth)
+        entry_terms(totals, "decode", HW, 64 * KIB)
 
 
 def test_peak_flops():

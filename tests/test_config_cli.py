@@ -366,6 +366,8 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     # report files and summary keys name a bandwidth by its whole GB/s
     ("sweep", "sweep.bandwidth_gbps=2048.25,2048.75"),
     ("sweep", "sweep.bandwidth_gbps=0.5"),
+    # whole, but too many bytes/s for a float
+    ("report", "sweep.bandwidth_gbps=1e300"),
     # a phase the sweep leaves out has no roofline points to print
     ("roofline --phase prefill", "sweep.phases=decode"),
     # the SRAM power law overflows at the largest buffer a run uses

@@ -4,11 +4,14 @@ import pytest
 
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count, matmul_local_accesses)
-from acceldse.config import GB, MIB
-from acceldse.memory import matmul_totals, phase_terms, phase_totals
+from acceldse.config import MIB, load_hardware
+from acceldse.energy import energy_terms
+from acceldse.memory import matmul_totals, phase_totals
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, \
     build_prefill_trace
 from oracle import SimulationGuardError, simulate_cycles
+
+HW = load_hardware({})
 
 
 def single(rows, cols=None):
@@ -100,8 +103,9 @@ def test_fold_distribution_across_fabric():
 
 def utilization(m, fabric):
     """The array utilization of a phase made of the one GEMM `m`."""
-    totals = matmul_totals(m, fabric, 64 * MIB, 2)
-    return phase_terms(totals, fabric, 1000 * GB).utilization
+    return energy_terms(matmul_totals(m, fabric, 64 * MIB, 2), "decode",
+                        HW.sram, HW.arrays, HW.gating, HW.buffers,
+                        fabric).utilization
 
 
 def test_utilization_single_full_fold_formula():

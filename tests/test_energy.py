@@ -8,10 +8,9 @@ from acceldse.config import (GB, KIB, MIB, load_hardware, load_model_spec,
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import (ArrayPower, EnergyTerms, GatingPolicy,
                              SramEnergyModel, by_component, energy_terms)
-from acceldse.memory import (Buffers, PhaseTerms, TrafficReport, phase_terms,
-                             phase_totals)
-from acceldse.sweep import (DesignPoint, SweepSpec, evaluate_point,
-                            evaluate_sweep, phase_table)
+from acceldse.memory import Buffers, PhaseTotals, TrafficReport, phase_totals
+from acceldse.sweep import (DesignPoint, SweepSpec, entry_terms,
+                            evaluate_point, evaluate_sweep, phase_table)
 from acceldse.workload import build_decode_trace, build_prefill_trace
 
 HW = load_hardware({})
@@ -23,30 +22,31 @@ ARRAYS = HW.arrays
 GATING = HW.gating
 FABRIC = HW.fabric
 ONE_ARRAY = FabricSpec(cores=1, arrays_per_core=1, array=FABRIC.array)
-EXT_BW, ONCHIP_BW = 2048 * GB, 16384 * GB
+EXT_BW = 2048 * GB
 
 
 def fake_energy(latency, phase, sram, arrays, gating, buffers, fabric,
                 cycles=1000, util=0.5):
-    """The record of a phase of `cycles` at `util` and no buffer traffic
-    that takes `latency` seconds: its on-chip time, at a clock fast
-    enough that compute takes less."""
-    terms = PhaseTerms(compute_cycles=cycles,
-                       traffic=TrafficReport(0, 0, 0, 0, 0, 0),
-                       utilization=util, flops=0, oi=0.0,
-                       onchip_time=latency)
-    energy = energy_terms(terms, phase, sram, arrays, gating, buffers, fabric)
+    """The record of a phase of `cycles` at `util` (its MACs over the
+    fabric's peak MACs) and no buffer accesses that takes `latency`
+    seconds: the time of its on-chip bytes on a 1 byte/s link, at a clock
+    fast enough that compute takes less."""
+    totals = PhaseTotals(cycles, round(util * cycles * fabric.macs_per_cycle),
+                         TrafficReport(0, latency, 0, 0, 0, 0))
+    energy = energy_terms(totals, phase, sram, arrays, gating, buffers,
+                          fabric)
     point = DesignPoint(buffers.local, 2 * (cycles + 1) / latency, EXT_BW)
-    return evaluate_point((terms, energy), phase, HW._replace(fabric=fabric),
+    return evaluate_point((totals, energy), phase,
+                          HW._replace(fabric=fabric, onchip_bandwidth=1.0),
                           point)
 
 
 def evaluate(totals, phase, buffers, f):
-    """The record of a phase's totals at f and the default bandwidths."""
-    terms = phase_terms(totals, FABRIC, ONCHIP_BW)
-    energy = energy_terms(terms, phase, SRAM, ARRAYS, GATING, buffers, FABRIC)
-    return evaluate_point((terms, energy), phase, HW,
-                          DesignPoint(buffers.local, f, EXT_BW))
+    """The record of a phase's totals at f and the default bandwidths,
+    with the default 40 MB global buffer."""
+    hw = HW._replace(sram=SRAM)
+    return evaluate_point(entry_terms(totals, phase, hw, buffers.local),
+                          phase, hw, DesignPoint(buffers.local, f, EXT_BW))
 
 
 def leakage_w(sram, arrays, buffers, fabric) -> float:
@@ -94,7 +94,7 @@ def test_array_part_paper_anchor():
 def test_dynamic_energy_zero_case():
     bufs = Buffers(32 * KIB, 40 * MIB)
     e = fake_energy(1.0, "decode", SRAM, ARRAYS, GATING, bufs,
-                    FABRIC, cycles=0, util=0.0)
+                    FABRIC, util=0.0)
     assert e.energy.dynamic_j == 0.0
     assert e.total_j == e.static_j and e.dynamic_power_w == 0.0
 
@@ -109,9 +109,9 @@ def test_total_energy_hand_cases():
     assert e.dynamic_power_w == 1.25
     assert e.total_j == e.static_j + 2.5
     # negative leakage makes the static energy of any latency negative
-    negative = EnergyTerms({}, -1.0, 1.0, 0.0)
+    negative = EnergyTerms({}, -1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="energy must be non-negative"):
-        evaluate_point((e.terms, negative), "decode", HW, e.point)
+        evaluate_point((e.totals, negative), "decode", HW, e.point)
 
 
 def test_identities_randomized():
@@ -124,7 +124,7 @@ def test_identities_randomized():
         arrays = ArrayPower(rng.uniform(1e-4, 1.0), 1.25, 1e9)
         e = fake_energy(latency, "prefill", sram, arrays,
                         GatingPolicy(gating, gating), bufs, FABRIC,
-                        cycles=rng.randrange(10**9),
+                        cycles=rng.randrange(1, 10**9),
                         util=rng.uniform(0.0, 1.0))
         leak = leakage_w(sram, arrays, bufs, FABRIC)
         assert e.static_j == pytest.approx(latency * leak * (1 - gating),

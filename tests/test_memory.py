@@ -252,8 +252,8 @@ def test_latency_overlap_model():
     assert r.latency == max(r.compute_time, r.memory_time)
     assert r.compute_fraction == r.compute_time / r.latency
     assert r.total_cycles == pytest.approx(r.latency * 800e6)
-    assert r.total_cycles >= r.terms.compute_cycles
-    assert 0 < r.terms.utilization <= 1
+    assert r.total_cycles >= r.totals.compute_cycles
+    assert 0 < r.energy.utilization <= 1
 
 
 def test_memory_time_from_bandwidth():
@@ -261,8 +261,8 @@ def test_memory_time_from_bandwidth():
     trace = build_decode_trace(MODEL, REQ, 0)
     r = at(trace, 800e6)
     assert r.memory_time == pytest.approx(
-        max(r.terms.traffic.dram_bytes / EXT_BW,
-            r.terms.traffic.onchip_bytes / ONCHIP_BW))
+        max(r.totals.traffic.dram_bytes / EXT_BW,
+            r.totals.traffic.onchip_bytes / ONCHIP_BW))
 
 
 def test_memory_bound_latency_invariant_to_frequency():
@@ -279,7 +279,7 @@ def test_compute_bound_latency_is_cycles_over_frequency():
     for f in (200e6, 800e6, 1400e6):
         r = at(trace, f, "prefill")
         assert not r.memory_bound
-        assert r.latency * f == pytest.approx(r.terms.compute_cycles,
+        assert r.latency * f == pytest.approx(r.totals.compute_cycles,
                                               rel=1e-12)
         assert r.compute_fraction == 1.0
 
@@ -296,7 +296,7 @@ def test_compute_fraction_is_one_at_transition():
     # run the clock exactly at cycles / memory_time: both sides equal
     trace = build_decode_trace(MODEL, REQ, 0)
     probe = at(trace, 1e9)
-    f_cross = probe.terms.compute_cycles / probe.memory_time
+    f_cross = probe.totals.compute_cycles / probe.memory_time
     r = at(trace, f_cross)
     assert r.compute_fraction == 1.0
     assert r.compute_time == r.memory_time

@@ -191,7 +191,7 @@ def test_cells_share_phase_totals_and_obey_closed_form(s_kb, f_mhz, bw_gbps):
                      ascending(bw_gbps, GB), ("prefill", "decode"))
     first = {}
     for rec in run_sweep(spec, HW, MODEL, REQ).records:
-        t = rec.terms
+        t = rec.totals
         # cycles and traffic depend on (phase, S) only, never on f or BW
         shared = first.setdefault((rec.phase, rec.point.s), t)
         assert (t.compute_cycles, t.traffic) == (shared.compute_cycles,
@@ -238,7 +238,7 @@ def test_model_invariants_hold_on_random_small_configs(
     for rec in result.records:
         if not rec.ok:  # no tile set fits this S
             continue
-        assert 0 < rec.terms.utilization <= 1
+        assert 0 < rec.energy.utilization <= 1
         assert rec.achieved <= rec.attainable * (1 + 1e-15)
         assert 0 < rec.compute_fraction <= 1
         latencies.setdefault((rec.phase, rec.point.bw, rec.point.s),
@@ -301,15 +301,15 @@ def test_split_cells_match_the_unsplit_oracle(
             continue
         result, energy, roof = evaluate_cell(totals, rec.phase, hw, rec.point)
         oracle[rec.phase, rec.point] = energy
-        t = rec.terms
+        t = rec.totals
         got = {
             "compute_cycles": t.compute_cycles,
             "compute_time": rec.compute_time,
             "memory_time": rec.memory_time, "latency": rec.latency,
             "total_cycles": rec.total_cycles,
             "compute_fraction": rec.compute_fraction, "traffic": t.traffic,
-            "utilization": t.utilization, "flops": t.flops,
-            "oi": t.oi, "attainable": rec.attainable,
+            "utilization": rec.energy.utilization, "flops": rec.flops,
+            "oi": rec.oi, "attainable": rec.attainable,
             "achieved": rec.achieved, "bound": rec.ridge_side,
             "static_j": rec.static_j, "dynamic_j": rec.energy.dynamic_j,
             "total_j": rec.total_j, "dynamic_power_w": rec.dynamic_power_w,

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acceldse.config import KIB, load_hardware, load_model_spec, load_request
-from acceldse.memory import phase_terms, phase_totals
+from acceldse.memory import phase_totals
+from acceldse.sweep import DesignPoint, entry_terms, evaluate_point
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
                                PhaseTrace, attention_matmuls,
                                build_decode_trace, build_prefill_trace,
@@ -109,8 +110,10 @@ def test_decode_step_range():
 def test_phase_flops_two_per_mac(dims, flops):
     totals = phase_totals(PhaseTrace({MatmulDims(*dims): 1}), HW.fabric,
                           64 * KIB, 2)
-    terms = phase_terms(totals, HW.fabric, HW.onchip_bandwidth)
-    assert terms.flops == flops
+    point = DesignPoint(64 * KIB, HW.frequency, HW.ext_bandwidth)
+    record = evaluate_point(entry_terms(totals, "prefill", HW, point.s),
+                            "prefill", HW, point)
+    assert record.flops == flops
 
 
 def test_prefill_score_flops_quadratic_in_prompt():
