@@ -48,16 +48,10 @@ def _displacement(result: SweepResult,
     return steps, s_min, f_min
 
 
-def _rebuilt(record, **changes):
-    """`record` with `changes`, built through its constructor so that its
-    checks run (a named tuple's `_replace` skips them)."""
-    return type(record)(**{**record._asdict(), **changes})
-
-
 def _with_constants(hw: HardwareConfig, leakage: float,
                     access: float) -> HardwareConfig:
-    return _rebuilt(hw, sram=_rebuilt(hw.sram, leakage_per_byte=leakage,
-                                      access_energy_ref=access))
+    return hw._replace(sram=hw.sram._replace(leakage_per_byte=leakage,
+                                             access_energy_ref=access))
 
 
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
@@ -70,8 +64,7 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
     access = hw.sram.access_energy_ref
     evals = 0
     # the search reads one S x f block: decode at the first BW
-    spec = _rebuilt(spec, phases=("decode",),
-                    bw_values=spec.bw_values[:1])
+    spec = spec._replace(phases=("decode",), bw_values=spec.bw_values[:1])
     table = phase_table(spec, hw, model, req, decode_step)
     if all(isinstance(totals, str) for totals in table.values()):
         raise TilingError("no decode cell can be evaluated: "

@@ -12,9 +12,10 @@ from .config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                      load_request, load_sweep_axes, parse_config)
 from .energy import by_component
 from .memory import TilingError
-from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, SweepRecord,
-                    SweepResult, SweepSpec, decode_mean_over_generation,
-                    emit_reports, roofline_row, run_sweep, summary_dict)
+from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, OutputError,
+                    SweepRecord, SweepResult, SweepSpec,
+                    decode_mean_over_generation, emit_reports, roofline_row,
+                    run_sweep, summary_dict)
 from .workload import PHASES
 
 EXIT_OK = 0
@@ -124,7 +125,11 @@ def cmd_simulate(args) -> int:
         out = _record_dict(record)
         if mean:
             out["decode_mean"] = mean
-        print(json.dumps(out, indent=2, sort_keys=True))
+        try:
+            text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise OutputError(f"cannot print the JSON record: {exc}") from None
+        print(text)
     elif args.format == "csv":
         _print_csv(record)
     else:
@@ -284,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (OSError, TilingError) as exc:
+    except (OSError, OutputError, TilingError) as exc:
         # an output that cannot be written, or no cell that can be evaluated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

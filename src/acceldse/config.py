@@ -4,8 +4,10 @@ Format: one `key = value` per line, `#` starts a comment, blank lines
 ignored.  Keys are namespaced (`hw.*`, `model.*`, `sweep.*`); list
 values are comma-separated.  Overrides (`key=value` strings) apply after
 file parsing, last writer wins.  Every key, with its parser and default,
-is declared once in the table of the spec it builds; a key no table
-declares, or a number that is not finite, is rejected naming the key.
+is declared once in the table of the spec it builds.  Each key's parser
+also checks the key's range, so a key no table declares, a number that
+is not finite, or a value out of its key's range is rejected naming that
+key alone; the records built from the tables check nothing themselves.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class HardwareConfig(namedtuple("HardwareConfig", (
         "gating",
 ))):
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.ext_bandwidth <= 0 or self.onchip_bandwidth <= 0:
-            raise ValueError("bandwidths must be > 0")
-        if not self.frequency > 0:
-            raise ValueError("frequency must be > 0")
-        return self
 
 
 def _scaled(unit: float, cast=float):
@@ -88,47 +82,71 @@ def _phases(text: str) -> list[str]:
     return phases
 
 
+def _checked(parse, ok, need: str):
+    """`parse`, rejecting a value for which `ok` is false as not `need`."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"need {need}")
+        return value
+    return parse_checked
+
+
+def _positive(parse):
+    """`parse`, rejecting a value that is not > 0."""
+    return _checked(parse, lambda value: value > 0, "a value > 0")
+
+
 _float = _scaled(1.0)
+_count = _positive(int)
+_bytes = _positive(_scaled(KIB, int))  # KB, whole bytes after the cast
+_hz = _positive(_scaled(MHZ))
+_gbps = _positive(_scaled(GB))
+_constant = _positive(_float)
+_saving = _checked(_float, lambda value: 0 <= value < 1, "a value in [0, 1)")
 
 # Per spec: field -> (key, parser, default text).
 _MODEL = {
-    "d_model": ("model.d_model", int, "12288"),
-    "n_heads": ("model.n_heads", int, "96"),
-    "head_dim": ("model.head_dim", int, "128"),
-    "mlp_ratio": ("model.mlp_ratio", int, "4"),
-    "bytes_per_element": ("model.bytes_per_element", int, "2"),
-    "n_layers": ("model.n_layers", int, "1"),
+    "d_model": ("model.d_model", _count, "12288"),
+    "n_heads": ("model.n_heads", _count, "96"),
+    "head_dim": ("model.head_dim", _count, "128"),
+    "mlp_ratio": ("model.mlp_ratio", _count, "4"),
+    "bytes_per_element": ("model.bytes_per_element", _count, "2"),
+    "n_layers": ("model.n_layers", _count, "1"),
 }
 _REQUEST = {
-    "batch": ("model.batch", int, "8"),
-    "prompt_len": ("model.prompt_len", int, "2048"),
-    "gen_tokens": ("model.gen_tokens", int, "16"),
+    "batch": ("model.batch", _count, "8"),
+    "prompt_len": ("model.prompt_len", _count, "2048"),
+    "gen_tokens": ("model.gen_tokens",
+                   _checked(int, lambda value: value >= 0, "a value >= 0"),
+                   "16"),
 }
 _STEP = {"step": ("model.decode_step", int, "0")}
-_ARRAY = {"rows": ("hw.array_rows", int, "16"),
-          "cols": ("hw.array_cols", int, "16")}
-_FABRIC = {"cores": ("hw.cores", int, "108"),
-           "arrays_per_core": ("hw.arrays_per_core", int, "4")}
-_BUFFERS = {"local": ("hw.local_buffer_kb", _scaled(KIB, int), "64"),
-            "global_": ("hw.global_buffer_mb", _scaled(MIB, int), "40")}
+_ARRAY = {"rows": ("hw.array_rows", _count, "16"),
+          "cols": ("hw.array_cols", _count, "16")}
+_FABRIC = {"cores": ("hw.cores", _count, "108"),
+           "arrays_per_core": ("hw.arrays_per_core", _count, "4")}
+_BUFFERS = {"local": ("hw.local_buffer_kb", _bytes, "64"),
+            "global_": ("hw.global_buffer_mb", _positive(_scaled(MIB, int)),
+                        "40")}
 _HARDWARE = {
-    "ext_bandwidth": ("hw.ext_bandwidth_gbps", _scaled(GB), "2048"),
-    "onchip_bandwidth": ("hw.onchip_bandwidth_gbps", _scaled(GB), "16384"),
-    "frequency": ("hw.frequency_mhz", _scaled(MHZ), "800"),
+    "ext_bandwidth": ("hw.ext_bandwidth_gbps", _gbps, "2048"),
+    "onchip_bandwidth": ("hw.onchip_bandwidth_gbps", _gbps, "16384"),
+    "frequency": ("hw.frequency_mhz", _hz, "800"),
 }
 _SRAM = {
-    "leakage_per_byte": ("hw.sram_leakage_w_per_byte", _float, "3.0e-7"),
-    "access_energy_ref": ("hw.sram_access_energy_j", _float, "2.0e-13"),
-    "ref_size": ("hw.sram_access_ref_kb", _scaled(KIB, int), "32"),
-    "access_exponent": ("hw.sram_access_exponent", _float, "0.5"),
+    "leakage_per_byte": ("hw.sram_leakage_w_per_byte", _constant, "3.0e-7"),
+    "access_energy_ref": ("hw.sram_access_energy_j", _constant, "2.0e-13"),
+    "ref_size": ("hw.sram_access_ref_kb", _bytes, "32"),
+    "access_exponent": ("hw.sram_access_exponent", _constant, "0.5"),
 }
 _ARRAYS = {
-    "leakage_w": ("hw.array_leakage_w", _float, "9.31e-3"),
-    "dynamic_w_ref": ("hw.array_dynamic_w", _float, "1.25"),
-    "ref_frequency": ("hw.array_ref_frequency_mhz", _scaled(MHZ), "1000"),
+    "leakage_w": ("hw.array_leakage_w", _constant, "9.31e-3"),
+    "dynamic_w_ref": ("hw.array_dynamic_w", _constant, "1.25"),
+    "ref_frequency": ("hw.array_ref_frequency_mhz", _hz, "1000"),
 }
-_GATING = {"prefill_saving": ("hw.gating_prefill", _float, "0.04"),
-           "decode_saving": ("hw.gating_decode", _float, "0.20")}
+_GATING = {"prefill_saving": ("hw.gating_prefill", _saving, "0.04"),
+           "decode_saving": ("hw.gating_decode", _saving, "0.20")}
 _SWEEP = {
     "s_values": ("sweep.local_buffer_kb", _axis(_scaled(KIB, int)),
                  "16,32,64,128,256,512,1024"),
@@ -191,30 +209,24 @@ def _parse(values: dict[str, str], table: dict) -> dict:
     return fields
 
 
-def _build(cls, table: dict, values: dict[str, str], **parts):
-    """`cls` from the fields of `table`; a value the constructor rejects is
-    reported naming the table's keys."""
-    fields = _parse(values, table)
-    try:
-        return cls(**fields, **parts)
-    except ValueError as exc:
-        keys = " / ".join(key for key, _, _ in table.values())
-        raise ConfigError(f"bad value for {keys}: {exc}") from exc
-
-
 def load_model_spec(values: dict[str, str]) -> ModelSpec:
-    return _build(ModelSpec, _MODEL, values)
+    model = ModelSpec(**_parse(values, _MODEL))
+    if model.n_heads * model.head_dim != model.d_model:
+        raise ConfigError(
+            "bad values for model.n_heads, model.head_dim and model.d_model: "
+            f"n_heads * head_dim must equal d_model ({model.n_heads} * "
+            f"{model.head_dim} != {model.d_model})")
+    return model
 
 
 def load_request(values: dict[str, str]) -> InferenceRequest:
-    return _build(InferenceRequest, _REQUEST, values)
+    return InferenceRequest(**_parse(values, _REQUEST))
 
 
 def decode_step(values: dict[str, str],
                 phases: tuple[str, ...] = ("decode",)) -> int:
     """`model.decode_step`, checked against `model.gen_tokens`; a run
-    whose `phases` include decode needs at least one generated token.
-    `load_request` checks `model.gen_tokens` itself."""
+    whose `phases` include decode needs at least one generated token."""
     fields = _parse(values, {**_STEP, "gen_tokens": _REQUEST["gen_tokens"]})
     step, gen_tokens = fields["step"], fields["gen_tokens"]
     if not gen_tokens and "decode" in phases:
@@ -227,13 +239,14 @@ def decode_step(values: dict[str, str],
 
 
 def load_hardware(values: dict[str, str]) -> HardwareConfig:
-    array = _build(ArraySpec, _ARRAY, values)
-    return _build(HardwareConfig, _HARDWARE, values,
-                  fabric=_build(FabricSpec, _FABRIC, values, array=array),
-                  buffers=_build(Buffers, _BUFFERS, values),
-                  sram=_build(SramEnergyModel, _SRAM, values),
-                  arrays=_build(ArrayPower, _ARRAYS, values),
-                  gating=_build(GatingPolicy, _GATING, values))
+    array = ArraySpec(**_parse(values, _ARRAY))
+    return HardwareConfig(
+        fabric=FabricSpec(**_parse(values, _FABRIC), array=array),
+        buffers=Buffers(**_parse(values, _BUFFERS)),
+        sram=SramEnergyModel(**_parse(values, _SRAM)),
+        arrays=ArrayPower(**_parse(values, _ARRAYS)),
+        gating=GatingPolicy(**_parse(values, _GATING)),
+        **_parse(values, _HARDWARE))
 
 
 def load_sweep_axes(values: dict[str, str]) -> tuple[list[int], list[float], list[float], list[str]]:

@@ -22,21 +22,9 @@ from .workload import MatmulDims
 class ArraySpec(namedtuple("ArraySpec", ("rows", "cols"))):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("array dims must be >= 1")
-        return self
-
 
 class FabricSpec(namedtuple("FabricSpec", ("cores", "arrays_per_core", "array"))):
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.cores < 1 or self.arrays_per_core < 1:
-            raise ValueError("fabric must contain at least one array")
-        return self
 
     @property
     def total_arrays(self) -> int:

@@ -28,12 +28,6 @@ class SramEnergyModel(namedtuple("SramEnergyModel", (
 ))):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if min(self) <= 0:
-            raise ValueError("SRAM energy parameters must be positive")
-        return self
-
     def leakage(self, size: int) -> float:
         return self.leakage_per_byte * size
 
@@ -48,23 +42,10 @@ class ArrayPower(namedtuple("ArrayPower", (
 ))):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if min(self) <= 0:
-            raise ValueError("array power parameters must be positive")
-        return self
-
 
 class GatingPolicy(namedtuple("GatingPolicy", (
         "prefill_saving", "decode_saving"))):
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for s in self:
-            if not 0 <= s < 1:
-                raise ValueError("gating saving must be in [0, 1)")
-        return self
 
     def saving(self, phase: str) -> float:
         return self.prefill_saving if phase == "prefill" else self.decode_saving

@@ -33,12 +33,6 @@ class Buffers(namedtuple("Buffers", ("local", "global_"))):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.local <= 0 or self.global_ <= 0:
-            raise ValueError("buffer capacity must be > 0")
-        return self
-
 
 class TilingPlan(namedtuple("TilingPlan", ("tile_m", "tile_k", "tile_n"))):
     __slots__ = ()

@@ -27,7 +27,7 @@ from .config import GB, MHZ, HardwareConfig
 from .energy import EnergyTerms, energy_terms
 from .memory import (Buffers, PhaseTotals, TilingError, matmul_totals,
                      phase_totals, sum_totals)
-from .workload import (PHASES, InferenceRequest, ModelSpec, PhaseTrace,
+from .workload import (InferenceRequest, ModelSpec, PhaseTrace,
                        attention_matmuls, build_decode_trace,
                        build_prefill_trace, weight_matmuls)
 
@@ -42,21 +42,6 @@ class SweepSpec(namedtuple("SweepSpec", (
         "phases",
 ))):
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in self._fields:
-            vals = getattr(self, name)
-            if not vals:
-                raise ValueError(f"{name} must be non-empty")
-            if name == "phases":
-                if len(set(vals)) < len(vals):
-                    raise ValueError("phases must not repeat")
-                if not set(vals) <= set(PHASES):
-                    raise ValueError(f"phases must be among {PHASES}")
-            elif any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        return self
 
 
 class DesignPoint(namedtuple("DesignPoint", (
@@ -395,10 +380,21 @@ def summary_dict(result: SweepResult) -> dict:
     return summary
 
 
+class OutputError(ValueError):
+    """An output that would not be standard JSON."""
+
+
 def emit_reports(result: SweepResult, out_dir: str | Path,
                  summary: dict) -> list[Path]:
-    """Write grid CSVs, the roofline CSV, and the result's `summary`."""
+    """Write grid CSVs, the roofline CSV, and the result's `summary`;
+    a summary that is not standard JSON leaves every file unwritten."""
     out = Path(out_dir)
+    summary_path = out / "summary.json"
+    try:
+        summary_text = json.dumps(summary, indent=2, sort_keys=True,
+                                  allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OutputError(f"cannot write {summary_path}: {exc}") from None
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for metric in METRICS:
@@ -412,8 +408,6 @@ def emit_reports(result: SweepResult, out_dir: str | Path,
     roof_path = out / "roofline.csv"
     roof_path.write_text(_roofline_csv(result))
     written.append(roof_path)
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2,
-                                       sort_keys=True) + "\n")
+    summary_path.write_text(summary_text)
     written.append(summary_path)
     return written

@@ -23,17 +23,6 @@ class ModelSpec(namedtuple("ModelSpec", (
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in self._fields:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.n_heads * self.head_dim != self.d_model:
-            raise ValueError(
-                f"n_heads * head_dim must equal d_model "
-                f"({self.n_heads} * {self.head_dim} != {self.d_model})")
-        return self
-
     @property
     def d_ff(self) -> int:
         return self.mlp_ratio * self.d_model
@@ -43,27 +32,11 @@ class InferenceRequest(namedtuple("InferenceRequest", (
         "batch", "prompt_len", "gen_tokens"))):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.prompt_len < 1:
-            raise ValueError("prompt_len must be >= 1 (zero-token requests rejected)")
-        if self.gen_tokens < 0:
-            raise ValueError("gen_tokens must be >= 0")
-        return self
-
 
 class MatmulDims(namedtuple("MatmulDims", ("M", "K", "N"))):
     """One GEMM (M x K) @ (K x N)."""
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if min(self.M, self.K, self.N) < 1:
-            raise ValueError("matmul dims must be >= 1")
-        return self
 
 
 class PhaseTrace(namedtuple("PhaseTrace", (

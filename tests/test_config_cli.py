@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -385,6 +386,47 @@ def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
     assert override.split("=")[0] in err
 
 
+# A value just outside each key's range: below 1 byte after the cast for
+# the sizes, 0 for the other positive values, 1 for the gating savings.
+OUTSIDE = [
+    "model.d_model=0", "model.n_heads=0", "model.head_dim=0",
+    "model.mlp_ratio=0", "model.bytes_per_element=0", "model.n_layers=0",
+    "model.batch=0", "model.prompt_len=0", "model.gen_tokens=-1",
+    "model.decode_step=16", "hw.cores=0", "hw.arrays_per_core=0",
+    "hw.array_rows=0", "hw.array_cols=0", "hw.local_buffer_kb=0.0001",
+    "hw.global_buffer_mb=0.0000001", "hw.ext_bandwidth_gbps=0",
+    "hw.onchip_bandwidth_gbps=0", "hw.frequency_mhz=0",
+    "hw.sram_leakage_w_per_byte=0", "hw.sram_access_energy_j=0",
+    "hw.sram_access_ref_kb=0.0001", "hw.sram_access_exponent=0",
+    "hw.array_leakage_w=0", "hw.array_dynamic_w=0",
+    "hw.array_ref_frequency_mhz=0", "hw.gating_prefill=1",
+    "hw.gating_decode=1", "hw.gating_decode=-0.01",
+    "sweep.local_buffer_kb=0.0001", "sweep.frequency_mhz=0",
+    "sweep.bandwidth_gbps=0.5", "sweep.phases=,",
+    # cross-key checks, which name each key they compare
+    "model.head_dim=64",
+]
+NAMED = {
+    "model.head_dim=64": {"model.d_model", "model.n_heads", "model.head_dim"},
+    "model.decode_step=16": {"model.decode_step", "model.gen_tokens"},
+}
+
+
+def test_every_key_has_a_value_outside_its_range():
+    assert {override.split("=")[0] for override in OUTSIDE} == config.KEYS
+
+
+@pytest.mark.parametrize("override", OUTSIDE)
+def test_cli_diagnostic_names_only_its_key(capsys, override):
+    assert main(["simulate", "--config", str(BASELINE),
+                 "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    named = {key for key in config.KEYS  # as whole tokens
+             if re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err)}
+    assert named == NAMED.get(override, {override.split("=")[0]}), err
+
+
 @pytest.mark.parametrize("args", [
     "sweep --out {file}",
     "sweep --out {file}/sub",
@@ -401,6 +443,26 @@ def test_cli_unusable_run_exits_1_with_one_line(tmp_path, capsys, args):
     assert main([*argv, "--config", str(BASELINE)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args,output", [
+    # 1e-300 MHz makes the contour levels nan
+    ("sweep --override sweep.frequency_mhz=1e-300 --out {out}",
+     "summary.json"),
+    # the energies overflow to inf
+    ("simulate --format json --override hw.sram_leakage_w_per_byte=1e303",
+     "JSON record"),
+])
+def test_cli_non_finite_json_exits_1_writing_nothing(tmp_path, capsys, args,
+                                                     output):
+    out = tmp_path / "out"
+    assert main([*args.format(out=out).split(),
+                 "--config", str(BASELINE)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err
+    assert err.count("\n") == 1 and err.startswith("error: cannot ")
+    assert output in err and not any(key in err for key in config.KEYS)
 
 
 def test_cli_prefill_runs_with_no_generated_tokens(tmp_path):

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceldse.config import (GB, KIB, MIB, load_hardware, load_model_spec,
-                             load_request, load_sweep_axes)
+from acceldse.config import (GB, KIB, MIB, ConfigError, load_hardware,
+                             load_model_spec, load_request, load_sweep_axes)
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import (ArrayPower, EnergyTerms, GatingPolicy,
                              SramEnergyModel, by_component, energy_terms)
@@ -136,8 +136,9 @@ def test_identities_randomized():
 def test_gating_policy_by_phase():
     assert GATING.saving("prefill") == 0.04
     assert GATING.saving("decode") == 0.20
-    with pytest.raises(ValueError):
-        GatingPolicy(prefill_saving=1.0, decode_saving=0.20)
+    with pytest.raises(ConfigError, match="bad value for hw.gating_prefill: "
+                       r"'1.0' \(need a value in \[0, 1\)\)"):
+        load_hardware({"hw.gating_prefill": "1.0"})
 
 
 def test_cell_energy_composition():

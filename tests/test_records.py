@@ -1,69 +1,72 @@
-"""The value types are immutable named tuples whose constructors check
-their fields; the checks must hold on every path that builds one."""
+"""The value types are immutable named tuples that check nothing
+themselves: config checks every value where it is parsed, so a value out
+of its key's range is rejected naming that key on every path that sets
+it, a config file line or an override."""
+
+from pathlib import Path
 
 import pytest
 
-from acceldse.calibrate import _rebuilt
+from acceldse.cli import main
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.energy import ArrayPower, GatingPolicy, SramEnergyModel
-from acceldse.memory import Buffers
 from acceldse.sweep import SweepSpec
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec
 
+BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
 HW = load_hardware({})
 
-# (valid record, field, bad value, the constructor's message)
+# (the record field a key builds, a value out of that key's range)
 CHECKED = [
-    (load_model_spec({}), "d_model", 0, "d_model must be strictly positive"),
-    (load_model_spec({}), "head_dim", 64,
-     "n_heads * head_dim must equal d_model (96 * 64 != 12288)"),
-    (load_request({}), "batch", 0, "batch must be >= 1"),
-    (MatmulDims(2, 3, 4), "K", 0, "matmul dims must be >= 1"),
-    (HW.fabric.array, "cols", 0, "array dims must be >= 1"),
-    (HW.fabric, "cores", 0, "fabric must contain at least one array"),
-    (Buffers(1024, 1024), "local", 0, "buffer capacity must be > 0"),
-    (Buffers(1024, 1024), "global_", 0, "buffer capacity must be > 0"),
-    (HW, "ext_bandwidth", 0, "bandwidths must be > 0"),
-    (HW, "onchip_bandwidth", 0, "bandwidths must be > 0"),
-    (SramEnergyModel(3e-7, 2e-13, 32768, 0.5), "leakage_per_byte", -1.0,
-     "SRAM energy parameters must be positive"),
-    (HW.arrays, "ref_frequency", 0.0,
-     "array power parameters must be positive"),
-    (HW.gating, "decode_saving", 1.0, "gating saving must be in [0, 1)"),
-    (HW, "frequency", 0.0, "frequency must be > 0"),
-    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "f_values", (),
-     "f_values must be non-empty"),
-    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "s_values",
-     (2, 1), "s_values must be strictly increasing"),
-    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "phases", (),
-     "phases must be non-empty"),
-    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "phases",
-     ("decode", "decode"), "phases must not repeat"),
-    (SweepSpec((1,), (1.0,), (1.0,), ("decode",)), "phases", ("decoder",),
-     "phases must be among ('prefill', 'decode')"),
+    ("ModelSpec.d_model", "model.d_model=0"),
+    ("ModelSpec.head_dim", "model.head_dim=64"),  # 96 * 64 != 12288
+    ("InferenceRequest.batch", "model.batch=0"),
+    ("MatmulDims.K", "model.head_dim=0"),  # the attention score's K
+    ("ArraySpec.cols", "hw.array_cols=0"),
+    ("FabricSpec.cores", "hw.cores=0"),
+    ("Buffers.local", "hw.local_buffer_kb=0.0001"),  # 0 bytes
+    ("Buffers.global_", "hw.global_buffer_mb=0"),
+    ("HardwareConfig.ext_bandwidth", "hw.ext_bandwidth_gbps=0"),
+    ("HardwareConfig.onchip_bandwidth", "hw.onchip_bandwidth_gbps=0"),
+    ("SramEnergyModel.leakage_per_byte", "hw.sram_leakage_w_per_byte=-1"),
+    ("ArrayPower.ref_frequency", "hw.array_ref_frequency_mhz=0"),
+    ("GatingPolicy.decode_saving", "hw.gating_decode=1"),
+    ("HardwareConfig.frequency", "hw.frequency_mhz=0"),
+    ("SweepSpec.f_values", "sweep.frequency_mhz=,"),
+    ("SweepSpec.s_values", "sweep.local_buffer_kb=2,-1"),
+    ("SweepSpec.phases", "sweep.phases=,"),
+    ("SweepSpec.phases", "sweep.phases=decode,decode"),
+    ("SweepSpec.phases", "sweep.phases=decoder"),
 ]
 
 
-@pytest.mark.parametrize("record,field,bad,message", CHECKED,
-                         ids=[f"{type(c[0]).__name__}.{c[1]}" for c in CHECKED])
-def test_checked_record_rejects_bad_field_on_every_path(record, field, bad,
-                                                       message):
-    cls = type(record)
-    assert _rebuilt(record) == record
-    fields = {**record._asdict(), field: bad}
-    with pytest.raises(ValueError) as by_keyword:
-        cls(**fields)
-    with pytest.raises(ValueError) as by_position:
-        cls(*fields.values())
-    with pytest.raises(ValueError) as by_rebuild:  # how the runtime replaces
-        _rebuilt(record, **{field: bad})
-    assert {str(e.value) for e in (by_keyword, by_position, by_rebuild)} \
-        == {message}
+@pytest.mark.parametrize("field,setting", CHECKED,
+                         ids=[field for field, _ in CHECKED])
+def test_checked_record_rejects_bad_field_on_every_path(tmp_path, capsys,
+                                                       field, setting):
+    key, value = setting.split("=")
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"{BASELINE.read_text()}{key} = {value}\n")
+    for args in (["--config", str(conf)],
+                 ["--config", str(BASELINE), "--override", setting]):
+        assert main(["simulate", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: bad value")
+        assert key in err
+
+
+@pytest.mark.parametrize("record", [
+    load_model_spec({}), load_request({}), MatmulDims(2, 3, 4),
+    HW.fabric.array, HW.fabric, HW.buffers, HW, HW.sram, HW.arrays,
+    HW.gating, SweepSpec((1,), (1.0,), (1.0,), ("decode",)),
+], ids=lambda record: type(record).__name__)
+def test_record_is_an_immutable_plain_named_tuple(record):
+    assert "__new__" not in vars(type(record))  # no checks of its own
     with pytest.raises(AttributeError):
-        setattr(record, field, bad)
+        setattr(record, record._fields[0], record[0])
     with pytest.raises(AttributeError):  # no instance dict to grow
-        record.extra = bad
+        record.extra = 1
 
 
 def test_matmul_dims_is_a_dict_key_by_value():

@@ -42,11 +42,14 @@ DEFAULT_SPEC = SweepSpec(
 )
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
-        SweepSpec((), (1e6,), (1e9,), ("prefill",))
-    with pytest.raises(ValueError):
-        SweepSpec((2, 1), (1e6,), (1e9,), ("prefill",))
+def test_sweep_spec_validation(capsys):
+    # an empty or non-positive axis is rejected as its key is parsed;
+    # the parser sorts every axis it accepts
+    for override in ("sweep.local_buffer_kb=,", "sweep.local_buffer_kb=2,-1"):
+        assert main(["simulate", "--config", BASELINE,
+                     "--override", override]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad value for sweep.local_buffer_kb: ")
 
 
 def test_default_cardinality(monkeypatch):

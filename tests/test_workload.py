@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from acceldse.cli import main
 from acceldse.config import KIB, load_hardware, load_model_spec, load_request
 from acceldse.memory import phase_totals
 from acceldse.sweep import DesignPoint, entry_terms, evaluate_point
@@ -9,6 +12,7 @@ from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
                                build_decode_trace, build_prefill_trace,
                                weight_matmuls)
 
+BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
 TOY = ModelSpec(d_model=4, n_heads=2, head_dim=2, mlp_ratio=4,
                 bytes_per_element=2, n_layers=1)
 GPT3 = load_model_spec({})
@@ -16,7 +20,7 @@ HW = load_hardware({})
 
 
 def model(**fields) -> ModelSpec:
-    """The default model with `fields` changed, checked as it is built."""
+    """The default model with `fields` changed."""
     return ModelSpec(**{**GPT3._asdict(), **fields})
 
 
@@ -34,21 +38,29 @@ def gemm_flops(m: MatmulDims) -> int:
     return 2 * m.M * m.K * m.N
 
 
-def test_model_spec_validation():
-    with pytest.raises(ValueError):
-        ModelSpec(**{**TOY._asdict(), "n_heads": 3})
-    with pytest.raises(ValueError):
-        ModelSpec(**{**TOY._asdict(), "d_model": 0, "n_heads": 1,
-                     "head_dim": 1})
+def rejected(capsys, override: str) -> str:
+    """The one-line diagnostic of a run with `override`, which exits 2."""
+    assert main(["simulate", "--config", str(BASELINE),
+                 "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
 
 
-def test_request_validation():
-    with pytest.raises(ValueError):
-        request(batch=0)
-    with pytest.raises(ValueError):
-        request(prompt_len=0)
-    with pytest.raises(ValueError):
-        request(gen_tokens=-1)
+def test_model_spec_validation(capsys):
+    # config checks each model value as it parses it, naming its key
+    assert "bad values for model.n_heads, model.head_dim and model.d_model: " \
+        "n_heads * head_dim must equal d_model (3 * 128 != 12288)" \
+        in rejected(capsys, "model.n_heads=3")
+    assert "bad value for model.d_model: '0'" \
+        in rejected(capsys, "model.d_model=0")
+
+
+def test_request_validation(capsys):
+    for override in ("model.batch=0", "model.prompt_len=0",
+                     "model.gen_tokens=-1"):
+        assert f"bad value for {override.split('=')[0]}: " \
+            in rejected(capsys, override)
 
 
 def test_toy_prefill_shapes():
