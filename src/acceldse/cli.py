@@ -1,9 +1,11 @@
-"""Command-line entry point: simulate, sweep, roofline, calibrate, report."""
+"""Command-line entry point: simulate, sweep, roofline, calibrate, report.
+
+Each command builds every text it outputs, which `sweep.output_text`
+checks, before it prints or writes any of them."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -14,8 +16,8 @@ from .energy import by_component
 from .memory import TilingError
 from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, OutputError,
                     SweepRecord, SweepResult, SweepSpec,
-                    decode_mean_over_generation, emit_reports, roofline_row,
-                    run_sweep, summary_dict)
+                    decode_mean_over_generation, emit_reports, json_text,
+                    output_text, roofline_row, run_sweep, summary_dict)
 from .workload import PHASES
 
 EXIT_OK = 0
@@ -72,39 +74,43 @@ def _record_dict(r: SweepRecord) -> dict:
     }
 
 
-def _print_table(record: SweepRecord) -> None:
-    d = _record_dict(record)
-    s_kb = record.point.s / KIB
-    f_mhz = record.point.f / MHZ
-    bw_gbps = record.point.bw / GB
-    print(f"design point     S={s_kb:g} KB  f={f_mhz:g} MHz  BW={bw_gbps:g} GB/s")
-    print(f"phase            {d['phase']}")
-    print(f"bound            {d['bound']}")
-    print(f"latency          {d['latency_s']:.6e} s")
-    print(f"compute time     {d['compute_time_s']:.6e} s")
-    print(f"memory time      {d['memory_time_s']:.6e} s")
-    print(f"compute cycles   {d['compute_cycles']}")
-    print(f"total cycles     {d['total_cycles']:.6e}")
-    print(f"compute fraction {d['compute_fraction']:.4f}")
-    print(f"utilization      {d['utilization']:.4f}")
-    print(f"dram bytes       {d['traffic']['dram_bytes']}")
-    print(f"onchip bytes     {d['traffic']['onchip_bytes']}")
-    print(f"static energy    {d['energy']['static_j']:.6e} J")
-    print(f"dynamic energy   {d['energy']['dynamic_j']:.6e} J")
-    print(f"total energy     {d['energy']['total_j']:.6e} J")
-    print(f"dynamic power    {d['energy']['dynamic_power_w']:.6e} W")
-    print(f"EDP              {d['edp_js']:.6e} J*s")
-    print(f"roofline         OI={d['roofline']['oi']:.4f} fl/B  "
-          f"attainable={d['roofline']['attainable']:.6e}  "
-          f"achieved={d['roofline']['achieved']:.6e}  "
-          f"bound={d['roofline']['bound']}")
+def _table_text(d: dict) -> str:
+    """The `simulate` table of a JSON record, one padded label a line."""
+    point, energy, roof = d["point"], d["energy"], d["roofline"]
+    rows = [
+        ("design point", f"S={point['S_bytes'] / KIB:g} KB  "
+                         f"f={point['f_hz'] / MHZ:g} MHz  "
+                         f"BW={point['bw_bytes_per_s'] / GB:g} GB/s"),
+        ("phase", d["phase"]), ("bound", d["bound"]),
+        ("latency", f"{d['latency_s']:.6e} s"),
+        ("compute time", f"{d['compute_time_s']:.6e} s"),
+        ("memory time", f"{d['memory_time_s']:.6e} s"),
+        ("compute cycles", d["compute_cycles"]),
+        ("total cycles", f"{d['total_cycles']:.6e}"),
+        ("compute fraction", f"{d['compute_fraction']:.4f}"),
+        ("utilization", f"{d['utilization']:.4f}"),
+        ("dram bytes", d["traffic"]["dram_bytes"]),
+        ("onchip bytes", d["traffic"]["onchip_bytes"]),
+        ("static energy", f"{energy['static_j']:.6e} J"),
+        ("dynamic energy", f"{energy['dynamic_j']:.6e} J"),
+        ("total energy", f"{energy['total_j']:.6e} J"),
+        ("dynamic power", f"{energy['dynamic_power_w']:.6e} W"),
+        ("EDP", f"{d['edp_js']:.6e} J*s"),
+        ("roofline", f"OI={roof['oi']:.4f} fl/B  "
+                     f"attainable={roof['attainable']:.6e}  "
+                     f"achieved={roof['achieved']:.6e}  bound={roof['bound']}"),
+    ]
+    mean = d.get("decode_mean")
+    rows += [("mean over gen", f"{mean['mean_latency_s']:.6e} s/token, "
+              f"{mean['mean_total_j']:.6e} J/token "
+              f"({int(mean['steps'])} steps)")] if mean else []
+    return "".join(f"{label:<17}{value}\n" for label, value in rows)
 
 
-def _print_csv(record: SweepRecord) -> None:
-    d = _record_dict(record)
+def _csv_text(d: dict) -> str:
     flat = {**d, **d["point"], **d["traffic"], **d["energy"]}
-    print(",".join(CSV_FIELDS))
-    print(",".join(str(flat[name]) for name in CSV_FIELDS))
+    return "".join(",".join(row) + "\n" for row in (
+        CSV_FIELDS, [str(flat[name]) for name in CSV_FIELDS]))
 
 
 def cmd_simulate(args) -> int:
@@ -119,25 +125,13 @@ def cmd_simulate(args) -> int:
     if not record.ok:
         print(f"error: {record.error}", file=sys.stderr)
         return EXIT_FAILURE
-    mean = (decode_mean_over_generation(hw, model, req, point)
-            if args.decode_mode == "mean" else None)
-    if args.format == "json":
-        out = _record_dict(record)
-        if mean:
-            out["decode_mean"] = mean
-        try:
-            text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
-            raise OutputError(f"cannot print the JSON record: {exc}") from None
-        print(text)
-    elif args.format == "csv":
-        _print_csv(record)
-    else:
-        _print_table(record)
-        if mean:
-            print(f"mean over gen    {mean['mean_latency_s']:.6e} s/token, "
-                  f"{mean['mean_total_j']:.6e} J/token "
-                  f"({int(mean['steps'])} steps)")
+    d = _record_dict(record)
+    if args.decode_mode == "mean":
+        d["decode_mean"] = decode_mean_over_generation(hw, model, req, point)
+    # every format prints numbers of the record: one check serves them all
+    text = output_text("print the record", json_text, d)
+    print(text if args.format == "json" else
+          (_csv_text if args.format == "csv" else _table_text)(d), end="")
     return EXIT_OK
 
 
@@ -165,10 +159,9 @@ def cmd_roofline(args) -> int:
         raise ConfigError(f"bad value for sweep.phases: must include "
                           f"--phase {args.phase}")
     result = run_sweep(spec, *run)
-    print(ROOFLINE_HEADER)
-    for r in result.records:
-        if r.phase == args.phase and r.ok:
-            print(roofline_row(r))
+    points = [r for r in result.records if r.phase == args.phase and r.ok]
+    print(output_text("print the roofline", lambda: "\n".join(
+        [ROOFLINE_HEADER, *map(roofline_row, points)])))
     return _exit_code(result)
 
 
@@ -193,10 +186,8 @@ def cmd_calibrate(args) -> int:
                                hw.sram.access_exponent)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote constants to {args.out}")
-    else:
-        print(text, end="")
-    print(f"achieved argmin (S={outcome.achieved_s} B, "
+        text = f"wrote constants to {args.out}\n"
+    print(f"{text}achieved argmin (S={outcome.achieved_s} B, "
           f"f={outcome.achieved_f:g} Hz) after {outcome.evaluations} "
           f"evaluations; displacement {outcome.displacement} grid step(s)")
     if outcome.displacement > 0:
@@ -209,24 +200,25 @@ def cmd_calibrate(args) -> int:
 def cmd_report(args) -> int:
     result = run_sweep(*_load(args))
     summary = summary_dict(result)
-    print(f"records: {len(result.records)}  complete: {result.complete}")
-    print(f"decode convention: {summary['decode_convention']} "
-          f"(step {summary['decode_step']})")
+    lines = [f"records: {len(result.records)}  complete: {result.complete}",
+             f"decode convention: {summary['decode_convention']} "
+             f"(step {summary['decode_step']})"]
     for key in sorted(summary["grids"]):
         entry = summary["grids"][key]
-        print(f"{key}:")
+        lines.append(f"{key}:")
         for metric, label in ARGMIN_METRICS.items():
             cell = entry[f"{metric}_argmin"]  # None: every cell infeasible
             where = "none" if cell is None else (
                 f"S={cell['S_bytes'] / KIB:g} KB, f={cell['f_hz'] / MHZ:g} MHz")
-            print(f"  {label + ' argmin':<20}{where}")
+            lines.append(f"  {label + ' argmin':<20}{where}")
         transitions = {
             f"{int(s) / KIB:g}KB": (f"{mhz:g} MHz" if mhz else "none")
             for s, mhz in entry["bound_transition_mhz"].items()}
-        print(f"  memory-bound from   {transitions}")
+        lines.append(f"  memory-bound from   {transitions}")
     if args.out:
         written = emit_reports(result, args.out, summary)
-        print(f"wrote {len(written)} files to {args.out}")
+        lines.append(f"wrote {len(written)} files to {args.out}")
+    print("\n".join(lines))
     return _exit_code(result)
 
 

@@ -13,13 +13,14 @@ identical inputs.  The records of one (phase, BW) are its S x f grid
 (`SweepResult.select`); the argmin cells and contour levels are read
 from them.  Reports are per-metric grid CSVs, a roofline CSV, and a JSON
 summary with argmin cells, contour levels and bound-transition
-frequencies.
+frequencies; every output's numbers must be finite (`output_text`).
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from math import isfinite
 from pathlib import Path
 
 from .analysis import peak_flops
@@ -314,8 +315,29 @@ def contour_levels(block: tuple[SweepRecord, ...], metric: str) -> list[float]:
     return [lo + i * step for i in range(10)]
 
 
+class OutputError(ValueError):
+    """An output holding a number that is not finite: it cannot be written."""
+
+
 def _fmt(value: float) -> str:
+    """The text of every grid and roofline float, which must be finite."""
+    if not isfinite(value):
+        raise ValueError(value)
     return repr(float(value))
+
+
+def json_text(value) -> str:
+    """`value` as indented, key-sorted JSON, whose numbers must be finite."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def output_text(output: str, build, *args) -> str:
+    """`build(*args)`, the whole text of the output that `output` names
+    ("print ..." or "write <path>"), or OutputError if it cannot be."""
+    try:
+        return build(*args)
+    except ValueError:  # from `_fmt` or `json_text`
+        raise OutputError(f"cannot {output}: it holds inf or nan") from None
 
 
 def _grid_csv(block: tuple[SweepRecord, ...], metric: str, phase: str,
@@ -380,34 +402,20 @@ def summary_dict(result: SweepResult) -> dict:
     return summary
 
 
-class OutputError(ValueError):
-    """An output that would not be standard JSON."""
-
-
 def emit_reports(result: SweepResult, out_dir: str | Path,
                  summary: dict) -> list[Path]:
-    """Write grid CSVs, the roofline CSV, and the result's `summary`;
-    a summary that is not standard JSON leaves every file unwritten."""
+    """Write grid CSVs, the roofline CSV and `summary`, every text built
+    first: an OutputError leaves the directory and every file unwritten."""
     out = Path(out_dir)
-    summary_path = out / "summary.json"
-    try:
-        summary_text = json.dumps(summary, indent=2, sort_keys=True,
-                                  allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise OutputError(f"cannot write {summary_path}: {exc}") from None
+    builds = {out / f"{metric}_{phase}_bw{int(bw / GB)}.csv":
+              (_grid_csv, result.select(phase, bw), metric, phase, bw)
+              for metric in METRICS for phase in result.spec.phases
+              for bw in result.spec.bw_values}
+    builds[out / "roofline.csv"] = (_roofline_csv, result)
+    builds[out / "summary.json"] = (json_text, summary)
+    texts = {path: output_text(f"write {path}", *build)
+             for path, build in builds.items()}
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for metric in METRICS:
-        for phase in result.spec.phases:
-            for bw in result.spec.bw_values:
-                name = f"{metric}_{phase}_bw{int(bw / GB)}.csv"
-                path = out / name
-                path.write_text(_grid_csv(result.select(phase, bw), metric,
-                                          phase, bw))
-                written.append(path)
-    roof_path = out / "roofline.csv"
-    roof_path.write_text(_roofline_csv(result))
-    written.append(roof_path)
-    summary_path.write_text(summary_text)
-    written.append(summary_path)
-    return written
+    for path, text in texts.items():
+        path.write_text(text)
+    return list(texts)

@@ -445,16 +445,37 @@ def test_cli_unusable_run_exits_1_with_one_line(tmp_path, capsys, args):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+# 1e302 MHz at 1 GB/s: a memory-bound cell's cycles overflow to inf
+HUGE_F = ("--override sweep.frequency_mhz=1e302 "
+          "--override sweep.bandwidth_gbps=1")
+
+
 @pytest.mark.parametrize("args,output", [
-    # 1e-300 MHz makes the contour levels nan
+    # 1e-300 MHz makes every EDP inf and the contour levels nan
     ("sweep --override sweep.frequency_mhz=1e-300 --out {out}",
-     "summary.json"),
-    # the energies overflow to inf
+     "edp_prefill_bw2048.csv"),
+    ("report --override sweep.frequency_mhz=1e-300 --out {out}",
+     "edp_prefill_bw2048.csv"),
+    (f"sweep {HUGE_F} --out {{out}}", "cycles_prefill_bw1.csv"),
+    (f"report {HUGE_F} --out {{out}}", "cycles_prefill_bw1.csv"),
+    # the energies overflow to inf, whatever the format
     ("simulate --format json --override hw.sram_leakage_w_per_byte=1e303",
-     "JSON record"),
+     "record"),
+    ("simulate --override hw.sram_leakage_w_per_byte=1e303", "record"),
+    ("simulate --format csv --override hw.sram_leakage_w_per_byte=1e303",
+     "record"),
+    ("simulate --decode-mode mean "
+     "--override hw.sram_leakage_w_per_byte=1e303", "record"),
+    # a finite latency, but EDP overflows
+    ("simulate --override hw.ext_bandwidth_gbps=1e-300", "record"),
+    ("simulate --override hw.frequency_mhz=1e302 "
+     "--override hw.ext_bandwidth_gbps=1", "record"),
+    # peak flops and bw * oi both overflow: the attainable rate is inf
+    ("roofline --override sweep.frequency_mhz=1e302 "
+     "--override sweep.bandwidth_gbps=1e299", "roofline"),
 ])
-def test_cli_non_finite_json_exits_1_writing_nothing(tmp_path, capsys, args,
-                                                     output):
+def test_cli_non_finite_output_exits_1_writing_nothing(tmp_path, capsys, args,
+                                                       output):
     out = tmp_path / "out"
     assert main([*args.format(out=out).split(),
                  "--config", str(BASELINE)]) == 1
@@ -463,6 +484,16 @@ def test_cli_non_finite_json_exits_1_writing_nothing(tmp_path, capsys, args,
     err = captured.err
     assert err.count("\n") == 1 and err.startswith("error: cannot ")
     assert output in err and not any(key in err for key in config.KEYS)
+
+
+def test_cli_report_checks_outputs_not_intermediate_values(capsysbinary):
+    # at 1e-300 MHz every EDP is inf and the contour levels are nan, but
+    # the argmins that `report` prints are finite, so it prints them: the
+    # rule checks outputs, not the values they are read from
+    assert main(["report", "--config", str(BASELINE),
+                 "--override", "sweep.frequency_mhz=1e-300"]) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == (
+        "0d27267c0e70b896f334f71696db1aa2657e1c13ccfc722390772294349131c0")
 
 
 def test_cli_prefill_runs_with_no_generated_tokens(tmp_path):

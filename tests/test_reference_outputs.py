@@ -91,11 +91,16 @@ def test_cli_stdout_matches_recorded_digest(argv, capsysbinary):
     assert hashlib.sha256(stdout).hexdigest() == STDOUT_DIGESTS[argv]
 
 
-def test_report_out_tree_matches_sweep_reference(tmp_path):
-    # `report --out` emits the tree that `sweep --out` does
+def test_report_out_tree_matches_sweep_reference(tmp_path, capsysbinary):
+    # `report --out` emits the tree that `sweep --out` does, and prints
+    # `report`'s stdout, then one line for the files it wrote
     assert main(["report", "--config", BASELINE, "--out", str(tmp_path)]) == 0
     assert WL.tree_digests(tmp_path) \
         == WL.load_references()["sweep_default"]["files"]
+    *report, wrote = capsysbinary.readouterr().out.splitlines(keepends=True)
+    assert hashlib.sha256(b"".join(report)).hexdigest() \
+        == STDOUT_DIGESTS[("report",)]
+    assert wrote == f"wrote 50 files to {tmp_path}\n".encode()
 
 
 # sha256 of json.dumps(model_counts(name), sort_keys=True)

@@ -13,7 +13,7 @@ from acceldse.config import (GB, KIB, apply_overrides, load_hardware,
                              parse_config)
 from acceldse.energy import by_component
 from acceldse.memory import TilingError
-from acceldse.sweep import (METRICS, DesignPoint, SweepSpec,
+from acceldse.sweep import (METRICS, DesignPoint, OutputError, SweepSpec,
                             decode_mean_over_generation, emit_reports,
                             entry_terms, evaluate_point, evaluate_sweep,
                             phase_table, run_sweep, summary_dict, tile_phase)
@@ -129,6 +129,14 @@ def test_emit_reports_file_set(tmp_path):
     assert lines[1].startswith("latency,decode,")
     assert lines[2] == "S_bytes,f_hz,value"
     assert len(lines) == 3 + 3 * 2  # |S| x |f| data rows
+
+
+def test_emit_reports_writes_nothing_for_a_non_finite_summary(tmp_path):
+    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
+    out = tmp_path / "out"
+    with pytest.raises(OutputError, match=r"^cannot write .*summary\.json: "):
+        emit_reports(result, out, {"level": float("nan")})
+    assert not out.exists()
 
 
 def test_emit_reports_deterministic(tmp_path):
