@@ -3,10 +3,11 @@
 Deterministic greedy coordinate search over (leakage_per_byte,
 access_energy_ref): multiplicative neighbor steps, accept only strict
 improvements in grid-step displacement of the decode EDP argmin from the
-target cell, stop at a fixed point.  Started from constants that already
-achieve the minimum displacement, the search returns them unchanged.
-The energy constants never touch cycles or traffic, so every trial
-re-evaluates one (phase, S) table.
+target cell, which `cli.cmd_calibrate` keeps on the grid; stop at a fixed
+point.  Started from constants that already achieve the minimum
+displacement, the search returns them unchanged.  The energy constants
+never touch cycles or traffic, so every trial re-evaluates one (phase, S)
+table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from collections import namedtuple
 
 from .config import KIB, HardwareConfig
 from .memory import TilingError
-from .sweep import SweepResult, SweepSpec, argmin, evaluate_sweep, phase_table
+from .sweep import (OutputError, SweepResult, SweepSpec, argmin,
+                    evaluate_sweep, phase_table)
 from .workload import InferenceRequest, ModelSpec
 
 STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
@@ -42,7 +44,10 @@ class CalibrationOutcome(namedtuple("CalibrationOutcome", (
 def _displacement(result: SweepResult,
                   target: CalibrationTarget) -> tuple[int, int, float]:
     spec = result.spec
-    s_min, f_min = argmin(result.select("decode", spec.bw_values[0]), "edp")
+    try:
+        s_min, f_min = argmin(result.select("decode", spec.bw_values[0]), "edp")
+    except ValueError:  # no evaluated cell's EDP is finite
+        raise OutputError("cannot calibrate: no decode EDP is finite") from None
     steps = (abs(spec.s_values.index(s_min) - spec.s_values.index(target.s_bytes))
              + abs(spec.f_values.index(f_min) - spec.f_values.index(target.f_hz)))
     return steps, s_min, f_min
@@ -57,9 +62,6 @@ def _with_constants(hw: HardwareConfig, leakage: float,
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
               req: InferenceRequest, target: CalibrationTarget,
               decode_step: int = 0) -> CalibrationOutcome:
-    if (target.s_bytes not in spec.s_values or target.f_hz not in spec.f_values
-            or "decode" not in spec.phases):
-        raise ValueError("calibration target must lie on the sweep grid")
     leakage = hw.sram.leakage_per_byte
     access = hw.sram.access_energy_ref
     evals = 0

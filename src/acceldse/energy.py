@@ -71,6 +71,7 @@ def energy_terms(totals: PhaseTotals, phase: str, sram: SramEnergyModel,
     The array term is P_dyn(f, util) * compute_time; written with the
     frequency cancelled (cycles / ref_frequency) so that design points
     with identical cycles get bit-identical energy at every frequency.
+    Every factor is >= 0 within the config's ranges, and so are the sums.
     """
     cycles, tr = totals.compute_cycles, totals.traffic
     utilization = totals.macs / (cycles * fabric.macs_per_cycle)
@@ -89,8 +90,6 @@ def energy_terms(totals: PhaseTotals, phase: str, sram: SramEnergyModel,
     # summed from 0, left to right: 0 + x and x * 1 are exact
     static_w = sum(watts * count for watts, count, _ in components.values())
     dynamic = sum(joules for _, _, joules in components.values())
-    if dynamic < 0:
-        raise ValueError("energy must be non-negative")
     return EnergyTerms(components, static_w, 1.0 - gating.saving(phase),
                        dynamic, utilization)
 

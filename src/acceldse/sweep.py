@@ -158,7 +158,7 @@ def tile_phase(trace: PhaseTrace, hw: HardwareConfig, s: int,
 def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
                                 req: InferenceRequest,
                                 point: DesignPoint) -> dict[str, float]:
-    """Per-token decode metrics averaged over every generation step.
+    """Per-token decode metrics averaged over the gen_tokens (>= 1) steps.
 
     The default reporting convention is a single fixed step; this is the
     alternative convention for workloads where KV growth over the whole
@@ -168,8 +168,6 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     Step 0 is tiled in trace order, so an S too small for one of its GEMMs
     raises the TilingError a sweep of that step raises.
     """
-    if req.gen_tokens < 1:
-        raise ValueError("gen_tokens must be >= 1 to average over generation")
     b = model.bytes_per_element
     tiled = {m: matmul_totals(m, hw.fabric, point.s, b)
              for m in build_decode_trace(model, req, 0).matmuls}
@@ -203,11 +201,10 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
 def entry_terms(totals: PhaseTotals | str, phase: str, hw: HardwareConfig,
                 s: int) -> tuple[PhaseTotals, EnergyTerms] | str:
     """One (phase, S) entry's totals with their energy terms, which f and
-    BW never touch, or the entry's reason that no tile set fits."""
+    BW never touch, or the entry's reason that no tile set fits; its
+    dram_bytes > 0, as `memory.traffic` counts every GEMM's weights."""
     if isinstance(totals, str):
         return totals
-    if totals.traffic.dram_bytes <= 0:
-        raise ValueError("roofline undefined for zero external traffic")
     return totals, energy_terms(totals, phase, hw.sram, hw.arrays, hw.gating,
                                 Buffers(s, hw.buffers.global_), hw.fabric)
 
@@ -220,7 +217,8 @@ def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
     compute_time covers the arrays; memory_time covers external and
     on-chip transfers.  The global buffer decouples compute from memory
     by double buffering, so whichever side is slower hides the other:
-    latency is the max of the two.
+    latency is the max of the two.  Static energy is latency times the
+    gated leakage, >= 0 as every factor is within the config's ranges.
     """
     if isinstance(entry, str):
         return SweepRecord(point, phase, error=entry)
@@ -230,11 +228,9 @@ def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
     memory_time = max(tr.dram_bytes / point.bw,
                       tr.onchip_bytes / hw.onchip_bandwidth)
     latency = max(compute_time, memory_time)
-    static = latency * energy.static_w * energy.ungated
-    if static < 0:
-        raise ValueError("energy must be non-negative")
     return SweepRecord(point, phase, totals, energy, compute_time,
-                       memory_time, latency, static,
+                       memory_time, latency,
+                       latency * energy.static_w * energy.ungated,
                        peak_flops(hw.fabric, point.f))
 
 
@@ -295,14 +291,19 @@ ARGMIN_METRICS = {"latency": "latency", "total_energy": "total energy",
 def _evaluated(block: tuple[SweepRecord, ...]) -> list[SweepRecord]:
     ok = [r for r in block if r.ok]
     if not ok:
-        raise ValueError("grid has no finite cells")
+        raise ValueError("grid has no evaluated cell")
     return ok
 
 
 def argmin(block: tuple[SweepRecord, ...], metric: str) -> tuple[int, float]:
-    """The (S, f) of the block's smallest `metric`, error cells skipped;
-    a tie goes to the first in block order, the smallest S then f."""
-    best = min(_evaluated(block), key=METRICS[metric]).point
+    """The (S, f) of the block's smallest `metric`, error cells and cells
+    whose `metric` is not finite skipped, or ValueError if none is left; a
+    tie goes to the first in block order, the smallest S then f."""
+    value = METRICS[metric]
+    finite = [r for r in _evaluated(block) if isfinite(value(r))]
+    if not finite:
+        raise ValueError(f"grid has no cell with a finite {metric}")
+    best = min(finite, key=value).point
     return best.s, best.f
 
 
@@ -316,7 +317,7 @@ def contour_levels(block: tuple[SweepRecord, ...], metric: str) -> list[float]:
 
 
 class OutputError(ValueError):
-    """An output holding a number that is not finite: it cannot be written."""
+    """An output that holds, or is read off, inf or nan: it is not written."""
 
 
 def _fmt(value: float) -> str:
@@ -395,7 +396,7 @@ def summary_dict(result: SweepResult) -> dict:
                         "S_bytes": s_min, "f_hz": f_min}
                     entry[f"{metric}_contour_levels"] = contour_levels(
                         block, metric)
-                except ValueError:  # every cell infeasible
+                except ValueError:  # no cell evaluated, or none finite
                     entry[f"{metric}_argmin"] = None
                     entry[f"{metric}_contour_levels"] = []
             summary["grids"][key] = entry

@@ -99,12 +99,9 @@ def build_prefill_trace(model: ModelSpec, req: InferenceRequest) -> PhaseTrace:
 
 def build_decode_trace(model: ModelSpec, req: InferenceRequest,
                        step: int) -> PhaseTrace:
-    """Single-token trace at generation step `step` (0-based).
-
-    The KV cache has grown by one entry per previously generated token,
-    so attention sees kv_len = prompt_len + step.
+    """Single-token trace at generation step 0 <= `step` < gen_tokens, as
+    `config.decode_step` checks.  The KV cache has grown by one entry per
+    previously generated token, so attention sees kv_len = prompt_len + step.
     """
-    if not 0 <= step < req.gen_tokens:
-        raise ValueError(f"step {step} out of range [0, {req.gen_tokens})")
     return PhaseTrace(_layer_matmuls(model, rows=req.batch, batch=req.batch,
                                      kv_len=req.prompt_len + step, q_len=1))

@@ -106,14 +106,6 @@ def test_decode_toy_shapes():
     assert (qkv.M, qkv.K, qkv.N) == (1, 4, 12)
 
 
-def test_decode_step_range():
-    req = request(gen_tokens=4)
-    with pytest.raises(ValueError):
-        build_decode_trace(GPT3, req, 4)
-    with pytest.raises(ValueError):
-        build_decode_trace(GPT3, req, -1)
-
-
 @pytest.mark.parametrize("dims,flops", [
     ((1, 1, 1), 2),
     ((2, 2, 2), 16),
