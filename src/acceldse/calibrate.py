@@ -3,8 +3,9 @@
 Deterministic greedy coordinate search over (leakage_per_byte,
 access_energy_ref): multiplicative neighbor steps, accept only strict
 improvements in grid-step displacement of the decode EDP argmin from the
-target cell, which `cli.cmd_calibrate` keeps on the grid; stop at a fixed
-point.  Started from constants that already achieve the minimum
+target cell, which `cli.cmd_calibrate` keeps on the grid; a trial that
+leaves no decode EDP finite counts as an evaluation but is skipped; stop
+at a fixed point.  Started from constants that already achieve the minimum
 displacement, the search returns them unchanged.  The energy constants
 never touch cycles or traffic, so every trial re-evaluates one (phase, S)
 table.
@@ -88,7 +89,10 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
                   for coord in ("leakage", "access")
                   for factor in STEP_FACTORS for d in (factor, 1.0 / factor))
         for lk, ac in trials:
-            disp, s_min, f_min = measure(lk, ac)
+            try:
+                disp, s_min, f_min = measure(lk, ac)
+            except OutputError:  # no decode EDP is finite: not a step
+                continue
             if disp < best_disp:
                 best_disp, best_s, best_f = disp, s_min, f_min
                 leakage, access = lk, ac

@@ -1,7 +1,10 @@
 """Command-line entry point: simulate, sweep, roofline, calibrate, report.
 
-Each command builds every text it outputs, which `sweep.output_text`
-checks, before it prints or writes any of them."""
+`sweep` and `report` evaluate the configured phases; every other command
+evaluates only the phase it names: `simulate` and `roofline` their
+`--phase`, `calibrate` decode.  Each command builds every text it
+outputs, which `sweep.output_text` checks, before it prints or writes
+any of them."""
 
 from __future__ import annotations
 
@@ -32,10 +35,11 @@ CSV_FIELDS = ("phase", "S_bytes", "f_hz", "bw_bytes_per_s", "bound",
               "total_j", "edp_js")
 
 
-def _load(args, phases: tuple[str, ...] | None = None):
+def _load(args):
     """(sweep spec, hardware, model, request, decode step) of the configured
-    run, in `run_sweep`'s order, with every key parsed once; the step is
-    checked for `phases`, by default the sweep's."""
+    run, in `run_sweep`'s order; every key is parsed once, except
+    `model.gen_tokens`, which `load_request` and `decode_step` each parse
+    (perfbench calls `decode_step` alone)."""
     values = apply_overrides(parse_config(args.config), args.override or [])
     spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
     hw = load_hardware(values)
@@ -46,7 +50,7 @@ def _load(args, phases: tuple[str, ...] | None = None):
                           f"{hw.sram.access_exponent!r} overflows the SRAM "
                           "per-access energy") from None
     return (spec, hw, load_model_spec(values), load_request(values),
-            decode_step(values, phases or spec.phases))
+            decode_step(values))
 
 
 def _record_dict(r: SweepRecord) -> dict:
@@ -118,7 +122,7 @@ def cmd_simulate(args) -> int:
                                        or args.format == "csv"):
         raise ConfigError("--decode-mode mean needs --phase decode and "
                           "--format table or json")
-    _, hw, model, req, step = _load(args, (args.phase,))
+    _, hw, model, req, step = _load(args)
     point = DesignPoint(hw.buffers.local, hw.frequency, hw.ext_bandwidth)
     spec = SweepSpec((point.s,), (point.f,), (point.bw,), (args.phase,))
     [record] = run_sweep(spec, hw, model, req, step).records
@@ -155,11 +159,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_roofline(args) -> int:
     spec, *run = _load(args)
-    if args.phase not in spec.phases:
-        raise ConfigError(f"bad value for sweep.phases: must include "
-                          f"--phase {args.phase}")
-    result = run_sweep(spec, *run)
-    points = [r for r in result.records if r.phase == args.phase and r.ok]
+    result = run_sweep(spec._replace(phases=(args.phase,)), *run)
+    points = [r for r in result.records if r.ok]
     print(output_text("print the roofline", lambda: "\n".join(
         [ROOFLINE_HEADER, *map(roofline_row, points)])))
     return _exit_code(result)
@@ -175,8 +176,7 @@ def cmd_calibrate(args) -> int:
     f_hz = args.target_f_mhz * MHZ
     for flag, value, axis in (
             ("--target-s-kb", s_bytes, spec.s_values),
-            ("--target-f-mhz", f_hz, spec.f_values),
-            ("sweep.phases", "decode", spec.phases)):
+            ("--target-f-mhz", f_hz, spec.f_values)):
         if value not in axis:
             raise ConfigError(f"bad value for {flag}: the calibration target "
                               f"must lie on the sweep grid")

@@ -117,9 +117,7 @@ _MODEL = {
 _REQUEST = {
     "batch": ("model.batch", _count, "8"),
     "prompt_len": ("model.prompt_len", _count, "2048"),
-    "gen_tokens": ("model.gen_tokens",
-                   _checked(int, lambda value: value >= 0, "a value >= 0"),
-                   "16"),
+    "gen_tokens": ("model.gen_tokens", _count, "16"),
 }
 _STEP = {"step": ("model.decode_step", int, "0")}
 _ARRAY = {"rows": ("hw.array_rows", _count, "16"),
@@ -223,16 +221,11 @@ def load_request(values: dict[str, str]) -> InferenceRequest:
     return InferenceRequest(**_parse(values, _REQUEST))
 
 
-def decode_step(values: dict[str, str],
-                phases: tuple[str, ...] = ("decode",)) -> int:
-    """`model.decode_step`, checked against `model.gen_tokens`; a run
-    whose `phases` include decode needs at least one generated token."""
+def decode_step(values: dict[str, str]) -> int:
+    """`model.decode_step`, checked against `model.gen_tokens` (>= 1)."""
     fields = _parse(values, {**_STEP, "gen_tokens": _REQUEST["gen_tokens"]})
     step, gen_tokens = fields["step"], fields["gen_tokens"]
-    if not gen_tokens and "decode" in phases:
-        raise ConfigError("bad value for model.gen_tokens: 0 leaves no "
-                          "decode step to evaluate (need >= 1)")
-    if gen_tokens and not 0 <= step < gen_tokens:
+    if not 0 <= step < gen_tokens:
         raise ConfigError(f"bad value for model.decode_step: {step} is not in "
                           f"[0, model.gen_tokens = {gen_tokens})")
     return step

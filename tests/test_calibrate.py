@@ -93,3 +93,23 @@ def test_cli_calibrate_exit_codes(tmp_path, capsys):
         assert rc == 1
         assert "displacement" in captured.err
         assert (tmp_path / "constants.conf").exists()
+
+
+def test_cli_calibrate_skips_only_trials_that_overflow(capsys):
+    # at 2e300 W/B most start cells are finite, but the first trial
+    # (leakage x 4) overflows every decode EDP: the search skips it
+    def run(leakage):
+        code = main(["calibrate", "--config", str(BASELINE),
+                     "--override", f"hw.sram_leakage_w_per_byte={leakage}"])
+        return (code, *capsys.readouterr())
+    code, out, err = run("2e300")
+    assert code == 1
+    assert "hw.sram_leakage_w_per_byte = 2e+300\n" in out
+    assert out.endswith(
+        "achieved argmin (S=16384 B, f=6e+08 Hz) after 17 evaluations; "
+        "displacement 1 grid step(s)\n")
+    assert err == ("error: target argmin not reachable; "
+                   "best displacement 1 grid step(s)\n")
+    # at 1e303 no start cell is finite: nothing to search from
+    assert run("1e303") == (
+        1, "", "error: cannot calibrate: no decode EDP is finite\n")

@@ -345,6 +345,9 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     ("simulate", "model.gen_tokens=0"),
     ("simulate --decode-mode mean", "model.gen_tokens=0"),
     ("sweep", "model.gen_tokens=0"),
+    # every run needs a generated token, even one that never reads it
+    ("simulate --phase prefill", "model.gen_tokens=0"),
+    ("sweep --override sweep.phases=prefill", "model.gen_tokens=0"),
     ("simulate", "hw.corez=4"),
     ("simulate", "hw.local_buffer_kb=inf"),
     ("simulate", "hw.ext_bandwidth_gbps=nan"),
@@ -362,8 +365,6 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     ("sweep", "sweep.bandwidth_gbps=0.5"),
     # whole, but too many bytes/s for a float
     ("report", "sweep.bandwidth_gbps=1e300"),
-    # a phase the sweep leaves out has no roofline points to print
-    ("roofline --phase prefill", "sweep.phases=decode"),
     # the SRAM power law overflows at the largest buffer a run uses
     ("simulate", "hw.sram_access_exponent=100"),
     ("sweep", "hw.sram_access_exponent=100"),
@@ -371,7 +372,7 @@ def test_cli_report_all_infeasible_prints_none(capsys):
 def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
                                                    override):
     args = [*verb.split(), "--config", str(BASELINE), "--override", override]
-    if verb == "sweep":
+    if verb.startswith("sweep"):
         args += ["--out", str(tmp_path)]
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -384,7 +385,7 @@ def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
 OUTSIDE = [
     "model.d_model=0", "model.n_heads=0", "model.head_dim=0",
     "model.mlp_ratio=0", "model.bytes_per_element=0", "model.n_layers=0",
-    "model.batch=0", "model.prompt_len=0", "model.gen_tokens=-1",
+    "model.batch=0", "model.prompt_len=0", "model.gen_tokens=0",
     "model.decode_step=16", "hw.cores=0", "hw.arrays_per_core=0",
     "hw.array_rows=0", "hw.array_cols=0", "hw.local_buffer_kb=0.0001",
     "hw.global_buffer_mb=0.0000001", "hw.ext_bandwidth_gbps=0",
@@ -495,16 +496,37 @@ def test_cli_report_checks_outputs_not_intermediate_values(capsysbinary):
         "67fc87e03ef5beefa6f0b024d404347202f482c766dced98cbb7ecce050afd57")
 
 
-def test_cli_prefill_runs_with_no_generated_tokens(tmp_path):
-    # gen_tokens=0 leaves no decode step, but prefill alone is well defined
-    args = ["--config", str(BASELINE), "--override", "model.gen_tokens=0"]
-    assert main(["simulate", "--phase", "prefill", *args]) == 0
-    assert main(["sweep", *args, "--override", "sweep.phases=prefill",
-                 "--out", str(tmp_path)]) == 0
+# a tiny model whose 0.1875 KB buffer fits prefill's tiles but not decode's
+TINY = ("--override model.d_model=4 --override model.n_heads=1 "
+        "--override model.head_dim=4 --override model.mlp_ratio=1 "
+        "--override model.batch=1 --override model.prompt_len=2 "
+        "--override model.decode_step=14 "
+        "--override sweep.local_buffer_kb=0.1875,64").split()
+
+
+def test_cli_roofline_counts_only_the_cells_of_its_phase(capsys):
+    # the exit code counts the failed cells of the printed phase alone
+    args = ["--config", str(BASELINE), *TINY]
+    assert main(["roofline", "--phase", "prefill", *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 + 2 * 7 * 3 and captured.err == ""
+    assert main(["roofline", "--phase", "decode", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 + 7 * 3
+    assert captured.err == "error: 21 design points could not be evaluated\n"
+
+
+def test_cli_calibrate_ignores_sweep_phases(capsys):
+    # calibrate always searches decode, whatever sweep.phases lists
+    runs = []
+    for extra in ([], ["--override", "sweep.phases=prefill"]):
+        code = main(["calibrate", "--config", str(BASELINE), *extra])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("flag", [
-    "--target-s-kb=48", "--target-f-mhz=500", "--override=sweep.phases=prefill",
+    "--target-s-kb=48", "--target-f-mhz=500",
     "--target-s-kb=nan", "--target-s-kb=inf",
 ])
 def test_cli_calibrate_target_off_grid_exits_2(capsys, flag):
