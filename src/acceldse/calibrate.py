@@ -4,11 +4,11 @@ Deterministic greedy coordinate search over (leakage_per_byte,
 access_energy_ref): multiplicative neighbor steps, accept only strict
 improvements in grid-step displacement of the decode EDP argmin from the
 target cell, which `cli.cmd_calibrate` keeps on the grid; a trial that
-leaves no decode EDP finite counts as an evaluation but is skipped; stop
-at a fixed point.  Started from constants that already achieve the minimum
-displacement, the search returns them unchanged.  The energy constants
-never touch cycles or traffic, so every trial re-evaluates one (phase, S)
-table.
+leaves no decode EDP finite, so has no argmin, counts as an evaluation
+but is skipped; stop at a fixed point.  Started from constants that
+already achieve the minimum displacement, the search returns them
+unchanged.  The energy constants never touch cycles or traffic, so every
+trial re-evaluates one (phase, S) table.
 """
 
 from __future__ import annotations
@@ -43,12 +43,14 @@ class CalibrationOutcome(namedtuple("CalibrationOutcome", (
 
 
 def _displacement(result: SweepResult,
-                  target: CalibrationTarget) -> tuple[int, int, float]:
+                  target: CalibrationTarget) -> tuple[int, int, float] | None:
+    """(grid steps from `target`, S, f) of the decode EDP argmin, or None
+    if no decode EDP is finite."""
     spec = result.spec
-    try:
-        s_min, f_min = argmin(result.select("decode", spec.bw_values[0]), "edp")
-    except ValueError:  # no evaluated cell's EDP is finite
-        raise OutputError("cannot calibrate: no decode EDP is finite") from None
+    cell = argmin(result.select("decode", spec.bw_values[0]), "edp")
+    if cell is None:
+        return None
+    s_min, f_min = cell
     steps = (abs(spec.s_values.index(s_min) - spec.s_values.index(target.s_bytes))
              + abs(spec.f_values.index(f_min) - spec.f_values.index(target.f_hz)))
     return steps, s_min, f_min
@@ -63,6 +65,9 @@ def _with_constants(hw: HardwareConfig, leakage: float,
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
               req: InferenceRequest, target: CalibrationTarget,
               decode_step: int = 0) -> CalibrationOutcome:
+    """The search from `hw`'s SRAM constants; TilingError if no decode cell
+    of the grid fits a tile set, OutputError if the start constants leave
+    no decode EDP finite."""
     leakage = hw.sram.leakage_per_byte
     access = hw.sram.access_energy_ref
     evals = 0
@@ -73,13 +78,16 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
         raise TilingError("no decode cell can be evaluated: "
                           f"{table['decode', spec.s_values[-1]]}")
 
-    def measure(lk: float, ac: float) -> tuple[int, int, float]:
+    def measure(lk: float, ac: float) -> tuple[int, int, float] | None:
         nonlocal evals
         evals += 1
         return _displacement(evaluate_sweep(spec, _with_constants(hw, lk, ac),
                                             table, decode_step), target)
 
-    best_disp, best_s, best_f = measure(leakage, access)
+    start = measure(leakage, access)
+    if start is None:
+        raise OutputError("cannot calibrate: no decode EDP is finite")
+    best_disp, best_s, best_f = start
     for _ in range(MAX_ROUNDS):
         if best_disp == 0:
             break
@@ -89,12 +97,9 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
                   for coord in ("leakage", "access")
                   for factor in STEP_FACTORS for d in (factor, 1.0 / factor))
         for lk, ac in trials:
-            try:
-                disp, s_min, f_min = measure(lk, ac)
-            except OutputError:  # no decode EDP is finite: not a step
-                continue
-            if disp < best_disp:
-                best_disp, best_s, best_f = disp, s_min, f_min
+            trial = measure(lk, ac)  # None, no decode EDP finite: not a step
+            if trial is not None and trial[0] < best_disp:
+                best_disp, best_s, best_f = trial
                 leakage, access = lk, ac
                 break
         else:

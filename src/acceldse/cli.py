@@ -127,8 +127,7 @@ def cmd_simulate(args) -> int:
     spec = SweepSpec((point.s,), (point.f,), (point.bw,), (args.phase,))
     [record] = run_sweep(spec, hw, model, req, step).records
     if not record.ok:
-        print(f"error: {record.error}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise TilingError(record.error)
     d = _record_dict(record)
     if args.decode_mode == "mean":
         d["decode_mean"] = decode_mean_over_generation(hw, model, req, point)

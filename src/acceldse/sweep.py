@@ -1,19 +1,22 @@
 """Cartesian design-space sweep over (local SRAM size, frequency, bandwidth).
 
 Cycles and traffic depend only on the phase and the local buffer size S,
-so the sweep tiles each (phase, S) once into a table of totals.  An
-evaluation of the table pairs each entry's totals with their energy
-terms, which f and BW never touch (`entry_terms`), then computes each
-(f, BW) cell from them in closed form (`evaluate_point`) as one flat
-`SweepRecord`, from whose few fields every reported quantity is read.
-The clock and the bandwidths enter only there, in the compute time and
-in the memory time: the slower of the external and on-chip links.
-Evaluation is serial and pure, so results are bit-identical for
-identical inputs.  The records of one (phase, BW) are its S x f grid
-(`SweepResult.select`); the argmin cells and contour levels are read
-from them.  Reports are per-metric grid CSVs, a roofline CSV, and a JSON
-summary with argmin cells, contour levels and bound-transition
-frequencies; every output's numbers must be finite (`output_text`).
+so the sweep tiles each (phase, S) once into a table of totals, or of
+the reason no tile set fits, which every cell of that entry records as
+its error (`phase_table`).  An evaluation of the table pairs each
+entry's totals with their energy terms, which f and BW never touch
+(`entry_terms`), then computes each (f, BW) cell from them in closed
+form (`evaluate_point`) as one flat `SweepRecord`, from whose few fields
+every reported quantity is read.  The clock and the bandwidths enter
+only there, in the compute time and in the memory time: the slower of
+the external and on-chip links.  Evaluation is serial and pure, so
+results are bit-identical for identical inputs.  The records of one
+(phase, BW) are its S x f grid (`SweepResult.select`).  A metric's
+argmin cell is read from its finite values, and is None where there are
+none; only a block with an argmin has contour levels.  Reports are
+per-metric grid CSVs, a roofline CSV, and a JSON summary with argmin
+cells, contour levels and bound-transition frequencies; every output's
+numbers must be finite (`output_text`).
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .config import GB, MHZ, HardwareConfig
 from .energy import EnergyTerms, energy_terms
 from .memory import (Buffers, PhaseTotals, TilingError, matmul_totals,
                      phase_totals, sum_totals)
-from .workload import (InferenceRequest, ModelSpec, PhaseTrace,
-                       attention_matmuls, build_decode_trace,
-                       build_prefill_trace, weight_matmuls)
+from .workload import (InferenceRequest, ModelSpec, attention_matmuls,
+                       build_decode_trace, build_prefill_trace,
+                       weight_matmuls)
 
 SCHEMA_VERSION = 1
 DECODE_CONVENTION = "per_output_token_at_fixed_step"
@@ -145,16 +148,6 @@ class SweepResult(namedtuple("SweepResult", (
         return self.records[start:start + size]
 
 
-def tile_phase(trace: PhaseTrace, hw: HardwareConfig, s: int,
-               bytes_per_element: int) -> PhaseTotals | str:
-    """The trace's totals with an S-byte local buffer, or the reason no
-    tile set fits in it."""
-    try:
-        return phase_totals(trace, hw.fabric, s, bytes_per_element)
-    except TilingError as exc:
-        return str(exc)
-
-
 def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
                                 req: InferenceRequest,
                                 point: DesignPoint) -> dict[str, float]:
@@ -237,13 +230,20 @@ def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
 def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
                 req: InferenceRequest,
                 decode_step: int) -> dict[tuple[str, int], PhaseTotals | str]:
-    """`tile_phase` for every (phase, S) of the sweep; f and BW never enter."""
-    traces = {phase: build_prefill_trace(model, req) if phase == "prefill"
-              else build_decode_trace(model, req, decode_step)
-              for phase in spec.phases}
-    return {(phase, s): tile_phase(traces[phase], hw, s,
-                                   model.bytes_per_element)
-            for phase in spec.phases for s in spec.s_values}
+    """Every (phase, S) entry of the sweep: the phase's totals with an
+    S-byte local buffer, or the reason no tile set fits in it, the one
+    place a TilingError becomes a cell's error; f and BW never enter."""
+    table: dict[tuple[str, int], PhaseTotals | str] = {}
+    for phase in spec.phases:
+        trace = (build_prefill_trace(model, req) if phase == "prefill"
+                 else build_decode_trace(model, req, decode_step))
+        for s in spec.s_values:
+            try:
+                table[phase, s] = phase_totals(trace, hw.fabric, s,
+                                               model.bytes_per_element)
+            except TilingError as exc:
+                table[phase, s] = str(exc)
+    return table
 
 
 def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
@@ -288,29 +288,22 @@ ARGMIN_METRICS = {"latency": "latency", "total_energy": "total energy",
                   "edp": "EDP"}
 
 
-def _evaluated(block: tuple[SweepRecord, ...]) -> list[SweepRecord]:
-    ok = [r for r in block if r.ok]
-    if not ok:
-        raise ValueError("grid has no evaluated cell")
-    return ok
-
-
-def argmin(block: tuple[SweepRecord, ...], metric: str) -> tuple[int, float]:
-    """The (S, f) of the block's smallest `metric`, error cells and cells
-    whose `metric` is not finite skipped, or ValueError if none is left; a
-    tie goes to the first in block order, the smallest S then f."""
+def argmin(block: tuple[SweepRecord, ...],
+           metric: str) -> tuple[int, float] | None:
+    """The (S, f) of the block's smallest `metric` over its evaluated cells
+    whose `metric` is finite, or None if there is no such cell; a tie goes
+    to the first in block order, the smallest S then f."""
     value = METRICS[metric]
-    finite = [r for r in _evaluated(block) if isfinite(value(r))]
-    if not finite:
-        raise ValueError(f"grid has no cell with a finite {metric}")
-    best = min(finite, key=value).point
-    return best.s, best.f
+    best = min((r for r in block if r.ok and isfinite(value(r))), key=value,
+               default=None)
+    return None if best is None else (best.point.s, best.point.f)
 
 
 def contour_levels(block: tuple[SweepRecord, ...], metric: str) -> list[float]:
     """Ten evenly spaced levels from the block's min to max of `metric`
-    (for isoplots), error cells skipped."""
-    values = [METRICS[metric](r) for r in _evaluated(block)]
+    over its evaluated cells (for isoplots), read only for a block that
+    has an `argmin`, so that at least one cell is evaluated."""
+    values = [METRICS[metric](r) for r in block if r.ok]
     lo, hi = min(values), max(values)
     step = (hi - lo) / 9
     return [lo + i * step for i in range(10)]
@@ -390,15 +383,11 @@ def summary_dict(result: SweepResult) -> dict:
             entry: dict = {"bound_transition_mhz": {
                 str(s): lowest.get(s) for s in result.spec.s_values}}
             for metric in ARGMIN_METRICS:
-                try:
-                    s_min, f_min = argmin(block, metric)
-                    entry[f"{metric}_argmin"] = {
-                        "S_bytes": s_min, "f_hz": f_min}
-                    entry[f"{metric}_contour_levels"] = contour_levels(
-                        block, metric)
-                except ValueError:  # no cell evaluated, or none finite
-                    entry[f"{metric}_argmin"] = None
-                    entry[f"{metric}_contour_levels"] = []
+                cell = argmin(block, metric)  # None: no finite cell
+                entry[f"{metric}_argmin"] = None if cell is None else {
+                    "S_bytes": cell[0], "f_hz": cell[1]}
+                entry[f"{metric}_contour_levels"] = (
+                    [] if cell is None else contour_levels(block, metric))
             summary["grids"][key] = entry
     return summary
 

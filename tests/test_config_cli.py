@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from acceldse.workload import PHASES, InferenceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "configs" / "baseline.conf"
+# a child interpreter imports the package from the checkout
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def tree_digests(root):
@@ -148,7 +151,7 @@ def test_cli_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "acceldse.cli", "simulate",
          "--config", str(BASELINE), "--phase", "prefill", "--format", "json"],
-        capture_output=True, text=True)
+        env=CHILD_ENV, capture_output=True, text=True)
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["bound"] == "compute"
@@ -365,9 +368,13 @@ def test_cli_report_all_infeasible_prints_none(capsys):
     ("sweep", "sweep.bandwidth_gbps=0.5"),
     # whole, but too many bytes/s for a float
     ("report", "sweep.bandwidth_gbps=1e300"),
-    # the SRAM power law overflows at the largest buffer a run uses
+    # the SRAM power law overflows at the largest configured buffer,
+    # whichever command runs
     ("simulate", "hw.sram_access_exponent=100"),
     ("sweep", "hw.sram_access_exponent=100"),
+    ("simulate --override sweep.local_buffer_kb=1e10",
+     "hw.sram_access_exponent=40"),
+    ("sweep --override hw.local_buffer_kb=1e10", "hw.sram_access_exponent=40"),
 ])
 def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
                                                    override):
@@ -432,6 +439,10 @@ def test_cli_diagnostic_names_only_its_key(capsys, override):
     # every decode EDP is inf: no cell is the argmin to calibrate against
     "calibrate --override sweep.frequency_mhz=1e-300 --target-f-mhz 1e-300 "
     "--target-s-kb 16",
+    # the design point's buffer fits no tile set, whatever the format
+    *(f"simulate --override hw.local_buffer_kb=0.01 {flags}" for flags in (
+        "--format table", "--format json", "--format csv",
+        "--decode-mode mean")),
 ])
 def test_cli_unusable_run_exits_1_with_one_line(tmp_path, capsys, args):
     file = tmp_path / "file"
@@ -545,5 +556,5 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c",
          f"import sys, acceldse.cli; print([m for m in {heavy!r} "
          f"if m in sys.modules])"],
-        capture_output=True, text=True, check=True)
+        env=CHILD_ENV, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"

@@ -12,11 +12,11 @@ from acceldse.config import (GB, KIB, apply_overrides, load_hardware,
                              load_model_spec, load_request, load_sweep_axes,
                              parse_config)
 from acceldse.energy import by_component
-from acceldse.memory import TilingError
+from acceldse.memory import TilingError, phase_totals
 from acceldse.sweep import (METRICS, DesignPoint, OutputError, SweepSpec,
                             decode_mean_over_generation, emit_reports,
                             entry_terms, evaluate_point, evaluate_sweep,
-                            phase_table, run_sweep, summary_dict, tile_phase)
+                            phase_table, run_sweep, summary_dict)
 from acceldse.workload import build_decode_trace
 from oracle import evaluate_cell
 
@@ -87,7 +87,8 @@ def test_single_point_matches_direct_evaluation():
     result = run_sweep(spec, HW, MODEL, REQ)
     assert len(result.records) == 1
     trace = build_decode_trace(MODEL, REQ, 0)
-    totals = tile_phase(trace, HW, 64 * KIB, MODEL.bytes_per_element)
+    totals = phase_totals(trace, HW.fabric, 64 * KIB,
+                          MODEL.bytes_per_element)
     direct = evaluate_point(entry_terms(totals, "decode", HW,
                                         64 * KIB),
                             "decode", HW,
