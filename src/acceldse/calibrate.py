@@ -64,7 +64,7 @@ def _with_constants(hw: HardwareConfig, leakage: float,
 
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
               req: InferenceRequest, target: CalibrationTarget,
-              decode_step: int = 0) -> CalibrationOutcome:
+              decode_step: int) -> CalibrationOutcome:
     """The search from `hw`'s SRAM constants; TilingError if no decode cell
     of the grid fits a tile set, OutputError if the start constants leave
     no decode EDP finite."""

@@ -16,7 +16,7 @@ from .config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                      decode_step, load_hardware, load_model_spec,
                      load_request, load_sweep_axes, parse_config)
 from .energy import by_component
-from .memory import TilingError
+from .memory import PhaseTotals, TilingError
 from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, OutputError,
                     SweepRecord, SweepResult, SweepSpec,
                     decode_mean_over_generation, emit_reports, json_text,
@@ -68,7 +68,8 @@ def _record_dict(r: SweepRecord) -> dict:
         "utilization": r.energy.utilization,
         "bound": "memory" if r.memory_bound else "compute",
         "flops": r.flops,
-        "traffic": r.totals.traffic._asdict(),
+        # the six traffic counts: every PhaseTotals field after the MACs
+        "traffic": dict(zip(PhaseTotals._fields[2:], r.totals[2:])),
         "energy": {"static_j": r.static_j, "dynamic_j": r.energy.dynamic_j,
                    "total_j": r.total_j, "dynamic_power_w": r.dynamic_power_w,
                    "by_component": by_component(r.energy, r.latency)},

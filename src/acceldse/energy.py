@@ -66,21 +66,23 @@ class EnergyTerms(namedtuple("EnergyTerms", (
 def energy_terms(totals: PhaseTotals, phase: str, sram: SramEnergyModel,
                  arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
                  fabric: FabricSpec) -> EnergyTerms:
-    """Leakage power and dynamic energy of one phase's totals.
+    """Leakage power and dynamic energy of one phase's counts.
 
-    The array term is P_dyn(f, util) * compute_time; written with the
-    frequency cancelled (cycles / ref_frequency) so that design points
-    with identical cycles get bit-identical energy at every frequency.
-    Every factor is >= 0 within the config's ranges, and so are the sums.
+    Each buffer level's dynamic energy is its reads plus writes times its
+    per-access energy.  The array term is P_dyn(f, util) * compute_time,
+    written with the frequency cancelled (cycles / ref_frequency) so that
+    design points with identical cycles get bit-identical energy at every
+    frequency.  Every factor is >= 0 within the config's ranges, and so
+    are the sums.
     """
-    cycles, tr = totals.compute_cycles, totals.traffic
+    cycles = totals.compute_cycles
     utilization = totals.macs / (cycles * fabric.macs_per_cycle)
     components = {
         "local_buffers": (sram.leakage(buffers.local), fabric.cores,
-                          (tr.local_reads + tr.local_writes)
+                          (totals.local_reads + totals.local_writes)
                           * sram.access_energy(buffers.local)),
         "global_buffer": (sram.leakage(buffers.global_), 1,
-                          (tr.global_reads + tr.global_writes)
+                          (totals.global_reads + totals.global_writes)
                           * sram.access_energy(buffers.global_)),
         "arrays": (arrays.leakage_w, fabric.total_arrays,
                    arrays.dynamic_w_ref * utilization

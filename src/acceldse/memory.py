@@ -1,14 +1,18 @@
-"""Buffer hierarchy: tiling and byte traffic per level.
+"""Buffer hierarchy: tiling, and one GEMM's or one phase's counts.
 
 Each core owns one local SRAM buffer that feeds its arrays; all cores
 share one global buffer that double-buffers external-memory transfers.
-`traffic` counts one GEMM's global-buffer reads and writes and derives
-its on-chip and external bytes from them; its local-buffer counts come
-from `dataflow.matmul_local_accesses`.
+`PhaseTotals` is one flat record of the integer counts that latency and
+energy read: compute cycles, MACs, external and on-chip bytes, and the
+reads and writes of each buffer level.  `traffic` fills it for one GEMM
+under a tiling plan: its cycles come from `dataflow.analytic_cycles`,
+its local-buffer counts from `dataflow.matmul_local_accesses`, and it
+counts the global-buffer reads and writes itself and derives the
+on-chip and external bytes from them.
 
-`phase_totals` fixes a phase's cycles and traffic from the trace, the
-fabric and the local buffer size alone, as the sum of each distinct
-GEMM's `matmul_totals`.  No clock or bandwidth enters them, so a sweep
+`phase_totals` fixes a phase's counts from the trace, the fabric and the
+local buffer size alone, as the field-wise sum of each distinct GEMM's
+`matmul_totals`.  No clock or bandwidth enters them, so a sweep
 computes them once per (phase, S) and applies the clock and the
 bandwidths to each (f, BW) cell in closed form (`sweep.evaluate_point`).
 """
@@ -38,16 +42,12 @@ class TilingPlan(namedtuple("TilingPlan", ("tile_m", "tile_k", "tile_n"))):
     __slots__ = ()
 
 
-class TrafficReport(namedtuple("TrafficReport", (
-        "dram_bytes", "onchip_bytes", "local_reads", "local_writes",
-        "global_reads", "global_writes"))):
-    __slots__ = ()
-
-
 class PhaseTotals(namedtuple("PhaseTotals", (
-        "compute_cycles", "macs", "traffic"))):
-    """Frequency- and bandwidth-free totals of one phase, or of one GEMM,
-    at one local size."""
+        "compute_cycles", "macs", "dram_bytes", "onchip_bytes",
+        "local_reads", "local_writes", "global_reads", "global_writes"))):
+    """The frequency- and bandwidth-free integer counts of one phase, or
+    of one GEMM, at one local size: cycles, MACs, external and on-chip
+    bytes, and element reads and writes of the local and global buffers."""
 
     __slots__ = ()
 
@@ -120,8 +120,8 @@ def plan_tiling(m: MatmulDims, capacity: int, bytes_per_element: int,
 
 
 def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
-            fabric: FabricSpec) -> TrafficReport:
-    """Byte traffic and access counts for one matmul under a tiling plan.
+            fabric: FabricSpec) -> PhaseTotals:
+    """Every count of one matmul under a tiling plan.
 
     Weight tiles are fetched once (weight-stationary); the input panel is
     re-read from the global buffer for every column tile, but cores sweep
@@ -142,7 +142,9 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
     global_reads = inputs * n_tiles + weights + outputs
     global_writes = inputs * waves + weights + outputs
     local_reads, local_writes = matmul_local_accesses(m, fabric.array)
-    return TrafficReport(
+    return PhaseTotals(
+        compute_cycles=analytic_cycles(m, fabric).compute_cycles,
+        macs=m.M * m.K * m.N,
         dram_bytes=global_writes * bytes_per_element,
         onchip_bytes=global_reads * bytes_per_element,
         local_reads=local_reads,
@@ -154,43 +156,29 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
 
 def matmul_totals(m: MatmulDims, fabric: FabricSpec, capacity: int,
                   bytes_per_element: int) -> PhaseTotals:
-    """Cycles, MACs and traffic of one GEMM with a local buffer of
+    """The `traffic` of one GEMM under its plan for a local buffer of
     `capacity` bytes; raises TilingError if no tile set fits it."""
-    plan = plan_tiling(m, capacity, bytes_per_element, fabric.array)
-    return PhaseTotals(analytic_cycles(m, fabric).compute_cycles,
-                       m.M * m.K * m.N,
-                       traffic(m, plan, bytes_per_element, fabric))
+    return traffic(m, plan_tiling(m, capacity, bytes_per_element,
+                                  fabric.array), bytes_per_element, fabric)
 
 
 def sum_totals(terms: Iterable[tuple[PhaseTotals, int]]) -> PhaseTotals:
-    """The count-weighted sum of (totals, count) pairs: a trace's totals
-    from the `matmul_totals` of each of its GEMMs, or one part's sum plus
-    another's.
+    """The field-wise, count-weighted sum of one or more (totals, count)
+    pairs: a trace's totals from the `matmul_totals` of each of its GEMMs,
+    or one part's sum plus another's.
 
-    Every total is an integer, so the sum is exact in any order.
+    Every count is an integer, so the sum is exact in any order.
     """
-    cycles = macs = dram_bytes = onchip_bytes = 0
-    local_reads = local_writes = global_reads = global_writes = 0
-    for (c, mac, (dram, onchip, lr, lw, gr, gw)), n in terms:
-        cycles += c * n
-        macs += mac * n
-        dram_bytes += dram * n
-        onchip_bytes += onchip * n
-        local_reads += lr * n
-        local_writes += lw * n
-        global_reads += gr * n
-        global_writes += gw * n
-    return PhaseTotals(cycles, macs, TrafficReport(
-        dram_bytes, onchip_bytes, local_reads, local_writes, global_reads,
-        global_writes))
+    scaled = [[x * n for x in totals] for totals, n in terms]
+    return PhaseTotals._make(map(sum, zip(*scaled)))
 
 
 def phase_totals(trace: PhaseTrace, fabric: FabricSpec, capacity: int,
                  bytes_per_element: int) -> PhaseTotals:
-    """Cycles, MACs and traffic of one phase with a local buffer of
-    `capacity` bytes; raises the TilingError of the first GEMM in trace
-    order that no tile set fits, which gives the buffer size and that
-    GEMM's minimal tile-set bytes."""
+    """Every count of one phase with a local buffer of `capacity` bytes;
+    raises the TilingError of the first GEMM in trace order that no tile
+    set fits, which gives the buffer size and that GEMM's minimal
+    tile-set bytes."""
     return sum_totals([
         (matmul_totals(m, fabric, capacity, bytes_per_element), count)
         for m, count in trace.matmuls.items()])

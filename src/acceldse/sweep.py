@@ -109,7 +109,7 @@ class SweepRecord(namedtuple("SweepRecord", (
     @property
     def oi(self) -> float:
         """Flops per external-memory byte."""
-        return self.flops / self.totals.traffic.dram_bytes
+        return self.flops / self.totals.dram_bytes
 
     @property
     def attainable(self) -> float:
@@ -216,10 +216,9 @@ def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
     if isinstance(entry, str):
         return SweepRecord(point, phase, error=entry)
     totals, energy = entry
-    tr = totals.traffic
     compute_time = totals.compute_cycles / point.f
-    memory_time = max(tr.dram_bytes / point.bw,
-                      tr.onchip_bytes / hw.onchip_bandwidth)
+    memory_time = max(totals.dram_bytes / point.bw,
+                      totals.onchip_bytes / hw.onchip_bandwidth)
     latency = max(compute_time, memory_time)
     return SweepRecord(point, phase, totals, energy, compute_time,
                        memory_time, latency,
@@ -262,7 +261,7 @@ def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
 
 
 def run_sweep(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
-              req: InferenceRequest, decode_step: int = 0) -> SweepResult:
+              req: InferenceRequest, decode_step: int) -> SweepResult:
     """Evaluate the full cartesian sweep; never aborts on infeasible cells."""
     return evaluate_sweep(spec, hw, phase_table(spec, hw, model, req,
                                                 decode_step), decode_step)

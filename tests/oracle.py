@@ -203,8 +203,8 @@ def cell_result(totals, fabric, frequency, ext_bandwidth,
     """Latency of one phase's totals at a clock and bandwidths."""
     cycles = totals.compute_cycles
     compute_time = cycles / frequency
-    memory_time = max(totals.traffic.dram_bytes / ext_bandwidth,
-                      totals.traffic.onchip_bytes / onchip_bandwidth)
+    memory_time = max(totals.dram_bytes / ext_bandwidth,
+                      totals.onchip_bytes / onchip_bandwidth)
     latency = max(compute_time, memory_time)
     utilization = totals.macs / (fabric.total_arrays * cycles
                                  * fabric.array.rows * fabric.array.cols)
@@ -215,7 +215,7 @@ def cell_result(totals, fabric, frequency, ext_bandwidth,
         "latency": latency,
         "total_cycles": latency * frequency,
         "compute_fraction": compute_time / latency,
-        "traffic": totals.traffic,
+        "traffic": totals,
         "utilization": utilization,
         "flops": 2 * totals.macs,
     }

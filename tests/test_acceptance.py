@@ -38,7 +38,7 @@ from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count)
 from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
                              energy_terms)
-from acceldse.memory import Buffers, PhaseTotals, TrafficReport
+from acceldse.memory import Buffers, PhaseTotals
 from acceldse.sweep import (METRICS, DesignPoint, SweepSpec, argmin,
                             emit_reports, evaluate_point, run_sweep,
                             summary_dict)
@@ -66,7 +66,7 @@ QUAD_BW = 8192 * GB
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
+    return run_sweep(DEFAULT_SPEC, HW, MODEL, REQ, 0)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -121,8 +121,7 @@ def test_criterion_02_energy_identities():
         cycles = rng.randrange(1, 10**12)
         # utilization is the MACs over the fabric's peak MACs in `cycles`
         macs = rng.randrange(cycles * fabric.macs_per_cycle + 1)
-        totals = PhaseTotals(cycles, macs,
-                             TrafficReport(0, onchip_bytes, 0, 0, 0, 0))
+        totals = PhaseTotals(cycles, macs, 0, onchip_bytes, 0, 0, 0, 0)
         energy = energy_terms(totals, "decode", sram, arrays,
                               GatingPolicy(gating, gating), buffers, fabric)
         # compute takes under half as long as the on-chip transfer
@@ -313,12 +312,12 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
     en = grid(sweep_result, "total_energy", "decode")
     argmins = set()
     for f in (f * 1e6 for f in F_MHZ):
-        traffic = [r.totals.traffic
-                   for r in sweep_result.select("decode", BASELINE_BW)
-                   if r.point.f == f]
-        dram = [t.dram_bytes for t in traffic]
+        totals = [r.totals
+                  for r in sweep_result.select("decode", BASELINE_BW)
+                  if r.point.f == f]
+        dram = [t.dram_bytes for t in totals]
         assert max(dram) / min(dram) - 1.0 < 1e-3, f
-        assert len({(t.local_reads, t.local_writes) for t in traffic}) == 1, f
+        assert len({(t.local_reads, t.local_writes) for t in totals}) == 1, f
         col = [en[s_kb * KIB, f] for s_kb in S_KB]
         argmins.add(S_KB[col.index(min(col))])
         tail = col[S_KB.index(32):]
@@ -371,7 +370,7 @@ def test_criterion_09_bandwidth_shifts_argmin(sweep_result):
     """
     for bw in (BASELINE_BW, QUAD_BW):
         for r in sweep_result.select("decode", bw):
-            assert r.memory_time == r.totals.traffic.dram_bytes / bw, r.point
+            assert r.memory_time == r.totals.dram_bytes / bw, r.point
     assert not any(r.memory_bound
                    for r in sweep_result.select("decode", QUAD_BW))
     _, f_base = _edp_argmin(sweep_result, BASELINE_BW)
@@ -403,10 +402,10 @@ def test_criterion_10_bandwidth_ceiling(sweep_result):
 def test_criterion_11_determinism_and_scale(tmp_path):
     """Full default sweep: 294 records, < 30 s, byte-identical reruns."""
     t0 = time.time()
-    first = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
+    first = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ, 0)
     elapsed = time.time() - t0
     assert len(first.records) == 294
-    second = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
+    second = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ, 0)
     emit_reports(first, tmp_path / "a", summary_dict(first))
     emit_reports(second, tmp_path / "b", summary_dict(second))
     identical = all(

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from acceldse.analysis import peak_flops
 from acceldse.config import KIB, load_hardware, load_model_spec, load_request
 from acceldse.dataflow import FabricSpec
-from acceldse.memory import PhaseTotals, TrafficReport, phase_totals
+from acceldse.memory import PhaseTotals, phase_totals
 from acceldse.sweep import (METRICS, DesignPoint, SweepRecord, SweepSpec,
                             argmin, contour_levels, entry_terms,
                             evaluate_point, run_sweep)
@@ -18,9 +18,8 @@ def point_with(flops, dram_bytes, latency, peak, bw):
     """The record of a phase of `flops` and `dram_bytes` that takes
     `latency` seconds under a compute roof of `peak` flops/s."""
     return SweepRecord(DesignPoint(64 * KIB, 1e9, bw), "decode",
-                       totals=PhaseTotals(
-                           1, flops // 2,
-                           TrafficReport(dram_bytes, 0, 0, 0, 0, 0)),
+                       totals=PhaseTotals(1, flops // 2, dram_bytes,
+                                          0, 0, 0, 0, 0),
                        compute_time=latency, memory_time=latency,
                        latency=latency, peak=peak)
 
@@ -116,7 +115,7 @@ def test_select_block_is_the_s_major_grid():
     # S-major with f ascending within each S
     spec = SweepSpec((8, 64 * KIB), (4e8, 8e8), (HW.ext_bandwidth,),
                      ("decode",))
-    result = run_sweep(spec, HW, load_model_spec({}), load_request({}))
+    result = run_sweep(spec, HW, load_model_spec({}), load_request({}), 0)
     block = result.select("decode", HW.ext_bandwidth)
     assert [(r.point.s, r.point.f, r.ok) for r in block] == [
         (8, 4e8, False), (8, 8e8, False),

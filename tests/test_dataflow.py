@@ -140,7 +140,7 @@ def test_accesses_per_phase_aggregates():
     trace = build_prefill_trace(model, InferenceRequest(batch=1, prompt_len=2,
                                                         gen_tokens=0))
     fab = FabricSpec(1, 1, ArraySpec(2, 2))
-    total = phase_totals(trace, fab, MIB, 2).traffic
+    total = phase_totals(trace, fab, MIB, 2)
     by_hand_reads = by_hand_writes = 0
     for m, n in trace.matmuls.items():
         reads, writes = matmul_local_accesses(m, fab.array)

@@ -8,7 +8,7 @@ from acceldse.config import (GB, KIB, MIB, ConfigError, load_hardware,
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import (ArrayPower, GatingPolicy,
                              SramEnergyModel, by_component, energy_terms)
-from acceldse.memory import Buffers, PhaseTotals, TrafficReport, phase_totals
+from acceldse.memory import Buffers, PhaseTotals, phase_totals
 from acceldse.sweep import (DesignPoint, SweepSpec, entry_terms,
                             evaluate_point, evaluate_sweep, phase_table)
 from acceldse.workload import build_decode_trace, build_prefill_trace
@@ -32,7 +32,7 @@ def fake_energy(latency, phase, sram, arrays, gating, buffers, fabric,
     seconds: the time of its on-chip bytes on a 1 byte/s link, at a clock
     fast enough that compute takes less."""
     totals = PhaseTotals(cycles, round(util * cycles * fabric.macs_per_cycle),
-                         TrafficReport(0, latency, 0, 0, 0, 0))
+                         0, latency, 0, 0, 0, 0)
     energy = energy_terms(totals, phase, sram, arrays, gating, buffers,
                           fabric)
     point = DesignPoint(buffers.local, 2 * (cycles + 1) / latency, EXT_BW)

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from acceldse.config import (GB, KIB, MIB, load_hardware, load_model_spec,
                              load_request)
-from acceldse.dataflow import ArraySpec, FabricSpec
+from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
+                               matmul_local_accesses)
 from acceldse.memory import (TilingError, phase_totals, plan_tiling,
                              tile_set_bytes, traffic)
 from acceldse.sweep import DesignPoint, entry_terms, evaluate_point
@@ -189,6 +190,11 @@ def test_traffic_matches_tile_walk_oracle():
         assert t.dram_bytes == weights + inputs + outputs  # one core: no sharing
         assert t.global_reads * 2 == t.global_writes * 2 == \
             weights + inputs + outputs
+        assert t.compute_cycles == \
+            analytic_cycles(m, single_core).compute_cycles
+        assert t.macs == m.M * m.K * m.N
+        assert (t.local_reads, t.local_writes) == \
+            matmul_local_accesses(m, ARRAY)
 
 
 def test_traffic_core_amortization():
@@ -261,8 +267,7 @@ def test_memory_time_from_bandwidth():
     trace = build_decode_trace(MODEL, REQ, 0)
     r = at(trace, 800e6)
     assert r.memory_time == pytest.approx(
-        max(r.totals.traffic.dram_bytes / EXT_BW,
-            r.totals.traffic.onchip_bytes / ONCHIP_BW))
+        max(r.totals.dram_bytes / EXT_BW, r.totals.onchip_bytes / ONCHIP_BW))
 
 
 def test_memory_bound_latency_invariant_to_frequency():

@@ -11,6 +11,7 @@ from acceldse.cli import main
 from acceldse.config import load_hardware, load_model_spec, load_request
 from acceldse.dataflow import ArraySpec, FabricSpec
 from acceldse.energy import ArrayPower, GatingPolicy, SramEnergyModel
+from acceldse.memory import PhaseTotals
 from acceldse.sweep import SweepSpec
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec
 
@@ -60,6 +61,7 @@ def test_checked_record_rejects_bad_field_on_every_path(tmp_path, capsys,
     load_model_spec({}), load_request({}), MatmulDims(2, 3, 4),
     HW.fabric.array, HW.fabric, HW.buffers, HW, HW.sram, HW.arrays,
     HW.gating, SweepSpec((1,), (1.0,), (1.0,), ("decode",)),
+    PhaseTotals(*range(1, 9)),
 ], ids=lambda record: type(record).__name__)
 def test_record_is_an_immutable_plain_named_tuple(record):
     assert "__new__" not in vars(type(record))  # no checks of its own

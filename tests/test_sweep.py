@@ -58,12 +58,13 @@ def test_default_cardinality(monkeypatch):
     counted = sweep.phase_totals
     monkeypatch.setattr(sweep, "phase_totals",
                         lambda *args: calls.append(args) or counted(*args))
-    assert len(run_sweep(DEFAULT_SPEC, HW, MODEL, REQ).records) == 7 * 7 * 3 * 2
+    records = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ, 0).records
+    assert len(records) == 7 * 7 * 3 * 2
     assert len(calls) == 2 * 7
 
 
 def test_small_sweep_complete_and_ordered():
-    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
+    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ, 0)
     assert len(result.records) == 3 * 2 * 1 * 2
     assert result.complete
     points = [(r.phase, r.point.bw, r.point.s, r.point.f) for r in result.records]
@@ -74,7 +75,7 @@ def test_small_sweep_complete_and_ordered():
 def test_select_returns_one_phase_bandwidth_block():
     spec = SweepSpec(SMALL_SPEC.s_values, SMALL_SPEC.f_values,
                      (2048 * GB, 4096 * GB), SMALL_SPEC.phases)
-    result = run_sweep(spec, HW, MODEL, REQ)
+    result = run_sweep(spec, HW, MODEL, REQ, 0)
     for phase in spec.phases:
         for bw in spec.bw_values:
             assert result.select(phase, bw) == tuple(
@@ -84,7 +85,7 @@ def test_select_returns_one_phase_bandwidth_block():
 
 def test_single_point_matches_direct_evaluation():
     spec = SweepSpec((64 * KIB,), (800e6,), (2048 * GB,), ("decode",))
-    result = run_sweep(spec, HW, MODEL, REQ)
+    result = run_sweep(spec, HW, MODEL, REQ, 0)
     assert len(result.records) == 1
     trace = build_decode_trace(MODEL, REQ, 0)
     totals = phase_totals(trace, HW.fabric, 64 * KIB,
@@ -100,7 +101,7 @@ def test_single_point_matches_direct_evaluation():
 
 def test_infeasible_cells_recorded_not_skipped(tmp_path):
     spec = SweepSpec((8, 64 * KIB), (800e6,), (2048 * GB,), ("decode",))
-    result = run_sweep(spec, HW, MODEL, REQ)
+    result = run_sweep(spec, HW, MODEL, REQ, 0)
     assert len(result.records) == 2
     bad = [r for r in result.records if not r.ok]
     assert len(bad) == 1 and bad[0].point.s == 8
@@ -115,7 +116,7 @@ def test_infeasible_cells_recorded_not_skipped(tmp_path):
 
 
 def test_emit_reports_file_set(tmp_path):
-    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
+    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ, 0)
     written = emit_reports(result, tmp_path, summary_dict(result))
     # 8 metrics x 2 phases x 1 bandwidth + roofline + summary
     assert len(written) == 8 * 2 * 1 + 2
@@ -133,7 +134,7 @@ def test_emit_reports_file_set(tmp_path):
 
 
 def test_emit_reports_writes_nothing_for_a_non_finite_summary(tmp_path):
-    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
+    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ, 0)
     out = tmp_path / "out"
     with pytest.raises(OutputError, match=r"^cannot write .*summary\.json: "):
         emit_reports(result, out, {"level": float("nan")})
@@ -141,7 +142,7 @@ def test_emit_reports_writes_nothing_for_a_non_finite_summary(tmp_path):
 
 
 def test_summary_contains_argmins_and_transitions():
-    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
+    result = run_sweep(SMALL_SPEC, HW, MODEL, REQ, 0)
     summary = summary_dict(result)
     assert summary["schema_version"] == 1
     key = "decode@2048GBps"
@@ -158,7 +159,7 @@ def test_summary_contains_argmins_and_transitions():
               ("decode",)),
 ], ids=["default", "infeasible_8_bytes"])
 def test_bound_transition_is_lowest_memory_bound_frequency(spec):
-    result = run_sweep(spec, HW, MODEL, REQ)
+    result = run_sweep(spec, HW, MODEL, REQ, 0)
     grids = summary_dict(result)["grids"]
     seen = set()
     for phase in spec.phases:
@@ -191,15 +192,14 @@ def test_cells_share_phase_totals_and_obey_closed_form(s_kb, f_mhz, bw_gbps):
     spec = SweepSpec(ascending(s_kb, KIB), ascending(f_mhz, 1e6),
                      ascending(bw_gbps, GB), ("prefill", "decode"))
     first = {}
-    for rec in run_sweep(spec, HW, MODEL, REQ).records:
+    for rec in run_sweep(spec, HW, MODEL, REQ, 0).records:
         t = rec.totals
         # cycles and traffic depend on (phase, S) only, never on f or BW
         shared = first.setdefault((rec.phase, rec.point.s), t)
-        assert (t.compute_cycles, t.traffic) == (shared.compute_cycles,
-                                                 shared.traffic)
+        assert t == shared
         assert rec.latency >= rec.compute_time
-        assert rec.latency >= t.traffic.dram_bytes / rec.point.bw
-        assert rec.latency >= t.traffic.onchip_bytes / HW.onchip_bandwidth
+        assert rec.latency >= t.dram_bytes / rec.point.bw
+        assert rec.latency >= t.onchip_bytes / HW.onchip_bandwidth
         assert rec.total_cycles == pytest.approx(rec.latency * rec.point.f,
                                                  rel=1e-12)
 
@@ -234,7 +234,7 @@ def test_model_invariants_hold_on_random_small_configs(
     spec = SweepSpec(ascending(s_bytes, 1), ascending(f_mhz, 1e6),
                      ascending(bw_gbps, GB), ("prefill", "decode"))
     result = run_sweep(spec, load_hardware(values), load_model_spec(values),
-                       load_request(values))
+                       load_request(values), 0)
     latencies = {}
     for rec in result.records:
         if not rec.ok:  # no tile set fits this S
@@ -294,7 +294,7 @@ def test_split_cells_match_the_unsplit_oracle(
     model, req = load_model_spec(values), load_request(values)
     table = phase_table(spec, hw, model, req, 0)
     oracle = {}
-    for rec in run_sweep(spec, hw, model, req).records:
+    for rec in run_sweep(spec, hw, model, req, 0).records:
         totals = table[rec.phase, rec.point.s]
         if isinstance(totals, str):  # no tile set fits this S
             assert rec.error == totals
@@ -308,7 +308,7 @@ def test_split_cells_match_the_unsplit_oracle(
             "compute_time": rec.compute_time,
             "memory_time": rec.memory_time, "latency": rec.latency,
             "total_cycles": rec.total_cycles,
-            "compute_fraction": rec.compute_fraction, "traffic": t.traffic,
+            "compute_fraction": rec.compute_fraction, "traffic": t,
             "utilization": rec.energy.utilization, "flops": rec.flops,
             "oi": rec.oi, "attainable": rec.attainable,
             "achieved": rec.achieved, "bound": rec.ridge_side,

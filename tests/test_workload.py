@@ -169,9 +169,7 @@ def test_n_layers_scales_trace():
     fabric, local = HW.fabric, 64 * KIB
     t1 = phase_totals(one, fabric, local, 2)
     t3 = phase_totals(three, fabric, local, 2)
-    assert t3.macs == 3 * t1.macs
-    assert t3.compute_cycles == 3 * t1.compute_cycles
-    assert t3.traffic == tuple(3 * v for v in t1.traffic)
+    assert t3 == tuple(3 * v for v in t1)
 
 
 def merged(pairs) -> list[tuple[MatmulDims, int]]:
