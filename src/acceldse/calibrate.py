@@ -63,17 +63,17 @@ def _with_constants(hw: HardwareConfig, leakage: float,
 
 
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
-              req: InferenceRequest, target: CalibrationTarget,
-              decode_step: int) -> CalibrationOutcome:
-    """The search from `hw`'s SRAM constants; TilingError if no decode cell
-    of the grid fits a tile set, OutputError if the start constants leave
-    no decode EDP finite."""
+              req: InferenceRequest,
+              target: CalibrationTarget) -> CalibrationOutcome:
+    """The search from `hw`'s SRAM constants, decode at `req.decode_step`;
+    TilingError if no decode cell of the grid fits a tile set, OutputError
+    if the start constants leave no decode EDP finite."""
     leakage = hw.sram.leakage_per_byte
     access = hw.sram.access_energy_ref
     evals = 0
     # the search reads one S x f block: decode at the first BW
     spec = spec._replace(phases=("decode",), bw_values=spec.bw_values[:1])
-    table = phase_table(spec, hw, model, req, decode_step)
+    table = phase_table(spec, hw, model, req)
     if all(isinstance(totals, str) for totals in table.values()):
         raise TilingError("no decode cell can be evaluated: "
                           f"{table['decode', spec.s_values[-1]]}")
@@ -82,7 +82,7 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
         nonlocal evals
         evals += 1
         return _displacement(evaluate_sweep(spec, _with_constants(hw, lk, ac),
-                                            table, decode_step), target)
+                                            table), target)
 
     start = measure(leakage, access)
     if start is None:

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .config import (GB, KIB, MHZ, ConfigError, apply_overrides,
-                     decode_step, load_hardware, load_model_spec,
-                     load_request, load_sweep_axes, parse_config)
+                     load_hardware, load_model_spec, load_request,
+                     load_sweep_axes, parse_config)
 from .energy import by_component
 from .memory import PhaseTotals, TilingError
 from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, OutputError,
@@ -36,10 +36,8 @@ CSV_FIELDS = ("phase", "S_bytes", "f_hz", "bw_bytes_per_s", "bound",
 
 
 def _load(args):
-    """(sweep spec, hardware, model, request, decode step) of the configured
-    run, in `run_sweep`'s order; every key is parsed once, except
-    `model.gen_tokens`, which `load_request` and `decode_step` each parse
-    (perfbench calls `decode_step` alone)."""
+    """(sweep spec, hardware, model, request) of the configured run, in
+    `run_sweep`'s order; every key is parsed once."""
     values = apply_overrides(parse_config(args.config), args.override or [])
     spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
     hw = load_hardware(values)
@@ -49,8 +47,7 @@ def _load(args):
         raise ConfigError("bad value for hw.sram_access_exponent: "
                           f"{hw.sram.access_exponent!r} overflows the SRAM "
                           "per-access energy") from None
-    return (spec, hw, load_model_spec(values), load_request(values),
-            decode_step(values))
+    return spec, hw, load_model_spec(values), load_request(values)
 
 
 def _record_dict(r: SweepRecord) -> dict:
@@ -123,10 +120,10 @@ def cmd_simulate(args) -> int:
                                        or args.format == "csv"):
         raise ConfigError("--decode-mode mean needs --phase decode and "
                           "--format table or json")
-    _, hw, model, req, step = _load(args)
+    _, hw, model, req = _load(args)
     point = DesignPoint(hw.buffers.local, hw.frequency, hw.ext_bandwidth)
     spec = SweepSpec((point.s,), (point.f,), (point.bw,), (args.phase,))
-    [record] = run_sweep(spec, hw, model, req, step).records
+    [record] = run_sweep(spec, hw, model, req).records
     if not record.ok:
         raise TilingError(record.error)
     d = _record_dict(record)
@@ -150,8 +147,10 @@ def _exit_code(result: SweepResult) -> int:
 
 
 def cmd_sweep(args) -> int:
-    result = run_sweep(*_load(args))
-    written = emit_reports(result, args.out, summary_dict(result))
+    *run, req = _load(args)
+    result = run_sweep(*run, req)
+    written = emit_reports(result, args.out,
+                           summary_dict(result, req.decode_step))
     print(f"evaluated {len(result.records)} records, "
           f"wrote {len(written)} files to {args.out}")
     return _exit_code(result)
@@ -170,7 +169,7 @@ def cmd_calibrate(args) -> int:
     # imported here: no other command needs the search
     from .calibrate import CalibrationTarget, calibrate, constants_file_text
 
-    spec, hw, model, req, step = _load(args)
+    spec, hw, model, req = _load(args)
     # whole bytes, as the S axis is parsed; nan and inf stay off the grid
     s_bytes = args.target_s_kb * KIB // 1
     f_hz = args.target_f_mhz * MHZ
@@ -181,7 +180,7 @@ def cmd_calibrate(args) -> int:
             raise ConfigError(f"bad value for {flag}: the calibration target "
                               f"must lie on the sweep grid")
     target = CalibrationTarget(int(s_bytes), f_hz)
-    outcome = calibrate(hw, spec, model, req, target, decode_step=step)
+    outcome = calibrate(hw, spec, model, req, target)
     text = constants_file_text(outcome, target, hw.sram.ref_size,
                                hw.sram.access_exponent)
     if args.out:
@@ -198,8 +197,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    result = run_sweep(*_load(args))
-    summary = summary_dict(result)
+    *run, req = _load(args)
+    result = run_sweep(*run, req)
+    summary = summary_dict(result, req.decode_step)
     lines = [f"records: {len(result.records)}  complete: {result.complete}",
              f"decode convention: {summary['decode_convention']} "
              f"(step {summary['decode_step']})"]

@@ -118,8 +118,8 @@ _REQUEST = {
     "batch": ("model.batch", _count, "8"),
     "prompt_len": ("model.prompt_len", _count, "2048"),
     "gen_tokens": ("model.gen_tokens", _count, "16"),
+    "decode_step": ("model.decode_step", int, "0"),
 }
-_STEP = {"step": ("model.decode_step", int, "0")}
 _ARRAY = {"rows": ("hw.array_rows", _count, "16"),
           "cols": ("hw.array_cols", _count, "16")}
 _FABRIC = {"cores": ("hw.cores", _count, "108"),
@@ -155,7 +155,7 @@ _SWEEP = {
     "phases": ("sweep.phases", _phases, "prefill,decode"),
 }
 
-_TABLES = (_MODEL, _REQUEST, _STEP, _ARRAY, _FABRIC, _BUFFERS, _HARDWARE,
+_TABLES = (_MODEL, _REQUEST, _ARRAY, _FABRIC, _BUFFERS, _HARDWARE,
            _SRAM, _ARRAYS, _GATING, _SWEEP)
 KEYS = frozenset(key for table in _TABLES for key, _, _ in table.values())
 
@@ -218,17 +218,18 @@ def load_model_spec(values: dict[str, str]) -> ModelSpec:
 
 
 def load_request(values: dict[str, str]) -> InferenceRequest:
-    return InferenceRequest(**_parse(values, _REQUEST))
+    """The request; its decode_step must lie in [0, gen_tokens)."""
+    req = InferenceRequest(**_parse(values, _REQUEST))
+    if not 0 <= req.decode_step < req.gen_tokens:
+        raise ConfigError("bad value for model.decode_step: "
+                          f"{req.decode_step} is not in "
+                          f"[0, model.gen_tokens = {req.gen_tokens})")
+    return req
 
 
 def decode_step(values: dict[str, str]) -> int:
-    """`model.decode_step`, checked against `model.gen_tokens` (>= 1)."""
-    fields = _parse(values, {**_STEP, "gen_tokens": _REQUEST["gen_tokens"]})
-    step, gen_tokens = fields["step"], fields["gen_tokens"]
-    if not 0 <= step < gen_tokens:
-        raise ConfigError(f"bad value for model.decode_step: {step} is not in "
-                          f"[0, model.gen_tokens = {gen_tokens})")
-    return step
+    """The request's decode_step, kept only as `perfbench/` calls it."""
+    return load_request(values).decode_step
 
 
 def load_hardware(values: dict[str, str]) -> HardwareConfig:

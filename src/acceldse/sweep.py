@@ -118,7 +118,8 @@ class SweepRecord(namedtuple("SweepRecord", (
 
     @property
     def achieved(self) -> float:
-        return self.flops / self.latency
+        # capped: it and `attainable` round in different orders
+        return min(self.flops / self.latency, self.attainable)
 
     @property
     def ridge_side(self) -> str:
@@ -129,10 +130,7 @@ class SweepRecord(namedtuple("SweepRecord", (
 
 
 class SweepResult(namedtuple("SweepResult", (
-        "spec",
-        "records",  # in (phase, bw, s, f) order
-        "decode_step",
-))):
+        "spec", "records"))):  # records in (phase, bw, s, f) order
     __slots__ = ()
 
     @property
@@ -227,15 +225,15 @@ def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
 
 
 def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
-                req: InferenceRequest,
-                decode_step: int) -> dict[tuple[str, int], PhaseTotals | str]:
-    """Every (phase, S) entry of the sweep: the phase's totals with an
-    S-byte local buffer, or the reason no tile set fits in it, the one
-    place a TilingError becomes a cell's error; f and BW never enter."""
+                req: InferenceRequest
+                ) -> dict[tuple[str, int], PhaseTotals | str]:
+    """Every (phase, S) entry, decode at `req.decode_step`: the phase's
+    totals with an S-byte local buffer, or why no tile set fits in it (the
+    one place a TilingError becomes a cell's error); f and BW never enter."""
     table: dict[tuple[str, int], PhaseTotals | str] = {}
     for phase in spec.phases:
         trace = (build_prefill_trace(model, req) if phase == "prefill"
-                 else build_decode_trace(model, req, decode_step))
+                 else build_decode_trace(model, req, req.decode_step))
         for s in spec.s_values:
             try:
                 table[phase, s] = phase_totals(trace, hw.fabric, s,
@@ -246,8 +244,8 @@ def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
 
 
 def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
-                   table: dict[tuple[str, int], PhaseTotals | str],
-                   decode_step: int) -> SweepResult:
+                   table: dict[tuple[str, int], PhaseTotals | str]
+                   ) -> SweepResult:
     """Every cell of the sweep from its (phase, S) table entry, whose
     energy terms are computed once for all of its cells."""
     entries = {phase: [(s, entry_terms(table[phase, s], phase, hw, s))
@@ -257,14 +255,13 @@ def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
                     for bw in spec.bw_values
                     for s, entry in entries[phase]
                     for f in spec.f_values)
-    return SweepResult(spec=spec, records=records, decode_step=decode_step)
+    return SweepResult(spec=spec, records=records)
 
 
 def run_sweep(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
-              req: InferenceRequest, decode_step: int) -> SweepResult:
+              req: InferenceRequest) -> SweepResult:
     """Evaluate the full cartesian sweep; never aborts on infeasible cells."""
-    return evaluate_sweep(spec, hw, phase_table(spec, hw, model, req,
-                                                decode_step), decode_step)
+    return evaluate_sweep(spec, hw, phase_table(spec, hw, model, req))
 
 
 # --- report emission ------------------------------------------------------
@@ -361,11 +358,11 @@ def _roofline_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_dict(result: SweepResult) -> dict:
+def summary_dict(result: SweepResult, decode_step: int) -> dict:
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "decode_convention": DECODE_CONVENTION,
-        "decode_step": result.decode_step,
+        "decode_step": decode_step,
         "complete": result.complete,
         "record_count": len(result.records),
         "grids": {},

@@ -29,7 +29,9 @@ class ModelSpec(namedtuple("ModelSpec", (
 
 
 class InferenceRequest(namedtuple("InferenceRequest", (
-        "batch", "prompt_len", "gen_tokens"))):
+        "batch", "prompt_len", "gen_tokens", "decode_step"))):
+    """A request; decode reports step 0 <= decode_step < gen_tokens."""
+
     __slots__ = ()
 
 
@@ -99,9 +101,8 @@ def build_prefill_trace(model: ModelSpec, req: InferenceRequest) -> PhaseTrace:
 
 def build_decode_trace(model: ModelSpec, req: InferenceRequest,
                        step: int) -> PhaseTrace:
-    """Single-token trace at generation step 0 <= `step` < gen_tokens, as
-    `config.decode_step` checks.  The KV cache has grown by one entry per
-    previously generated token, so attention sees kv_len = prompt_len + step.
-    """
+    """Single-token trace at generation step 0 <= `step` < gen_tokens, the
+    range `config.load_request` checks decode_step in: attention sees the
+    prompt and every earlier generated token, kv_len = prompt_len + step."""
     return PhaseTrace(_layer_matmuls(model, rows=req.batch, batch=req.batch,
                                      kv_len=req.prompt_len + step, q_len=1))

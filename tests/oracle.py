@@ -270,10 +270,12 @@ def cell_roofline(result: dict, peak: float, bw: float) -> dict:
     if dram_bytes <= 0:
         raise ValueError("roofline undefined for zero external traffic")
     oi = result["flops"] / dram_bytes
+    attainable = min(peak, bw * oi)
     return {
         "oi": oi,
-        "attainable": min(peak, bw * oi),
-        "achieved": result["flops"] / result["latency"],
+        "attainable": attainable,
+        # flops / latency may round above the bound computed another way
+        "achieved": min(result["flops"] / result["latency"], attainable),
         "bound": "memory" if oi < peak / bw else "compute",
     }
 

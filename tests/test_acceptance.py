@@ -66,7 +66,7 @@ QUAD_BW = 8192 * GB
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return run_sweep(DEFAULT_SPEC, HW, MODEL, REQ, 0)
+    return run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -145,14 +145,13 @@ def test_criterion_02_energy_identities():
 
 def test_criterion_03_roofline_law(sweep_result):
     """attainable = min(peak, BW*OI) exact; achieved <= attainable."""
-    eps = 1e-9
     checked = 0
     for r in sweep_result.records:
         assert r.ok
         fabric = HW.fabric
         peak = fabric.macs_per_cycle * 2 * r.point.f
         assert r.attainable == min(peak, r.point.bw * r.oi)
-        assert r.achieved <= r.attainable * (1 + eps), (r.point, r.phase)
+        assert r.achieved <= r.attainable, (r.point, r.phase)
         checked += 1
     ok = report("criterion 3: roofline law", True, f"{checked} cells")
     assert ok
@@ -402,12 +401,12 @@ def test_criterion_10_bandwidth_ceiling(sweep_result):
 def test_criterion_11_determinism_and_scale(tmp_path):
     """Full default sweep: 294 records, < 30 s, byte-identical reruns."""
     t0 = time.time()
-    first = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ, 0)
+    first = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
     elapsed = time.time() - t0
     assert len(first.records) == 294
-    second = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ, 0)
-    emit_reports(first, tmp_path / "a", summary_dict(first))
-    emit_reports(second, tmp_path / "b", summary_dict(second))
+    second = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
+    emit_reports(first, tmp_path / "a", summary_dict(first, 0))
+    emit_reports(second, tmp_path / "b", summary_dict(second, 0))
     identical = all(
         pa.read_bytes() == (tmp_path / "b" / pa.name).read_bytes()
         for pa in sorted((tmp_path / "a").iterdir()))

@@ -115,7 +115,7 @@ def test_select_block_is_the_s_major_grid():
     # S-major with f ascending within each S
     spec = SweepSpec((8, 64 * KIB), (4e8, 8e8), (HW.ext_bandwidth,),
                      ("decode",))
-    result = run_sweep(spec, HW, load_model_spec({}), load_request({}), 0)
+    result = run_sweep(spec, HW, load_model_spec({}), load_request({}))
     block = result.select("decode", HW.ext_bandwidth)
     assert [(r.point.s, r.point.f, r.ok) for r in block] == [
         (8, 4e8, False), (8, 8e8, False),

@@ -31,7 +31,7 @@ def test_shipped_constants_are_a_fixed_point(monkeypatch):
     monkeypatch.setattr(calibrate_module, "phase_table",
                         lambda *args: tables.append(args) or build(*args))
     target = CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6)
-    outcome = calibrate(HW, SPEC, MODEL, REQ, target, 0)
+    outcome = calibrate(HW, SPEC, MODEL, REQ, target)
     # every trial reuses one table of cycles and traffic
     assert outcome.evaluations > 1 and len(tables) == 1
     assert outcome.leakage_per_byte == HW.sram.leakage_per_byte
@@ -44,9 +44,9 @@ def test_shipped_constants_are_a_fixed_point(monkeypatch):
 def test_reachable_target_reports_zero_displacement():
     # ask for the cell the default calibration actually reaches
     base = calibrate(HW, SPEC, MODEL, REQ,
-                     CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6), 0)
+                     CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6))
     target = CalibrationTarget(s_bytes=base.achieved_s, f_hz=base.achieved_f)
-    outcome = calibrate(HW, SPEC, MODEL, REQ, target, 0)
+    outcome = calibrate(HW, SPEC, MODEL, REQ, target)
     assert outcome.displacement == 0
     assert outcome.leakage_per_byte == HW.sram.leakage_per_byte
 
@@ -54,14 +54,14 @@ def test_reachable_target_reports_zero_displacement():
 def test_degenerate_single_cell_grid():
     spec = SweepSpec((32 * KIB,), (600e6,), (2048 * GB,), ("decode",))
     outcome = calibrate(HW, spec, MODEL, REQ,
-                        CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6), 0)
+                        CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6))
     assert outcome.displacement == 0
     assert outcome.evaluations == 1  # first search point already satisfies
 
 
 def test_constants_file_text_round_trips():
     target = CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6)
-    outcome = calibrate(HW, SPEC, MODEL, REQ, target, 0)
+    outcome = calibrate(HW, SPEC, MODEL, REQ, target)
     text = constants_file_text(outcome, target, HW.sram.ref_size,
                                HW.sram.access_exponent)
     assert "hw.sram_leakage_w_per_byte" in text

@@ -12,8 +12,9 @@ import pytest
 from acceldse import cli, config, sweep
 from acceldse.cli import build_parser, main
 from acceldse.config import (GB, KIB, ConfigError, apply_overrides,
-                             load_hardware, load_sweep_axes, parse_config)
-from acceldse.sweep import ARGMIN_METRICS
+                             load_hardware, load_model_spec, load_request,
+                             load_sweep_axes, parse_config)
+from acceldse.sweep import ARGMIN_METRICS, SweepSpec, run_sweep
 from acceldse.workload import PHASES, InferenceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -263,15 +264,64 @@ def test_cli_report_out_builds_the_summary_once(tmp_path, monkeypatch,
     built = []
     summary_dict = sweep.summary_dict
 
-    def counted(result):
+    def counted(result, decode_step):
         built.append(result)
-        return summary_dict(result)
+        return summary_dict(result, decode_step)
 
     for module in (cli, sweep):
         monkeypatch.setattr(module, "summary_dict", counted)
     assert main(["report", "--config", str(BASELINE),
                  "--out", str(tmp_path)]) == 0
     assert len(built) == 1
+
+
+def test_cli_non_zero_decode_step_reaches_every_output(tmp_path, monkeypatch,
+                                                       capsys):
+    # the step is request data: the summary and report name it, and the
+    # decode records are those of a sweep at that step, not at step 0
+    results = []
+    swept = cli.run_sweep
+
+    def kept(*run):
+        results.append(swept(*run))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_sweep", kept)
+    step = ["--override", "model.decode_step=5"]
+    assert main(["sweep", "--config", str(BASELINE), *step,
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["decode_step"] == 5
+    assert main(["report", "--config", str(BASELINE), *step]) == 0
+    assert "(step 5)" in capsys.readouterr().out
+    values = parse_config(BASELINE)
+    spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
+    run = spec, load_hardware(values), load_model_spec(values)
+    req = load_request(values)
+    at_5 = run_sweep(*run, req._replace(decode_step=5))
+    assert results == [at_5, at_5]
+    decode = [r for r in at_5.records if r.phase == "decode"]
+    assert decode != [r for r in run_sweep(*run, req).records
+                      if r.phase == "decode"]
+
+
+@pytest.mark.parametrize("verb", ["simulate", "sweep", "roofline",
+                                  "calibrate", "report"])
+def test_cli_parses_every_key_once(verb, tmp_path, monkeypatch, capsys):
+    # each command builds its records, the request among them, from one
+    # parse of every key
+    parsed = []
+    for table in config._TABLES:
+        for field, (key, parse, default) in list(table.items()):
+            monkeypatch.setitem(table, field, (
+                key, lambda text, key=key, parse=parse:
+                parsed.append(key) or parse(text), default))
+    out = ["--out", str(tmp_path)] if verb == "sweep" else []
+    assert main([verb, "--config", str(BASELINE), *out,
+                 "--override", "sweep.local_buffer_kb=32,64",
+                 "--override", "sweep.frequency_mhz=600,800",
+                 "--override", "sweep.bandwidth_gbps=2048"]) == 0
+    assert sorted(parsed) == sorted(config.KEYS)
 
 
 def test_phase_names_are_declared_once():

@@ -151,7 +151,7 @@ def test_cell_energy_composition():
 
 
 DEFAULT_SPEC = SweepSpec(*map(tuple, load_sweep_axes({})))
-DEFAULT_TABLE = phase_table(DEFAULT_SPEC, HW, MODEL, REQ, 0)
+DEFAULT_TABLE = phase_table(DEFAULT_SPEC, HW, MODEL, REQ)
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,7 +160,7 @@ DEFAULT_TABLE = phase_table(DEFAULT_SPEC, HW, MODEL, REQ, 0)
 def test_component_split_sums_to_totals(leakage, access, exponent):
     hw = HW._replace(sram=SramEnergyModel(leakage, access, 32 * KIB,
                                           exponent))
-    for record in evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE, 0).records:
+    for record in evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE).records:
         parts = by_component(record.energy, record.latency).values()
         assert record.energy.dynamic_j == sum(c["dynamic_j"] for c in parts)
         assert record.total_j == record.static_j + record.energy.dynamic_j

@@ -204,7 +204,8 @@ def test_traces_merge_weight_and_attention_gemms(n_heads, head_dim, mlp_ratio,
     spec = ModelSpec(d_model=n_heads * head_dim, n_heads=n_heads,
                      head_dim=head_dim, mlp_ratio=mlp_ratio,
                      bytes_per_element=2, n_layers=n_layers)
-    req = InferenceRequest(batch, prompt_len, gen_tokens=step + 1)
+    req = InferenceRequest(batch, prompt_len, gen_tokens=step + 1,
+                           decode_step=step)
     for trace, rows, q_len, kv_len in (
             (build_decode_trace(spec, req, step), batch, 1, prompt_len + step),
             (build_prefill_trace(spec, req), batch * prompt_len, prompt_len,
