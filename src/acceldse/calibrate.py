@@ -1,14 +1,16 @@
 """Calibration of the SRAM energy constants against argmin targets.
 
-Deterministic greedy coordinate search over (leakage_per_byte,
-access_energy_ref): multiplicative neighbor steps, accept only strict
-improvements in grid-step displacement of the decode EDP argmin from the
-target cell, which `cli.cmd_calibrate` keeps on the grid; a trial that
-leaves no decode EDP finite, so has no argmin, counts as an evaluation
-but is skipped; stop at a fixed point.  Started from constants that
-already achieve the minimum displacement, the search returns them
-unchanged.  The energy constants never touch cycles or traffic, so every
-trial re-evaluates one (phase, S) table.
+Deterministic greedy coordinate search over two fields of
+`config.HardwareConfig`, `sram_leakage_per_byte` and
+`sram_access_energy_ref`; a trial is `hw` with both replaced.  Steps are
+multiplicative, and only a strict improvement in grid-step displacement
+of the decode EDP argmin from the target cell, which `cli.cmd_calibrate`
+keeps on the grid, is accepted; a trial that leaves no decode EDP
+finite, so has no argmin, counts as an evaluation but is skipped; the
+search stops at a fixed point.  Started from constants that already
+achieve the minimum displacement, it returns them unchanged.  The energy
+constants never touch cycles or traffic, so every trial re-evaluates one
+(phase, S) table.
 """
 
 from __future__ import annotations
@@ -56,20 +58,15 @@ def _displacement(result: SweepResult,
     return steps, s_min, f_min
 
 
-def _with_constants(hw: HardwareConfig, leakage: float,
-                    access: float) -> HardwareConfig:
-    return hw._replace(sram=hw.sram._replace(leakage_per_byte=leakage,
-                                             access_energy_ref=access))
-
-
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
               req: InferenceRequest,
               target: CalibrationTarget) -> CalibrationOutcome:
-    """The search from `hw`'s SRAM constants, decode at `req.decode_step`;
-    TilingError if no decode cell of the grid fits a tile set, OutputError
-    if the start constants leave no decode EDP finite."""
-    leakage = hw.sram.leakage_per_byte
-    access = hw.sram.access_energy_ref
+    """The search from `hw`'s two SRAM constants, every other field of
+    `hw` fixed, decode at `req.decode_step`; TilingError if no decode
+    cell of the grid fits a tile set, OutputError if the start constants
+    leave no decode EDP finite."""
+    leakage = hw.sram_leakage_per_byte
+    access = hw.sram_access_energy_ref
     evals = 0
     # the search reads one S x f block: decode at the first BW
     spec = spec._replace(phases=("decode",), bw_values=spec.bw_values[:1])
@@ -81,8 +78,9 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
     def measure(lk: float, ac: float) -> tuple[int, int, float] | None:
         nonlocal evals
         evals += 1
-        return _displacement(evaluate_sweep(spec, _with_constants(hw, lk, ac),
-                                            table), target)
+        trial = hw._replace(sram_leakage_per_byte=lk,
+                            sram_access_energy_ref=ac)
+        return _displacement(evaluate_sweep(spec, trial, table), target)
 
     start = measure(leakage, access)
     if start is None:

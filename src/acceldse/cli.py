@@ -15,7 +15,7 @@ from pathlib import Path
 from .config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                      load_hardware, load_model_spec, load_request,
                      load_sweep_axes, parse_config)
-from .energy import by_component
+from .energy import by_component, sram_access_energy
 from .memory import PhaseTotals, TilingError
 from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, OutputError,
                     SweepRecord, SweepResult, SweepSpec,
@@ -42,10 +42,10 @@ def _load(args):
     spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
     hw = load_hardware(values)
     try:  # the exponent is positive: the largest buffer costs most
-        hw.sram.access_energy(max(*hw.buffers, spec.s_values[-1]))
+        sram_access_energy(hw, max(*hw.buffers, spec.s_values[-1]))
     except OverflowError:
         raise ConfigError("bad value for hw.sram_access_exponent: "
-                          f"{hw.sram.access_exponent!r} overflows the SRAM "
+                          f"{hw.sram_access_exponent!r} overflows the SRAM "
                           "per-access energy") from None
     return spec, hw, load_model_spec(values), load_request(values)
 
@@ -181,8 +181,8 @@ def cmd_calibrate(args) -> int:
                               f"must lie on the sweep grid")
     target = CalibrationTarget(int(s_bytes), f_hz)
     outcome = calibrate(hw, spec, model, req, target)
-    text = constants_file_text(outcome, target, hw.sram.ref_size,
-                               hw.sram.access_exponent)
+    text = constants_file_text(outcome, target, hw.sram_ref_size,
+                               hw.sram_access_exponent)
     if args.out:
         Path(args.out).write_text(text)
         text = f"wrote constants to {args.out}\n"
@@ -284,6 +284,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, OutputError, TilingError) as exc:
         # an output that cannot be written, or no cell that can be evaluated
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except OverflowError as exc:
+        # counts too large for a float: no one key is at fault
+        print(f"error: cannot evaluate: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -17,7 +17,6 @@ from collections import namedtuple
 from pathlib import Path
 
 from .dataflow import ArraySpec, FabricSpec
-from .energy import ArrayPower, GatingPolicy, SramEnergyModel
 from .memory import Buffers
 from .workload import PHASES, InferenceRequest, ModelSpec
 
@@ -37,10 +36,19 @@ class HardwareConfig(namedtuple("HardwareConfig", (
         "ext_bandwidth",  # bytes/s into and out of the global buffer
         "onchip_bandwidth",  # bytes/s aggregate global<->local
         "frequency",  # Hz
-        "sram",
-        "arrays",
-        "gating",
+        "sram_leakage_per_byte",  # W/byte
+        "sram_access_energy_ref",  # J/access at sram_ref_size
+        "sram_ref_size",  # bytes
+        "sram_access_exponent",
+        "array_leakage_w",  # per array, post-layout
+        "array_dynamic_w_ref",  # per array at array_ref_frequency, full use
+        "array_ref_frequency",  # Hz
+        "gating_prefill",  # share of leakage gated off in prefill
+        "gating_decode",
 ))):
+    """The fabric, its buffers, clock and bandwidths, and the energy
+    constants that `energy.energy_terms` reads."""
+
     __slots__ = ()
 
 
@@ -128,23 +136,21 @@ _BUFFERS = {"local": ("hw.local_buffer_kb", _bytes, "64"),
             "global_": ("hw.global_buffer_mb", _positive(_scaled(MIB, int)),
                         "40")}
 _HARDWARE = {
+    "sram_leakage_per_byte": ("hw.sram_leakage_w_per_byte", _constant,
+                              "3.0e-7"),
+    "sram_access_energy_ref": ("hw.sram_access_energy_j", _constant,
+                               "2.0e-13"),
+    "sram_ref_size": ("hw.sram_access_ref_kb", _bytes, "32"),
+    "sram_access_exponent": ("hw.sram_access_exponent", _constant, "0.5"),
+    "array_leakage_w": ("hw.array_leakage_w", _constant, "9.31e-3"),
+    "array_dynamic_w_ref": ("hw.array_dynamic_w", _constant, "1.25"),
+    "array_ref_frequency": ("hw.array_ref_frequency_mhz", _hz, "1000"),
+    "gating_prefill": ("hw.gating_prefill", _saving, "0.04"),
+    "gating_decode": ("hw.gating_decode", _saving, "0.20"),
     "ext_bandwidth": ("hw.ext_bandwidth_gbps", _gbps, "2048"),
     "onchip_bandwidth": ("hw.onchip_bandwidth_gbps", _gbps, "16384"),
     "frequency": ("hw.frequency_mhz", _hz, "800"),
 }
-_SRAM = {
-    "leakage_per_byte": ("hw.sram_leakage_w_per_byte", _constant, "3.0e-7"),
-    "access_energy_ref": ("hw.sram_access_energy_j", _constant, "2.0e-13"),
-    "ref_size": ("hw.sram_access_ref_kb", _bytes, "32"),
-    "access_exponent": ("hw.sram_access_exponent", _constant, "0.5"),
-}
-_ARRAYS = {
-    "leakage_w": ("hw.array_leakage_w", _constant, "9.31e-3"),
-    "dynamic_w_ref": ("hw.array_dynamic_w", _constant, "1.25"),
-    "ref_frequency": ("hw.array_ref_frequency_mhz", _hz, "1000"),
-}
-_GATING = {"prefill_saving": ("hw.gating_prefill", _saving, "0.04"),
-           "decode_saving": ("hw.gating_decode", _saving, "0.20")}
 _SWEEP = {
     "s_values": ("sweep.local_buffer_kb", _axis(_scaled(KIB, int)),
                  "16,32,64,128,256,512,1024"),
@@ -155,8 +161,7 @@ _SWEEP = {
     "phases": ("sweep.phases", _phases, "prefill,decode"),
 }
 
-_TABLES = (_MODEL, _REQUEST, _ARRAY, _FABRIC, _BUFFERS, _HARDWARE,
-           _SRAM, _ARRAYS, _GATING, _SWEEP)
+_TABLES = (_MODEL, _REQUEST, _ARRAY, _FABRIC, _BUFFERS, _HARDWARE, _SWEEP)
 KEYS = frozenset(key for table in _TABLES for key, _, _ in table.values())
 
 
@@ -237,9 +242,6 @@ def load_hardware(values: dict[str, str]) -> HardwareConfig:
     return HardwareConfig(
         fabric=FabricSpec(**_parse(values, _FABRIC), array=array),
         buffers=Buffers(**_parse(values, _BUFFERS)),
-        sram=SramEnergyModel(**_parse(values, _SRAM)),
-        arrays=ArrayPower(**_parse(values, _ARRAYS)),
-        gating=GatingPolicy(**_parse(values, _GATING)),
         **_parse(values, _HARDWARE))
 
 

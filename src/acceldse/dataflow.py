@@ -14,7 +14,6 @@ quantity, derived in `energy.energy_terms`.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import ceil
 
 from .workload import MatmulDims
 
@@ -40,7 +39,8 @@ class CycleEstimate(namedtuple("CycleEstimate", ("compute_cycles",))):
 
 
 def fold_count(m: MatmulDims, array: ArraySpec) -> int:
-    return ceil(m.K / array.rows) * ceil(m.N / array.cols)
+    # -(-a // b) is ceil(a / b) in exact integers, at any size
+    return -(-m.K // array.rows) * -(-m.N // array.cols)
 
 
 def per_fold_cycles(m: MatmulDims, array: ArraySpec) -> int:
@@ -50,15 +50,15 @@ def per_fold_cycles(m: MatmulDims, array: ArraySpec) -> int:
 
 
 def analytic_cycles(m: MatmulDims, fabric: FabricSpec) -> CycleEstimate:
-    rounds = ceil(fold_count(m, fabric.array) / fabric.total_arrays)
+    rounds = -(-fold_count(m, fabric.array) // fabric.total_arrays)
     return CycleEstimate(rounds * per_fold_cycles(m, fabric.array))
 
 
 def matmul_local_accesses(m: MatmulDims, array: ArraySpec) -> tuple[int, int]:
     """Closed-form local-buffer (reads, writes) for one matmul, in element
     accesses at the array edge."""
-    k_folds = ceil(m.K / array.rows)
-    n_folds = ceil(m.N / array.cols)
+    k_folds = -(-m.K // array.rows)
+    n_folds = -(-m.N // array.cols)
     reads = (m.M * m.K * n_folds  # inputs, once per fold-column
              + m.K * m.N  # weights, once
              + m.M * m.N * (k_folds - 1))  # partial sums, per extra K-fold

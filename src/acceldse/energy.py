@@ -1,10 +1,11 @@
-"""Parametric SRAM and systolic-array power models.
+"""SRAM and systolic-array energy of one phase's counts.
 
 SRAM leakage is linear in capacity; per-access energy follows a power
 law in capacity (longer wordlines and bitlines cost more per access).
 Arrays draw dynamic power only while computing (clock-gated when
 stalled) and leak all the time; power gating trims a phase-dependent
-share of all leakage.
+share of all leakage.  Every constant is a field of
+`config.HardwareConfig`.
 
 `energy_terms` computes, once per (phase, S), the arrays' utilization
 and one table of each component's leakage and dynamic energy from the
@@ -16,39 +17,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dataflow import FabricSpec
-from .memory import Buffers, PhaseTotals
-
-
-class SramEnergyModel(namedtuple("SramEnergyModel", (
-        "leakage_per_byte",  # W/byte
-        "access_energy_ref",  # J/access at ref_size
-        "ref_size",  # bytes
-        "access_exponent",
-))):
-    __slots__ = ()
-
-    def leakage(self, size: int) -> float:
-        return self.leakage_per_byte * size
-
-    def access_energy(self, size: int) -> float:
-        return self.access_energy_ref * (size / self.ref_size) ** self.access_exponent
-
-
-class ArrayPower(namedtuple("ArrayPower", (
-        "leakage_w",  # per array, post-layout
-        "dynamic_w_ref",  # per array at ref_frequency, full utilization
-        "ref_frequency",
-))):
-    __slots__ = ()
-
-
-class GatingPolicy(namedtuple("GatingPolicy", (
-        "prefill_saving", "decode_saving"))):
-    __slots__ = ()
-
-    def saving(self, phase: str) -> float:
-        return self.prefill_saving if phase == "prefill" else self.decode_saving
+from .config import HardwareConfig
+from .memory import PhaseTotals
 
 
 class EnergyTerms(namedtuple("EnergyTerms", (
@@ -63,10 +33,17 @@ class EnergyTerms(namedtuple("EnergyTerms", (
     __slots__ = ()
 
 
-def energy_terms(totals: PhaseTotals, phase: str, sram: SramEnergyModel,
-                 arrays: ArrayPower, gating: GatingPolicy, buffers: Buffers,
-                 fabric: FabricSpec) -> EnergyTerms:
-    """Leakage power and dynamic energy of one phase's counts.
+def sram_access_energy(hw: HardwareConfig, size: int) -> float:
+    """J per access of a `size`-byte SRAM: `hw`'s reference access
+    energy times (size / reference size) ** exponent."""
+    return hw.sram_access_energy_ref * (
+        size / hw.sram_ref_size) ** hw.sram_access_exponent
+
+
+def energy_terms(totals: PhaseTotals, phase: str, hw: HardwareConfig,
+                 local: int) -> EnergyTerms:
+    """Leakage power and dynamic energy of one phase's counts on `hw`
+    with a `local`-byte buffer per core.
 
     Each buffer level's dynamic energy is its reads plus writes times its
     per-access energy.  The array term is P_dyn(f, util) * compute_time,
@@ -75,25 +52,27 @@ def energy_terms(totals: PhaseTotals, phase: str, sram: SramEnergyModel,
     frequency.  Every factor is >= 0 within the config's ranges, and so
     are the sums.
     """
+    fabric, global_ = hw.fabric, hw.buffers.global_
     cycles = totals.compute_cycles
     utilization = totals.macs / (cycles * fabric.macs_per_cycle)
     components = {
-        "local_buffers": (sram.leakage(buffers.local), fabric.cores,
+        "local_buffers": (hw.sram_leakage_per_byte * local, fabric.cores,
                           (totals.local_reads + totals.local_writes)
-                          * sram.access_energy(buffers.local)),
-        "global_buffer": (sram.leakage(buffers.global_), 1,
+                          * sram_access_energy(hw, local)),
+        "global_buffer": (hw.sram_leakage_per_byte * global_, 1,
                           (totals.global_reads + totals.global_writes)
-                          * sram.access_energy(buffers.global_)),
-        "arrays": (arrays.leakage_w, fabric.total_arrays,
-                   arrays.dynamic_w_ref * utilization
-                   * (cycles / arrays.ref_frequency)
+                          * sram_access_energy(hw, global_)),
+        "arrays": (hw.array_leakage_w, fabric.total_arrays,
+                   hw.array_dynamic_w_ref * utilization
+                   * (cycles / hw.array_ref_frequency)
                    * fabric.total_arrays),
     }
     # summed from 0, left to right: 0 + x and x * 1 are exact
     static_w = sum(watts * count for watts, count, _ in components.values())
     dynamic = sum(joules for _, _, joules in components.values())
-    return EnergyTerms(components, static_w, 1.0 - gating.saving(phase),
-                       dynamic, utilization)
+    saving = hw.gating_prefill if phase == "prefill" else hw.gating_decode
+    return EnergyTerms(components, static_w, 1.0 - saving, dynamic,
+                       utilization)
 
 
 def by_component(terms: EnergyTerms,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from math import ceil
 
 from .dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                        matmul_local_accesses)
@@ -137,8 +136,8 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
     global reads, times the element size.
     """
     inputs, weights, outputs = m.M * m.K, m.K * m.N, m.M * m.N
-    n_tiles = ceil(m.N / plan.tile_n)
-    waves = ceil(n_tiles / fabric.cores)
+    n_tiles = -(-m.N // plan.tile_n)  # ceil in exact integers
+    waves = -(-n_tiles // fabric.cores)
     global_reads = inputs * n_tiles + weights + outputs
     global_writes = inputs * waves + weights + outputs
     local_reads, local_writes = matmul_local_accesses(m, fabric.array)

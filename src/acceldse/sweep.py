@@ -29,8 +29,8 @@ from pathlib import Path
 from .analysis import peak_flops
 from .config import GB, MHZ, HardwareConfig
 from .energy import EnergyTerms, energy_terms
-from .memory import (Buffers, PhaseTotals, TilingError, matmul_totals,
-                     phase_totals, sum_totals)
+from .memory import (PhaseTotals, TilingError, matmul_totals, phase_totals,
+                     sum_totals)
 from .workload import (InferenceRequest, ModelSpec, attention_matmuls,
                        build_decode_trace, build_prefill_trace,
                        weight_matmuls)
@@ -196,8 +196,7 @@ def entry_terms(totals: PhaseTotals | str, phase: str, hw: HardwareConfig,
     dram_bytes > 0, as `memory.traffic` counts every GEMM's weights."""
     if isinstance(totals, str):
         return totals
-    return totals, energy_terms(totals, phase, hw.sram, hw.arrays, hw.gating,
-                                Buffers(s, hw.buffers.global_), hw.fabric)
+    return totals, energy_terms(totals, phase, hw, s)
 
 
 def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,

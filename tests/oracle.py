@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import zlib
 from collections import namedtuple
-from math import ceil
 
 import numpy as np
 
 from acceldse.analysis import peak_flops
 from acceldse.dataflow import ArraySpec, CycleEstimate
-from acceldse.memory import Buffers, TilingError, TilingPlan, tile_set_bytes
+from acceldse.memory import TilingError, TilingPlan, tile_set_bytes
 from acceldse.workload import MatmulDims
 
 SIMULATION_MAC_GUARD = 1_000_000
@@ -133,8 +132,8 @@ def simulate_cycles(m: MatmulDims, array: ArraySpec) -> SimulatedCycles:
         raise SimulationGuardError(
             f"matmul {m.M}x{m.K}x{m.N} exceeds the {SIMULATION_MAC_GUARD} MAC guard")
     rows, cols = array.rows, array.cols
-    k_folds = ceil(m.K / rows)
-    n_folds = ceil(m.N / cols)
+    k_folds = -(-m.K // rows)  # ceil in exact integers
+    n_folds = -(-m.N // cols)
 
     cycles = 0
     in_reads = w_reads = out_writes = 0
@@ -221,24 +220,29 @@ def cell_result(totals, fabric, frequency, ext_bandwidth,
     }
 
 
-def cell_energy(result, phase, sram, arrays, gating, buffers,
-                fabric) -> dict:
-    """The energy of one evaluated phase, as `simulate --format json`
-    prints it."""
-    g = gating.saving(phase)
+def cell_energy(result, phase, hw, local) -> dict:
+    """The energy of one evaluated phase on `hw` with a `local`-byte
+    buffer per core, as `simulate --format json` prints it."""
+    fabric, global_ = hw.fabric, hw.buffers.global_
+    g = hw.gating_prefill if phase == "prefill" else hw.gating_decode
     latency = result["latency"]
-    local_leak = sram.leakage(buffers.local)
-    global_leak = sram.leakage(buffers.global_)
+    local_leak = hw.sram_leakage_per_byte * local
+    global_leak = hw.sram_leakage_per_byte * global_
     static = latency * (local_leak * fabric.cores + global_leak
-                        + arrays.leakage_w * fabric.total_arrays) * (1.0 - g)
+                        + hw.array_leakage_w * fabric.total_arrays) * (1.0 - g)
     tr = result["traffic"]
+
+    def per_access(size):
+        return hw.sram_access_energy_ref * (
+            size / hw.sram_ref_size) ** hw.sram_access_exponent
+
     dyn_parts = {
         "local_buffers": (tr.local_reads + tr.local_writes)
-        * sram.access_energy(buffers.local),
+        * per_access(local),
         "global_buffer": (tr.global_reads + tr.global_writes)
-        * sram.access_energy(buffers.global_),
-        "arrays": (arrays.dynamic_w_ref * result["utilization"]
-                   * (result["compute_cycles"] / arrays.ref_frequency)
+        * per_access(global_),
+        "arrays": (hw.array_dynamic_w_ref * result["utilization"]
+                   * (result["compute_cycles"] / hw.array_ref_frequency)
                    * fabric.total_arrays),
     }
     dynamic = sum(dyn_parts.values())
@@ -247,7 +251,7 @@ def cell_energy(result, phase, sram, arrays, gating, buffers,
     static_parts = {
         "local_buffers": latency * local_leak * fabric.cores * (1.0 - g),
         "global_buffer": latency * global_leak * (1.0 - g),
-        "arrays": latency * arrays.leakage_w * fabric.total_arrays
+        "arrays": latency * hw.array_leakage_w * fabric.total_arrays
         * (1.0 - g),
     }
     return {
@@ -285,7 +289,6 @@ def evaluate_cell(totals, phase, hw, point) -> tuple[dict, dict, dict]:
     totals."""
     result = cell_result(totals, hw.fabric, point.f, point.bw,
                          hw.onchip_bandwidth)
-    energy = cell_energy(result, phase, hw.sram, hw.arrays, hw.gating,
-                         Buffers(point.s, hw.buffers.global_), hw.fabric)
+    energy = cell_energy(result, phase, hw, point.s)
     roof = cell_roofline(result, peak_flops(hw.fabric, point.f), point.bw)
     return result, energy, roof

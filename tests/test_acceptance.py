@@ -36,8 +36,7 @@ from acceldse.config import (GB, KIB, load_hardware, load_model_spec,
                              load_request)
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count)
-from acceldse.energy import (ArrayPower, GatingPolicy, SramEnergyModel,
-                             energy_terms)
+from acceldse.energy import energy_terms
 from acceldse.memory import Buffers, PhaseTotals
 from acceldse.sweep import (METRICS, DesignPoint, SweepSpec, argmin,
                             emit_reports, evaluate_point, run_sweep,
@@ -116,23 +115,24 @@ def test_criterion_02_energy_identities():
                                      round(100.0 * HW.onchip_bandwidth))
         latency = onchip_bytes / HW.onchip_bandwidth
         gating = rng.uniform(0.0, 0.99)
-        sram = SramEnergyModel(rng.uniform(1e-12, 0.3), 2e-13, 32 * KIB, 0.5)
-        arrays = ArrayPower(rng.uniform(1e-9, 400.0), 1.25, 1e9)
+        hw = HW._replace(fabric=fabric, buffers=buffers,
+                         sram_leakage_per_byte=rng.uniform(1e-12, 0.3),
+                         array_leakage_w=rng.uniform(1e-9, 400.0),
+                         gating_prefill=gating, gating_decode=gating)
         cycles = rng.randrange(1, 10**12)
         # utilization is the MACs over the fabric's peak MACs in `cycles`
         macs = rng.randrange(cycles * fabric.macs_per_cycle + 1)
         totals = PhaseTotals(cycles, macs, 0, onchip_bytes, 0, 0, 0, 0)
-        energy = energy_terms(totals, "decode", sram, arrays,
-                              GatingPolicy(gating, gating), buffers, fabric)
+        energy = energy_terms(totals, "decode", hw, buffers.local)
         # compute takes under half as long as the on-chip transfer
-        e = evaluate_point((totals, energy), "decode",
-                           HW._replace(fabric=fabric),
+        e = evaluate_point((totals, energy), "decode", hw,
                            DesignPoint(buffers.local,
                                        2 * (cycles + 1) / latency,
                                        HW.ext_bandwidth))
         assert e.latency == latency
-        leak = (sram.leakage(buffers.local) + sram.leakage(buffers.global_)
-                + arrays.leakage_w)
+        leak = (hw.sram_leakage_per_byte * buffers.local
+                + hw.sram_leakage_per_byte * buffers.global_
+                + hw.array_leakage_w)
         expected = latency * leak * (1.0 - gating)
         worst = max(worst, abs(e.static_j - expected) / expected)
         expected_total = e.static_j + e.energy.dynamic_j

@@ -34,8 +34,8 @@ def test_shipped_constants_are_a_fixed_point(monkeypatch):
     outcome = calibrate(HW, SPEC, MODEL, REQ, target)
     # every trial reuses one table of cycles and traffic
     assert outcome.evaluations > 1 and len(tables) == 1
-    assert outcome.leakage_per_byte == HW.sram.leakage_per_byte
-    assert outcome.access_energy_ref == HW.sram.access_energy_ref
+    assert outcome.leakage_per_byte == HW.sram_leakage_per_byte
+    assert outcome.access_energy_ref == HW.sram_access_energy_ref
     assert outcome.achieved_f == 600e6
     assert outcome.displacement == abs(
         SPEC.s_values.index(outcome.achieved_s) - SPEC.s_values.index(32 * KIB))
@@ -48,7 +48,7 @@ def test_reachable_target_reports_zero_displacement():
     target = CalibrationTarget(s_bytes=base.achieved_s, f_hz=base.achieved_f)
     outcome = calibrate(HW, SPEC, MODEL, REQ, target)
     assert outcome.displacement == 0
-    assert outcome.leakage_per_byte == HW.sram.leakage_per_byte
+    assert outcome.leakage_per_byte == HW.sram_leakage_per_byte
 
 
 def test_degenerate_single_cell_grid():
@@ -62,8 +62,8 @@ def test_degenerate_single_cell_grid():
 def test_constants_file_text_round_trips():
     target = CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6)
     outcome = calibrate(HW, SPEC, MODEL, REQ, target)
-    text = constants_file_text(outcome, target, HW.sram.ref_size,
-                               HW.sram.access_exponent)
+    text = constants_file_text(outcome, target, HW.sram_ref_size,
+                               HW.sram_access_exponent)
     assert "hw.sram_leakage_w_per_byte" in text
     assert text.startswith("#")
     # parseable as a config fragment

@@ -36,10 +36,10 @@ def test_parse_baseline_config():
     assert hw.ext_bandwidth == 2048 * GB
     assert hw.onchip_bandwidth == 8 * 2048 * GB
     assert hw.frequency == 800e6
-    assert hw.arrays.leakage_w == 9.31e-3
-    assert hw.arrays.dynamic_w_ref == 1.25
-    assert hw.gating.prefill_saving == 0.04
-    assert hw.gating.decode_saving == 0.20
+    assert hw.array_leakage_w == 9.31e-3
+    assert hw.array_dynamic_w_ref == 1.25
+    assert hw.gating_prefill == 0.04
+    assert hw.gating_decode == 0.20
     # the on-chip link is fixed, not derived from the external bandwidth
     assert load_hardware({"hw.ext_bandwidth_gbps": "4096"}) \
         .onchip_bandwidth == 16384 * GB
@@ -493,6 +493,15 @@ def test_cli_diagnostic_names_only_its_key(capsys, override):
     *(f"simulate --override hw.local_buffer_kb=0.01 {flags}" for flags in (
         "--format table", "--format json", "--format csv",
         "--decode-mode mean")),
+    # counts too large for a float, though each key is in its range
+    *(pytest.param(args.replace("{big}", str(big)),
+                   id=args.replace("{big}", f"10**{len(str(big)) - 1}"))
+      for args, big in (
+          ("simulate --override model.batch={big}", 10**300),
+          ("sweep --override model.batch={big} --out {missing}", 10**300),
+          ("simulate --override model.n_layers={big}", 10**310),
+          ("simulate --phase prefill --override model.prompt_len={big}",
+           10**400))),
 ])
 def test_cli_unusable_run_exits_1_with_one_line(tmp_path, capsys, args):
     file = tmp_path / "file"
@@ -503,6 +512,7 @@ def test_cli_unusable_run_exits_1_with_one_line(tmp_path, capsys, args):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [file]  # and no file written
 
 
 # 1e302 MHz at 1 GB/s: a memory-bound cell's cycles overflow to inf

@@ -104,8 +104,8 @@ def test_fold_distribution_across_fabric():
 def utilization(m, fabric):
     """The array utilization of a phase made of the one GEMM `m`."""
     return energy_terms(matmul_totals(m, fabric, 64 * MIB, 2), "decode",
-                        HW.sram, HW.arrays, HW.gating, HW.buffers,
-                        fabric).utilization
+                        HW._replace(fabric=fabric),
+                        HW.buffers.local).utilization
 
 
 def test_utilization_single_full_fold_formula():

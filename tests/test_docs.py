@@ -1,20 +1,31 @@
 """The docs name only things that exist.
 
-Every backticked `<module>.<name>` in the README and in the package's
-docstrings, for each module the benchmark traces, must be an attribute
-of `acceldse.<module>` (dotted paths followed) or a config key.
+In the README and in the package's docstrings, every backticked
+`<module>.<name>`, for each module the benchmark traces, must be an
+attribute of `acceldse.<module>` (dotted paths followed) or a config
+key; every backticked CamelCase name an attribute of some `acceldse`
+module or a builtin; and every backticked `hw.<path>` a config key or
+an attribute path of `load_hardware({})`.
 """
 
 import ast
+import builtins
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
-from acceldse.config import KEYS
+import acceldse
+from acceldse.config import KEYS, load_hardware
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = [importlib.import_module(f"acceldse.{info.name}")
+           for info in pkgutil.iter_modules(acceldse.__path__)]
+HW = load_hardware({})
+# the README's example of a misspelt key, which config rejects
+MISSPELT = {("README.md", "hw.corez")}
 
 
 def _traced_modules() -> tuple[str, ...]:
@@ -27,7 +38,8 @@ def _traced_modules() -> tuple[str, ...]:
 
 
 REFERENCE = re.compile(
-    rf"`((?:{'|'.join(_traced_modules())})\.[A-Za-z_][\w.]*)`")
+    rf"`((?:{'|'.join(_traced_modules())}|hw)\.[A-Za-z_][\w.]*"
+    r"|[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`")
 
 
 def _docstrings(path: Path) -> str:
@@ -42,14 +54,16 @@ SOURCES = {"README.md": (ROOT / "README.md").read_text(),
            **{f"src/acceldse/{path.name}": _docstrings(path)
               for path in sorted((ROOT / "src" / "acceldse").glob("*.py"))}}
 REFERENCES = sorted({(source, ref) for source, text in SOURCES.items()
-                     for ref in REFERENCE.findall(text)})
+                     for ref in REFERENCE.findall(text)} - MISSPELT)
 
 
 def _resolves(ref: str) -> bool:
     if ref in KEYS:
         return True
-    module, *path = ref.split(".")
-    obj = importlib.import_module(f"acceldse.{module}")
+    head, *path = ref.split(".")
+    if not path:  # a CamelCase name
+        return any(hasattr(module, head) for module in (builtins, *PACKAGE))
+    obj = HW if head == "hw" else importlib.import_module(f"acceldse.{head}")
     for name in path:
         if not hasattr(obj, name):
             return False

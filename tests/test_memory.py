@@ -8,8 +8,8 @@ from acceldse.config import (GB, KIB, MIB, load_hardware, load_model_spec,
                              load_request)
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                matmul_local_accesses)
-from acceldse.memory import (TilingError, phase_totals, plan_tiling,
-                             tile_set_bytes, traffic)
+from acceldse.memory import (TilingError, TilingPlan, phase_totals,
+                             plan_tiling, tile_set_bytes, traffic)
 from acceldse.sweep import DesignPoint, entry_terms, evaluate_point
 from acceldse.workload import (MatmulDims, build_decode_trace,
                                build_prefill_trace)
@@ -209,6 +209,31 @@ def test_traffic_core_amortization():
     assert t1.dram_bytes - base == m.M * m.K * 2 * n_tiles
     assert t3.dram_bytes - base == m.M * m.K * 2 * ceil(n_tiles / 3)
     assert t1.onchip_bytes == t3.onchip_bytes  # per-tile movement unchanged
+
+
+def test_counts_are_exact_integers_beyond_float_precision():
+    # N = 2**60 + 1 columns on 1x1 arrays, one element per tile: N folds
+    # and N tiles, which a ceiling taken through a float rounds to 2**60
+    n = 2**60 + 1  # 1152921504606846977
+    m = MatmulDims(1, 1, n)
+    plan = TilingPlan(1, 1, 1)
+    one = traffic(m, plan, 1, FabricSpec(1, 1, ArraySpec(1, 1)))
+    # N rounds of one fold, 1 + 2 + 1 - 2 = 2 cycles each
+    assert one.compute_cycles == 2305843009213693954
+    assert one.macs == 1152921504606846977
+    # inputs x N tiles + N weights + N outputs, in both directions
+    assert one.global_reads == 3458764513820540931
+    assert one.global_writes == 3458764513820540931
+    # inputs once per fold-column plus N weights; N outputs, one K-fold
+    assert (one.local_reads, one.local_writes) == (2305843009213693954,
+                                                   1152921504606846977)
+    # three cores: ceil(N / 3) = (N + 1) / 3 = 384307168202282326 rounds
+    # and input waves
+    three = traffic(m, plan, 1, FabricSpec(3, 1, ArraySpec(1, 1)))
+    assert three.compute_cycles == 768614336404564652
+    assert three.global_reads == 3458764513820540931
+    # 384307168202282326 input waves + 2N
+    assert three.global_writes == three.dram_bytes == 2690150177415976280
 
 
 def test_traffic_at_least_compulsory():

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from acceldse.cli import main
-from acceldse.config import load_hardware, load_model_spec, load_request
+from acceldse.config import (HardwareConfig, load_hardware, load_model_spec,
+                             load_request)
 from acceldse.dataflow import ArraySpec, FabricSpec
-from acceldse.energy import ArrayPower, GatingPolicy, SramEnergyModel
 from acceldse.memory import PhaseTotals
 from acceldse.sweep import SweepSpec
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec
@@ -30,9 +30,9 @@ CHECKED = [
     ("Buffers.global_", "hw.global_buffer_mb=0"),
     ("HardwareConfig.ext_bandwidth", "hw.ext_bandwidth_gbps=0"),
     ("HardwareConfig.onchip_bandwidth", "hw.onchip_bandwidth_gbps=0"),
-    ("SramEnergyModel.leakage_per_byte", "hw.sram_leakage_w_per_byte=-1"),
-    ("ArrayPower.ref_frequency", "hw.array_ref_frequency_mhz=0"),
-    ("GatingPolicy.decode_saving", "hw.gating_decode=1"),
+    ("HardwareConfig.sram_leakage_per_byte", "hw.sram_leakage_w_per_byte=-1"),
+    ("HardwareConfig.array_ref_frequency", "hw.array_ref_frequency_mhz=0"),
+    ("HardwareConfig.gating_decode", "hw.gating_decode=1"),
     ("HardwareConfig.frequency", "hw.frequency_mhz=0"),
     ("SweepSpec.f_values", "sweep.frequency_mhz=,"),
     ("SweepSpec.s_values", "sweep.local_buffer_kb=2,-1"),
@@ -59,8 +59,8 @@ def test_checked_record_rejects_bad_field_on_every_path(tmp_path, capsys,
 
 @pytest.mark.parametrize("record", [
     load_model_spec({}), load_request({}), MatmulDims(2, 3, 4),
-    HW.fabric.array, HW.fabric, HW.buffers, HW, HW.sram, HW.arrays,
-    HW.gating, SweepSpec((1,), (1.0,), (1.0,), ("decode",)),
+    HW.fabric.array, HW.fabric, HW.buffers, HW,
+    SweepSpec((1,), (1.0,), (1.0,), ("decode",)),
     PhaseTotals(*range(1, 9)),
 ], ids=lambda record: type(record).__name__)
 def test_record_is_an_immutable_plain_named_tuple(record):
@@ -80,8 +80,8 @@ def test_matmul_dims_is_a_dict_key_by_value():
 
 
 @pytest.mark.parametrize("cls", [ModelSpec, InferenceRequest, ArraySpec,
-                                 FabricSpec, SramEnergyModel, ArrayPower,
-                                 GatingPolicy], ids=lambda cls: cls.__name__)
+                                 FabricSpec, HardwareConfig],
+                         ids=lambda cls: cls.__name__)
 def test_config_built_record_declares_no_defaults(cls):
     # each default is declared once, in the config tables that build these
     assert cls._field_defaults == {}

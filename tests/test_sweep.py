@@ -261,6 +261,11 @@ def test_model_invariants_hold_on_random_small_configs(
        onchip_gbps=st.integers(1, 100_000),
        gating=st.tuples(*[st.sampled_from((0.0, 0.04, 0.2))
                           | st.floats(0.0, 0.99)] * 2),
+       # the SRAM and array energy constants, bounded so nothing overflows
+       sram=st.tuples(st.floats(1e-12, 1e-3), st.floats(1e-16, 1e-9),
+                      st.integers(1, 2**20), st.floats(0.05, 2.0)),
+       arrays=st.tuples(st.floats(1e-6, 10.0), st.floats(1e-3, 100.0),
+                        st.floats(1.0, 1e4)),
        s_bytes=st.lists(st.integers(16, 8192), min_size=1, max_size=3,
                         unique=True),
        f_mhz=st.lists(st.floats(10, 5000), min_size=1, max_size=3,
@@ -272,11 +277,12 @@ def test_model_invariants_hold_on_random_small_configs(
 # S (16 bytes) that no tile set fits beside one that fits every GEMM
 @example(n_heads=1, head_dim=8, n_layers=1, batch=1, prompt_len=3, rows=3,
          cols=1, cores=4, onchip_gbps=100_000, gating=(0.0, 0.0),
+         sram=(3e-7, 2e-13, 32 * KIB, 0.5), arrays=(9.31e-3, 1.25, 1000.0),
          s_bytes=[16, 4096], f_mhz=[63.0, 5000.0], bw_gbps=[1],
          printed="decode")
 def test_split_cells_match_the_unsplit_oracle(
         n_heads, head_dim, n_layers, batch, prompt_len, rows, cols, cores,
-        onchip_gbps, gating, s_bytes, f_mhz, bw_gbps, printed):
+        onchip_gbps, gating, sram, arrays, s_bytes, f_mhz, bw_gbps, printed):
     # the overrides that configure one run, for `run_sweep` and `simulate`
     overrides = {
         "model.n_heads": n_heads, "model.head_dim": head_dim,
@@ -285,6 +291,13 @@ def test_split_cells_match_the_unsplit_oracle(
         "hw.array_rows": rows, "hw.array_cols": cols, "hw.cores": cores,
         "hw.onchip_bandwidth_gbps": onchip_gbps,
         "hw.gating_prefill": gating[0], "hw.gating_decode": gating[1],
+        "hw.sram_leakage_w_per_byte": repr(sram[0]),
+        "hw.sram_access_energy_j": repr(sram[1]),
+        "hw.sram_access_ref_kb": repr(sram[2] / KIB),
+        "hw.sram_access_exponent": repr(sram[3]),
+        "hw.array_leakage_w": repr(arrays[0]),
+        "hw.array_dynamic_w": repr(arrays[1]),
+        "hw.array_ref_frequency_mhz": repr(arrays[2]),
         "sweep.local_buffer_kb": ",".join(repr(s / KIB) for s in s_bytes),
         "sweep.frequency_mhz": ",".join(map(repr, f_mhz)),
         "sweep.bandwidth_gbps": ",".join(map(str, bw_gbps)),
