@@ -2,15 +2,17 @@
 
 Deterministic greedy coordinate search over two fields of
 `config.HardwareConfig`, `sram_leakage_per_byte` and
-`sram_access_energy_ref`; a trial is `hw` with both replaced.  Steps are
+`sram_access_energy_ref`; the search's state is one record, and each
+trial is the current best with one constant scaled.  Steps are
 multiplicative, and only a strict improvement in grid-step displacement
-of the decode EDP argmin from the target cell, which `cli.cmd_calibrate`
-keeps on the grid, is accepted; a trial that leaves no decode EDP
-finite, so has no argmin, counts as an evaluation but is skipped; the
-search stops at a fixed point.  Started from constants that already
-achieve the minimum displacement, it returns them unchanged.  The energy
-constants never touch cycles or traffic, so every trial re-evaluates one
-(phase, S) table.
+of the decode EDP argmin from the target `(S, f)` cell, which
+`cli.cmd_calibrate` keeps on the grid, is accepted; a trial that leaves
+no decode EDP finite, so has no argmin, counts as an evaluation but is
+skipped; the search stops at a fixed point and returns the calibrated
+record.  Started from constants that already achieve the minimum
+displacement, it returns `hw` unchanged.  The energy constants never
+touch cycles or traffic, so every trial re-evaluates one (phase, S)
+table.
 """
 
 from __future__ import annotations
@@ -27,46 +29,39 @@ STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
 MAX_ROUNDS = 20
 
 
-class CalibrationTarget(namedtuple("CalibrationTarget", ("s_bytes", "f_hz"))):
-    """The cell at which the decode EDP argmin is wanted."""
-
-    __slots__ = ()
-
-
 class CalibrationOutcome(namedtuple("CalibrationOutcome", (
-        "leakage_per_byte",
-        "access_energy_ref",
+        "hw",  # the start record with the two constants found
         "displacement",  # grid steps from target, summed over both axes
-        "achieved_s",
-        "achieved_f",
+        "achieved",  # the (S, f) of the decode EDP argmin at `hw`
         "evaluations",
 ))):
+    """The search's result: the calibrated `config.HardwareConfig`, how
+    far its decode EDP argmin lies from the target, that argmin's cell,
+    and the number of trials evaluated."""
+
     __slots__ = ()
 
 
-def _displacement(result: SweepResult,
-                  target: CalibrationTarget) -> tuple[int, int, float] | None:
-    """(grid steps from `target`, S, f) of the decode EDP argmin, or None
-    if no decode EDP is finite."""
+def _displacement(result: SweepResult, target: tuple[int, float]
+                  ) -> tuple[int, tuple[int, float]] | None:
+    """(grid steps from `target`, (S, f)) of the decode EDP argmin of a
+    one-block result, or None if no decode EDP is finite."""
     spec = result.spec
-    cell = argmin(result.select("decode", spec.bw_values[0]), "edp")
+    cell = argmin(result.records, "edp")
     if cell is None:
         return None
-    s_min, f_min = cell
-    steps = (abs(spec.s_values.index(s_min) - spec.s_values.index(target.s_bytes))
-             + abs(spec.f_values.index(f_min) - spec.f_values.index(target.f_hz)))
-    return steps, s_min, f_min
+    steps = sum(abs(axis.index(got) - axis.index(want)) for axis, got, want
+                in zip((spec.s_values, spec.f_values), cell, target))
+    return steps, cell
 
 
 def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
               req: InferenceRequest,
-              target: CalibrationTarget) -> CalibrationOutcome:
+              target: tuple[int, float]) -> CalibrationOutcome:
     """The search from `hw`'s two SRAM constants, every other field of
-    `hw` fixed, decode at `req.decode_step`; TilingError if no decode
-    cell of the grid fits a tile set, OutputError if the start constants
-    leave no decode EDP finite."""
-    leakage = hw.sram_leakage_per_byte
-    access = hw.sram_access_energy_ref
+    `hw` fixed, decode at `req.decode_step`, for the decode EDP argmin at
+    the `(S, f)` cell `target`; TilingError if no decode cell of the grid
+    fits a tile set, OutputError if `hw` leaves no decode EDP finite."""
     evals = 0
     # the search reads one S x f block: decode at the first BW
     spec = spec._replace(phases=("decode",), bw_values=spec.bw_values[:1])
@@ -75,55 +70,46 @@ def calibrate(hw: HardwareConfig, spec: SweepSpec, model: ModelSpec,
         raise TilingError("no decode cell can be evaluated: "
                           f"{table['decode', spec.s_values[-1]]}")
 
-    def measure(lk: float, ac: float) -> tuple[int, int, float] | None:
+    def measure(trial: HardwareConfig
+                ) -> tuple[int, tuple[int, float]] | None:
         nonlocal evals
         evals += 1
-        trial = hw._replace(sram_leakage_per_byte=lk,
-                            sram_access_energy_ref=ac)
         return _displacement(evaluate_sweep(spec, trial, table), target)
 
-    start = measure(leakage, access)
+    start = measure(hw)
     if start is None:
         raise OutputError("cannot calibrate: no decode EDP is finite")
-    best_disp, best_s, best_f = start
+    (best_disp, best_cell), best = start, hw
     for _ in range(MAX_ROUNDS):
         if best_disp == 0:
             break
         # neighbors in order; the first strict improvement is taken
-        trials = ((leakage * d, access) if coord == "leakage"
-                  else (leakage, access * d)
-                  for coord in ("leakage", "access")
+        trials = (best._replace(**{field: getattr(best, field) * d})
+                  for field in ("sram_leakage_per_byte",
+                                "sram_access_energy_ref")
                   for factor in STEP_FACTORS for d in (factor, 1.0 / factor))
-        for lk, ac in trials:
-            trial = measure(lk, ac)  # None, no decode EDP finite: not a step
-            if trial is not None and trial[0] < best_disp:
-                best_disp, best_s, best_f = trial
-                leakage, access = lk, ac
+        for trial in trials:
+            found = measure(trial)  # None, no decode EDP finite: not a step
+            if found is not None and found[0] < best_disp:
+                (best_disp, best_cell), best = found, trial
                 break
         else:
             break
-    return CalibrationOutcome(
-        leakage_per_byte=leakage,
-        access_energy_ref=access,
-        displacement=best_disp,
-        achieved_s=best_s,
-        achieved_f=best_f,
-        evaluations=evals,
-    )
+    return CalibrationOutcome(best, best_disp, best_cell, evals)
 
 
 def constants_file_text(outcome: CalibrationOutcome,
-                        target: CalibrationTarget,
-                        ref_size: int, exponent: float) -> str:
+                        target: tuple[int, float]) -> str:
+    """The constants file of `outcome.hw`'s four SRAM keys."""
+    hw, (s_want, f_want), (s_got, f_got) = outcome.hw, target, outcome.achieved
     lines = [
         "# SRAM energy calibration constants",
-        "# target: decode edp argmin at "
-        f"(S={target.s_bytes} B, f={target.f_hz:g} Hz)",
-        f"# achieved: (S={outcome.achieved_s} B, f={outcome.achieved_f:g} Hz), "
+        f"# target: decode edp argmin at (S={s_want} B, f={f_want:g} Hz)",
+        f"# achieved: (S={s_got} B, f={f_got:g} Hz), "
         f"displacement {outcome.displacement} grid step(s)",
-        f"hw.sram_leakage_w_per_byte = {outcome.leakage_per_byte!r}",
-        f"hw.sram_access_energy_j = {outcome.access_energy_ref!r}",
-        f"hw.sram_access_ref_kb = {ref_size / KIB!r}",
-        f"hw.sram_access_exponent = {exponent!r}",
+        f"hw.sram_leakage_w_per_byte = {hw.sram_leakage_per_byte!r}",
+        f"hw.sram_access_energy_j = {hw.sram_access_energy_ref!r}",
+        f"hw.sram_access_ref_kb = {hw.sram_ref_size / KIB!r}",
+        f"hw.sram_access_exponent = {hw.sram_access_exponent!r}",
     ]
     return "\n".join(lines) + "\n"

@@ -76,13 +76,20 @@ def _record_dict(r: SweepRecord) -> dict:
     }
 
 
+def _label(value: float) -> str:
+    """`value` as `:g` text if that reads back as `value`, else its repr:
+    distinct grid values get distinct labels."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _table_text(d: dict) -> str:
     """The `simulate` table of a JSON record, one padded label a line."""
     point, energy, roof = d["point"], d["energy"], d["roofline"]
     rows = [
-        ("design point", f"S={point['S_bytes'] / KIB:g} KB  "
-                         f"f={point['f_hz'] / MHZ:g} MHz  "
-                         f"BW={point['bw_bytes_per_s'] / GB:g} GB/s"),
+        ("design point", f"S={_label(point['S_bytes'] / KIB)} KB  "
+                         f"f={_label(point['f_hz'] / MHZ)} MHz  "
+                         f"BW={_label(point['bw_bytes_per_s'] / GB)} GB/s"),
         ("phase", d["phase"]), ("bound", d["bound"]),
         ("latency", f"{d['latency_s']:.6e} s"),
         ("compute time", f"{d['compute_time_s']:.6e} s"),
@@ -167,7 +174,7 @@ def cmd_roofline(args) -> int:
 
 def cmd_calibrate(args) -> int:
     # imported here: no other command needs the search
-    from .calibrate import CalibrationTarget, calibrate, constants_file_text
+    from .calibrate import calibrate, constants_file_text
 
     spec, hw, model, req = _load(args)
     # whole bytes, as the S axis is parsed; nan and inf stay off the grid
@@ -179,16 +186,16 @@ def cmd_calibrate(args) -> int:
         if value not in axis:
             raise ConfigError(f"bad value for {flag}: the calibration target "
                               f"must lie on the sweep grid")
-    target = CalibrationTarget(int(s_bytes), f_hz)
+    target = (int(s_bytes), f_hz)
     outcome = calibrate(hw, spec, model, req, target)
-    text = constants_file_text(outcome, target, hw.sram_ref_size,
-                               hw.sram_access_exponent)
+    text = constants_file_text(outcome, target)
     if args.out:
         Path(args.out).write_text(text)
         text = f"wrote constants to {args.out}\n"
-    print(f"{text}achieved argmin (S={outcome.achieved_s} B, "
-          f"f={outcome.achieved_f:g} Hz) after {outcome.evaluations} "
-          f"evaluations; displacement {outcome.displacement} grid step(s)")
+    s_got, f_got = outcome.achieved
+    print(f"{text}achieved argmin (S={s_got} B, f={f_got:g} Hz) after "
+          f"{outcome.evaluations} evaluations; displacement "
+          f"{outcome.displacement} grid step(s)")
     if outcome.displacement > 0:
         print("error: target argmin not reachable; best displacement "
               f"{outcome.displacement} grid step(s)", file=sys.stderr)
@@ -209,10 +216,12 @@ def cmd_report(args) -> int:
         for metric, label in ARGMIN_METRICS.items():
             cell = entry[f"{metric}_argmin"]  # None: every cell infeasible
             where = "none" if cell is None else (
-                f"S={cell['S_bytes'] / KIB:g} KB, f={cell['f_hz'] / MHZ:g} MHz")
+                f"S={_label(cell['S_bytes'] / KIB)} KB, "
+                f"f={_label(cell['f_hz'] / MHZ)} MHz")
             lines.append(f"  {label + ' argmin':<20}{where}")
         transitions = {
-            f"{int(s) / KIB:g}KB": (f"{mhz:g} MHz" if mhz else "none")
+            f"{_label(int(s) / KIB)}KB": (f"{_label(mhz)} MHz" if mhz
+                                          else "none")
             for s, mhz in entry["bound_transition_mhz"].items()}
         lines.append(f"  memory-bound from   {transitions}")
     if args.out:

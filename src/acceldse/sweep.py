@@ -368,7 +368,7 @@ def summary_dict(result: SweepResult, decode_step: int) -> dict:
     }
     for phase in result.spec.phases:
         for bw in result.spec.bw_values:
-            key = f"{phase}@{int(bw / GB)}GBps"
+            key = f"{phase}@{round(bw / GB)}GBps"
             # the lowest frequency at which each S is memory-bound, if any
             lowest: dict[int, float] = {}
             block = result.select(phase, bw)
@@ -392,7 +392,7 @@ def emit_reports(result: SweepResult, out_dir: str | Path,
     """Write grid CSVs, the roofline CSV and `summary`, every text built
     first: an OutputError leaves the directory and every file unwritten."""
     out = Path(out_dir)
-    builds = {out / f"{metric}_{phase}_bw{int(bw / GB)}.csv":
+    builds = {out / f"{metric}_{phase}_bw{round(bw / GB)}.csv":
               (_grid_csv, result.select(phase, bw), metric, phase, bw)
               for metric in METRICS for phase in result.spec.phases
               for bw in result.spec.bw_values}

@@ -1,11 +1,11 @@
+import hashlib
 from pathlib import Path
 
 from acceldse import calibrate as calibrate_module
-from acceldse.calibrate import (CalibrationTarget, calibrate,
-                                constants_file_text)
+from acceldse.calibrate import calibrate, constants_file_text
 from acceldse.cli import main
 from acceldse.config import (GB, KIB, load_hardware, load_model_spec,
-                             load_request)
+                             load_request, parse_config)
 from acceldse.sweep import SweepSpec
 
 BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
@@ -30,54 +30,57 @@ def test_shipped_constants_are_a_fixed_point(monkeypatch):
     build = calibrate_module.phase_table
     monkeypatch.setattr(calibrate_module, "phase_table",
                         lambda *args: tables.append(args) or build(*args))
-    target = CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6)
+    target = (32 * KIB, 600e6)
     outcome = calibrate(HW, SPEC, MODEL, REQ, target)
     # every trial reuses one table of cycles and traffic
     assert outcome.evaluations > 1 and len(tables) == 1
-    assert outcome.leakage_per_byte == HW.sram_leakage_per_byte
-    assert outcome.access_energy_ref == HW.sram_access_energy_ref
-    assert outcome.achieved_f == 600e6
+    assert outcome.hw.sram_leakage_per_byte == HW.sram_leakage_per_byte
+    assert outcome.hw.sram_access_energy_ref == HW.sram_access_energy_ref
+    assert outcome.achieved[1] == 600e6
     assert outcome.displacement == abs(
-        SPEC.s_values.index(outcome.achieved_s) - SPEC.s_values.index(32 * KIB))
+        SPEC.s_values.index(outcome.achieved[0]) - SPEC.s_values.index(32 * KIB))
 
 
 def test_reachable_target_reports_zero_displacement():
     # ask for the cell the default calibration actually reaches
-    base = calibrate(HW, SPEC, MODEL, REQ,
-                     CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6))
-    target = CalibrationTarget(s_bytes=base.achieved_s, f_hz=base.achieved_f)
+    base = calibrate(HW, SPEC, MODEL, REQ, (32 * KIB, 600e6))
+    target = base.achieved
     outcome = calibrate(HW, SPEC, MODEL, REQ, target)
     assert outcome.displacement == 0
-    assert outcome.leakage_per_byte == HW.sram_leakage_per_byte
+    assert outcome.hw.sram_leakage_per_byte == HW.sram_leakage_per_byte
 
 
 def test_degenerate_single_cell_grid():
     spec = SweepSpec((32 * KIB,), (600e6,), (2048 * GB,), ("decode",))
-    outcome = calibrate(HW, spec, MODEL, REQ,
-                        CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6))
+    outcome = calibrate(HW, spec, MODEL, REQ, (32 * KIB, 600e6))
     assert outcome.displacement == 0
     assert outcome.evaluations == 1  # first search point already satisfies
 
 
-def test_constants_file_text_round_trips():
-    target = CalibrationTarget(s_bytes=32 * KIB, f_hz=600e6)
-    outcome = calibrate(HW, SPEC, MODEL, REQ, target)
-    text = constants_file_text(outcome, target, HW.sram_ref_size,
-                               HW.sram_access_exponent)
-    assert "hw.sram_leakage_w_per_byte" in text
-    assert text.startswith("#")
-    # parseable as a config fragment
-    from acceldse.config import parse_config
-    import tempfile, os
-    with tempfile.NamedTemporaryFile("w", suffix=".conf", delete=False) as fh:
-        fh.write(text)
-        path = fh.name
-    try:
+def test_constants_file_text_round_trips(tmp_path):
+    # from the shipped constants, which the search keeps, and from a
+    # leakage it moves (1e-7 W/B reaches the target at 2.5e-8)
+    target = (32 * KIB, 600e6)
+    for start in ({}, {"hw.sram_leakage_w_per_byte": "1e-7"}):
+        hw = load_hardware(start)
+        outcome = calibrate(hw, SPEC, MODEL, REQ, target)
+        text = constants_file_text(outcome, target)
+        assert text.startswith("#")
+        # parseable as a config fragment: loaded over the same config, it
+        # gives the calibrated record, all four SRAM keys included
+        path = tmp_path / "constants.conf"
+        path.write_text(text)
         values = parse_config(path)
-        assert float(values["hw.sram_leakage_w_per_byte"]) == \
-            outcome.leakage_per_byte
-    finally:
-        os.unlink(path)
+        assert {key for key in values if key.startswith("hw.sram_")} == {
+            "hw.sram_leakage_w_per_byte", "hw.sram_access_energy_j",
+            "hw.sram_access_ref_kb", "hw.sram_access_exponent"}
+        assert load_hardware({**start, **values}) == outcome.hw
+        # the search changes the two constants it searches and no other
+        assert outcome.hw._replace(
+            sram_leakage_per_byte=hw.sram_leakage_per_byte,
+            sram_access_energy_ref=hw.sram_access_energy_ref) == hw
+    assert outcome.hw.sram_leakage_per_byte == 2.5e-8
+    assert outcome.displacement == 0
 
 
 def test_cli_calibrate_exit_codes(tmp_path, capsys):
@@ -113,3 +116,17 @@ def test_cli_calibrate_skips_only_trials_that_overflow(capsys):
     # at 1e303 no start cell is finite: nothing to search from
     assert run("1e303") == (
         1, "", "error: cannot calibrate: no decode EDP is finite\n")
+
+
+def test_cli_calibrate_accepts_a_step(capsysbinary):
+    # from 1e-7 W/B, leakage x 1/4 is the third evaluation and reaches
+    # the target; stdout recorded before the search's state was one
+    # hardware record
+    code = main(["calibrate", "--config", str(BASELINE),
+                 "--override", "hw.sram_leakage_w_per_byte=1e-7"])
+    out = capsysbinary.readouterr().out
+    assert code == 0
+    assert b"hw.sram_leakage_w_per_byte = 2.5e-08\n" in out
+    assert out.endswith(b"after 3 evaluations; displacement 0 grid step(s)\n")
+    assert hashlib.sha256(out).hexdigest() == (
+        "c8d60dc44bdb519105bc17d8275ae3f434bb5770fe2cd984c978ce96cd94ab34")

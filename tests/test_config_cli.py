@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from acceldse import cli, config, sweep
 from acceldse.cli import build_parser, main
-from acceldse.config import (GB, KIB, ConfigError, apply_overrides,
+from acceldse.config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                              load_hardware, load_model_spec, load_request,
                              load_sweep_axes, parse_config)
 from acceldse.sweep import ARGMIN_METRICS, SweepSpec, run_sweep
@@ -256,6 +257,66 @@ def test_cli_report_prints_one_argmin_line_per_summary_argmin(tmp_path,
             label = ARGMIN_METRICS[name.removesuffix("_argmin")]
             assert sum(line.startswith(f"  {label} argmin ")
                        for line in argmins) == 1, (key, name)
+
+
+# grid values whose `:g` text, six significant digits, reads back as a
+# neighbour's: 1048577 B next to 1 MiB, and two f within 1e-6 MHz of 600
+CLOSE_VALUES = ["sweep.local_buffer_kb=1024,1024.001",
+                "sweep.frequency_mhz=600.0000001,600.0000002",
+                "sweep.bandwidth_gbps=2048", "sweep.phases=decode"]
+
+
+def test_cli_report_labels_read_back_as_grid_values(capsys):
+    overrides = [arg for item in CLOSE_VALUES for arg in ("--override", item)]
+    assert main(["report", "--config", str(BASELINE), *overrides]) == 0
+    out = capsys.readouterr().out
+    s_values, f_values, _, _ = load_sweep_axes(
+        apply_overrides(parse_config(BASELINE), CLOSE_VALUES))
+    kb = {s / KIB for s in s_values}
+    mhz = {f / MHZ for f in f_values}
+    cells = re.findall(r"S=(\S+) KB, f=(\S+) MHz", out)
+    assert len(cells) == len(ARGMIN_METRICS)
+    assert all(float(s) in kb and float(f) in mhz for s, f in cells)
+    [line] = [line for line in out.splitlines() if "memory-bound from" in line]
+    transitions = ast.literal_eval(line.split("from", 1)[1].strip())
+    # one key per S: neither size is dropped
+    assert {float(key.removesuffix("KB")) for key in transitions} == kb
+    assert {float(value.removesuffix(" MHz"))
+            for value in transitions.values()} <= mhz
+
+
+def test_cli_simulate_table_labels_read_back_as_the_design_point(capsys):
+    assert main(["simulate", "--config", str(BASELINE),
+                 "--override", "hw.local_buffer_kb=1024.001",
+                 "--override", "hw.frequency_mhz=600.0000001",
+                 "--override", "hw.ext_bandwidth_gbps=2048.0000001"]) == 0
+    hw = load_hardware(apply_overrides(parse_config(BASELINE), [
+        "hw.local_buffer_kb=1024.001", "hw.frequency_mhz=600.0000001",
+        "hw.ext_bandwidth_gbps=2048.0000001"]))
+    [row] = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("design point")]
+    s, f, bw = re.fullmatch(
+        r"design point +S=(\S+) KB  f=(\S+) MHz  BW=(\S+) GB/s", row).groups()
+    assert (float(s), float(f), float(bw)) == (
+        hw.buffers.local / KIB, hw.frequency / MHZ, hw.ext_bandwidth / GB)
+
+
+def test_cli_sweep_keeps_bandwidths_whose_quotient_rounds_down(tmp_path,
+                                                               capsys):
+    # 6898329841e9 / 1e9 is just below 6898329841: truncated, it named
+    # the same files and summary key as 6898329840, and one was lost
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(BASELINE), "--out", str(out),
+                 "--override", "sweep.bandwidth_gbps=6898329840,6898329841",
+                 "--override", "sweep.local_buffer_kb=64",
+                 "--override", "sweep.frequency_mhz=800"]) == 0
+    assert capsys.readouterr().out == (
+        f"evaluated 4 records, wrote 34 files to {out}\n")
+    grids = json.loads((out / "summary.json").read_text())["grids"]
+    assert sorted(grids) == [f"{phase}@{gbps}GBps"
+                             for phase in ("decode", "prefill")
+                             for gbps in (6898329840, 6898329841)]
+    assert len(list(out.glob("edp_decode_bw689832984[01].csv"))) == 2
 
 
 def test_cli_report_out_builds_the_summary_once(tmp_path, monkeypatch,

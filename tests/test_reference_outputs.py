@@ -55,6 +55,18 @@ def test_benchmark_workload_matches_reference(name, tmp_path, monkeypatch,
     assert WL.mismatches(WL.load_references()[name], observed) == []
 
 
+@pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
+def test_benchmark_setup_probe_runs_silently(name):
+    # the benchmark times this probe as `setup_s`: it must load each
+    # workload's config through the public loaders and print nothing
+    proc = subprocess.run(
+        [sys.executable, "perfbench/probe.py", WL.CONFIG,
+         *WL.WORKLOADS[name].overrides],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 STDOUT_DIGESTS = {
     ("simulate", "--phase", "prefill", "--format", "table"):
         "c4e05cc4fecb0f3668cbe99bc1a003307208644eb9fdd1a19be55ace12a85e20",
