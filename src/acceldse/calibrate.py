@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .config import KIB, HardwareConfig
+from .config import KIB, HardwareConfig, SweepSpec
 from .memory import TilingError
-from .sweep import (OutputError, SweepResult, SweepSpec, argmin,
-                    evaluate_sweep, phase_table)
+from .sweep import (OutputError, SweepResult, argmin, evaluate_sweep, label,
+                    phase_table)
 from .workload import InferenceRequest, ModelSpec
 
 STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
@@ -104,8 +104,8 @@ def constants_file_text(outcome: CalibrationOutcome,
     hw, (s_want, f_want), (s_got, f_got) = outcome.hw, target, outcome.achieved
     lines = [
         "# SRAM energy calibration constants",
-        f"# target: decode edp argmin at (S={s_want} B, f={f_want:g} Hz)",
-        f"# achieved: (S={s_got} B, f={f_got:g} Hz), "
+        f"# target: decode edp argmin at (S={s_want} B, f={label(f_want)} Hz)",
+        f"# achieved: (S={s_got} B, f={label(f_got)} Hz), "
         f"displacement {outcome.displacement} grid step(s)",
         f"hw.sram_leakage_w_per_byte = {hw.sram_leakage_per_byte!r}",
         f"hw.sram_access_energy_j = {hw.sram_access_energy_ref!r}",

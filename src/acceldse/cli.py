@@ -12,15 +12,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (GB, KIB, MHZ, ConfigError, apply_overrides,
+from .config import (GB, KIB, MHZ, ConfigError, SweepSpec, apply_overrides,
                      load_hardware, load_model_spec, load_request,
                      load_sweep_axes, parse_config)
 from .energy import by_component, sram_access_energy
 from .memory import PhaseTotals, TilingError
-from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, DesignPoint, OutputError,
-                    SweepRecord, SweepResult, SweepSpec,
-                    decode_mean_over_generation, emit_reports, json_text,
-                    output_text, roofline_row, run_sweep, summary_dict)
+from .sweep import (ARGMIN_METRICS, ROOFLINE_HEADER, OutputError, SweepRecord,
+                    SweepResult, decode_mean_over_generation, emit_reports,
+                    json_text, label, output_text, roofline_row, run_sweep,
+                    summary_dict)
 from .workload import PHASES
 
 EXIT_OK = 0
@@ -39,7 +39,7 @@ def _load(args):
     """(sweep spec, hardware, model, request) of the configured run, in
     `run_sweep`'s order; every key is parsed once."""
     values = apply_overrides(parse_config(args.config), args.override or [])
-    spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
+    spec = load_sweep_axes(values)
     hw = load_hardware(values)
     try:  # the exponent is positive: the largest buffer costs most
         sram_access_energy(hw, max(*hw.buffers, spec.s_values[-1]))
@@ -53,8 +53,7 @@ def _load(args):
 def _record_dict(r: SweepRecord) -> dict:
     """The JSON record of one evaluated cell."""
     return {
-        "point": {"S_bytes": r.point.s, "f_hz": r.point.f,
-                  "bw_bytes_per_s": r.point.bw},
+        "point": {"S_bytes": r.s, "f_hz": r.f, "bw_bytes_per_s": r.bw},
         "phase": r.phase,
         "compute_cycles": r.totals.compute_cycles,
         "compute_time_s": r.compute_time,
@@ -76,20 +75,13 @@ def _record_dict(r: SweepRecord) -> dict:
     }
 
 
-def _label(value: float) -> str:
-    """`value` as `:g` text if that reads back as `value`, else its repr:
-    distinct grid values get distinct labels."""
-    text = f"{value:g}"
-    return text if float(text) == value else repr(value)
-
-
 def _table_text(d: dict) -> str:
     """The `simulate` table of a JSON record, one padded label a line."""
     point, energy, roof = d["point"], d["energy"], d["roofline"]
     rows = [
-        ("design point", f"S={_label(point['S_bytes'] / KIB)} KB  "
-                         f"f={_label(point['f_hz'] / MHZ)} MHz  "
-                         f"BW={_label(point['bw_bytes_per_s'] / GB)} GB/s"),
+        ("design point", f"S={label(point['S_bytes'] / KIB)} KB  "
+                         f"f={label(point['f_hz'] / MHZ)} MHz  "
+                         f"BW={label(point['bw_bytes_per_s'] / GB)} GB/s"),
         ("phase", d["phase"]), ("bound", d["bound"]),
         ("latency", f"{d['latency_s']:.6e} s"),
         ("compute time", f"{d['compute_time_s']:.6e} s"),
@@ -113,7 +105,7 @@ def _table_text(d: dict) -> str:
     rows += [("mean over gen", f"{mean['mean_latency_s']:.6e} s/token, "
               f"{mean['mean_total_j']:.6e} J/token "
               f"({int(mean['steps'])} steps)")] if mean else []
-    return "".join(f"{label:<17}{value}\n" for label, value in rows)
+    return "".join(f"{name:<17}{value}\n" for name, value in rows)
 
 
 def _csv_text(d: dict) -> str:
@@ -128,14 +120,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--decode-mode mean needs --phase decode and "
                           "--format table or json")
     _, hw, model, req = _load(args)
-    point = DesignPoint(hw.buffers.local, hw.frequency, hw.ext_bandwidth)
-    spec = SweepSpec((point.s,), (point.f,), (point.bw,), (args.phase,))
+    spec = SweepSpec((hw.buffers.local,), (hw.frequency,),
+                     (hw.ext_bandwidth,), (args.phase,))
     [record] = run_sweep(spec, hw, model, req).records
     if not record.ok:
         raise TilingError(record.error)
     d = _record_dict(record)
     if args.decode_mode == "mean":
-        d["decode_mean"] = decode_mean_over_generation(hw, model, req, point)
+        d["decode_mean"] = decode_mean_over_generation(hw, model, req)
     # every format prints numbers of the record: one check serves them all
     text = output_text("print the record", json_text, d)
     print(text if args.format == "json" else
@@ -193,7 +185,7 @@ def cmd_calibrate(args) -> int:
         Path(args.out).write_text(text)
         text = f"wrote constants to {args.out}\n"
     s_got, f_got = outcome.achieved
-    print(f"{text}achieved argmin (S={s_got} B, f={f_got:g} Hz) after "
+    print(f"{text}achieved argmin (S={s_got} B, f={label(f_got)} Hz) after "
           f"{outcome.evaluations} evaluations; displacement "
           f"{outcome.displacement} grid step(s)")
     if outcome.displacement > 0:
@@ -213,15 +205,15 @@ def cmd_report(args) -> int:
     for key in sorted(summary["grids"]):
         entry = summary["grids"][key]
         lines.append(f"{key}:")
-        for metric, label in ARGMIN_METRICS.items():
+        for metric, name in ARGMIN_METRICS.items():
             cell = entry[f"{metric}_argmin"]  # None: every cell infeasible
             where = "none" if cell is None else (
-                f"S={_label(cell['S_bytes'] / KIB)} KB, "
-                f"f={_label(cell['f_hz'] / MHZ)} MHz")
-            lines.append(f"  {label + ' argmin':<20}{where}")
+                f"S={label(cell['S_bytes'] / KIB)} KB, "
+                f"f={label(cell['f_hz'] / MHZ)} MHz")
+            lines.append(f"  {name + ' argmin':<20}{where}")
         transitions = {
-            f"{_label(int(s) / KIB)}KB": (f"{_label(mhz)} MHz" if mhz
-                                          else "none")
+            f"{label(int(s) / KIB)}KB": (f"{label(mhz)} MHz" if mhz
+                                         else "none")
             for s, mhz in entry["bound_transition_mhz"].items()}
         lines.append(f"  memory-bound from   {transitions}")
     if args.out:
@@ -238,15 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "systolic-array accelerator")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_out=False):
+    def common(p):
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable, last writer wins")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted and ignored: evaluation is serial, "
                             "and outputs are identical for any N")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="evaluate one design point")
     common(p)
@@ -259,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run the full design-space sweep")
-    common(p, needs_out=True)
+    common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("roofline", help="print roofline points for a phase")

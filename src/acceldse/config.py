@@ -52,6 +52,17 @@ class HardwareConfig(namedtuple("HardwareConfig", (
     __slots__ = ()
 
 
+class SweepSpec(namedtuple("SweepSpec", (
+        "s_values",  # bytes, ascending
+        "f_values",  # Hz, ascending
+        "bw_values",  # bytes/s, ascending
+        "phases",
+))):
+    """The sweep's axes, each sorted and distinct, and its phases."""
+
+    __slots__ = ()
+
+
 def _scaled(unit: float, cast=float):
     """Parser of a finite number given in `unit`s, as `cast(number * unit)`."""
     def parse(text: str):
@@ -73,16 +84,16 @@ def _whole_gbps(text: str) -> float:
 
 def _axis(parse):
     """Parser of a comma-separated list, as its sorted distinct values."""
-    def parse_axis(text: str) -> list:
+    def parse_axis(text: str) -> tuple:
         axis = sorted({parse(part) for part in text.split(",") if part.strip()})
         if not axis or axis[0] <= 0:
             raise ValueError("need one or more positive values")
-        return axis
+        return tuple(axis)
     return parse_axis
 
 
-def _phases(text: str) -> list[str]:
-    phases = [name.strip() for name in text.split(",") if name.strip()]
+def _phases(text: str) -> tuple[str, ...]:
+    phases = tuple(name.strip() for name in text.split(",") if name.strip())
     if (not phases or len(set(phases)) < len(phases)
             or not set(phases) <= set(PHASES)):
         raise ValueError(f"need one or more of {', '.join(PHASES)}, "
@@ -245,6 +256,6 @@ def load_hardware(values: dict[str, str]) -> HardwareConfig:
         **_parse(values, _HARDWARE))
 
 
-def load_sweep_axes(values: dict[str, str]) -> tuple[list[int], list[float], list[float], list[str]]:
-    """(S bytes, f Hz, BW bytes/s, phases); each axis sorted and distinct."""
-    return tuple(_parse(values, _SWEEP).values())
+def load_sweep_axes(values: dict[str, str]) -> SweepSpec:
+    """The sweep's axes and phases, the phases in the configured order."""
+    return SweepSpec(**_parse(values, _SWEEP))

@@ -6,17 +6,19 @@ the reason no tile set fits, which every cell of that entry records as
 its error (`phase_table`).  An evaluation of the table pairs each
 entry's totals with their energy terms, which f and BW never touch
 (`entry_terms`), then computes each (f, BW) cell from them in closed
-form (`evaluate_point`) as one flat `SweepRecord`, from whose few fields
-every reported quantity is read.  The clock and the bandwidths enter
-only there, in the compute time and in the memory time: the slower of
-the external and on-chip links.  Evaluation is serial and pure, so
-results are bit-identical for identical inputs.  The records of one
-(phase, BW) are its S x f grid (`SweepResult.select`).  A metric's
-argmin cell is read from its finite values, and is None where there are
-none; only a block with an argmin has contour levels.  Reports are
-per-metric grid CSVs, a roofline CSV, and a JSON summary with argmin
-cells, contour levels and bound-transition frequencies; every output's
-numbers must be finite (`output_text`).
+form (`evaluate_point`) as one flat `SweepRecord`: the cell's (phase,
+S, f, BW), then the few fields every reported quantity is read from.
+The clock and the bandwidths enter only there, in the compute time and
+in the memory time: the slower of the external and on-chip links.
+Evaluation is serial and pure, so results are bit-identical for
+identical inputs.  The records of one (phase, BW) are its S x f grid
+(`SweepResult.select`).  A metric's argmin cell is read from its finite
+values, and is None where there are none; only a block with an argmin
+has contour levels.  Reports are per-metric grid CSVs, a roofline CSV,
+and a JSON summary with argmin cells, contour levels and
+bound-transition frequencies; every output's numbers must be finite
+(`output_text`), and a grid value's label for people reads back as the
+value (`label`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import isfinite
 from pathlib import Path
 
 from .analysis import peak_flops
-from .config import GB, MHZ, HardwareConfig
+from .config import GB, MHZ, HardwareConfig, SweepSpec
 from .energy import EnergyTerms, energy_terms
 from .memory import (PhaseTotals, TilingError, matmul_totals, phase_totals,
                      sum_totals)
@@ -39,26 +41,11 @@ SCHEMA_VERSION = 1
 DECODE_CONVENTION = "per_output_token_at_fixed_step"
 
 
-class SweepSpec(namedtuple("SweepSpec", (
-        "s_values",  # bytes, ascending
-        "f_values",  # Hz, ascending
-        "bw_values",  # bytes/s, ascending
-        "phases",
-))):
-    __slots__ = ()
-
-
-class DesignPoint(namedtuple("DesignPoint", (
+class SweepRecord(namedtuple("SweepRecord", (
+        "phase",
         "s",  # local buffer bytes
         "f",  # Hz
         "bw",  # external bytes/s
-))):
-    __slots__ = ()
-
-
-class SweepRecord(namedtuple("SweepRecord", (
-        "point",
-        "phase",
         "totals",  # the (phase, S) entry's PhaseTotals; None on error
         "energy",  # the entry's EnergyTerms; None on error
         # what f and BW set; None on error
@@ -69,7 +56,8 @@ class SweepRecord(namedtuple("SweepRecord", (
         "peak",  # flops/s at f
         "error",  # why the cell could not be evaluated, else None
 ), defaults=(None,) * 8)):
-    """One sweep cell.  Every other quantity is read from these fields."""
+    """One sweep cell: its coordinates (phase, S, f, BW), then what they
+    give.  Every other quantity is read from these fields."""
 
     __slots__ = ()
 
@@ -80,7 +68,7 @@ class SweepRecord(namedtuple("SweepRecord", (
     @property
     def total_cycles(self) -> float:
         # grows with f when memory-bound
-        return self.latency * self.point.f
+        return self.latency * self.f
 
     @property
     def compute_fraction(self) -> float:
@@ -114,7 +102,7 @@ class SweepRecord(namedtuple("SweepRecord", (
     @property
     def attainable(self) -> float:
         """Flops/s under the roofline min(peak, bw * oi)."""
-        return min(self.peak, self.point.bw * self.oi)
+        return min(self.peak, self.bw * self.oi)
 
     @property
     def achieved(self) -> float:
@@ -125,8 +113,7 @@ class SweepRecord(namedtuple("SweepRecord", (
     def ridge_side(self) -> str:
         """The roofline side: "memory" below the ridge point peak / bw,
         else "compute"."""
-        return ("memory" if self.oi < self.peak / self.point.bw
-                else "compute")
+        return "memory" if self.oi < self.peak / self.bw else "compute"
 
 
 class SweepResult(namedtuple("SweepResult", (
@@ -147,9 +134,10 @@ class SweepResult(namedtuple("SweepResult", (
 
 
 def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
-                                req: InferenceRequest,
-                                point: DesignPoint) -> dict[str, float]:
-    """Per-token decode metrics averaged over the gen_tokens (>= 1) steps.
+                                req: InferenceRequest) -> dict[str, float]:
+    """Per-token decode metrics averaged over the gen_tokens (>= 1) steps,
+    at `hw`'s own point: S = `hw.buffers.local`, f = `hw.frequency` and
+    BW = `hw.ext_bandwidth`, the cell `simulate` prints.
 
     The default reporting convention is a single fixed step; this is the
     alternative convention for workloads where KV growth over the whole
@@ -159,8 +147,8 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     Step 0 is tiled in trace order, so an S too small for one of its GEMMs
     raises the TilingError a sweep of that step raises.
     """
-    b = model.bytes_per_element
-    tiled = {m: matmul_totals(m, hw.fabric, point.s, b)
+    s, b = hw.buffers.local, model.bytes_per_element
+    tiled = {m: matmul_totals(m, hw.fabric, s, b)
              for m in build_decode_trace(model, req, 0).matmuls}
     weights = sum_totals([(tiled[m], count) for m, count
                           in weight_matmuls(model, rows=req.batch)])
@@ -169,12 +157,13 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
         attention = attention_matmuls(model, req.batch, q_len=1,
                                       kv_len=req.prompt_len + step)
         if step:  # step 0's attention GEMMs were tiled with its trace
-            tiled = {m: matmul_totals(m, hw.fabric, point.s, b)
+            tiled = {m: matmul_totals(m, hw.fabric, s, b)
                      for m, _ in attention}
         totals = sum_totals([(weights, 1),
                              *((tiled[m], count) for m, count in attention)])
-        record = evaluate_point(entry_terms(totals, "decode", hw, point.s),
-                                "decode", hw, point)
+        record = evaluate_point(entry_terms(totals, "decode", hw, s),
+                                "decode", hw, s, hw.frequency,
+                                hw.ext_bandwidth)
         latency += record.latency
         energy += record.total_j
         edp_sum += record.edp
@@ -200,9 +189,10 @@ def entry_terms(totals: PhaseTotals | str, phase: str, hw: HardwareConfig,
 
 
 def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
-                   phase: str, hw: HardwareConfig,
-                   point: DesignPoint) -> SweepRecord:
-    """One sweep cell: its (phase, S) entry at the point's f and BW.
+                   phase: str, hw: HardwareConfig, s: int, f: float,
+                   bw: float) -> SweepRecord:
+    """The record of the cell (phase, S, f, BW): its (phase, S) entry,
+    totals and energy terms or error, at f and BW.
 
     compute_time covers the arrays; memory_time covers external and
     on-chip transfers.  The global buffer decouples compute from memory
@@ -211,16 +201,16 @@ def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
     gated leakage, >= 0 as every factor is within the config's ranges.
     """
     if isinstance(entry, str):
-        return SweepRecord(point, phase, error=entry)
+        return SweepRecord(phase, s, f, bw, error=entry)
     totals, energy = entry
-    compute_time = totals.compute_cycles / point.f
-    memory_time = max(totals.dram_bytes / point.bw,
+    compute_time = totals.compute_cycles / f
+    memory_time = max(totals.dram_bytes / bw,
                       totals.onchip_bytes / hw.onchip_bandwidth)
     latency = max(compute_time, memory_time)
-    return SweepRecord(point, phase, totals, energy, compute_time,
+    return SweepRecord(phase, s, f, bw, totals, energy, compute_time,
                        memory_time, latency,
                        latency * energy.static_w * energy.ungated,
-                       peak_flops(hw.fabric, point.f))
+                       peak_flops(hw.fabric, f))
 
 
 def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
@@ -249,7 +239,7 @@ def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
     energy terms are computed once for all of its cells."""
     entries = {phase: [(s, entry_terms(table[phase, s], phase, hw, s))
                        for s in spec.s_values] for phase in spec.phases}
-    records = tuple(evaluate_point(entry, phase, hw, DesignPoint(s, f, bw))
+    records = tuple(evaluate_point(entry, phase, hw, s, f, bw)
                     for phase in spec.phases
                     for bw in spec.bw_values
                     for s, entry in entries[phase]
@@ -291,7 +281,7 @@ def argmin(block: tuple[SweepRecord, ...],
     value = METRICS[metric]
     best = min((r for r in block if r.ok and isfinite(value(r))), key=value,
                default=None)
-    return None if best is None else (best.point.s, best.point.f)
+    return None if best is None else (best.s, best.f)
 
 
 def contour_levels(block: tuple[SweepRecord, ...], metric: str) -> list[float]:
@@ -315,6 +305,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def label(value: float) -> str:
+    """`value` as `:g` text if that reads back as `value`, else its repr:
+    distinct grid values get distinct labels."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def json_text(value) -> str:
     """`value` as indented, key-sorted JSON, whose numbers must be finite."""
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -335,7 +332,7 @@ def _grid_csv(block: tuple[SweepRecord, ...], metric: str, phase: str,
     lines = ["metric,phase,bandwidth",
              f"{metric},{phase},{_fmt(bw)}",
              "S_bytes,f_hz,value"]
-    lines += [f"{r.point.s},{_fmt(r.point.f)},"
+    lines += [f"{r.s},{_fmt(r.f)},"
               f"{_fmt(value(r)) if r.ok else 'nan'}" for r in block]
     return "\n".join(lines) + "\n"
 
@@ -345,7 +342,7 @@ ROOFLINE_HEADER = "bandwidth,S_bytes,f_hz,oi,attainable,achieved,bound"
 
 def roofline_row(r: SweepRecord) -> str:
     """One evaluated record's roofline point, in ROOFLINE_HEADER order."""
-    return (f"{_fmt(r.point.bw)},{r.point.s},{_fmt(r.point.f)},"
+    return (f"{_fmt(r.bw)},{r.s},{_fmt(r.f)},"
             f"{_fmt(r.oi)},{_fmt(r.attainable)},{_fmt(r.achieved)},"
             f"{r.ridge_side}")
 
@@ -374,7 +371,7 @@ def summary_dict(result: SweepResult, decode_step: int) -> dict:
             block = result.select(phase, bw)
             for r in block:  # f ascends within each S
                 if r.ok and r.memory_bound:
-                    lowest.setdefault(r.point.s, r.point.f / MHZ)
+                    lowest.setdefault(r.s, r.f / MHZ)
             entry: dict = {"bound_transition_mhz": {
                 str(s): lowest.get(s) for s in result.spec.s_values}}
             for metric in ARGMIN_METRICS:

@@ -74,8 +74,8 @@ def attention_matmuls(model: ModelSpec, batch: int, q_len: int,
             (MatmulDims(q_len, kv_len, hd), count))
 
 
-def _layer_matmuls(model: ModelSpec, rows: int, batch: int,
-                   kv_len: int, q_len: int) -> dict[MatmulDims, int]:
+def _layer_matmuls(model: ModelSpec, batch: int, kv_len: int,
+                   q_len: int) -> dict[MatmulDims, int]:
     """Five sublayer groups in layer order: QKV, attention, MLP.
 
     GEMMs whose shapes coincide share one entry, where the first of them
@@ -84,7 +84,7 @@ def _layer_matmuls(model: ModelSpec, rows: int, batch: int,
     (M, K, N) alone and totals are integer sums, so merging changes no
     result.
     """
-    qkv, *mlp = weight_matmuls(model, rows)
+    qkv, *mlp = weight_matmuls(model, batch * q_len)
     counts: dict[MatmulDims, int] = {}
     for m, count in (qkv, *attention_matmuls(model, batch, q_len, kv_len),
                      *mlp):
@@ -94,8 +94,7 @@ def _layer_matmuls(model: ModelSpec, rows: int, batch: int,
 
 def build_prefill_trace(model: ModelSpec, req: InferenceRequest) -> PhaseTrace:
     """Whole-prompt trace: T = batch * prompt_len token rows per layer."""
-    return PhaseTrace(_layer_matmuls(model, req.batch * req.prompt_len,
-                                     req.batch, kv_len=req.prompt_len,
+    return PhaseTrace(_layer_matmuls(model, req.batch, kv_len=req.prompt_len,
                                      q_len=req.prompt_len))
 
 
@@ -104,5 +103,5 @@ def build_decode_trace(model: ModelSpec, req: InferenceRequest,
     """Single-token trace at generation step 0 <= `step` < gen_tokens, the
     range `config.load_request` checks decode_step in: attention sees the
     prompt and every earlier generated token, kv_len = prompt_len + step."""
-    return PhaseTrace(_layer_matmuls(model, rows=req.batch, batch=req.batch,
+    return PhaseTrace(_layer_matmuls(model, req.batch,
                                      kv_len=req.prompt_len + step, q_len=1))

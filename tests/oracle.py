@@ -284,11 +284,10 @@ def cell_roofline(result: dict, peak: float, bw: float) -> dict:
     }
 
 
-def evaluate_cell(totals, phase, hw, point) -> tuple[dict, dict, dict]:
-    """(result, energy, roofline point) of one sweep cell from its phase's
-    totals."""
-    result = cell_result(totals, hw.fabric, point.f, point.bw,
-                         hw.onchip_bandwidth)
-    energy = cell_energy(result, phase, hw, point.s)
-    roof = cell_roofline(result, peak_flops(hw.fabric, point.f), point.bw)
+def evaluate_cell(totals, phase, hw, s, f, bw) -> tuple[dict, dict, dict]:
+    """(result, energy, roofline point) of the sweep cell (phase, S, f, BW)
+    from its phase's totals."""
+    result = cell_result(totals, hw.fabric, f, bw, hw.onchip_bandwidth)
+    energy = cell_energy(result, phase, hw, s)
+    roof = cell_roofline(result, peak_flops(hw.fabric, f), bw)
     return result, energy, roof

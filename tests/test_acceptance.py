@@ -32,15 +32,14 @@ import time
 
 import pytest
 
-from acceldse.config import (GB, KIB, load_hardware, load_model_spec,
-                             load_request)
+from acceldse.config import (GB, KIB, SweepSpec, load_hardware,
+                             load_model_spec, load_request)
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count)
 from acceldse.energy import energy_terms
 from acceldse.memory import Buffers, PhaseTotals
-from acceldse.sweep import (METRICS, DesignPoint, SweepSpec, argmin,
-                            emit_reports, evaluate_point, run_sweep,
-                            summary_dict)
+from acceldse.sweep import (METRICS, argmin, emit_reports, evaluate_point,
+                            run_sweep, summary_dict)
 from acceldse.workload import MatmulDims
 from oracle import simulate_cycles
 
@@ -78,7 +77,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
 def grid(result, metric, phase, bw=BASELINE_BW):
     """{(S, f): metric} over the (phase, BW) block."""
     value = METRICS[metric]
-    return {(r.point.s, r.point.f): value(r) for r in result.select(phase, bw)}
+    return {(r.s, r.f): value(r) for r in result.select(phase, bw)}
 
 
 def test_criterion_01_cycle_model_oracle_equivalence():
@@ -125,10 +124,8 @@ def test_criterion_02_energy_identities():
         totals = PhaseTotals(cycles, macs, 0, onchip_bytes, 0, 0, 0, 0)
         energy = energy_terms(totals, "decode", hw, buffers.local)
         # compute takes under half as long as the on-chip transfer
-        e = evaluate_point((totals, energy), "decode", hw,
-                           DesignPoint(buffers.local,
-                                       2 * (cycles + 1) / latency,
-                                       HW.ext_bandwidth))
+        e = evaluate_point((totals, energy), "decode", hw, buffers.local,
+                           2 * (cycles + 1) / latency, HW.ext_bandwidth)
         assert e.latency == latency
         leak = (hw.sram_leakage_per_byte * buffers.local
                 + hw.sram_leakage_per_byte * buffers.global_
@@ -149,9 +146,9 @@ def test_criterion_03_roofline_law(sweep_result):
     for r in sweep_result.records:
         assert r.ok
         fabric = HW.fabric
-        peak = fabric.macs_per_cycle * 2 * r.point.f
-        assert r.attainable == min(peak, r.point.bw * r.oi)
-        assert r.achieved <= r.attainable, (r.point, r.phase)
+        peak = fabric.macs_per_cycle * 2 * r.f
+        assert r.attainable == min(peak, r.bw * r.oi)
+        assert r.achieved <= r.attainable, r[:4]  # (phase, S, f, BW)
         checked += 1
     ok = report("criterion 3: roofline law", True, f"{checked} cells")
     assert ok
@@ -180,9 +177,9 @@ def test_criterion_05_bound_transition(sweep_result):
     flips = {}
     for s_kb in (32, 64, 128, 256, 512, 1024):
         s = s_kb * KIB
-        records = {r.point.f: r for r in
+        records = {r.f: r for r in
                    sweep_result.select("decode", BASELINE_BW)
-                   if r.point.s == s}
+                   if r.s == s}
         assert not records[400e6].memory_bound, s_kb
         assert records[600e6].memory_bound, s_kb
         flips[s_kb] = "400->600"
@@ -219,9 +216,9 @@ def test_criterion_06_decode_compute_fraction(sweep_result):
     f_hi = [f * 1e6 for f in F_MHZ if f >= 600]
     crossings = []
     for s_kb in S_KB:
-        by_f = {r.point.f: r
+        by_f = {r.f: r
                 for r in sweep_result.select("decode", BASELINE_BW)
-                if r.point.s == s_kb * KIB}
+                if r.s == s_kb * KIB}
         assert len({res.totals.compute_cycles
                     for res in by_f.values()}) == 1, s_kb
         results = [by_f[f] for f in f_hi]
@@ -313,7 +310,7 @@ def test_criterion_08_decode_argmin_is_32kb(sweep_result):
     for f in (f * 1e6 for f in F_MHZ):
         totals = [r.totals
                   for r in sweep_result.select("decode", BASELINE_BW)
-                  if r.point.f == f]
+                  if r.f == f]
         dram = [t.dram_bytes for t in totals]
         assert max(dram) / min(dram) - 1.0 < 1e-3, f
         assert len({(t.local_reads, t.local_writes) for t in totals}) == 1, f
@@ -369,7 +366,7 @@ def test_criterion_09_bandwidth_shifts_argmin(sweep_result):
     """
     for bw in (BASELINE_BW, QUAD_BW):
         for r in sweep_result.select("decode", bw):
-            assert r.memory_time == r.totals.dram_bytes / bw, r.point
+            assert r.memory_time == r.totals.dram_bytes / bw, r[:4]
     assert not any(r.memory_bound
                    for r in sweep_result.select("decode", QUAD_BW))
     _, f_base = _edp_argmin(sweep_result, BASELINE_BW)
@@ -388,9 +385,9 @@ def test_criterion_10_bandwidth_ceiling(sweep_result):
     s = 64 * KIB
     f = 1400e6
     base = next(r for r in sweep_result.select("decode", BASELINE_BW)
-                if r.point.s == s and r.point.f == f)
+                if r.s == s and r.f == f)
     quad = next(r for r in sweep_result.select("decode", QUAD_BW)
-                if r.point.s == s and r.point.f == f)
+                if r.s == s and r.f == f)
     assert base.memory_bound
     ratio = quad.achieved / base.achieved
     ok = report("criterion 10: bandwidth ceiling", 2.5 <= ratio <= 4.0,

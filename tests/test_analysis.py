@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acceldse.analysis import peak_flops
-from acceldse.config import KIB, load_hardware, load_model_spec, load_request
+from acceldse.config import (KIB, SweepSpec, load_hardware, load_model_spec,
+                             load_request)
 from acceldse.dataflow import FabricSpec
 from acceldse.memory import PhaseTotals, phase_totals
-from acceldse.sweep import (METRICS, DesignPoint, SweepRecord, SweepSpec,
-                            argmin, contour_levels, entry_terms,
-                            evaluate_point, run_sweep)
+from acceldse.sweep import (METRICS, SweepRecord, argmin, contour_levels,
+                            entry_terms, evaluate_point, run_sweep)
 from acceldse.workload import build_decode_trace
 
 
 def point_with(flops, dram_bytes, latency, peak, bw):
     """The record of a phase of `flops` and `dram_bytes` that takes
     `latency` seconds under a compute roof of `peak` flops/s."""
-    return SweepRecord(DesignPoint(64 * KIB, 1e9, bw), "decode",
+    return SweepRecord("decode", 64 * KIB, 1e9, bw,
                        totals=PhaseTotals(1, flops // 2, dram_bytes,
                                           0, 0, 0, 0, 0),
                        compute_time=latency, memory_time=latency,
@@ -43,7 +43,7 @@ def test_roofline_compute_bound_above_ridge():
 def test_roofline_ridge_point_is_compute_side():
     pt = point_with(flops=10**11, dram_bytes=10**9, latency=1.0,  # oi = 100
                     peak=100e9, bw=1e9)
-    assert pt.oi == pt.peak / pt.point.bw
+    assert pt.oi == pt.peak / pt.bw
     assert pt.ridge_side == "compute"
 
 
@@ -70,7 +70,7 @@ DECODE = evaluate_point(
     entry_terms(phase_totals(build_decode_trace(load_model_spec({}),
                                                 load_request({}), 0),
                              HW.fabric, 64 * KIB, 2), "decode", HW, 64 * KIB),
-    "decode", HW, DesignPoint(64 * KIB, 800e6, HW.ext_bandwidth))
+    "decode", HW, 64 * KIB, 800e6, HW.ext_bandwidth)
 
 
 def record_with(total_j, latency):
@@ -101,12 +101,12 @@ def block_from(latencies):
     block = []
     for si, row in enumerate(latencies):
         for fi, latency in enumerate(row):
-            point = DesignPoint(16384 * (si + 1), 2e8 * (fi + 1),
-                                HW.ext_bandwidth)
+            s, f = 16384 * (si + 1), 2e8 * (fi + 1)
             block.append(
-                SweepRecord(point, "decode", error="no tile set fits")
+                SweepRecord("decode", s, f, HW.ext_bandwidth,
+                            error="no tile set fits")
                 if latency is None
-                else record_with(1.0, latency)._replace(point=point))
+                else record_with(1.0, latency)._replace(s=s, f=f))
     return tuple(block)
 
 
@@ -117,7 +117,7 @@ def test_select_block_is_the_s_major_grid():
                      ("decode",))
     result = run_sweep(spec, HW, load_model_spec({}), load_request({}))
     block = result.select("decode", HW.ext_bandwidth)
-    assert [(r.point.s, r.point.f, r.ok) for r in block] == [
+    assert [(r.s, r.f, r.ok) for r in block] == [
         (8, 4e8, False), (8, 8e8, False),
         (64 * KIB, 4e8, True), (64 * KIB, 8e8, True)]
     assert argmin(block, "latency") == (64 * KIB, 8e8)
@@ -165,7 +165,7 @@ def test_argmin_is_the_first_finite_minimum(latencies, metric):
     for r in block:
         if r.ok and isfinite(value(r)) and (best is None
                                             or value(r) < best[0]):
-            best = value(r), (r.point.s, r.point.f)
+            best = value(r), (r.s, r.f)
     assert argmin(block, metric) == (None if best is None else best[1])
 
 

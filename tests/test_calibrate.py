@@ -1,12 +1,12 @@
 import hashlib
+import re
 from pathlib import Path
 
 from acceldse import calibrate as calibrate_module
 from acceldse.calibrate import calibrate, constants_file_text
 from acceldse.cli import main
-from acceldse.config import (GB, KIB, load_hardware, load_model_spec,
-                             load_request, parse_config)
-from acceldse.sweep import SweepSpec
+from acceldse.config import (GB, KIB, MHZ, SweepSpec, load_hardware,
+                             load_model_spec, load_request, parse_config)
 
 BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
 
@@ -130,3 +130,15 @@ def test_cli_calibrate_accepts_a_step(capsysbinary):
     assert out.endswith(b"after 3 evaluations; displacement 0 grid step(s)\n")
     assert hashlib.sha256(out).hexdigest() == (
         "c8d60dc44bdb519105bc17d8275ae3f434bb5770fe2cd984c978ce96cd94ab34")
+
+
+def test_cli_calibrate_clocks_read_back_as_grid_values(capsys):
+    # two clocks 0.1 Hz apart: the target's and the achieved cell's differ
+    # in every line that names one (`:g` printed both as 6e+08 Hz)
+    code = main(["calibrate", "--config", str(BASELINE),
+                 "--override", "sweep.frequency_mhz=600,600.0000001",
+                 "--target-f-mhz", "600.0000001"])
+    out = capsys.readouterr().out
+    assert code == 1  # the target lies 2 grid steps from the argmin
+    assert [float(f) for f in re.findall(r"f=(\S+) Hz", out)] == [
+        600.0000001 * MHZ, 600 * MHZ, 600 * MHZ]

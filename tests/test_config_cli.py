@@ -15,7 +15,7 @@ from acceldse.cli import build_parser, main
 from acceldse.config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                              load_hardware, load_model_spec, load_request,
                              load_sweep_axes, parse_config)
-from acceldse.sweep import ARGMIN_METRICS, SweepSpec, run_sweep
+from acceldse.sweep import ARGMIN_METRICS, run_sweep
 from acceldse.workload import PHASES, InferenceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,9 +53,9 @@ def test_baseline_config_sets_every_key():
 
 def test_sweep_axes_defaults():
     s, f, bw, phases = load_sweep_axes(parse_config(BASELINE))
-    assert s == [k * KIB for k in (16, 32, 64, 128, 256, 512, 1024)]
-    assert f == [m * 1e6 for m in (200, 400, 600, 800, 1000, 1200, 1400)]
-    assert bw == [b * GB for b in (2048, 4096, 8192)]
+    assert s == tuple(k * KIB for k in (16, 32, 64, 128, 256, 512, 1024))
+    assert f == tuple(m * 1e6 for m in (200, 400, 600, 800, 1000, 1200, 1400))
+    assert bw == tuple(b * GB for b in (2048, 4096, 8192))
     assert len(phases) == 2
 
 
@@ -356,7 +356,7 @@ def test_cli_non_zero_decode_step_reaches_every_output(tmp_path, monkeypatch,
     assert main(["report", "--config", str(BASELINE), *step]) == 0
     assert "(step 5)" in capsys.readouterr().out
     values = parse_config(BASELINE)
-    spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
+    spec = load_sweep_axes(values)
     run = spec, load_hardware(values), load_model_spec(values)
     req = load_request(values)
     at_5 = run_sweep(*run, req._replace(decode_step=5))
@@ -394,7 +394,7 @@ def test_phase_names_are_declared_once():
                    if action.dest == "phase"]
         assert tuple(phase.choices) == PHASES
     for name in PHASES:
-        assert load_sweep_axes({"sweep.phases": name})[3] == [name]
+        assert load_sweep_axes({"sweep.phases": name}).phases == (name,)
     for name in ("decode_step", "Prefill", "DECODE"):
         with pytest.raises(ConfigError, match="sweep.phases"):
             load_sweep_axes({"sweep.phases": name})

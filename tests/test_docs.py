@@ -11,6 +11,7 @@ an attribute path of `load_hardware({})`.
 import ast
 import builtins
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import acceldse
+from acceldse.cli import main
 from acceldse.config import KEYS, load_hardware
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +81,22 @@ def test_readme_and_docstrings_both_name_modules():
                          ids=[f"{s}:{r}" for s, r in REFERENCES])
 def test_doc_reference_exists(source, ref):
     assert _resolves(ref), f"{source} names `{ref}`, which does not exist"
+
+
+def _keys(value):
+    """Every key of a JSON value, at any depth."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+
+
+def test_readme_lists_every_key_of_the_json_record(capsys):
+    assert main(["simulate", "--config", str(ROOT / "configs" / "baseline.conf"),
+                 "--decode-mode", "mean", "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    readme = SOURCES["README.md"]
+    start = readme.index("`simulate --format json` prints one record")
+    listed = set(re.findall(r"`(\w+)`",
+                            readme[start:readme.index("`--format csv`", start)]))
+    assert set(_keys(record)) - listed == set()

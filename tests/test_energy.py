@@ -8,8 +8,8 @@ from acceldse.config import (GB, KIB, MIB, ConfigError, load_hardware,
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import by_component, energy_terms, sram_access_energy
 from acceldse.memory import Buffers, PhaseTotals, phase_totals
-from acceldse.sweep import (DesignPoint, SweepSpec, entry_terms,
-                            evaluate_point, evaluate_sweep, phase_table)
+from acceldse.sweep import (entry_terms, evaluate_point, evaluate_sweep,
+                            phase_table)
 from acceldse.workload import build_decode_trace, build_prefill_trace
 
 HW = load_hardware({})
@@ -33,16 +33,16 @@ def fake_energy(latency, phase, hw, cycles=1000, util=0.5):
     totals = PhaseTotals(cycles, round(util * cycles * fabric.macs_per_cycle),
                          0, latency, 0, 0, 0, 0)
     energy = energy_terms(totals, phase, hw, local)
-    point = DesignPoint(local, 2 * (cycles + 1) / latency, EXT_BW)
     return evaluate_point((totals, energy), phase,
-                          hw._replace(onchip_bandwidth=1.0), point)
+                          hw._replace(onchip_bandwidth=1.0), local,
+                          2 * (cycles + 1) / latency, EXT_BW)
 
 
 def evaluate(totals, phase, buffers, f):
     """The record of a phase's totals at f and the default bandwidths,
     with the default 40 MB global buffer."""
     return evaluate_point(entry_terms(totals, phase, HW, buffers.local),
-                          phase, HW, DesignPoint(buffers.local, f, EXT_BW))
+                          phase, HW, buffers.local, f, EXT_BW)
 
 
 def leakage_w(hw, local) -> float:
@@ -154,7 +154,7 @@ def test_cell_energy_composition():
     assert r.static_j == pytest.approx(r.latency * leak * 0.8, rel=1e-12)
 
 
-DEFAULT_SPEC = SweepSpec(*map(tuple, load_sweep_axes({})))
+DEFAULT_SPEC = load_sweep_axes({})
 DEFAULT_TABLE = phase_table(DEFAULT_SPEC, HW, MODEL, REQ)
 
 

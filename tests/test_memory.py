@@ -10,7 +10,7 @@ from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                matmul_local_accesses)
 from acceldse.memory import (TilingError, TilingPlan, phase_totals,
                              plan_tiling, tile_set_bytes, traffic)
-from acceldse.sweep import DesignPoint, entry_terms, evaluate_point
+from acceldse.sweep import entry_terms, evaluate_point
 from acceldse.workload import (MatmulDims, build_decode_trace,
                                build_prefill_trace)
 from oracle import search_plan
@@ -274,7 +274,7 @@ def at(trace, f_hz, phase="decode"):
     and the default bandwidths."""
     totals = phase_totals(trace, FABRIC, 64 * KIB, 2)
     return evaluate_point(entry_terms(totals, phase, HW, 64 * KIB), phase,
-                          HW, DesignPoint(64 * KIB, f_hz, EXT_BW))
+                          HW, 64 * KIB, f_hz, EXT_BW)
 
 
 def test_latency_overlap_model():

@@ -7,16 +7,22 @@ from pathlib import Path
 
 import pytest
 
+from acceldse.calibrate import calibrate
 from acceldse.cli import main
-from acceldse.config import (HardwareConfig, load_hardware, load_model_spec,
-                             load_request)
+from acceldse.config import (GB, KIB, HardwareConfig, SweepSpec,
+                             load_hardware, load_model_spec, load_request)
 from acceldse.dataflow import ArraySpec, FabricSpec
-from acceldse.memory import PhaseTotals
-from acceldse.sweep import SweepSpec
+from acceldse.memory import Buffers, PhaseTotals, TilingPlan
+from acceldse.sweep import run_sweep
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec
 
 BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
 HW = load_hardware({})
+# one decode cell, and the search of a grid of that one cell
+CELL = SweepSpec((64 * KIB,), (8e8,), (2048 * GB,), ("decode",))
+RESULT = run_sweep(CELL, HW, load_model_spec({}), load_request({}))
+OUTCOME = calibrate(HW, CELL, load_model_spec({}), load_request({}),
+                    (64 * KIB, 8e8))
 
 # (the record field a key builds, a value out of that key's range)
 CHECKED = [
@@ -61,7 +67,8 @@ def test_checked_record_rejects_bad_field_on_every_path(tmp_path, capsys,
     load_model_spec({}), load_request({}), MatmulDims(2, 3, 4),
     HW.fabric.array, HW.fabric, HW.buffers, HW,
     SweepSpec((1,), (1.0,), (1.0,), ("decode",)),
-    PhaseTotals(*range(1, 9)),
+    PhaseTotals(*range(1, 9)), TilingPlan(1, 1, 1),
+    RESULT, RESULT.records[0], RESULT.records[0].energy, OUTCOME,
 ], ids=lambda record: type(record).__name__)
 def test_record_is_an_immutable_plain_named_tuple(record):
     assert "__new__" not in vars(type(record))  # no checks of its own
@@ -80,7 +87,8 @@ def test_matmul_dims_is_a_dict_key_by_value():
 
 
 @pytest.mark.parametrize("cls", [ModelSpec, InferenceRequest, ArraySpec,
-                                 FabricSpec, HardwareConfig],
+                                 FabricSpec, Buffers, HardwareConfig,
+                                 SweepSpec],
                          ids=lambda cls: cls.__name__)
 def test_config_built_record_declares_no_defaults(cls):
     # each default is declared once, in the config tables that build these

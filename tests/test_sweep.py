@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from acceldse import memory, sweep
 from acceldse.cli import main
-from acceldse.config import (GB, KIB, apply_overrides, load_hardware,
-                             load_model_spec, load_request, load_sweep_axes,
-                             parse_config)
+from acceldse.config import (GB, KIB, SweepSpec, apply_overrides,
+                             load_hardware, load_model_spec, load_request,
+                             load_sweep_axes, parse_config)
 from acceldse.energy import by_component
 from acceldse.memory import TilingError, phase_totals
-from acceldse.sweep import (METRICS, DesignPoint, OutputError, SweepSpec,
+from acceldse.sweep import (METRICS, OutputError, SweepRecord,
                             decode_mean_over_generation, emit_reports,
                             entry_terms, evaluate_point, evaluate_sweep,
                             phase_table, run_sweep, summary_dict)
@@ -67,7 +67,7 @@ def test_small_sweep_complete_and_ordered():
     result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
     assert len(result.records) == 3 * 2 * 1 * 2
     assert result.complete
-    points = [(r.phase, r.point.bw, r.point.s, r.point.f) for r in result.records]
+    points = [(r.phase, r.bw, r.s, r.f) for r in result.records]
     assert points == sorted(points, key=lambda p: (
         ["prefill", "decode"].index(p[0]), p[1], p[2], p[3]))
 
@@ -80,7 +80,7 @@ def test_select_returns_one_phase_bandwidth_block():
         for bw in spec.bw_values:
             assert result.select(phase, bw) == tuple(
                 r for r in result.records
-                if r.phase == phase and r.point.bw == bw)
+                if r.phase == phase and r.bw == bw)
 
 
 def test_single_point_matches_direct_evaluation():
@@ -92,11 +92,18 @@ def test_single_point_matches_direct_evaluation():
                           MODEL.bytes_per_element)
     direct = evaluate_point(entry_terms(totals, "decode", HW,
                                         64 * KIB),
-                            "decode", HW,
-                            DesignPoint(64 * KIB, 800e6, 2048 * GB))
+                            "decode", HW, 64 * KIB, 800e6, 2048 * GB)
     got = result.records[0]
     assert got == direct
     assert got.edp == direct.edp
+
+
+def test_record_leads_with_its_cell():
+    # the cell's coordinates are the record's own first four fields
+    assert SweepRecord._fields[:4] == ("phase", "s", "f", "bw")
+    [record] = run_sweep(SweepSpec((8,), (800e6,), (2048 * GB,), ("decode",)),
+                         HW, MODEL, REQ).records
+    assert record[:4] == ("decode", 8, 800e6, 2048 * GB) and not record.ok
 
 
 def test_infeasible_cells_recorded_not_skipped(tmp_path):
@@ -104,11 +111,11 @@ def test_infeasible_cells_recorded_not_skipped(tmp_path):
     result = run_sweep(spec, HW, MODEL, REQ)
     assert len(result.records) == 2
     bad = [r for r in result.records if not r.ok]
-    assert len(bad) == 1 and bad[0].point.s == 8
+    assert len(bad) == 1 and bad[0].s == 8
     assert not result.complete
     # grids stay dense: the error cell keeps its place, and its value is NaN
     block = result.select("decode", 2048 * GB)
-    assert [(r.point.s, r.ok) for r in block] == [(8, False), (64 * KIB, True)]
+    assert [(r.s, r.ok) for r in block] == [(8, False), (64 * KIB, True)]
     emit_reports(result, tmp_path, summary_dict(result, 0))
     rows = (tmp_path / "latency_decode_bw2048.csv").read_text().splitlines()
     assert rows[3:] == ["8,800000000.0,nan",
@@ -168,8 +175,8 @@ def test_bound_transition_is_lowest_memory_bound_frequency(spec):
                 "bound_transition_mhz"]
             assert list(got) == [str(s) for s in spec.s_values]
             for s in spec.s_values:
-                bound = [r.point.f for r in result.records
-                         if (r.phase, r.point.bw, r.point.s) == (phase, bw, s)
+                bound = [r.f for r in result.records
+                         if (r.phase, r.bw, r.s) == (phase, bw, s)
                          and r.ok and r.memory_bound]
                 want = min(bound) / 1e6 if bound else None
                 assert got[str(s)] == want, (phase, bw, s)
@@ -195,12 +202,12 @@ def test_cells_share_phase_totals_and_obey_closed_form(s_kb, f_mhz, bw_gbps):
     for rec in run_sweep(spec, HW, MODEL, REQ).records:
         t = rec.totals
         # cycles and traffic depend on (phase, S) only, never on f or BW
-        shared = first.setdefault((rec.phase, rec.point.s), t)
+        shared = first.setdefault((rec.phase, rec.s), t)
         assert t == shared
         assert rec.latency >= rec.compute_time
-        assert rec.latency >= t.dram_bytes / rec.point.bw
+        assert rec.latency >= t.dram_bytes / rec.bw
         assert rec.latency >= t.onchip_bytes / HW.onchip_bandwidth
-        assert rec.total_cycles == pytest.approx(rec.latency * rec.point.f,
+        assert rec.total_cycles == pytest.approx(rec.latency * rec.f,
                                                  rel=1e-12)
 
 
@@ -243,7 +250,7 @@ def test_model_invariants_hold_on_random_small_configs(
         assert 0 < rec.energy.utilization <= 1
         assert rec.achieved <= rec.attainable
         assert 0 < rec.compute_fraction <= 1
-        along_f.setdefault((rec.phase, rec.point.bw, rec.point.s),
+        along_f.setdefault((rec.phase, rec.bw, rec.s),
                            []).append(rec)  # f ascends
     # latency, energy and EDP never rise with f, exactly
     for cell, recs in along_f.items():
@@ -308,18 +315,19 @@ def test_split_cells_match_the_unsplit_oracle(
     argv = [f"{key}={value}" for key, value in overrides.items()]
     values = apply_overrides(parse_config(BASELINE), argv)
     hw = load_hardware(values)
-    spec = SweepSpec(*map(tuple, load_sweep_axes(values)))
+    spec = load_sweep_axes(values)
     model, req = load_model_spec(values), load_request(values)
     table = phase_table(spec, hw, model, req)
     oracle = {}
     for rec in run_sweep(spec, hw, model, req).records:
-        totals = table[rec.phase, rec.point.s]
+        totals = table[rec.phase, rec.s]
         if isinstance(totals, str):  # no tile set fits this S
             assert rec.error == totals
-            oracle[rec.phase, rec.point] = None
+            oracle[rec[:4]] = None  # keyed by (phase, S, f, BW)
             continue
-        result, energy, roof = evaluate_cell(totals, rec.phase, hw, rec.point)
-        oracle[rec.phase, rec.point] = energy
+        result, energy, roof = evaluate_cell(totals, rec.phase, hw, rec.s,
+                                             rec.f, rec.bw)
+        oracle[rec[:4]] = energy
         t = rec.totals
         got = {
             "compute_cycles": t.compute_cycles,
@@ -342,8 +350,8 @@ def test_split_cells_match_the_unsplit_oracle(
             contextlib.redirect_stderr(io.StringIO()):
         code = main(["simulate", "--config", BASELINE, "--phase", printed,
                      "--format", "json", *(f"--override={o}" for o in argv)])
-    want = oracle[printed, DesignPoint(hw.buffers.local, hw.frequency,
-                                       hw.ext_bandwidth)]
+    want = oracle[printed, hw.buffers.local, hw.frequency,
+                  hw.ext_bandwidth]
     if want is None:
         assert code == 1
     else:
@@ -383,10 +391,11 @@ def test_total_energy_monotone_in_sram_constants(leakage, access,
 
 # --- decode mean over the generation -----------------------------------------
 
-def per_step_mean(hw, model, req, point):
-    """The decode mean as one single-cell `run_sweep` per generation step,
-    every step tiled from scratch."""
-    spec = SweepSpec((point.s,), (point.f,), (point.bw,), ("decode",))
+def per_step_mean(hw, model, req):
+    """The decode mean as one single-cell `run_sweep` per generation step
+    at `hw`'s own point, every step tiled from scratch."""
+    spec = SweepSpec((hw.buffers.local,), (hw.frequency,),
+                     (hw.ext_bandwidth,), ("decode",))
     latency = energy = edp_sum = 0.0
     for step in range(req.gen_tokens):
         [record] = run_sweep(spec, hw, model,
@@ -409,7 +418,8 @@ def per_step_mean(hw, model, req, point):
 
 def small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows, cols,
               s_bytes):
-    """(hardware, model, request, point) of a small decode run."""
+    """(hardware, model, request) of a small decode run whose local
+    buffer holds `s_bytes`."""
     values = {"model.n_heads": str(n_heads), "model.head_dim": str(head_dim),
               "model.d_model": str(n_heads * head_dim),
               "model.n_layers": "2", "model.batch": str(batch),
@@ -418,8 +428,8 @@ def small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows, cols,
               "hw.array_rows": str(rows), "hw.array_cols": str(cols),
               "hw.cores": "3"}
     hw = load_hardware(values)
-    point = DesignPoint(s_bytes, hw.frequency, hw.ext_bandwidth)
-    return hw, load_model_spec(values), load_request(values), point
+    hw = hw._replace(buffers=hw.buffers._replace(local=s_bytes))
+    return hw, load_model_spec(values), load_request(values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,7 +470,6 @@ def test_decode_mean_tiles_each_distinct_gemm_once(monkeypatch):
     monkeypatch.setattr(memory, "plan_tiling",
                         lambda *args: calls.append(args) or tile(*args))
     req = load_request({"model.gen_tokens": "256"})
-    point = DesignPoint(HW.buffers.local, HW.frequency, HW.ext_bandwidth)
-    decode_mean_over_generation(HW, MODEL, req, point)
+    decode_mean_over_generation(HW, MODEL, req)
     # the three weight GEMMs once, the two attention GEMMs once per kv_len
     assert len(calls) == 3 + 2 * 256

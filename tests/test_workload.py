@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from acceldse.cli import main
 from acceldse.config import KIB, load_hardware, load_model_spec, load_request
 from acceldse.memory import phase_totals
-from acceldse.sweep import DesignPoint, entry_terms, evaluate_point
+from acceldse.sweep import entry_terms, evaluate_point
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
                                PhaseTrace, attention_matmuls,
                                build_decode_trace, build_prefill_trace,
@@ -114,9 +114,9 @@ def test_decode_toy_shapes():
 def test_phase_flops_two_per_mac(dims, flops):
     totals = phase_totals(PhaseTrace({MatmulDims(*dims): 1}), HW.fabric,
                           64 * KIB, 2)
-    point = DesignPoint(64 * KIB, HW.frequency, HW.ext_bandwidth)
-    record = evaluate_point(entry_terms(totals, "prefill", HW, point.s),
-                            "prefill", HW, point)
+    record = evaluate_point(entry_terms(totals, "prefill", HW, 64 * KIB),
+                            "prefill", HW, 64 * KIB, HW.frequency,
+                            HW.ext_bandwidth)
     assert record.flops == flops
 
 
