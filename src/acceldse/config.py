@@ -126,7 +126,6 @@ _saving = _checked(_float, lambda value: 0 <= value < 1, "a value in [0, 1)")
 
 # Per spec: field -> (key, parser, default text).
 _MODEL = {
-    "d_model": ("model.d_model", _count, "12288"),
     "n_heads": ("model.n_heads", _count, "96"),
     "head_dim": ("model.head_dim", _count, "128"),
     "mlp_ratio": ("model.mlp_ratio", _count, "4"),
@@ -224,13 +223,8 @@ def _parse(values: dict[str, str], table: dict) -> dict:
 
 
 def load_model_spec(values: dict[str, str]) -> ModelSpec:
-    model = ModelSpec(**_parse(values, _MODEL))
-    if model.n_heads * model.head_dim != model.d_model:
-        raise ConfigError(
-            "bad values for model.n_heads, model.head_dim and model.d_model: "
-            f"n_heads * head_dim must equal d_model ({model.n_heads} * "
-            f"{model.head_dim} != {model.d_model})")
-    return model
+    """The model; its d_model is n_heads * head_dim, not a key."""
+    return ModelSpec(**_parse(values, _MODEL))
 
 
 def load_request(values: dict[str, str]) -> InferenceRequest:

@@ -3,11 +3,12 @@
 Cycles and traffic depend only on the phase and the local buffer size S,
 so the sweep tiles each (phase, S) once into a table of totals, or of
 the reason no tile set fits, which every cell of that entry records as
-its error (`phase_table`).  An evaluation of the table pairs each
-entry's totals with their energy terms, which f and BW never touch
-(`entry_terms`), then computes each (f, BW) cell from them in closed
-form (`evaluate_point`) as one flat `SweepRecord`: the cell's (phase,
-S, f, BW), then the few fields every reported quantity is read from.
+its error (`phase_table`).  An evaluation of the table gives each
+entry's error to its cells, or computes the energy terms of its totals,
+which f and BW never touch (`energy.energy_terms`), and then each (f,
+BW) cell from both in closed form (`evaluate_point`) as one flat
+`SweepRecord`: the cell's (phase, S, f, BW), then the few fields every
+reported quantity is read from (`evaluate_sweep`).
 The clock and the bandwidths enter only there, in the compute time and
 in the memory time: the slower of the external and on-chip links.
 Evaluation is serial and pure, so results are bit-identical for
@@ -161,7 +162,7 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
                      for m, _ in attention}
         totals = sum_totals([(weights, 1),
                              *((tiled[m], count) for m, count in attention)])
-        record = evaluate_point(entry_terms(totals, "decode", hw, s),
+        record = evaluate_point(totals, energy_terms(totals, "decode", hw, s),
                                 "decode", hw, s, hw.frequency,
                                 hw.ext_bandwidth)
         latency += record.latency
@@ -178,21 +179,12 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     }
 
 
-def entry_terms(totals: PhaseTotals | str, phase: str, hw: HardwareConfig,
-                s: int) -> tuple[PhaseTotals, EnergyTerms] | str:
-    """One (phase, S) entry's totals with their energy terms, which f and
-    BW never touch, or the entry's reason that no tile set fits; its
-    dram_bytes > 0, as `memory.traffic` counts every GEMM's weights."""
-    if isinstance(totals, str):
-        return totals
-    return totals, energy_terms(totals, phase, hw, s)
-
-
-def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
-                   phase: str, hw: HardwareConfig, s: int, f: float,
+def evaluate_point(totals: PhaseTotals, energy: EnergyTerms, phase: str,
+                   hw: HardwareConfig, s: int, f: float,
                    bw: float) -> SweepRecord:
-    """The record of the cell (phase, S, f, BW): its (phase, S) entry,
-    totals and energy terms or error, at f and BW.
+    """The record of the cell (phase, S, f, BW) of a feasible (phase, S)
+    entry: its totals, whose dram_bytes > 0 as `memory.traffic` counts
+    every GEMM's weights, and their energy terms, at f and BW.
 
     compute_time covers the arrays; memory_time covers external and
     on-chip transfers.  The global buffer decouples compute from memory
@@ -200,9 +192,6 @@ def evaluate_point(entry: tuple[PhaseTotals, EnergyTerms] | str,
     latency is the max of the two.  Static energy is latency times the
     gated leakage, >= 0 as every factor is within the config's ranges.
     """
-    if isinstance(entry, str):
-        return SweepRecord(phase, s, f, bw, error=entry)
-    totals, energy = entry
     compute_time = totals.compute_cycles / f
     memory_time = max(totals.dram_bytes / bw,
                       totals.onchip_bytes / hw.onchip_bandwidth)
@@ -235,16 +224,24 @@ def phase_table(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
 def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
                    table: dict[tuple[str, int], PhaseTotals | str]
                    ) -> SweepResult:
-    """Every cell of the sweep from its (phase, S) table entry, whose
-    energy terms are computed once for all of its cells."""
-    entries = {phase: [(s, entry_terms(table[phase, s], phase, hw, s))
-                       for s in spec.s_values] for phase in spec.phases}
-    records = tuple(evaluate_point(entry, phase, hw, s, f, bw)
-                    for phase in spec.phases
-                    for bw in spec.bw_values
-                    for s, entry in entries[phase]
-                    for f in spec.f_values)
-    return SweepResult(spec=spec, records=records)
+    """Every cell of the sweep from its (phase, S) table entry: a feasible
+    entry's energy terms are computed once for all of its cells, and an
+    entry's error text is the error of every one of its cells."""
+    records: list[SweepRecord] = []
+    for phase in spec.phases:
+        row = [(s, table[phase, s]) for s in spec.s_values]
+        terms = {s: energy_terms(totals, phase, hw, s) for s, totals in row
+                 if not isinstance(totals, str)}
+        for bw in spec.bw_values:
+            for s, totals in row:
+                energy = terms.get(s)
+                if energy is None:
+                    records += (SweepRecord(phase, s, f, bw, error=totals)
+                                for f in spec.f_values)
+                else:
+                    records += (evaluate_point(totals, energy, phase, hw, s,
+                                               f, bw) for f in spec.f_values)
+    return SweepResult(spec=spec, records=tuple(records))
 
 
 def run_sweep(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,

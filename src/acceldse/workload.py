@@ -17,11 +17,15 @@ PHASES = ("prefill", "decode")  # every phase, by the name outputs carry
 
 
 class ModelSpec(namedtuple("ModelSpec", (
-        "d_model", "n_heads", "head_dim", "mlp_ratio", "bytes_per_element",
-        "n_layers"))):
-    """Shape of one transformer layer stack."""
+        "n_heads", "head_dim", "mlp_ratio", "bytes_per_element", "n_layers"))):
+    """Shape of one transformer layer stack.  Its width d_model is its
+    heads side by side, n_heads * head_dim, as in GPT-3 (96 x 128)."""
 
     __slots__ = ()
+
+    @property
+    def d_model(self) -> int:
+        return self.n_heads * self.head_dim
 
     @property
     def d_ff(self) -> int:

@@ -124,7 +124,7 @@ def test_criterion_02_energy_identities():
         totals = PhaseTotals(cycles, macs, 0, onchip_bytes, 0, 0, 0, 0)
         energy = energy_terms(totals, "decode", hw, buffers.local)
         # compute takes under half as long as the on-chip transfer
-        e = evaluate_point((totals, energy), "decode", hw, buffers.local,
+        e = evaluate_point(totals, energy, "decode", hw, buffers.local,
                            2 * (cycles + 1) / latency, HW.ext_bandwidth)
         assert e.latency == latency
         leak = (hw.sram_leakage_per_byte * buffers.local
@@ -361,15 +361,22 @@ def test_criterion_09_bandwidth_shifts_argmin(sweep_result):
 
     Checked instead: the premise (DRAM time is the memory time of every
     decode cell at 2048 and 8192 GB/s; every decode cell is compute-bound
-    at 8192 GB/s), then the 8192 GB/s argmin frequency is strictly above
-    the 2048 GB/s one and in 1200-1400 MHz, and its S is <= 64 KB.
+    at 8192 GB/s; the 2048 GB/s argmin is the first memory-bound f at its
+    S, and every higher f there ties its EDP bit for bit), then the 8192
+    GB/s argmin frequency is strictly above the 2048 GB/s one and in
+    1200-1400 MHz, and its S is <= 64 KB.
     """
     for bw in (BASELINE_BW, QUAD_BW):
         for r in sweep_result.select("decode", bw):
             assert r.memory_time == r.totals.dram_bytes / bw, r[:4]
     assert not any(r.memory_bound
                    for r in sweep_result.select("decode", QUAD_BW))
-    _, f_base = _edp_argmin(sweep_result, BASELINE_BW)
+    s_base, f_base = _edp_argmin(sweep_result, BASELINE_BW)
+    row = [r for r in sweep_result.select("decode", BASELINE_BW)
+           if r.s == S_KB[s_base] * KIB]
+    assert [r.memory_bound for r in row] == [
+        f >= F_MHZ[f_base] for f in F_MHZ]
+    assert {r.edp for r in row[f_base:]} == {row[f_base].edp}
     s_quad, f_quad = _edp_argmin(sweep_result, QUAD_BW)
     ok = report("criterion 9 (quad BW): decode EDP argmin at higher f in "
                 "1200-1400 MHz, S <= 64 KB",

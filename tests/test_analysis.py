@@ -8,9 +8,10 @@ from acceldse.analysis import peak_flops
 from acceldse.config import (KIB, SweepSpec, load_hardware, load_model_spec,
                              load_request)
 from acceldse.dataflow import FabricSpec
+from acceldse.energy import energy_terms
 from acceldse.memory import PhaseTotals, phase_totals
 from acceldse.sweep import (METRICS, SweepRecord, argmin, contour_levels,
-                            entry_terms, evaluate_point, run_sweep)
+                            evaluate_point, run_sweep)
 from acceldse.workload import build_decode_trace
 
 
@@ -66,11 +67,11 @@ def fab_array():
 
 
 HW = load_hardware({})
-DECODE = evaluate_point(
-    entry_terms(phase_totals(build_decode_trace(load_model_spec({}),
-                                                load_request({}), 0),
-                             HW.fabric, 64 * KIB, 2), "decode", HW, 64 * KIB),
-    "decode", HW, 64 * KIB, 800e6, HW.ext_bandwidth)
+TOTALS = phase_totals(build_decode_trace(load_model_spec({}),
+                                         load_request({}), 0),
+                      HW.fabric, 64 * KIB, 2)
+DECODE = evaluate_point(TOTALS, energy_terms(TOTALS, "decode", HW, 64 * KIB),
+                        "decode", HW, 64 * KIB, 800e6, HW.ext_bandwidth)
 
 
 def record_with(total_j, latency):

@@ -47,8 +47,13 @@ def test_parse_baseline_config():
 
 
 def test_baseline_config_sets_every_key():
-    # the annotated reference config and the key tables stay in step
-    assert set(parse_config(BASELINE)) == set(config.KEYS)
+    # the annotated reference config and the key tables stay in step, and
+    # each table default is the baseline's value
+    values = parse_config(BASELINE)
+    assert set(values) == set(config.KEYS)
+    for load in (load_hardware, load_model_spec, load_request,
+                 load_sweep_axes):
+        assert load(values) == load({}), load.__name__
 
 
 def test_sweep_axes_defaults():
@@ -501,8 +506,8 @@ def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
 # A value just outside each key's range: below 1 byte after the cast for
 # the sizes, 0 for the other positive values, 1 for the gating savings.
 OUTSIDE = [
-    "model.d_model=0", "model.n_heads=0", "model.head_dim=0",
-    "model.mlp_ratio=0", "model.bytes_per_element=0", "model.n_layers=0",
+    "model.n_heads=0", "model.head_dim=0", "model.mlp_ratio=0",
+    "model.bytes_per_element=0", "model.n_layers=0",
     "model.batch=0", "model.prompt_len=0", "model.gen_tokens=0",
     "model.decode_step=16", "hw.cores=0", "hw.arrays_per_core=0",
     "hw.array_rows=0", "hw.array_cols=0", "hw.local_buffer_kb=0.0001",
@@ -515,11 +520,9 @@ OUTSIDE = [
     "hw.gating_decode=1", "hw.gating_decode=-0.01",
     "sweep.local_buffer_kb=0.0001", "sweep.frequency_mhz=0",
     "sweep.bandwidth_gbps=0.5", "sweep.phases=,",
-    # cross-key checks, which name each key they compare
-    "model.head_dim=64",
 ]
+# a cross-key check names each key it compares
 NAMED = {
-    "model.head_dim=64": {"model.d_model", "model.n_heads", "model.head_dim"},
     "model.decode_step=16": {"model.decode_step", "model.gen_tokens"},
 }
 
@@ -554,6 +557,14 @@ def test_cli_diagnostic_names_only_its_key(capsys, override):
     *(f"simulate --override hw.local_buffer_kb=0.01 {flags}" for flags in (
         "--format table", "--format json", "--format csv",
         "--decode-mode mean")),
+    # the fixed step fits (`simulate` alone exits 0), but a later step's
+    # attention GEMMs need 46 bytes of the 40
+    pytest.param("simulate --decode-mode mean" + "".join(
+        f" --override {kv}" for kv in (
+            "model.n_heads=1", "model.head_dim=1", "model.batch=1",
+            "model.prompt_len=1", "model.gen_tokens=30", "hw.array_rows=1",
+            "hw.array_cols=6", "hw.local_buffer_kb=0.0390625")),
+        id="simulate --decode-mode mean, a later step untileable"),
     # counts too large for a float, though each key is in its range
     *(pytest.param(args.replace("{big}", str(big)),
                    id=args.replace("{big}", f"10**{len(str(big)) - 1}"))
@@ -629,8 +640,8 @@ def test_cli_report_checks_outputs_not_intermediate_values(capsysbinary):
 
 
 # a tiny model whose 0.1875 KB buffer fits prefill's tiles but not decode's
-TINY = ("--override model.d_model=4 --override model.n_heads=1 "
-        "--override model.head_dim=4 --override model.mlp_ratio=1 "
+TINY = ("--override model.n_heads=1 --override model.head_dim=4 "
+        "--override model.mlp_ratio=1 "
         "--override model.batch=1 --override model.prompt_len=2 "
         "--override model.decode_step=14 "
         "--override sweep.local_buffer_kb=0.1875,64").split()

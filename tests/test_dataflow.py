@@ -135,8 +135,8 @@ def test_cycles_independent_of_frequency_inputs():
 
 
 def test_accesses_per_phase_aggregates():
-    model = ModelSpec(d_model=4, n_heads=2, head_dim=2, mlp_ratio=4,
-                      bytes_per_element=2, n_layers=1)
+    model = ModelSpec(n_heads=2, head_dim=2, mlp_ratio=4, bytes_per_element=2,
+                      n_layers=1)
     trace = build_prefill_trace(model, InferenceRequest(
         batch=1, prompt_len=2, gen_tokens=0, decode_step=0))
     fab = FabricSpec(1, 1, ArraySpec(2, 2))

@@ -4,8 +4,9 @@ In the README and in the package's docstrings, every backticked
 `<module>.<name>`, for each module the benchmark traces, must be an
 attribute of `acceldse.<module>` (dotted paths followed) or a config
 key; every backticked CamelCase name an attribute of some `acceldse`
-module or a builtin; and every backticked `hw.<path>` a config key or
-an attribute path of `load_hardware({})`.
+module or a builtin; every backticked `hw.<path>` a config key or an
+attribute path of `load_hardware({})`; and every backticked
+`model.<name>` a config key.
 """
 
 import ast
@@ -40,7 +41,7 @@ def _traced_modules() -> tuple[str, ...]:
 
 
 REFERENCE = re.compile(
-    rf"`((?:{'|'.join(_traced_modules())}|hw)\.[A-Za-z_][\w.]*"
+    rf"`((?:{'|'.join(_traced_modules())}|hw|model)\.[A-Za-z_][\w.]*"
     r"|[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`")
 
 
@@ -65,6 +66,8 @@ def _resolves(ref: str) -> bool:
     head, *path = ref.split(".")
     if not path:  # a CamelCase name
         return any(hasattr(module, head) for module in (builtins, *PACKAGE))
+    if head == "model":  # names a key, or nothing
+        return False
     obj = HW if head == "hw" else importlib.import_module(f"acceldse.{head}")
     for name in path:
         if not hasattr(obj, name):

@@ -8,8 +8,7 @@ from acceldse.config import (GB, KIB, MIB, ConfigError, load_hardware,
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import by_component, energy_terms, sram_access_energy
 from acceldse.memory import Buffers, PhaseTotals, phase_totals
-from acceldse.sweep import (entry_terms, evaluate_point, evaluate_sweep,
-                            phase_table)
+from acceldse.sweep import evaluate_point, evaluate_sweep, phase_table
 from acceldse.workload import build_decode_trace, build_prefill_trace
 
 HW = load_hardware({})
@@ -33,7 +32,7 @@ def fake_energy(latency, phase, hw, cycles=1000, util=0.5):
     totals = PhaseTotals(cycles, round(util * cycles * fabric.macs_per_cycle),
                          0, latency, 0, 0, 0, 0)
     energy = energy_terms(totals, phase, hw, local)
-    return evaluate_point((totals, energy), phase,
+    return evaluate_point(totals, energy, phase,
                           hw._replace(onchip_bandwidth=1.0), local,
                           2 * (cycles + 1) / latency, EXT_BW)
 
@@ -41,7 +40,8 @@ def fake_energy(latency, phase, hw, cycles=1000, util=0.5):
 def evaluate(totals, phase, buffers, f):
     """The record of a phase's totals at f and the default bandwidths,
     with the default 40 MB global buffer."""
-    return evaluate_point(entry_terms(totals, phase, HW, buffers.local),
+    return evaluate_point(totals, energy_terms(totals, phase, HW,
+                                               buffers.local),
                           phase, HW, buffers.local, f, EXT_BW)
 
 

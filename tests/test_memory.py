@@ -10,7 +10,8 @@ from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                matmul_local_accesses)
 from acceldse.memory import (TilingError, TilingPlan, phase_totals,
                              plan_tiling, tile_set_bytes, traffic)
-from acceldse.sweep import entry_terms, evaluate_point
+from acceldse.energy import energy_terms
+from acceldse.sweep import evaluate_point
 from acceldse.workload import (MatmulDims, build_decode_trace,
                                build_prefill_trace)
 from oracle import search_plan
@@ -118,7 +119,12 @@ def test_plan_matches_exhaustive_tile_size_search(case):
         with pytest.raises(TilingError) as raised:
             plan_tiling(m, capacity, b, array)
         assert str(raised.value) == str(exc)
-        assert reported_bytes(raised.value) > capacity
+        need = reported_bytes(raised.value)
+        assert need > capacity
+        # the bytes named are the threshold: they fit, one byte less does not
+        plan_tiling(m, need, b, array)
+        with pytest.raises(TilingError):
+            plan_tiling(m, need - 1, b, array)
     else:
         assert plan_tiling(m, capacity, b, array) == expected
 
@@ -273,8 +279,8 @@ def at(trace, f_hz, phase="decode"):
     """The trace of `phase` with a 64 KB local buffer, evaluated at f_hz
     and the default bandwidths."""
     totals = phase_totals(trace, FABRIC, 64 * KIB, 2)
-    return evaluate_point(entry_terms(totals, phase, HW, 64 * KIB), phase,
-                          HW, 64 * KIB, f_hz, EXT_BW)
+    return evaluate_point(totals, energy_terms(totals, phase, HW, 64 * KIB),
+                          phase, HW, 64 * KIB, f_hz, EXT_BW)
 
 
 def test_latency_overlap_model():

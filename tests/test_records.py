@@ -26,8 +26,7 @@ OUTCOME = calibrate(HW, CELL, load_model_spec({}), load_request({}),
 
 # (the record field a key builds, a value out of that key's range)
 CHECKED = [
-    ("ModelSpec.d_model", "model.d_model=0"),
-    ("ModelSpec.head_dim", "model.head_dim=64"),  # 96 * 64 != 12288
+    ("ModelSpec.n_heads", "model.n_heads=0"),
     ("InferenceRequest.batch", "model.batch=0"),
     ("MatmulDims.K", "model.head_dim=0"),  # the attention score's K
     ("ArraySpec.cols", "hw.array_cols=0"),

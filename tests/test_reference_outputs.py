@@ -155,7 +155,6 @@ TRACED_CALLS = {
     "memory.plan_tiling": 70,
     "sweep.evaluate_point": 294,
     # the f- and BW-free terms: once per (phase, S) entry
-    "sweep.entry_terms": 14,
     "energy.energy_terms": 14,
     # the summary's argmins: 6 (phase, BW) blocks x 3 metrics
     "sweep.argmin": 18,

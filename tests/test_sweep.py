@@ -11,12 +11,12 @@ from acceldse.cli import main
 from acceldse.config import (GB, KIB, SweepSpec, apply_overrides,
                              load_hardware, load_model_spec, load_request,
                              load_sweep_axes, parse_config)
-from acceldse.energy import by_component
+from acceldse.energy import by_component, energy_terms
 from acceldse.memory import TilingError, phase_totals
 from acceldse.sweep import (METRICS, OutputError, SweepRecord,
                             decode_mean_over_generation, emit_reports,
-                            entry_terms, evaluate_point, evaluate_sweep,
-                            phase_table, run_sweep, summary_dict)
+                            evaluate_point, evaluate_sweep, phase_table,
+                            run_sweep, summary_dict)
 from acceldse.workload import build_decode_trace
 from oracle import evaluate_cell
 
@@ -90,8 +90,8 @@ def test_single_point_matches_direct_evaluation():
     trace = build_decode_trace(MODEL, REQ, 0)
     totals = phase_totals(trace, HW.fabric, 64 * KIB,
                           MODEL.bytes_per_element)
-    direct = evaluate_point(entry_terms(totals, "decode", HW,
-                                        64 * KIB),
+    direct = evaluate_point(totals, energy_terms(totals, "decode", HW,
+                                                 64 * KIB),
                             "decode", HW, 64 * KIB, 800e6, 2048 * GB)
     got = result.records[0]
     assert got == direct
@@ -233,7 +233,6 @@ def test_model_invariants_hold_on_random_small_configs(
         n_heads, head_dim, n_layers, batch, prompt_len, rows, cols, cores,
         onchip_gbps, s_bytes, f_mhz, bw_gbps):
     values = {"model.n_heads": str(n_heads), "model.head_dim": str(head_dim),
-              "model.d_model": str(n_heads * head_dim),
               "model.n_layers": str(n_layers), "model.batch": str(batch),
               "model.prompt_len": str(prompt_len),
               "hw.array_rows": str(rows), "hw.array_cols": str(cols),
@@ -293,7 +292,7 @@ def test_split_cells_match_the_unsplit_oracle(
     # the overrides that configure one run, for `run_sweep` and `simulate`
     overrides = {
         "model.n_heads": n_heads, "model.head_dim": head_dim,
-        "model.d_model": n_heads * head_dim, "model.n_layers": n_layers,
+        "model.n_layers": n_layers,
         "model.batch": batch, "model.prompt_len": prompt_len,
         "hw.array_rows": rows, "hw.array_cols": cols, "hw.cores": cores,
         "hw.onchip_bandwidth_gbps": onchip_gbps,
@@ -421,7 +420,6 @@ def small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows, cols,
     """(hardware, model, request) of a small decode run whose local
     buffer holds `s_bytes`."""
     values = {"model.n_heads": str(n_heads), "model.head_dim": str(head_dim),
-              "model.d_model": str(n_heads * head_dim),
               "model.n_layers": "2", "model.batch": str(batch),
               "model.prompt_len": str(prompt_len),
               "model.gen_tokens": str(gen_tokens),

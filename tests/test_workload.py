@@ -5,16 +5,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from acceldse.cli import main
 from acceldse.config import KIB, load_hardware, load_model_spec, load_request
+from acceldse.energy import energy_terms
 from acceldse.memory import phase_totals
-from acceldse.sweep import entry_terms, evaluate_point
+from acceldse.sweep import evaluate_point
 from acceldse.workload import (InferenceRequest, MatmulDims, ModelSpec,
                                PhaseTrace, attention_matmuls,
                                build_decode_trace, build_prefill_trace,
                                weight_matmuls)
 
 BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.conf"
-TOY = ModelSpec(d_model=4, n_heads=2, head_dim=2, mlp_ratio=4,
-                bytes_per_element=2, n_layers=1)
+TOY = ModelSpec(n_heads=2, head_dim=2, mlp_ratio=4, bytes_per_element=2,
+                n_layers=1)
 GPT3 = load_model_spec({})
 HW = load_hardware({})
 
@@ -48,12 +49,12 @@ def rejected(capsys, override: str) -> str:
 
 
 def test_model_spec_validation(capsys):
-    # config checks each model value as it parses it, naming its key
-    assert "bad values for model.n_heads, model.head_dim and model.d_model: " \
-        "n_heads * head_dim must equal d_model (3 * 128 != 12288)" \
-        in rejected(capsys, "model.n_heads=3")
-    assert "bad value for model.d_model: '0'" \
-        in rejected(capsys, "model.d_model=0")
+    # config checks each model value as it parses it, naming its key;
+    # d_model is n_heads * head_dim, not a key
+    assert "bad value for model.n_heads: '0'" \
+        in rejected(capsys, "model.n_heads=0")
+    assert "unknown key 'model.d_model'" \
+        in rejected(capsys, "model.d_model=12288")
 
 
 def test_request_validation(capsys):
@@ -114,7 +115,8 @@ def test_decode_toy_shapes():
 def test_phase_flops_two_per_mac(dims, flops):
     totals = phase_totals(PhaseTrace({MatmulDims(*dims): 1}), HW.fabric,
                           64 * KIB, 2)
-    record = evaluate_point(entry_terms(totals, "prefill", HW, 64 * KIB),
+    record = evaluate_point(totals, energy_terms(totals, "prefill", HW,
+                                                 64 * KIB),
                             "prefill", HW, 64 * KIB, HW.frequency,
                             HW.ext_bandwidth)
     assert record.flops == flops
@@ -201,8 +203,7 @@ def merged(pairs) -> list[tuple[MatmulDims, int]]:
 def test_traces_merge_weight_and_attention_gemms(n_heads, head_dim, mlp_ratio,
                                                  n_layers, batch, prompt_len,
                                                  step):
-    spec = ModelSpec(d_model=n_heads * head_dim, n_heads=n_heads,
-                     head_dim=head_dim, mlp_ratio=mlp_ratio,
+    spec = ModelSpec(n_heads=n_heads, head_dim=head_dim, mlp_ratio=mlp_ratio,
                      bytes_per_element=2, n_layers=n_layers)
     req = InferenceRequest(batch, prompt_len, gen_tokens=step + 1,
                            decode_step=step)
