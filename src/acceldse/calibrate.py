@@ -1,4 +1,5 @@
-"""Calibration of the SRAM energy constants against argmin targets.
+"""Calibration of the SRAM energy constants against argmin targets, and
+the `calibrate` command that runs it (`cmd_calibrate`).
 
 Deterministic greedy coordinate search over two fields of
 `config.HardwareConfig`, `sram_leakage_per_byte` and
@@ -6,7 +7,7 @@ Deterministic greedy coordinate search over two fields of
 trial is the current best with one constant scaled.  Steps are
 multiplicative, and only a strict improvement in grid-step displacement
 of the decode EDP argmin from the target `(S, f)` cell, which
-`cli.cmd_calibrate` keeps on the grid, is accepted; a trial that leaves
+`cmd_calibrate` keeps on the grid, is accepted; a trial that leaves
 no decode EDP finite, so has no argmin, counts as an evaluation but is
 skipped; the search stops at a fixed point and returns the calibrated
 record.  Started from constants that already achieve the minimum
@@ -17,12 +18,14 @@ table.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
+from pathlib import Path
 
-from .config import KIB, HardwareConfig, SweepSpec
+from .config import KIB, MHZ, ConfigError, HardwareConfig, SweepSpec
 from .memory import TilingError
 from .sweep import (OutputError, SweepResult, argmin, evaluate_sweep, label,
-                    phase_table)
+                    load_run, phase_table)
 from .workload import InferenceRequest, ModelSpec
 
 STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
@@ -113,3 +116,31 @@ def constants_file_text(outcome: CalibrationOutcome,
         f"hw.sram_access_exponent = {hw.sram_access_exponent!r}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def cmd_calibrate(args) -> bool:
+    spec, hw, model, req = load_run(args.config, args.override or [])
+    # whole bytes, as the S axis is parsed; nan and inf stay off the grid
+    s_bytes = args.target_s_kb * KIB // 1
+    f_hz = args.target_f_mhz * MHZ
+    for flag, value, axis in (
+            ("--target-s-kb", s_bytes, spec.s_values),
+            ("--target-f-mhz", f_hz, spec.f_values)):
+        if value not in axis:
+            raise ConfigError(f"bad value for {flag}: the calibration target "
+                              f"must lie on the sweep grid")
+    target = (int(s_bytes), f_hz)
+    outcome = calibrate(hw, spec, model, req, target)
+    text = constants_file_text(outcome, target)
+    if args.out:
+        Path(args.out).write_text(text)
+        text = f"wrote constants to {args.out}\n"
+    s_got, f_got = outcome.achieved
+    print(f"{text}achieved argmin (S={s_got} B, f={label(f_got)} Hz) after "
+          f"{outcome.evaluations} evaluations; displacement "
+          f"{outcome.displacement} grid step(s)")
+    if outcome.displacement > 0:
+        print("error: target argmin not reachable; best displacement "
+              f"{outcome.displacement} grid step(s)", file=sys.stderr)
+        return False
+    return True

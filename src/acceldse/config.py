@@ -66,9 +66,12 @@ class SweepSpec(namedtuple("SweepSpec", (
 def _scaled(unit: float, cast=float):
     """Parser of a finite number given in `unit`s, as `cast(number * unit)`."""
     def parse(text: str):
-        value = float(text) * unit
-        if not math.isfinite(value):
+        number = float(text)
+        if not math.isfinite(number):
             raise ValueError("need a finite number")
+        value = number * unit
+        if not math.isfinite(value):
+            raise ValueError(f"overflows a float once scaled by {unit}")
         return cast(value)
     return parse
 

@@ -1,4 +1,6 @@
-"""Cartesian design-space sweep over (local SRAM size, frequency, bandwidth).
+"""Cartesian design-space sweep over (local SRAM size, frequency, bandwidth),
+and what every command runs: the configured run (`load_run`), the records,
+the reported metrics and the output rules.
 
 Cycles and traffic depend only on the phase and the local buffer size S,
 so the sweep tiles each (phase, S) once into a table of totals, or of
@@ -15,31 +17,26 @@ Evaluation is serial and pure, so results are bit-identical for
 identical inputs.  The records of one (phase, BW) are its S x f grid
 (`SweepResult.select`).  A metric's argmin cell is read from its finite
 values, and is None where there are none; only a block with an argmin
-has contour levels.  Reports are per-metric grid CSVs, a roofline CSV,
-and a JSON summary with argmin cells, contour levels and
-bound-transition frequencies; every output's numbers must be finite
+has contour levels.  Every output's numbers must be finite
 (`output_text`), and a grid value's label for people reads back as the
-value (`label`).
+value (`label`).  The `report` module builds the report files' texts,
+which `emit_reports` writes.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from math import isfinite
 from pathlib import Path
 
 from .analysis import peak_flops
-from .config import GB, MHZ, HardwareConfig, SweepSpec
-from .energy import EnergyTerms, energy_terms
-from .memory import (PhaseTotals, TilingError, matmul_totals, phase_totals,
-                     sum_totals)
-from .workload import (InferenceRequest, ModelSpec, attention_matmuls,
-                       build_decode_trace, build_prefill_trace,
-                       weight_matmuls)
-
-SCHEMA_VERSION = 1
-DECODE_CONVENTION = "per_output_token_at_fixed_step"
+from .config import (ConfigError, HardwareConfig, SweepSpec, apply_overrides,
+                     load_hardware, load_model_spec, load_request,
+                     load_sweep_axes, parse_config)
+from .energy import EnergyTerms, energy_terms, sram_access_energy
+from .memory import PhaseTotals, TilingError, phase_totals
+from .workload import (InferenceRequest, ModelSpec, build_decode_trace,
+                       build_prefill_trace)
 
 
 class SweepRecord(namedtuple("SweepRecord", (
@@ -134,51 +131,6 @@ class SweepResult(namedtuple("SweepResult", (
         return self.records[start:start + size]
 
 
-def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
-                                req: InferenceRequest) -> dict[str, float]:
-    """Per-token decode metrics averaged over the gen_tokens (>= 1) steps,
-    at `hw`'s own point: S = `hw.buffers.local`, f = `hw.frequency` and
-    BW = `hw.ext_bandwidth`, the cell `simulate` prints.
-
-    The default reporting convention is a single fixed step; this is the
-    alternative convention for workloads where KV growth over the whole
-    generation matters.  The weight GEMMs are the same at every step, so
-    their totals are tiled and summed once; each step tiles only the two
-    attention GEMMs of its kv_len and adds their totals to that sum.
-    Step 0 is tiled in trace order, so an S too small for one of its GEMMs
-    raises the TilingError a sweep of that step raises.
-    """
-    s, b = hw.buffers.local, model.bytes_per_element
-    tiled = {m: matmul_totals(m, hw.fabric, s, b)
-             for m in build_decode_trace(model, req, 0).matmuls}
-    weights = sum_totals([(tiled[m], count) for m, count
-                          in weight_matmuls(model, rows=req.batch)])
-    latency = energy = edp_sum = 0.0
-    for step in range(req.gen_tokens):
-        attention = attention_matmuls(model, req.batch, q_len=1,
-                                      kv_len=req.prompt_len + step)
-        if step:  # step 0's attention GEMMs were tiled with its trace
-            tiled = {m: matmul_totals(m, hw.fabric, s, b)
-                     for m, _ in attention}
-        totals = sum_totals([(weights, 1),
-                             *((tiled[m], count) for m, count in attention)])
-        record = evaluate_point(totals, energy_terms(totals, "decode", hw, s),
-                                "decode", hw, s, hw.frequency,
-                                hw.ext_bandwidth)
-        latency += record.latency
-        energy += record.total_j
-        edp_sum += record.edp
-    n = req.gen_tokens
-    return {
-        "steps": float(n),
-        "mean_latency_s": latency / n,
-        "mean_total_j": energy / n,
-        "mean_edp_js": edp_sum / n,
-        "aggregate_latency_s": latency,
-        "aggregate_total_j": energy,
-    }
-
-
 def evaluate_point(totals: PhaseTotals, energy: EnergyTerms, phase: str,
                    hw: HardwareConfig, s: int, f: float,
                    bw: float) -> SweepRecord:
@@ -244,13 +196,30 @@ def evaluate_sweep(spec: SweepSpec, hw: HardwareConfig,
     return SweepResult(spec=spec, records=tuple(records))
 
 
+def load_run(path: str, overrides: list[str]) -> tuple[
+        SweepSpec, HardwareConfig, ModelSpec, InferenceRequest]:
+    """(sweep spec, hardware, model, request) of the config file at `path`
+    with `overrides` applied, in `run_sweep`'s order; every key is parsed
+    once."""
+    values = apply_overrides(parse_config(path), overrides)
+    spec = load_sweep_axes(values)
+    hw = load_hardware(values)
+    try:  # the exponent is positive: the largest buffer costs most
+        sram_access_energy(hw, max(*hw.buffers, spec.s_values[-1]))
+    except OverflowError:
+        raise ConfigError("bad value for hw.sram_access_exponent: "
+                          f"{hw.sram_access_exponent!r} overflows the SRAM "
+                          "per-access energy") from None
+    return spec, hw, load_model_spec(values), load_request(values)
+
+
 def run_sweep(spec: SweepSpec, hw: HardwareConfig, model: ModelSpec,
               req: InferenceRequest) -> SweepResult:
     """Evaluate the full cartesian sweep; never aborts on infeasible cells."""
     return evaluate_sweep(spec, hw, phase_table(spec, hw, model, req))
 
 
-# --- report emission ------------------------------------------------------
+# --- what every report reads ----------------------------------------------
 
 # Every reported metric: its name, as grid files and summary keys carry
 # it, and its value in one evaluated record, in grid-file order.
@@ -264,10 +233,6 @@ METRICS = {
     "dynamic_energy": lambda r: r.energy.dynamic_j,
     "static_energy": lambda r: r.static_j,
 }
-
-# The metrics whose argmin cell the summary gives, with `report`'s label.
-ARGMIN_METRICS = {"latency": "latency", "total_energy": "total energy",
-                  "edp": "EDP"}
 
 
 def argmin(block: tuple[SweepRecord, ...],
@@ -295,13 +260,6 @@ class OutputError(ValueError):
     """An output that holds, or is read off, inf or nan: it is not written."""
 
 
-def _fmt(value: float) -> str:
-    """The text of every grid and roofline float, which must be finite."""
-    if not isfinite(value):
-        raise ValueError(value)
-    return repr(float(value))
-
-
 def label(value: float) -> str:
     """`value` as `:g` text if that reads back as `value`, else its repr:
     distinct grid values get distinct labels."""
@@ -311,6 +269,8 @@ def label(value: float) -> str:
 
 def json_text(value) -> str:
     """`value` as indented, key-sorted JSON, whose numbers must be finite."""
+    import json  # here: only the outputs that are JSON need it
+
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -319,82 +279,15 @@ def output_text(output: str, build, *args) -> str:
     ("print ..." or "write <path>"), or OutputError if it cannot be."""
     try:
         return build(*args)
-    except ValueError:  # from `_fmt` or `json_text`
+    except ValueError:  # a non-finite number in the text
         raise OutputError(f"cannot {output}: it holds inf or nan") from None
 
 
-def _grid_csv(block: tuple[SweepRecord, ...], metric: str, phase: str,
-              bw: float) -> str:
-    value = METRICS[metric]
-    lines = ["metric,phase,bandwidth",
-             f"{metric},{phase},{_fmt(bw)}",
-             "S_bytes,f_hz,value"]
-    lines += [f"{r.s},{_fmt(r.f)},"
-              f"{_fmt(value(r)) if r.ok else 'nan'}" for r in block]
-    return "\n".join(lines) + "\n"
-
-
-ROOFLINE_HEADER = "bandwidth,S_bytes,f_hz,oi,attainable,achieved,bound"
-
-
-def roofline_row(r: SweepRecord) -> str:
-    """One evaluated record's roofline point, in ROOFLINE_HEADER order."""
-    return (f"{_fmt(r.bw)},{r.s},{_fmt(r.f)},"
-            f"{_fmt(r.oi)},{_fmt(r.attainable)},{_fmt(r.achieved)},"
-            f"{r.ridge_side}")
-
-
-def _roofline_csv(result: SweepResult) -> str:
-    lines = ["phase," + ROOFLINE_HEADER]
-    lines += [f"{r.phase},{roofline_row(r)}"
-              for r in result.records if r.ok]
-    return "\n".join(lines) + "\n"
-
-
-def summary_dict(result: SweepResult, decode_step: int) -> dict:
-    summary: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "decode_convention": DECODE_CONVENTION,
-        "decode_step": decode_step,
-        "complete": result.complete,
-        "record_count": len(result.records),
-        "grids": {},
-    }
-    for phase in result.spec.phases:
-        for bw in result.spec.bw_values:
-            key = f"{phase}@{round(bw / GB)}GBps"
-            # the lowest frequency at which each S is memory-bound, if any
-            lowest: dict[int, float] = {}
-            block = result.select(phase, bw)
-            for r in block:  # f ascends within each S
-                if r.ok and r.memory_bound:
-                    lowest.setdefault(r.s, r.f / MHZ)
-            entry: dict = {"bound_transition_mhz": {
-                str(s): lowest.get(s) for s in result.spec.s_values}}
-            for metric in ARGMIN_METRICS:
-                cell = argmin(block, metric)  # None: no finite cell
-                entry[f"{metric}_argmin"] = None if cell is None else {
-                    "S_bytes": cell[0], "f_hz": cell[1]}
-                entry[f"{metric}_contour_levels"] = (
-                    [] if cell is None else contour_levels(block, metric))
-            summary["grids"][key] = entry
-    return summary
-
-
-def emit_reports(result: SweepResult, out_dir: str | Path,
-                 summary: dict) -> list[Path]:
-    """Write grid CSVs, the roofline CSV and `summary`, every text built
-    first: an OutputError leaves the directory and every file unwritten."""
-    out = Path(out_dir)
-    builds = {out / f"{metric}_{phase}_bw{round(bw / GB)}.csv":
-              (_grid_csv, result.select(phase, bw), metric, phase, bw)
-              for metric in METRICS for phase in result.spec.phases
-              for bw in result.spec.bw_values}
-    builds[out / "roofline.csv"] = (_roofline_csv, result)
-    builds[out / "summary.json"] = (json_text, summary)
-    texts = {path: output_text(f"write {path}", *build)
-             for path, build in builds.items()}
-    out.mkdir(parents=True, exist_ok=True)
+def emit_reports(texts: dict[Path, str]) -> list[Path]:
+    """Write each report text, all built first, to its path, making its
+    directory: an output that cannot be built leaves every file unwritten."""
+    for directory in {path.parent for path in texts}:
+        directory.mkdir(parents=True, exist_ok=True)
     for path, text in texts.items():
         path.write_text(text)
     return list(texts)

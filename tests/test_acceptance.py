@@ -38,8 +38,8 @@ from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count)
 from acceldse.energy import energy_terms
 from acceldse.memory import Buffers, PhaseTotals
-from acceldse.sweep import (METRICS, argmin, emit_reports, evaluate_point,
-                            run_sweep, summary_dict)
+from acceldse.report import summary_dict, write_reports
+from acceldse.sweep import METRICS, argmin, evaluate_point, run_sweep
 from acceldse.workload import MatmulDims
 from oracle import simulate_cycles
 
@@ -409,8 +409,8 @@ def test_criterion_11_determinism_and_scale(tmp_path):
     elapsed = time.time() - t0
     assert len(first.records) == 294
     second = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ)
-    emit_reports(first, tmp_path / "a", summary_dict(first, 0))
-    emit_reports(second, tmp_path / "b", summary_dict(second, 0))
+    write_reports(first, tmp_path / "a", summary_dict(first, 0))
+    write_reports(second, tmp_path / "b", summary_dict(second, 0))
     identical = all(
         pa.read_bytes() == (tmp_path / "b" / pa.name).read_bytes()
         for pa in sorted((tmp_path / "a").iterdir()))

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from acceldse import cli, config, sweep
+from acceldse import config, report
 from acceldse.cli import build_parser, main
 from acceldse.config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                              load_hardware, load_model_spec, load_request,
                              load_sweep_axes, parse_config)
-from acceldse.sweep import ARGMIN_METRICS, run_sweep
+from acceldse.report import ARGMIN_METRICS
+from acceldse.sweep import run_sweep
 from acceldse.workload import PHASES, InferenceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -328,14 +329,13 @@ def test_cli_report_out_builds_the_summary_once(tmp_path, monkeypatch,
                                                  capsys):
     # the summary `report` prints is the one it writes
     built = []
-    summary_dict = sweep.summary_dict
+    summary_dict = report.summary_dict
 
     def counted(result, decode_step):
         built.append(result)
         return summary_dict(result, decode_step)
 
-    for module in (cli, sweep):
-        monkeypatch.setattr(module, "summary_dict", counted)
+    monkeypatch.setattr(report, "summary_dict", counted)
     assert main(["report", "--config", str(BASELINE),
                  "--out", str(tmp_path)]) == 0
     assert len(built) == 1
@@ -346,13 +346,13 @@ def test_cli_non_zero_decode_step_reaches_every_output(tmp_path, monkeypatch,
     # the step is request data: the summary and report name it, and the
     # decode records are those of a sweep at that step, not at step 0
     results = []
-    swept = cli.run_sweep
+    swept = report.run_sweep
 
     def kept(*run):
         results.append(swept(*run))
         return results[-1]
 
-    monkeypatch.setattr(cli, "run_sweep", kept)
+    monkeypatch.setattr(report, "run_sweep", kept)
     step = ["--override", "model.decode_step=5"]
     assert main(["sweep", "--config", str(BASELINE), *step,
                  "--out", str(tmp_path)]) == 0
@@ -501,6 +501,10 @@ def test_cli_out_of_range_value_exits_2_naming_key(tmp_path, capsys, verb,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert override.split("=")[0] in err
+    if override == "sweep.bandwidth_gbps=1e300":
+        # the number typed is finite: its value in bytes/s is what overflows
+        assert err.endswith("'1e300' (overflows a float once scaled by "
+                            "1000000000)\n")
 
 
 # A value just outside each key's range: below 1 byte after the cast for
@@ -679,14 +683,96 @@ def test_cli_calibrate_target_off_grid_exits_2(capsys, flag):
     assert flag.split("=")[-2] in err  # the flag, or the override's key
 
 
+# Each verb: the module `main` imports for it, its exit code on the
+# baseline config, and what else it must not load: no verb loads another
+# verb's module, and `json` is loaded only where JSON is built.
+VERBS = {
+    "simulate": ("simulate", 0, ("acceldse.calibrate", "acceldse.report")),
+    "sweep": ("report", 0, ("acceldse.simulate", "acceldse.calibrate")),
+    "roofline": ("report", 0,
+                 ("json", "acceldse.simulate", "acceldse.calibrate")),
+    "report": ("report", 0,
+               ("json", "acceldse.simulate", "acceldse.calibrate")),
+    "calibrate": ("calibrate", 1,
+                  ("json", "acceldse.simulate", "acceldse.report")),
+}
+
+
+def _verb_argv(verb, out_dir):
+    return [verb, "--config", str(BASELINE),
+            *(["--out", str(out_dir)] if verb == "sweep" else [])]
+
+
+def _newly_loaded(argv, names):
+    """(exit code or None, which of `names` are loaded) after a child
+    interpreter imports `acceldse.cli` and, given `argv`, runs `main`:
+    modules loaded before the import do not count."""
+    child = ("import sys\nbefore = set(sys.modules)\nimport acceldse.cli\n"
+             f"code = acceldse.cli.main({argv!r}) if {argv!r} else None\n"
+             f"print(code, [m for m in {names!r} "
+             "if m in sys.modules and m not in before])")
+    proc = subprocess.run([sys.executable, "-c", child], env=CHILD_ENV,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
 def test_cli_import_leaves_numpy_out():
     # the PE-grid oracle, and with it numpy, is for tests only; the records
-    # are named tuples, not dataclasses (which import inspect); and only the
-    # calibrate command imports the calibration search
-    heavy = ("numpy", "dataclasses", "inspect", "acceldse.calibrate")
+    # are named tuples, not dataclasses (which import inspect); no verb's
+    # module is loaded before its verb runs, nor json before JSON is built
+    heavy = ("numpy", "dataclasses", "inspect", "json", "acceldse.simulate",
+             "acceldse.calibrate", "acceldse.report")
+    assert _newly_loaded([], heavy) == "None []"
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_cli_verb_loads_only_its_own_module(tmp_path, verb):
+    module, code, others = VERBS[verb]
+    own = f"acceldse.{module}"
+    assert _newly_loaded(_verb_argv(verb, tmp_path), (own, *others)) \
+        == f"{code} {[own]}"
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_cli_is_loaded_once_under_dash_m(tmp_path, verb):
+    # `python -m acceldse.cli` runs cli as __main__: a module that imported
+    # `acceldse.cli` by name would load and compile it a second time.
+    # importtime lists what import statements load, so not the verb's
+    # module, which `main` loads through `importlib`
     proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, acceldse.cli; print([m for m in {heavy!r} "
-         f"if m in sys.modules])"],
-        env=CHILD_ENV, capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+        [sys.executable, "-X", "importtime", "-m", "acceldse.cli",
+         *_verb_argv(verb, tmp_path)],
+        env=CHILD_ENV, capture_output=True, text=True)
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert proc.returncode == VERBS[verb][1]
+    assert "acceldse.sweep" in imported and "acceldse.cli" not in imported
+
+
+# sha256 of `acceldse --help` and of each verb's `--help` at 80 columns
+# (Python 3.11's argparse), recorded before the verbs left `cli`
+HELP_DIGESTS = {
+    "": "c067adb21b9edcf72f42091284cf999195f286afdf6ae5519bf40e39e388fc92",
+    "simulate":
+        "096731003b92dea47bf9e3a4f3d8100f1162c59e2ea4460b162b96a18061e017",
+    "sweep":
+        "83f14ef525169ecc26c66c0e85bb3a7fb03e495b598aa41da349e5795923ec51",
+    "roofline":
+        "b5dcb6afa77b1d76625a9b5d6d7f4d5634fff6b9a1be16245ed9b08cfe3fdcf0",
+    "calibrate":
+        "54035e34bb42800ad80fec92c820d44defefc694c91eee7f30d7805edb379ffb",
+    "report":
+        "9100cc6a460664d4496e4d467e3a3e3d331bee8ec4a2a5c7b863651a83de0a85",
+}
+
+
+@pytest.mark.parametrize("verb", HELP_DIGESTS,
+                         ids=lambda verb: verb or "acceldse")
+def test_cli_help_matches_recorded_digest(verb, monkeypatch, capsysbinary):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main([*verb.split(), "--help"])
+    assert exited.value.code == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() \
+        == HELP_DIGESTS[verb]

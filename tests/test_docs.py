@@ -1,7 +1,7 @@
 """The docs name only things that exist.
 
 In the README and in the package's docstrings, every backticked
-`<module>.<name>`, for each module the benchmark traces, must be an
+`<module>.<name>`, for each module of the package, must be an
 attribute of `acceldse.<module>` (dotted paths followed) or a config
 key; every backticked CamelCase name an attribute of some `acceldse`
 module or a builtin; every backticked `hw.<path>` a config key or an
@@ -24,24 +24,14 @@ from acceldse.cli import main
 from acceldse.config import KEYS, load_hardware
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = [importlib.import_module(f"acceldse.{info.name}")
-           for info in pkgutil.iter_modules(acceldse.__path__)]
+MODULES = [info.name for info in pkgutil.iter_modules(acceldse.__path__)]
+PACKAGE = [importlib.import_module(f"acceldse.{name}") for name in MODULES]
 HW = load_hardware({})
 # the README's example of a misspelt key, which config rejects
 MISSPELT = {("README.md", "hw.corez")}
 
-
-def _traced_modules() -> tuple[str, ...]:
-    """`MODULES` of perfbench/workloads.py, read without importing it."""
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
-    [value] = [node.value for node in tree.body
-               if isinstance(node, ast.Assign)
-               and [t.id for t in node.targets] == ["MODULES"]]
-    return ast.literal_eval(value)
-
-
 REFERENCE = re.compile(
-    rf"`((?:{'|'.join(_traced_modules())}|hw|model)\.[A-Za-z_][\w.]*"
+    rf"`((?:{'|'.join(MODULES)}|hw|model)\.[A-Za-z_][\w.]*"
     r"|[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`")
 
 

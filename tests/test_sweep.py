@@ -13,10 +13,10 @@ from acceldse.config import (GB, KIB, SweepSpec, apply_overrides,
                              load_sweep_axes, parse_config)
 from acceldse.energy import by_component, energy_terms
 from acceldse.memory import TilingError, phase_totals
-from acceldse.sweep import (METRICS, OutputError, SweepRecord,
-                            decode_mean_over_generation, emit_reports,
-                            evaluate_point, evaluate_sweep, phase_table,
-                            run_sweep, summary_dict)
+from acceldse.report import summary_dict, write_reports
+from acceldse.simulate import decode_mean_over_generation
+from acceldse.sweep import (METRICS, OutputError, SweepRecord, evaluate_point,
+                            evaluate_sweep, phase_table, run_sweep)
 from acceldse.workload import build_decode_trace
 from oracle import evaluate_cell
 
@@ -116,7 +116,7 @@ def test_infeasible_cells_recorded_not_skipped(tmp_path):
     # grids stay dense: the error cell keeps its place, and its value is NaN
     block = result.select("decode", 2048 * GB)
     assert [(r.s, r.ok) for r in block] == [(8, False), (64 * KIB, True)]
-    emit_reports(result, tmp_path, summary_dict(result, 0))
+    write_reports(result, tmp_path, summary_dict(result, 0))
     rows = (tmp_path / "latency_decode_bw2048.csv").read_text().splitlines()
     assert rows[3:] == ["8,800000000.0,nan",
                         f"{64 * KIB},800000000.0,{block[1].latency!r}"]
@@ -124,7 +124,7 @@ def test_infeasible_cells_recorded_not_skipped(tmp_path):
 
 def test_emit_reports_file_set(tmp_path):
     result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
-    written = emit_reports(result, tmp_path, summary_dict(result, 0))
+    written = write_reports(result, tmp_path, summary_dict(result, 0))
     # 8 metrics x 2 phases x 1 bandwidth + roofline + summary
     assert len(written) == 8 * 2 * 1 + 2
     assert [p.name for p in written] == [
@@ -144,7 +144,7 @@ def test_emit_reports_writes_nothing_for_a_non_finite_summary(tmp_path):
     result = run_sweep(SMALL_SPEC, HW, MODEL, REQ)
     out = tmp_path / "out"
     with pytest.raises(OutputError, match=r"^cannot write .*summary\.json: "):
-        emit_reports(result, out, {"level": float("nan")})
+        write_reports(result, out, {"level": float("nan")})
     assert not out.exists()
 
 
