@@ -118,6 +118,27 @@ def plan_tiling(m: MatmulDims, capacity: int, bytes_per_element: int,
         f"{tile_set_bytes(1, tk_min, tn_min, b)} bytes")
 
 
+def capped_dims(m: MatmulDims, capacity: int, bytes_per_element: int,
+                array: ArraySpec) -> MatmulDims:
+    """`m` with K and N cut to where `plan_tiling` stops reading them, so
+    it plans or rejects the result exactly as it does `m`.
+
+    Past the power of two at or above rows (cols), the smallest tile_k
+    (tile_n) is that power.  Each tile_n bound falls as tile_k or tile_m
+    grows, so past the smallest tile_k's beside tile_m = 1 no snap reads
+    N; and no tile_k past the same bound for the smallest tile_n fits, so
+    a larger K only adds skipped candidates.
+    """
+    elements = capacity // bytes_per_element
+    tk_min = _snap_up(min(m.K, array.rows), m.K)
+    tn_min = _snap_up(min(m.N, array.cols), m.N)
+    k_cap = max(1 << (array.rows - 1).bit_length(),
+                (elements - 2 * tn_min) // (tn_min + 2) + 1)
+    n_cap = max(1 << (array.cols - 1).bit_length(),
+                (elements - 2 * tk_min) // (tk_min + 2) + 1)
+    return MatmulDims(m.M, min(m.K, k_cap), min(m.N, n_cap))
+
+
 def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
             fabric: FabricSpec) -> PhaseTotals:
     """Every count of one matmul under a tiling plan.
@@ -151,6 +172,18 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
         global_reads=global_reads,
         global_writes=global_writes,
     )
+
+
+def affine_extent(m: MatmulDims, plan: TilingPlan,
+                  array: ArraySpec) -> tuple[int, int]:
+    """The last K, and the last N, up to which every `traffic` count of
+    `m` under `plan` is affine in that dim alone: `traffic` reads K only
+    through ceil(K / rows), and N only through ceil(N / cols) and
+    ceil(N / tile_n), which set the waves and cycle rounds; every other
+    term has K or N as one factor at most."""
+    rows, cols = array
+    return (-(-m.K // rows) * rows,  # next multiples, in exact integers
+            min(-(-m.N // cols) * cols, -(-m.N // plan.tile_n) * plan.tile_n))
 
 
 def matmul_totals(m: MatmulDims, fabric: FabricSpec, capacity: int,

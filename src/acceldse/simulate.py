@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from .config import GB, KIB, MHZ, ConfigError, HardwareConfig, SweepSpec
 from .energy import by_component, energy_terms
-from .memory import PhaseTotals, TilingError, matmul_totals, sum_totals
+from .memory import (PhaseTotals, TilingError, affine_extent, capped_dims,
+                     matmul_totals, plan_tiling, sum_totals, traffic)
 from .sweep import (SweepRecord, evaluate_point, json_text, label, load_run,
                     output_text, run_sweep)
 from .workload import (InferenceRequest, ModelSpec, attention_matmuls,
@@ -93,31 +94,57 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     The default reporting convention is a single fixed step; this is the
     alternative convention for workloads where KV growth over the whole
     generation matters.  The weight GEMMs are the same at every step, so
-    their totals are tiled and summed once; each step tiles only the two
-    attention GEMMs of its kv_len and adds their totals to that sum.
-    Step 0 is tiled in trace order, so an S too small for one of its GEMMs
-    raises the TilingError a sweep of that step raises.
+    their totals are tiled and summed once.  The attention GEMMs are
+    counted in runs of kv_len over which each keeps its plan (tiled once
+    per `memory.capped_dims` shape: min(kv_len, cap), so equal at a
+    run's two ends means equal between) and affine counts
+    (`memory.affine_extent`): step i of a run has the integer totals
+    base + i * slope, from two `memory.traffic` sums.  Step 0 is tiled
+    in trace order and each later shape at its step, score first, so an
+    S too small for a GEMM raises the TilingError a sweep of that step
+    raises.
     """
-    s, b = hw.buffers.local, model.bytes_per_element
-    tiled = {m: matmul_totals(m, hw.fabric, s, b)
+    s, b, fabric = hw.buffers.local, model.bytes_per_element, hw.fabric
+    tiled = {m: matmul_totals(m, fabric, s, b)
              for m in build_decode_trace(model, req, 0).matmuls}
     weights = sum_totals([(tiled[m], count) for m, count
                           in weight_matmuls(model, rows=req.batch)])
+    plans = {}  # capped GEMM -> its plan
+
+    def attention(kv: int) -> list:
+        """(GEMM, count, capped GEMM) of the score, then the output."""
+        return [(m, count, capped_dims(m, s, b, fabric.array)) for m, count
+                in attention_matmuls(model, req.batch, q_len=1, kv_len=kv)]
+
+    def totals(gemms) -> PhaseTotals:
+        return sum_totals([(weights, 1), *(
+            (traffic(m, plans[capped], b, fabric), count)
+            for m, count, capped in gemms)])
+
     latency = energy = edp_sum = 0.0
-    for step in range(req.gen_tokens):
-        attention = attention_matmuls(model, req.batch, q_len=1,
-                                      kv_len=req.prompt_len + step)
-        if step:  # step 0's attention GEMMs were tiled with its trace
-            tiled = {m: matmul_totals(m, hw.fabric, s, b)
-                     for m, _ in attention}
-        totals = sum_totals([(weights, 1),
-                             *((tiled[m], count) for m, count in attention)])
-        record = evaluate_point(totals, energy_terms(totals, "decode", hw, s),
-                                "decode", hw, s, hw.frequency,
-                                hw.ext_bandwidth)
-        latency += record.latency
-        energy += record.total_j
-        edp_sum += record.edp
+    kv, last = req.prompt_len, req.prompt_len + req.gen_tokens - 1
+    while kv <= last:
+        gemms = attention(kv)
+        for _, _, capped in gemms:
+            plans[capped] = plans.get(capped) or plan_tiling(
+                capped, s, b, fabric.array)
+        (score, _, cap_s), (out, _, cap_o) = gemms
+        end = min(last, affine_extent(score, plans[cap_s], fabric.array)[1],
+                  affine_extent(out, plans[cap_o], fabric.array)[0])
+        if [c for *_, c in attention(end)] != [c for *_, c in gemms]:
+            end = kv
+        base = totals(gemms)
+        slope = ([y - x for x, y in zip(base, totals(attention(kv + 1)))]
+                 if end > kv else [0] * len(base))
+        for i in range(end - kv + 1):
+            step = PhaseTotals._make([x + i * d for x, d in zip(base, slope)])
+            record = evaluate_point(step, energy_terms(step, "decode", hw, s),
+                                    "decode", hw, s, hw.frequency,
+                                    hw.ext_bandwidth)
+            latency += record.latency
+            energy += record.total_j
+            edp_sum += record.edp
+        kv = end + 1
     n = req.gen_tokens
     return {
         "steps": float(n),

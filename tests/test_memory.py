@@ -2,14 +2,15 @@ import random
 from math import ceil
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from acceldse.config import (GB, KIB, MIB, load_hardware, load_model_spec,
                              load_request)
 from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                matmul_local_accesses)
-from acceldse.memory import (TilingError, TilingPlan, phase_totals,
-                             plan_tiling, tile_set_bytes, traffic)
+from acceldse.memory import (TilingError, TilingPlan, affine_extent,
+                             capped_dims, phase_totals, plan_tiling,
+                             tile_set_bytes, traffic)
 from acceldse.energy import energy_terms
 from acceldse.sweep import evaluate_point
 from acceldse.workload import (MatmulDims, build_decode_trace,
@@ -142,6 +143,43 @@ def test_tiling_error_names_a_tile_set_the_search_tries():
         plan_tiling(MatmulDims(8, 12288, 36864), 512, 2, ARRAY)
 
 
+def plan_or_error(m, capacity, b, array):
+    """`plan_tiling`'s plan, or the text of its TilingError."""
+    try:
+        return plan_tiling(m, capacity, b, array)
+    except TilingError as exc:
+        return str(exc)
+
+
+@st.composite
+def capped_cases(draw):
+    """(matmul, capacity, bytes per element, array) whose K and N are at or
+    above the powers of two at or above rows and cols, often within a few
+    of their caps."""
+    array = ArraySpec(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    b = draw(st.sampled_from((1, 2, 4)))
+    capacity = draw(st.integers(1, 256 * KIB))
+    # past those powers of two the caps no longer move
+    caps = capped_dims(MatmulDims(1, 1 << 40, 1 << 40), capacity, b, array)
+    floors = (1 << (array.rows - 1).bit_length(),
+              1 << (array.cols - 1).bit_length())
+    k, n = (draw(st.one_of(st.integers(max(floor, cap - 2), cap + 2),
+                           st.integers(floor, 4 * max(floor, cap))))
+            for floor, cap in zip(floors, caps[1:]))
+    return MatmulDims(draw(st.integers(1, 64)), k, n), capacity, b, array
+
+
+@settings(max_examples=500, deadline=None)
+@given(capped_cases())
+def test_capped_dims_plan_as_the_matmul_does(case):
+    m, capacity, b, array = case
+    capped = capped_dims(m, capacity, b, array)
+    assert capped.M == m.M and capped.K <= m.K and capped.N <= m.N
+    # the same plan, or the same TilingError text
+    assert plan_or_error(capped, capacity, b, array) \
+        == plan_or_error(m, capacity, b, array)
+
+
 def tile_walk_bytes(m, plan, b):
     """Counting oracle: walk every tile, count bytes moved per operand."""
     weights = inputs = outputs = 0
@@ -215,6 +253,29 @@ def test_traffic_core_amortization():
     assert t1.dram_bytes - base == m.M * m.K * 2 * n_tiles
     assert t3.dram_bytes - base == m.M * m.K * 2 * ceil(n_tiles / 3)
     assert t1.onchip_bytes == t3.onchip_bytes  # per-tile movement unchanged
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiling_cases(), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(("K", "N")))
+def test_traffic_is_affine_up_to_its_extent(case, cores, arrays, dim):
+    m, capacity, b, array = case
+    try:
+        plan = plan_tiling(m, capacity, b, array)
+    except TilingError:
+        assume(False)
+    fabric = FabricSpec(cores, arrays, array)
+    last = dict(zip("KN", affine_extent(m, plan, array)))[dim]
+
+    def at(x):
+        return traffic(m._replace(**{dim: x}), plan, b, fabric)
+
+    start = getattr(m, dim)
+    base = at(start)
+    slope = [y - x for x, y in zip(base, at(start + 1))]
+    for x in range(start, last + 1):
+        assert at(x) == tuple(a + (x - start) * d
+                              for a, d in zip(base, slope)), x
 
 
 def test_counts_are_exact_integers_beyond_float_precision():

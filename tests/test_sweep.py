@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from acceldse import memory, sweep
+from acceldse import memory, simulate, sweep
 from acceldse.cli import main
 from acceldse.config import (GB, KIB, SweepSpec, apply_overrides,
                              load_hardware, load_model_spec, load_request,
@@ -446,6 +446,31 @@ def small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows, cols,
          rows=1, cols=6, s_bytes=24)
 @example(n_heads=1, head_dim=1, batch=1, prompt_len=1, gen_tokens=30,
          rows=1, cols=6, s_bytes=40)
+# Each example below crosses one boundary of the decode mean's runs
+# mid-generation, and fails if the runs do not end there.  kv_len 12 to 13
+# passes a multiple of 4 rows: the output GEMM's K folds move.
+@example(n_heads=1, head_dim=11, batch=1, prompt_len=12, gen_tokens=3,
+         rows=4, cols=5, s_bytes=114)
+# kv_len 21 to 30 passes multiples of 2 columns: the score's N folds move
+@example(n_heads=2, head_dim=1, batch=2, prompt_len=21, gen_tokens=10,
+         rows=6, cols=2, s_bytes=114)
+# 16-column score tiles on 6-column arrays: kv_len 33 adds a third tile
+# inside the folds' run of kv_len 31 to 36
+@example(n_heads=1, head_dim=4, batch=1, prompt_len=29, gen_tokens=7,
+         rows=5, cols=6, s_bytes=245)
+# 4-column score tiles: kv_len 13 makes 4 tiles on 3 cores, a second wave
+@example(n_heads=1, head_dim=3, batch=1, prompt_len=7, gen_tokens=8,
+         rows=3, cols=3, s_bytes=52)
+# the score passes its cap of 12 at kv_len 13; the output GEMM, still
+# below its own cap, changes plan at kv_len 15, inside a run of fixed
+# folds and tile counts
+@example(n_heads=2, head_dim=7, batch=1, prompt_len=12, gen_tokens=4,
+         rows=6, cols=4, s_bytes=243)
+# below 8, the power of two at or above 5 columns, the score's smallest
+# tile grows with kv_len: kv_len 4 to 6 fit, 7 does not, and 8 fails
+# with a larger tile set, so each step's shape is tiled in step order
+@example(n_heads=1, head_dim=1, batch=1, prompt_len=4, gen_tokens=5,
+         rows=4, cols=5, s_bytes=40)
 def test_decode_mean_matches_a_sweep_per_step(n_heads, head_dim, batch,
                                               prompt_len, gen_tokens, rows,
                                               cols, s_bytes):
@@ -462,12 +487,63 @@ def test_decode_mean_matches_a_sweep_per_step(n_heads, head_dim, batch,
         assert repr(decode_mean_over_generation(*run)) == repr(expected)
 
 
-def test_decode_mean_tiles_each_distinct_gemm_once(monkeypatch):
-    calls = []
-    tile = memory.plan_tiling
-    monkeypatch.setattr(memory, "plan_tiling",
-                        lambda *args: calls.append(args) or tile(*args))
+def test_decode_mean_counts_each_run_of_steps_once(monkeypatch):
+    calls = {"plan_tiling": 0, "traffic": 0}
+    for name in calls:
+        counted = getattr(memory, name)
+
+        def count(*args, name=name, counted=counted):
+            calls[name] += 1
+            return counted(*args)
+        for module in (memory, simulate):
+            monkeypatch.setattr(module, name, count)
     req = load_request({"model.gen_tokens": "256"})
     decode_mean_over_generation(HW, MODEL, req)
-    # the three weight GEMMs once, the two attention GEMMs once per kv_len
-    assert len(calls) == 3 + 2 * 256
+    # step 0's five GEMMs in trace order, then the two attention GEMMs
+    # once: at kv_len 2048 both are past their 1,819 caps
+    assert calls["plan_tiling"] == 5 + 2
+    # step 0's five, then each of the 17 runs of kv_len 2048-2303 between
+    # multiples of 16 columns: 2 for the one-step run at 2048 and 4 (its
+    # base and the next step) for each of the 16 others
+    assert calls["traffic"] == 5 + 2 + 4 * 16
+
+
+# --- depth scales every count ------------------------------------------------
+
+def step_totals(monkeypatch, model, req):
+    """Each step's totals in the decode mean of `model`, in step order."""
+    steps = []
+    monkeypatch.setattr(simulate, "energy_terms",
+                        lambda totals, *args: steps.append(totals)
+                        or energy_terms(totals, *args))
+    decode_mean_over_generation(HW, model, req)
+    return steps
+
+
+def argmins_and_transitions(summary):
+    """Each grid's argmins and bound transition frequencies."""
+    return {key: {name: value for name, value in grid.items()
+                  if name.endswith("_argmin")
+                  or name == "bound_transition_mhz"}
+            for key, grid in summary["grids"].items()}
+
+
+@pytest.mark.parametrize("k", [2, 96])
+def test_k_layers_scale_every_count_and_move_no_optimum(monkeypatch, k):
+    # every GEMM's count is a multiple of n_layers, so every integer count
+    # is k times its one-layer value, and so is every time and energy up
+    # to rounding: no argmin and no bound transition moves
+    deep = MODEL._replace(n_layers=k)
+    one, many = (phase_table(DEFAULT_SPEC, HW, model, REQ)
+                 for model in (MODEL, deep))
+    assert one.keys() == many.keys()
+    for key, totals in one.items():
+        assert many[key] == tuple(k * x for x in totals), key
+    req = REQ._replace(gen_tokens=32)
+    assert step_totals(monkeypatch, deep, req) == [
+        tuple(k * x for x in totals)
+        for totals in step_totals(monkeypatch, MODEL, req)]
+    one, many = (argmins_and_transitions(summary_dict(
+        evaluate_sweep(DEFAULT_SPEC, HW, table), REQ.decode_step))
+        for table in (one, many))
+    assert many == one
