@@ -126,8 +126,9 @@ def capped_dims(m: MatmulDims, capacity: int, bytes_per_element: int,
     Past the power of two at or above rows (cols), the smallest tile_k
     (tile_n) is that power.  Each tile_n bound falls as tile_k or tile_m
     grows, so past the smallest tile_k's beside tile_m = 1 no snap reads
-    N; and no tile_k past the same bound for the smallest tile_n fits, so
-    a larger K only adds skipped candidates.
+    N; no tile_k past the same bound for the smallest tile_n fits.  Each
+    capped dim is monotone in K and in N: a dim is min(dim, its cap), and
+    its cap never rises as the other dim's smallest tile grows.
     """
     elements = capacity // bytes_per_element
     tk_min = _snap_up(min(m.K, array.rows), m.K)
@@ -176,11 +177,10 @@ def traffic(m: MatmulDims, plan: TilingPlan, bytes_per_element: int,
 
 def affine_extent(m: MatmulDims, plan: TilingPlan,
                   array: ArraySpec) -> tuple[int, int]:
-    """The last K, and the last N, up to which every `traffic` count of
-    `m` under `plan` is affine in that dim alone: `traffic` reads K only
-    through ceil(K / rows), and N only through ceil(N / cols) and
-    ceil(N / tile_n), which set the waves and cycle rounds; every other
-    term has K or N as one factor at most."""
+    """The last K, and the last N, up to which each `traffic` count of `m`
+    under `plan` is affine in that dim: it reads K only through
+    ceil(K / rows), N only through ceil(N / cols) and ceil(N / tile_n),
+    and has K or N as one factor at most in every other term."""
     rows, cols = array
     return (-(-m.K // rows) * rows,  # next multiples, in exact integers
             min(-(-m.N // cols) * cols, -(-m.N // plan.tile_n) * plan.tile_n))

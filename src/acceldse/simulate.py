@@ -4,6 +4,9 @@ BW, printed as its JSON record, a table or a CSV row, and with
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import partial
+
 from .config import GB, KIB, MHZ, ConfigError, HardwareConfig, SweepSpec
 from .energy import by_component, energy_terms
 from .memory import (PhaseTotals, TilingError, affine_extent, capped_dims,
@@ -94,50 +97,47 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     The default reporting convention is a single fixed step; this is the
     alternative convention for workloads where KV growth over the whole
     generation matters.  The weight GEMMs are the same at every step, so
-    their totals are tiled and summed once.  The attention GEMMs are
-    counted in runs of kv_len over which each keeps its plan (tiled once
-    per `memory.capped_dims` shape: min(kv_len, cap), so equal at a
-    run's two ends means equal between) and affine counts
+    their totals are tiled and summed once.  The attention GEMMs'
+    `memory.capped_dims` shapes are monotone in kv_len, so from one step
+    on (`steady`) they are the last step's, and so are their plans.  Up
+    to `steady` each step tiles both GEMMs, score first, as a sweep of it
+    does (step 0 in trace order), so an S too small for a GEMM raises the
+    sweep's TilingError.  From it on the steps go in runs of affine counts
     (`memory.affine_extent`): step i of a run has the integer totals
-    base + i * slope, from two `memory.traffic` sums.  Step 0 is tiled
-    in trace order and each later shape at its step, score first, so an
-    S too small for a GEMM raises the TilingError a sweep of that step
-    raises.
+    base + i * (second - base), from two `memory.traffic` sums.
     """
     s, b, fabric = hw.buffers.local, model.bytes_per_element, hw.fabric
     tiled = {m: matmul_totals(m, fabric, s, b)
              for m in build_decode_trace(model, req, 0).matmuls}
     weights = sum_totals([(tiled[m], count) for m, count
                           in weight_matmuls(model, rows=req.batch)])
-    plans = {}  # capped GEMM -> its plan
-
-    def attention(kv: int) -> list:
-        """(GEMM, count, capped GEMM) of the score, then the output."""
-        return [(m, count, capped_dims(m, s, b, fabric.array)) for m, count
-                in attention_matmuls(model, req.batch, q_len=1, kv_len=kv)]
-
-    def totals(gemms) -> PhaseTotals:
-        return sum_totals([(weights, 1), *(
-            (traffic(m, plans[capped], b, fabric), count)
-            for m, count, capped in gemms)])
-
-    latency = energy = edp_sum = 0.0
+    attention = partial(attention_matmuls, model, req.batch, 1)
     kv, last = req.prompt_len, req.prompt_len + req.gen_tokens - 1
+
+    def capped(kv: int) -> list:
+        return [capped_dims(m, s, b, fabric.array) for m, _ in attention(kv)]
+
+    def totals(gemms, plans: list) -> PhaseTotals:
+        return sum_totals([(weights, 1), *(
+            (traffic(m, plan, b, fabric), count)
+            for (m, count), plan in zip(gemms, plans))])
+
+    fixed = capped(last)
+    steady = kv + bisect_left(range(kv, last + 1), True,
+                              key=lambda kv: capped(kv) == fixed)
+    latency = energy = edp_sum = 0.0
     while kv <= last:
-        gemms = attention(kv)
-        for _, _, capped in gemms:
-            plans[capped] = plans.get(capped) or plan_tiling(
-                capped, s, b, fabric.array)
-        (score, _, cap_s), (out, _, cap_o) = gemms
-        end = min(last, affine_extent(score, plans[cap_s], fabric.array)[1],
-                  affine_extent(out, plans[cap_o], fabric.array)[0])
-        if [c for *_, c in attention(end)] != [c for *_, c in gemms]:
-            end = kv
-        base = totals(gemms)
-        slope = ([y - x for x, y in zip(base, totals(attention(kv + 1)))]
-                 if end > kv else [0] * len(base))
+        (score, _), (out, _) = gemms = attention(kv)
+        if kv <= steady:
+            plans = [plan_tiling(m, s, b, fabric.array) for m, _ in gemms]
+        end = kv if kv < steady else min(
+            last, affine_extent(score, plans[0], fabric.array)[1],
+            affine_extent(out, plans[1], fabric.array)[0])
+        base = totals(gemms, plans)
+        second = totals(attention(kv + 1), plans) if end > kv else base
         for i in range(end - kv + 1):
-            step = PhaseTotals._make([x + i * d for x, d in zip(base, slope)])
+            step = PhaseTotals._make([x + i * (y - x) for x, y in
+                                      zip(base, second)]) if i else base
             record = evaluate_point(step, energy_terms(step, "decode", hw, s),
                                     "decode", hw, s, hw.frequency,
                                     hw.ext_bandwidth)

@@ -153,19 +153,25 @@ def plan_or_error(m, capacity, b, array):
 
 @st.composite
 def capped_cases(draw):
-    """(matmul, capacity, bytes per element, array) whose K and N are at or
-    above the powers of two at or above rows and cols, often within a few
-    of their caps."""
+    """(matmul, capacity, bytes per element, array) whose K and N are each
+    below the power of two at or above rows (cols), within a few of its
+    cap, or anywhere up to four times it; N's cap is taken at the drawn K,
+    so one dim past its cap beside one below its power of two is drawn."""
     array = ArraySpec(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
     b = draw(st.sampled_from((1, 2, 4)))
     capacity = draw(st.integers(1, 256 * KIB))
-    # past those powers of two the caps no longer move
-    caps = capped_dims(MatmulDims(1, 1 << 40, 1 << 40), capacity, b, array)
     floors = (1 << (array.rows - 1).bit_length(),
               1 << (array.cols - 1).bit_length())
-    k, n = (draw(st.one_of(st.integers(max(floor, cap - 2), cap + 2),
-                           st.integers(floor, 4 * max(floor, cap))))
-            for floor, cap in zip(floors, caps[1:]))
+
+    def dim(floor, cap):
+        return draw(st.one_of(st.integers(1, floor),
+                              st.integers(max(floor, cap - 2), cap + 2),
+                              st.integers(floor, 4 * cap)))
+    # past N's power of two the K cap no longer moves
+    k = dim(floors[0], capped_dims(MatmulDims(1, 1 << 40, 1 << 40),
+                                   capacity, b, array).K)
+    n = dim(floors[1], capped_dims(MatmulDims(1, k, 1 << 40),
+                                   capacity, b, array).N)
     return MatmulDims(draw(st.integers(1, 64)), k, n), capacity, b, array
 
 
@@ -178,6 +184,20 @@ def test_capped_dims_plan_as_the_matmul_does(case):
     # the same plan, or the same TilingError text
     assert plan_or_error(capped, capacity, b, array) \
         == plan_or_error(m, capacity, b, array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capped_cases(), st.sampled_from(("K", "N")))
+def test_capped_dims_are_monotone_in_each_dim(case, dim):
+    # the decode mean bisects kv_len for the step from which the capped
+    # attention shapes stay fixed: as K (N) grows, the capped K (N) must
+    # not fall and the capped N (K) must not rise
+    m, capacity, b, array = case
+    before, after = (capped_dims(x, capacity, b, array) for x in
+                     (m, m._replace(**{dim: getattr(m, dim) + 1})))
+    other = "N" if dim == "K" else "K"
+    assert getattr(before, dim) <= getattr(after, dim)
+    assert getattr(before, other) >= getattr(after, other)
 
 
 def tile_walk_bytes(m, plan, b):

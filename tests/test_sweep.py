@@ -463,7 +463,7 @@ def small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows, cols,
          rows=3, cols=3, s_bytes=52)
 # the score passes its cap of 12 at kv_len 13; the output GEMM, still
 # below its own cap, changes plan at kv_len 15, inside a run of fixed
-# folds and tile counts
+# folds and tile counts: plans stay only once both capped shapes do
 @example(n_heads=2, head_dim=7, batch=1, prompt_len=12, gen_tokens=4,
          rows=6, cols=4, s_bytes=243)
 # below 8, the power of two at or above 5 columns, the score's smallest
@@ -506,6 +506,11 @@ def test_decode_mean_counts_each_run_of_steps_once(monkeypatch):
     # multiples of 16 columns: 2 for the one-step run at 2048 and 4 (its
     # base and the next step) for each of the 16 others
     assert calls["traffic"] == 5 + 2 + 4 * 16
+    # below the caps (kv_len 256-511) the capped shapes move every step,
+    # so each step tiles and counts its two attention GEMMs once
+    calls.update(plan_tiling=0, traffic=0)
+    decode_mean_over_generation(HW, MODEL, req._replace(prompt_len=256))
+    assert calls == {"plan_tiling": 5 + 2 * 256, "traffic": 5 + 2 * 256}
 
 
 # --- depth scales every count ------------------------------------------------
