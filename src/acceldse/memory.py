@@ -12,9 +12,10 @@ on-chip and external bytes from them.
 
 `phase_totals` fixes a phase's counts from the trace, the fabric and the
 local buffer size alone, as the field-wise sum of each distinct GEMM's
-`matmul_totals`.  No clock or bandwidth enters them, so a sweep
-computes them once per (phase, S) and applies the clock and the
-bandwidths to each (f, BW) cell in closed form (`sweep.evaluate_point`).
+`traffic` under its `plan_tiling` plan.  No clock or bandwidth enters
+them, so a sweep computes them once per (phase, S) and applies the
+clock and the bandwidths to each (f, BW) cell in closed form
+(`sweep.evaluate_point`).
 """
 
 from __future__ import annotations
@@ -186,18 +187,10 @@ def affine_extent(m: MatmulDims, plan: TilingPlan,
             min(-(-m.N // cols) * cols, -(-m.N // plan.tile_n) * plan.tile_n))
 
 
-def matmul_totals(m: MatmulDims, fabric: FabricSpec, capacity: int,
-                  bytes_per_element: int) -> PhaseTotals:
-    """The `traffic` of one GEMM under its plan for a local buffer of
-    `capacity` bytes; raises TilingError if no tile set fits it."""
-    return traffic(m, plan_tiling(m, capacity, bytes_per_element,
-                                  fabric.array), bytes_per_element, fabric)
-
-
 def sum_totals(terms: Iterable[tuple[PhaseTotals, int]]) -> PhaseTotals:
     """The field-wise, count-weighted sum of one or more (totals, count)
-    pairs: a trace's totals from the `matmul_totals` of each of its GEMMs,
-    or one part's sum plus another's.
+    pairs: a trace's totals from the `traffic` of each of its GEMMs, or
+    one part's sum plus another's.
 
     Every count is an integer, so the sum is exact in any order.
     """
@@ -211,6 +204,8 @@ def phase_totals(trace: PhaseTrace, fabric: FabricSpec, capacity: int,
     raises the TilingError of the first GEMM in trace order that no tile
     set fits, which gives the buffer size and that GEMM's minimal
     tile-set bytes."""
+    b = bytes_per_element
     return sum_totals([
-        (matmul_totals(m, fabric, capacity, bytes_per_element), count)
+        (traffic(m, plan_tiling(m, capacity, b, fabric.array), b, fabric),
+         count)
         for m, count in trace.matmuls.items()])

@@ -10,7 +10,7 @@ from functools import partial
 from .config import GB, KIB, MHZ, ConfigError, HardwareConfig, SweepSpec
 from .energy import by_component, energy_terms
 from .memory import (PhaseTotals, TilingError, affine_extent, capped_dims,
-                     matmul_totals, plan_tiling, sum_totals, traffic)
+                     plan_tiling, sum_totals, traffic)
 from .sweep import (SweepRecord, evaluate_point, json_text, label, load_run,
                     output_text, run_sweep)
 from .workload import (InferenceRequest, ModelSpec, attention_matmuls,
@@ -96,20 +96,23 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
 
     The default reporting convention is a single fixed step; this is the
     alternative convention for workloads where KV growth over the whole
-    generation matters.  The weight GEMMs are the same at every step, so
-    their totals are tiled and summed once.  The attention GEMMs'
-    `memory.capped_dims` shapes are monotone in kv_len, so from one step
-    on (`steady`) they are the last step's, and so are their plans.  Up
-    to `steady` each step tiles both GEMMs, score first, as a sweep of it
-    does (step 0 in trace order), so an S too small for a GEMM raises the
-    sweep's TilingError.  From it on the steps go in runs of affine counts
-    (`memory.affine_extent`): step i of a run has the integer totals
-    base + i * (second - base), from two `memory.traffic` sums.
+    generation matters.  Step 0's GEMMs are planned once, in trace
+    order, as a sweep of it plans them.  The weight GEMMs are the same
+    at every step, so their totals are counted and summed once under
+    those plans, and the walk's first step takes step 0's two attention
+    plans.  The attention GEMMs' `memory.capped_dims` shapes are
+    monotone in kv_len, so from one step on (`steady`) they are the last
+    step's, and so are their plans.  Up to `steady` each later step
+    tiles both GEMMs, score first, as a sweep of it does, so an S too
+    small for a GEMM raises the sweep's TilingError.  From it on the
+    steps go in runs of affine counts (`memory.affine_extent`): step i
+    of a run has the integer totals base + i * (second - base), from two
+    `memory.traffic` sums.
     """
     s, b, fabric = hw.buffers.local, model.bytes_per_element, hw.fabric
-    tiled = {m: matmul_totals(m, fabric, s, b)
+    tiled = {m: plan_tiling(m, s, b, fabric.array)
              for m in build_decode_trace(model, req, 0).matmuls}
-    weights = sum_totals([(tiled[m], count) for m, count
+    weights = sum_totals([(traffic(m, tiled[m], b, fabric), count) for m, count
                           in weight_matmuls(model, rows=req.batch)])
     attention = partial(attention_matmuls, model, req.batch, 1)
     kv, last = req.prompt_len, req.prompt_len + req.gen_tokens - 1
@@ -129,7 +132,8 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     while kv <= last:
         (score, _), (out, _) = gemms = attention(kv)
         if kv <= steady:
-            plans = [plan_tiling(m, s, b, fabric.array) for m, _ in gemms]
+            plans = [tiled.get(m) or plan_tiling(m, s, b, fabric.array)
+                     for m, _ in gemms]
         end = kv if kv < steady else min(
             last, affine_extent(score, plans[0], fabric.array)[1],
             affine_extent(out, plans[1], fabric.array)[0])

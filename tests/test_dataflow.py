@@ -6,7 +6,7 @@ from acceldse.dataflow import (ArraySpec, FabricSpec, analytic_cycles,
                                fold_count, matmul_local_accesses)
 from acceldse.config import MIB, load_hardware
 from acceldse.energy import energy_terms
-from acceldse.memory import matmul_totals, phase_totals
+from acceldse.memory import phase_totals, plan_tiling, traffic
 from acceldse.workload import InferenceRequest, MatmulDims, ModelSpec, \
     build_prefill_trace
 from oracle import SimulationGuardError, simulate_cycles
@@ -103,7 +103,8 @@ def test_fold_distribution_across_fabric():
 
 def utilization(m, fabric):
     """The array utilization of a phase made of the one GEMM `m`."""
-    return energy_terms(matmul_totals(m, fabric, 64 * MIB, 2), "decode",
+    plan = plan_tiling(m, 64 * MIB, 2, fabric.array)
+    return energy_terms(traffic(m, plan, 2, fabric), "decode",
                         HW._replace(fabric=fabric),
                         HW.buffers.local).utilization
 

@@ -488,7 +488,7 @@ def test_decode_mean_matches_a_sweep_per_step(n_heads, head_dim, batch,
 
 
 def test_decode_mean_counts_each_run_of_steps_once(monkeypatch):
-    calls = {"plan_tiling": 0, "traffic": 0}
+    calls = {"plan_tiling": 0, "traffic": 0, "capped_dims": 0}
     for name in calls:
         counted = getattr(memory, name)
 
@@ -499,18 +499,25 @@ def test_decode_mean_counts_each_run_of_steps_once(monkeypatch):
             monkeypatch.setattr(module, name, count)
     req = load_request({"model.gen_tokens": "256"})
     decode_mean_over_generation(HW, MODEL, req)
-    # step 0's five GEMMs in trace order, then the two attention GEMMs
-    # once: at kv_len 2048 both are past their 1,819 caps
-    assert calls["plan_tiling"] == 5 + 2
-    # step 0's five, then each of the 17 runs of kv_len 2048-2303 between
-    # multiples of 16 columns: 2 for the one-step run at 2048 and 4 (its
-    # base and the next step) for each of the 16 others
-    assert calls["traffic"] == 5 + 2 + 4 * 16
+    # step 0's five GEMMs in trace order, once: at kv_len 2048 both
+    # attention GEMMs are past their 1,819 caps, so the walk keeps the
+    # two attention plans of step 0
+    assert calls["plan_tiling"] == 5
+    # step 0's three weight GEMMs, then each of the 17 runs of kv_len
+    # 2048-2303 between multiples of 16 columns: 2 for the one-step run
+    # at 2048 and 4 (its base and the next step) for each of the 16 others
+    assert calls["traffic"] == 3 + 2 + 4 * 16
+    # the last step's two capped shapes, then 9 bisection probes of two
+    # each over the 256 steps
+    assert calls["capped_dims"] == 2 + 2 * 9
     # below the caps (kv_len 256-511) the capped shapes move every step,
-    # so each step tiles and counts its two attention GEMMs once
-    calls.update(plan_tiling=0, traffic=0)
+    # so each step after step 0 tiles its two attention GEMMs, and each
+    # step counts them once; the bisection finds the last step in 8
+    # probes, where a scan for it reads the capped shapes of all 256
+    calls.update(plan_tiling=0, traffic=0, capped_dims=0)
     decode_mean_over_generation(HW, MODEL, req._replace(prompt_len=256))
-    assert calls == {"plan_tiling": 5 + 2 * 256, "traffic": 5 + 2 * 256}
+    assert calls == {"plan_tiling": 5 + 2 * 255, "traffic": 3 + 2 * 256,
+                     "capped_dims": 2 + 2 * 8}
 
 
 # --- depth scales every count ------------------------------------------------
