@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from acceldse import config, report
-from acceldse.cli import build_parser, main
+from acceldse.cli import VERBS as CLI_VERBS, _plain_args, build_parser, main
 from acceldse.config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                              load_hardware, load_model_spec, load_request,
                              load_sweep_axes, parse_config)
@@ -683,6 +684,9 @@ def test_cli_calibrate_target_off_grid_exits_2(capsys, flag):
     assert flag.split("=")[-2] in err  # the flag, or the override's key
 
 
+# A plain command line runs without argparse, which imports gettext and,
+# at its first message, locale.
+ARGPARSE = ("argparse", "gettext", "locale")
 # Each verb: the module `main` imports for it, its exit code on the
 # baseline config, and what else it must not load: no verb loads another
 # verb's module, and `json` is loaded only where JSON is built.
@@ -721,7 +725,7 @@ def test_cli_import_leaves_numpy_out():
     # are named tuples, not dataclasses (which import inspect); no verb's
     # module is loaded before its verb runs, nor json before JSON is built
     heavy = ("numpy", "dataclasses", "inspect", "json", "acceldse.simulate",
-             "acceldse.calibrate", "acceldse.report")
+             "acceldse.calibrate", "acceldse.report", *ARGPARSE)
     assert _newly_loaded([], heavy) == "None []"
 
 
@@ -729,8 +733,8 @@ def test_cli_import_leaves_numpy_out():
 def test_cli_verb_loads_only_its_own_module(tmp_path, verb):
     module, code, others = VERBS[verb]
     own = f"acceldse.{module}"
-    assert _newly_loaded(_verb_argv(verb, tmp_path), (own, *others)) \
-        == f"{code} {[own]}"
+    assert _newly_loaded(_verb_argv(verb, tmp_path),
+                         (own, *others, *ARGPARSE)) == f"{code} {[own]}"
 
 
 @pytest.mark.parametrize("verb", VERBS)
@@ -748,6 +752,7 @@ def test_cli_is_loaded_once_under_dash_m(tmp_path, verb):
                 if line.startswith("import time:")]
     assert proc.returncode == VERBS[verb][1]
     assert "acceldse.sweep" in imported and "acceldse.cli" not in imported
+    assert "argparse" not in imported
 
 
 # sha256 of `acceldse --help` and of each verb's `--help` at 80 columns
@@ -776,3 +781,97 @@ def test_cli_help_matches_recorded_digest(verb, monkeypatch, capsysbinary):
     assert exited.value.code == 0
     assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() \
         == HELP_DIGESTS[verb]
+
+
+# argparse's usage errors at 80 columns, recorded before `main` read a
+# plain command line without it
+USAGE_ERRORS = {
+    ("simulate", "--config", "X", "--phase", "bogus"):
+        "usage: acceldse simulate [-h] --config CONFIG [--override KEY=VALUE]\n"
+        "                         [--jobs JOBS] [--phase {prefill,decode}]\n"
+        "                         [--format {table,json,csv}]\n"
+        "                         [--decode-mode {step,mean}]\n"
+        "acceldse simulate: error: argument --phase: invalid choice: 'bogus' "
+        "(choose from 'prefill', 'decode')\n",
+    ("sweep", "--config", "X"):
+        "usage: acceldse sweep [-h] --config CONFIG [--override KEY=VALUE]\n"
+        "                      [--jobs JOBS] --out OUT\n"
+        "acceldse sweep: error: the following arguments are required: "
+        "--out\n",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_cli_usage_error_matches_recorded_text(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    assert exited.value.code == 2
+    assert capsys.readouterr() == ("", USAGE_ERRORS[argv])
+
+
+def _values(kwargs):
+    """(values an option's `type` and `choices` accept, values that they
+    reject or that start with `-`)"""
+    if "choices" in kwargs:
+        return list(kwargs["choices"]), ["bogus", f"-{kwargs['choices'][0]}"]
+    if kwargs.get("type") is int:
+        return ["1", "2", "08"], ["x", "1.5", "-1"]
+    if kwargs.get("type") is float:
+        return ["32", "0.5", "1e3"], ["x", "", "-600"]
+    return ["configs/baseline.conf", "model.n_layers=96", "a b", ""], \
+        ["-x", "-", "--"]
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, plain): a command line drawn from the CLI's table, and
+    whether it is plain; a near miss is plain but for one token, or
+    lacks a required option."""
+    verb = draw(st.sampled_from(list(CLI_VERBS)))
+    options = CLI_VERBS[verb][2]
+    required = [flag for flag, kwargs in options.items()
+                if kwargs.get("required")]
+    chosen = required + draw(st.lists(st.sampled_from(list(options)),
+                                      max_size=6))
+    argv = [verb]
+    for flag in chosen:
+        argv += [flag, draw(st.sampled_from(_values(options[flag])[0]))]
+    miss = draw(st.sampled_from(["verb", "help", "required", "value",
+                                 "abbreviate", "equals", "drop", None, None,
+                                 None]))
+    at = 2 * draw(st.integers(0, len(chosen) - 1)) + 1
+    if miss == "verb":
+        argv[0] = draw(st.sampled_from(["bogus", verb[:-1], verb.title()]))
+    elif miss == "help":
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["-h", "--help"])))
+    elif miss == "required":
+        flag = draw(st.sampled_from(required))
+        argv = [verb, *(token for pair in zip(argv[1::2], argv[2::2])
+                        if pair[0] != flag for token in pair)]
+    elif miss == "value":
+        argv[at + 1] = draw(st.sampled_from(_values(options[argv[at]])[1]))
+    elif miss == "abbreviate":
+        argv[at] = argv[at][:-1]
+    elif miss == "equals":
+        argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+    elif miss == "drop":
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv, miss is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+@example((["simulate", "--config", "X", "--phase", "bogus"], False))
+@example((["calibrate", "--config", "X", "--jobs", "1.5"], False))
+@example((["sweep", "--config", "X", "--out", "-o"], False))
+@example((["sweep", "--override", "a=1", "--out", "o"], False))
+@example((["report", "--config", "X", "--override", "a=1", "--override",
+           "b=2"], True))
+def test_plain_args_is_parse_args_or_declines(line):
+    argv, plain = line
+    args = _plain_args(argv)
+    assert (args is not None) == plain
+    if plain:
+        assert vars(args) == vars(build_parser().parse_args(argv))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from acceldse.cli import main
+from acceldse.cli import _plain_args, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = str(ROOT / "configs" / "baseline.conf")
@@ -49,7 +49,10 @@ def test_benchmark_workload_matches_reference(name, tmp_path, monkeypatch,
     workload = WL.WORKLOADS[name]
     monkeypatch.chdir(ROOT)  # workload argv names the config relative to ROOT
     out_dir = tmp_path / "out"
-    code = main(workload.argv(out_dir))
+    argv = workload.argv(out_dir)
+    # every benchmark command line is plain: it runs without argparse
+    assert vars(_plain_args(argv)) == vars(build_parser().parse_args(argv))
+    code = main(argv)
     stdout = capsysbinary.readouterr().out
     observed = WL.observed_outputs(workload, code, stdout, out_dir)
     assert WL.mismatches(WL.load_references()[name], observed) == []
