@@ -78,11 +78,10 @@ def build_parser():
         description="Design-space exploration for LLM inference on a "
                     "systolic-array accelerator")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (module, summary, options) in VERBS.items():
+    for verb, (_, summary, options) in VERBS.items():
         p = sub.add_parser(verb, help=summary)
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(module=module)
     return parser
 
 
@@ -101,7 +100,7 @@ def _plain_args(argv: list[str]) -> _Args | None:
     `type` and `choices`, and each required option given; else None."""
     if len(argv) % 2 == 0 or argv[0] not in VERBS:
         return None
-    module, _, options = VERBS[argv[0]]
+    options = VERBS[argv[0]][2]
     fields = {flag: kwargs.get("default") for flag, kwargs in options.items()}
     for flag, text in zip(argv[1::2], argv[2::2]):
         kwargs = options.get(flag)
@@ -119,9 +118,8 @@ def _plain_args(argv: list[str]) -> _Args | None:
     if any(kwargs.get("required") and flag not in argv[1::2]
            for flag, kwargs in options.items()):
         return None
-    return _Args(verb=argv[0], module=module,
-                 **{flag[2:].replace("-", "_"): value
-                    for flag, value in fields.items()})
+    return _Args(verb=argv[0], **{flag[2:].replace("-", "_"): value
+                                  for flag, value in fields.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
-        module = import_module(f".{args.module}", __package__)
+        module = import_module(f".{VERBS[args.verb][0]}", __package__)
         done = getattr(module, f"cmd_{args.verb}")(args)
         return EXIT_OK if done else EXIT_FAILURE
     except ConfigError as exc:

@@ -4,7 +4,6 @@ BW, printed as its JSON record, a table or a CSV row, and with
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import partial
 
 from .config import GB, KIB, MHZ, ConfigError, HardwareConfig, SweepSpec
@@ -100,14 +99,16 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     order, as a sweep of it plans them.  The weight GEMMs are the same
     at every step, so their totals are counted and summed once under
     those plans, and the walk's first step takes step 0's two attention
-    plans.  The attention GEMMs' `memory.capped_dims` shapes are
-    monotone in kv_len, so from one step on (`steady`) they are the last
-    step's, and so are their plans.  Up to `steady` each later step
-    tiles both GEMMs, score first, as a sweep of it does, so an S too
-    small for a GEMM raises the sweep's TilingError.  From it on the
-    steps go in runs of affine counts (`memory.affine_extent`): step i
-    of a run has the integer totals base + i * (second - base), from two
-    `memory.traffic` sums.
+    plans.  Each attention GEMM's kv dim (the score's N, the output's K)
+    has a `memory.capped_dims` cap that head_dim alone fixes, and its
+    other capped dim stops moving at a power of two at most that cap, so
+    from the last step's larger capped kv dim (`steady`, at least the
+    first step) on, both plans are the last step's.  Up to `steady`
+    each later step tiles both GEMMs, score first, as a sweep of it
+    does, so an S too small for a GEMM raises the sweep's TilingError.
+    From it on the steps go in runs of affine counts
+    (`memory.affine_extent`): step i of a run has the integer totals
+    base + i * (second - base), from two `memory.traffic` sums.
     """
     s, b, fabric = hw.buffers.local, model.bytes_per_element, hw.fabric
     tiled = {m: plan_tiling(m, s, b, fabric.array)
@@ -117,17 +118,14 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     attention = partial(attention_matmuls, model, req.batch, 1)
     kv, last = req.prompt_len, req.prompt_len + req.gen_tokens - 1
 
-    def capped(kv: int) -> list:
-        return [capped_dims(m, s, b, fabric.array) for m, _ in attention(kv)]
-
     def totals(gemms, plans: list) -> PhaseTotals:
         return sum_totals([(weights, 1), *(
             (traffic(m, plan, b, fabric), count)
             for (m, count), plan in zip(gemms, plans))])
 
-    fixed = capped(last)
-    steady = kv + bisect_left(range(kv, last + 1), True,
-                              key=lambda kv: capped(kv) == fixed)
+    (score, _), (out, _) = attention(last)
+    steady = max(kv, capped_dims(score, s, b, fabric.array).N,
+                 capped_dims(out, s, b, fabric.array).K)
     latency = energy = edp_sum = 0.0
     while kv <= last:
         (score, _), (out, _) = gemms = attention(kv)

@@ -13,8 +13,8 @@ from acceldse.memory import (TilingError, TilingPlan, affine_extent,
                              tile_set_bytes, traffic)
 from acceldse.energy import energy_terms
 from acceldse.sweep import evaluate_point
-from acceldse.workload import (MatmulDims, build_decode_trace,
-                               build_prefill_trace)
+from acceldse.workload import (MatmulDims, ModelSpec, attention_matmuls,
+                               build_decode_trace, build_prefill_trace)
 from oracle import search_plan
 
 ARRAY = ArraySpec(16, 16)
@@ -189,15 +189,49 @@ def test_capped_dims_plan_as_the_matmul_does(case):
 @settings(max_examples=300, deadline=None)
 @given(capped_cases(), st.sampled_from(("K", "N")))
 def test_capped_dims_are_monotone_in_each_dim(case, dim):
-    # the decode mean bisects kv_len for the step from which the capped
-    # attention shapes stay fixed: as K (N) grows, the capped K (N) must
-    # not fall and the capped N (K) must not rise
+    # as K (N) grows, the capped K (N) must not fall and the capped N (K)
+    # must not rise, as `capped_dims` states: a growing GEMM's capped
+    # shape, once it stops moving, never moves again
     m, capacity, b, array = case
     before, after = (capped_dims(x, capacity, b, array) for x in
                      (m, m._replace(**{dim: getattr(m, dim) + 1})))
     other = "N" if dim == "K" else "K"
     assert getattr(before, dim) <= getattr(after, dim)
     assert getattr(before, other) >= getattr(after, other)
+
+
+@st.composite
+def kv_runs(draw):
+    """(model, capacity, array, first kv_len, last kv_len) of a decode
+    generation on one head that starts at a small kv_len or near either
+    attention GEMM's cap."""
+    array = ArraySpec(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    b = draw(st.sampled_from((1, 2, 4)))
+    capacity = draw(st.integers(1, 64 * KIB))
+    model = ModelSpec(1, draw(st.integers(1, 64)), 4, b, 1)
+    score, out = (capped_dims(m, capacity, b, array) for m, _ in
+                  attention_matmuls(model, 1, 1, 1 << 40))
+    first = draw(st.one_of(st.integers(1, 64), *(
+        st.integers(max(1, cap - 64), cap + 8) for cap in (score.N, out.K))))
+    return model, capacity, array, first, first + draw(st.integers(0, 128))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kv_runs())
+def test_capped_attention_shapes_stay_from_the_last_steps_capped_kv(run):
+    # the decode mean's steady step: the first kv_len from which both
+    # capped attention shapes are the last step's, found by a scan back
+    # from the last step, is the last step's larger capped kv dim
+    model, capacity, array, first, last = run
+
+    def capped(kv):
+        return [capped_dims(m, capacity, model.bytes_per_element, array)
+                for m, _ in attention_matmuls(model, 1, 1, kv)]
+    fixed = capped(last)
+    steady = last
+    while steady > first and capped(steady - 1) == fixed:
+        steady -= 1
+    assert steady == max(first, fixed[0].N, fixed[1].K)
 
 
 def tile_walk_bytes(m, plan, b):

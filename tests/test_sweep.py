@@ -471,6 +471,16 @@ def small_run(n_heads, head_dim, batch, prompt_len, gen_tokens, rows, cols,
 # with a larger tile set, so each step's shape is tiled in step order
 @example(n_heads=1, head_dim=1, batch=1, prompt_len=4, gen_tokens=5,
          rows=4, cols=5, s_bytes=40)
+# the output GEMM sets the steady step: the score is past its cap of 15
+# from the first step (kv_len 25), and the output passes its cap of 26
+# mid-generation, so the plans stay only from kv_len 26 on
+@example(n_heads=3, head_dim=10, batch=2, prompt_len=25, gen_tokens=11,
+         rows=6, cols=4, s_bytes=322)
+# and the score sets it: the output is past its cap of 6 from kv_len 10,
+# and the score's column tile, all 10 columns at kv_len 10, is 8 from
+# its cap of 11 on
+@example(n_heads=2, head_dim=12, batch=3, prompt_len=10, gen_tokens=23,
+         rows=4, cols=5, s_bytes=141)
 def test_decode_mean_matches_a_sweep_per_step(n_heads, head_dim, batch,
                                               prompt_len, gen_tokens, rows,
                                               cols, s_bytes):
@@ -507,17 +517,17 @@ def test_decode_mean_counts_each_run_of_steps_once(monkeypatch):
     # 2048-2303 between multiples of 16 columns: 2 for the one-step run
     # at 2048 and 4 (its base and the next step) for each of the 16 others
     assert calls["traffic"] == 3 + 2 + 4 * 16
-    # the last step's two capped shapes, then 9 bisection probes of two
-    # each over the 256 steps
-    assert calls["capped_dims"] == 2 + 2 * 9
+    # the last step's two capped shapes set the steady step: no scan of
+    # the steps reads theirs
+    assert calls["capped_dims"] == 2
     # below the caps (kv_len 256-511) the capped shapes move every step,
     # so each step after step 0 tiles its two attention GEMMs, and each
-    # step counts them once; the bisection finds the last step in 8
-    # probes, where a scan for it reads the capped shapes of all 256
+    # step counts them once; the steady step is the last, read off the
+    # same two capped shapes
     calls.update(plan_tiling=0, traffic=0, capped_dims=0)
     decode_mean_over_generation(HW, MODEL, req._replace(prompt_len=256))
     assert calls == {"plan_tiling": 5 + 2 * 255, "traffic": 3 + 2 * 256,
-                     "capped_dims": 2 + 2 * 8}
+                     "capped_dims": 2}
 
 
 # --- depth scales every count ------------------------------------------------
