@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acceldse import config, report
-from acceldse.cli import VERBS as CLI_VERBS, _plain_args, build_parser, main
+from acceldse.cli import (VERBS as CLI_VERBS, _plain_args, build_parser,
+                          main, run)
 from acceldse.config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                              load_hardware, load_model_spec, load_request,
                              load_sweep_axes, parse_config)
@@ -165,6 +167,39 @@ def test_cli_entrypoint_subprocess():
     record = json.loads(proc.stdout)
     assert record["bound"] == "compute"
     assert record["compute_fraction"] == 1.0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_stdout_that_cannot_be_written_exits_1_with_one_line():
+    # without PYTHONUNBUFFERED stdout is block-buffered, so the write
+    # fails when `main` flushes it, not in `print`
+    env = {key: value for key, value in CHILD_ENV.items()
+           if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "acceldse.cli", "simulate",
+             "--config", str(BASELINE), "--format", "csv"],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) \
+        == (1, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("verb, code", [("simulate", 0), ("calibrate", 1)])
+def test_cli_with_stdout_and_stderr_closed_keeps_its_exit_code(verb, code):
+    # a process started with fds 1 and 2 closed has sys.stdout and
+    # sys.stderr None, which print skips and ending the run must too
+    proc = subprocess.run(
+        ["sh", "-c", '"$@" >&- 2>&-', "sh", sys.executable, "-m",
+         "acceldse.cli", verb, "--config", str(BASELINE)], env=CHILD_ENV)
+    assert proc.returncode == code
+
+
+def test_console_script_ends_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["scripts"]
+    module, name = scripts["acceldse"].split(":")
+    assert getattr(importlib.import_module(module), name) is run
 
 
 def test_cli_simulate_csv_format(capsys):
@@ -735,6 +770,20 @@ def test_cli_verb_loads_only_its_own_module(tmp_path, verb):
     own = f"acceldse.{module}"
     assert _newly_loaded(_verb_argv(verb, tmp_path),
                          (own, *others, *ARGPARSE)) == f"{code} {[own]}"
+
+
+def test_cli_registers_no_exit_hook(tmp_path):
+    # `run` ends the process with `os._exit`, which runs no atexit hook
+    argvs = [_verb_argv(verb, tmp_path) for verb in VERBS]
+    child = ("import atexit\nregistered = []\n"
+             "atexit.register = lambda f, *a, **k: registered.append(f) or f\n"
+             "import acceldse.cli\n"
+             f"codes = [acceldse.cli.main(argv) for argv in {argvs!r}]\n"
+             "print(codes, registered)")
+    proc = subprocess.run([sys.executable, "-c", child], env=CHILD_ENV,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] \
+        == f"{[code for _, code, _ in VERBS.values()]} []"
 
 
 @pytest.mark.parametrize("verb", VERBS)

@@ -123,6 +123,36 @@ def test_report_out_tree_matches_sweep_reference(tmp_path, capsysbinary):
     assert wrote == f"wrote 50 files to {tmp_path}\n".encode()
 
 
+# A child without PYTHONUNBUFFERED, as most users run it, block-buffers
+# stdout, which `run`'s `os._exit` would discard if `main` left it full.
+BUFFERED_ENV = {**{key: value for key, value in os.environ.items()
+                   if key != "PYTHONUNBUFFERED"},
+                "PYTHONPATH": str(ROOT / "src")}
+
+
+@pytest.mark.parametrize("argv", [
+    *sorted(STDOUT_DIGESTS),
+    ("calibrate",),  # prints its constants, then exits 1
+    # writes its tree and prints, then exits 1: one buffer fits no tile set
+    ("sweep", "--override", "sweep.local_buffer_kb=0.01,64", "--out", "out"),
+], ids=" ".join)
+def test_dash_m_on_buffered_stdout_matches_main(argv, tmp_path, monkeypatch,
+                                                capsysbinary):
+    # `python -m acceldse.cli` exits, prints and writes what `main` does
+    argv = [*argv, "--config", BASELINE]
+    ran_main, ran_child = tmp_path / "main", tmp_path / "child"
+    ran_main.mkdir()
+    ran_child.mkdir()
+    monkeypatch.chdir(ran_main)
+    code = main(argv)
+    captured = capsysbinary.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "acceldse.cli", *argv],
+                          cwd=ran_child, env=BUFFERED_ENV, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (code, captured.out, captured.err)
+    assert WL.tree_digests(ran_child) == WL.tree_digests(ran_main)
+
+
 # sha256 of json.dumps(model_counts(name), sort_keys=True)
 MODEL_COUNT_DIGESTS = {
     "sweep_default":
