@@ -18,14 +18,13 @@ table.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from pathlib import Path
 
 from .config import KIB, MHZ, ConfigError, HardwareConfig, SweepSpec
 from .memory import TilingError
 from .sweep import (OutputError, SweepResult, argmin, evaluate_sweep, label,
-                    load_run, phase_table)
+                    phase_table)
 from .workload import InferenceRequest, ModelSpec
 
 STEP_FACTORS = (4.0, 2.0, 1.5, 1.25)
@@ -118,8 +117,7 @@ def constants_file_text(outcome: CalibrationOutcome,
     return "\n".join(lines) + "\n"
 
 
-def cmd_calibrate(args) -> bool:
-    spec, hw, model, req = load_run(args.config, args.override or [])
+def cmd_calibrate(args, spec, hw, model, req) -> tuple[str, str | None]:
     # whole bytes, as the S axis is parsed; nan and inf stay off the grid
     s_bytes = args.target_s_kb * KIB // 1
     f_hz = args.target_f_mhz * MHZ
@@ -136,11 +134,10 @@ def cmd_calibrate(args) -> bool:
         Path(args.out).write_text(text)
         text = f"wrote constants to {args.out}\n"
     s_got, f_got = outcome.achieved
-    print(f"{text}achieved argmin (S={s_got} B, f={label(f_got)} Hz) after "
-          f"{outcome.evaluations} evaluations; displacement "
-          f"{outcome.displacement} grid step(s)")
-    if outcome.displacement > 0:
-        print("error: target argmin not reachable; best displacement "
-              f"{outcome.displacement} grid step(s)", file=sys.stderr)
-        return False
-    return True
+    text += (f"achieved argmin (S={s_got} B, f={label(f_got)} Hz) after "
+             f"{outcome.evaluations} evaluations; displacement "
+             f"{outcome.displacement} grid step(s)\n")
+    if outcome.displacement == 0:
+        return text, None
+    return text, ("target argmin not reachable; best displacement "
+                  f"{outcome.displacement} grid step(s)")

@@ -8,15 +8,17 @@ pairs) from it directly, so `main` loads argparse only for `--help` and
 for a command line that `_plain_args` declines, which argparse then
 parses or rejects with its usage error.
 
-`main` imports the module of the verb it runs, which holds the code
-only that verb runs (`simulate`; `calibrate`; `report` for `sweep`,
-`report` and `roofline`), and calls its `cmd_<verb>`: True if the
-command did all it was asked, else False after saying why on stderr.
-`sweep` and `report` evaluate the configured phases; every other command
-evaluates only the phase it names: `simulate` and `roofline` their
-`--phase`, `calibrate` decode.  Each command builds every text it
-outputs, which `sweep.output_text` checks, before it prints or writes
-any of them."""
+`main` loads the configured run (`sweep.load_run`), imports the module
+of the verb it runs, which holds the code only that verb runs
+(`simulate`; `calibrate`; `report` for `sweep`, `report` and
+`roofline`), and calls its `cmd_<verb>(args, spec, hw, model, req)`:
+(stdout text, failure), where failure is the message of the one
+`error:` line of a command that did not do all it was asked, or None.
+Only `main` prints, and it alone picks the exit code.  `sweep` and
+`report` evaluate the configured phases; every other command evaluates
+only the phase it names: `simulate` and `roofline` their `--phase`,
+`calibrate` decode.  Each command builds every text it outputs, which
+`sweep.output_text` checks, before any of them is written or printed."""
 
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from importlib import import_module
 
 from .config import ConfigError
 from .memory import TilingError
-from .sweep import OutputError
+from .sweep import OutputError, load_run
 from .workload import PHASES
 
 EXIT_OK = 0
@@ -124,7 +126,9 @@ def _plain_args(argv: list[str]) -> _Args | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the command line `argv` (default `sys.argv[1:]`): its exit code.
+    """Run the command line `argv` (default `sys.argv[1:]`): print the
+    verb's stdout text, then the `error:` line of its failure, if any,
+    and return the exit code.
 
     A command line `_plain_args` declines goes to argparse, which parses
     it or prints the help or a usage error and exits."""
@@ -132,12 +136,16 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
+        configured = load_run(args.config, args.override or [])
         module = import_module(f".{VERBS[args.verb][0]}", __package__)
-        done = getattr(module, f"cmd_{args.verb}")(args)
+        text, failure = getattr(module, f"cmd_{args.verb}")(args, *configured)
         # a buffered write fails here, not after `run`'s os._exit; print,
         # unlike sys.stdout.flush(), skips a closed stdout (None)
-        print(end="", flush=True)
-        return EXIT_OK if done else EXIT_FAILURE
+        print(text, end="", flush=True)
+        if failure is None:
+            return EXIT_OK
+        print(f"error: {failure}", file=sys.stderr)
+        return EXIT_FAILURE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -5,14 +5,12 @@ built and checked before `sweep.emit_reports` writes any file."""
 
 from __future__ import annotations
 
-import sys
 from math import isfinite
 from pathlib import Path
 
 from .config import GB, KIB, MHZ
 from .sweep import (METRICS, SweepRecord, SweepResult, argmin, contour_levels,
-                    emit_reports, json_text, label, load_run, output_text,
-                    run_sweep)
+                    emit_reports, json_text, label, output_text, run_sweep)
 
 SCHEMA_VERSION = 1
 DECODE_CONVENTION = "per_output_token_at_fixed_step"
@@ -102,38 +100,31 @@ def write_reports(result: SweepResult, out_dir: str | Path,
                          for path, build in builds.items()})
 
 
-def _complete(result: SweepResult) -> bool:
-    """True for a complete grid; else say how many cells failed."""
+def _failure(result: SweepResult) -> str | None:
+    """None for a complete grid; else how many cells failed."""
     if result.complete:
-        return True
-    failed = sum(not r.ok for r in result.records)
-    print(f"error: {failed} design points could not be evaluated",
-          file=sys.stderr)
-    return False
+        return None
+    return (f"{sum(not r.ok for r in result.records)} design points could "
+            "not be evaluated")
 
 
-def cmd_sweep(args) -> bool:
-    *run, req = load_run(args.config, args.override or [])
-    result = run_sweep(*run, req)
+def cmd_sweep(args, spec, hw, model, req) -> tuple[str, str | None]:
+    result = run_sweep(spec, hw, model, req)
     written = write_reports(result, args.out,
                             summary_dict(result, req.decode_step))
-    print(f"evaluated {len(result.records)} records, "
-          f"wrote {len(written)} files to {args.out}")
-    return _complete(result)
+    return (f"evaluated {len(result.records)} records, "
+            f"wrote {len(written)} files to {args.out}\n", _failure(result))
 
 
-def cmd_roofline(args) -> bool:
-    spec, *run = load_run(args.config, args.override or [])
+def cmd_roofline(args, spec, *run) -> tuple[str, str | None]:
     result = run_sweep(spec._replace(phases=(args.phase,)), *run)
     points = [r for r in result.records if r.ok]
-    print(output_text("print the roofline", lambda: "\n".join(
-        [ROOFLINE_HEADER, *map(roofline_row, points)])))
-    return _complete(result)
+    return output_text("print the roofline", lambda: "\n".join(
+        [ROOFLINE_HEADER, *map(roofline_row, points), ""])), _failure(result)
 
 
-def cmd_report(args) -> bool:
-    *run, req = load_run(args.config, args.override or [])
-    result = run_sweep(*run, req)
+def cmd_report(args, spec, hw, model, req) -> tuple[str, str | None]:
+    result = run_sweep(spec, hw, model, req)
     summary = summary_dict(result, req.decode_step)
     lines = [f"records: {len(result.records)}  complete: {result.complete}",
              f"decode convention: {summary['decode_convention']} "
@@ -155,5 +146,4 @@ def cmd_report(args) -> bool:
     if args.out:
         written = write_reports(result, args.out, summary)
         lines.append(f"wrote {len(written)} files to {args.out}")
-    print("\n".join(lines))
-    return _complete(result)
+    return "\n".join([*lines, ""]), _failure(result)

@@ -8,10 +8,10 @@ from functools import partial
 
 from .config import GB, KIB, MHZ, ConfigError, HardwareConfig, SweepSpec
 from .energy import by_component, energy_terms
-from .memory import (PhaseTotals, TilingError, affine_extent, capped_dims,
-                     plan_tiling, sum_totals, traffic)
-from .sweep import (SweepRecord, evaluate_point, json_text, label, load_run,
-                    output_text, run_sweep)
+from .memory import (PhaseTotals, affine_extent, capped_dims, plan_tiling,
+                     sum_totals, traffic)
+from .sweep import (SweepRecord, evaluate_point, json_text, label, output_text,
+                    run_sweep)
 from .workload import (InferenceRequest, ModelSpec, attention_matmuls,
                        build_decode_trace, weight_matmuls)
 
@@ -158,22 +158,20 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     }
 
 
-def cmd_simulate(args) -> bool:
+def cmd_simulate(args, _, hw, model, req) -> tuple[str, str | None]:
     if args.decode_mode == "mean" and (args.phase == "prefill"
                                        or args.format == "csv"):
         raise ConfigError("--decode-mode mean needs --phase decode and "
                           "--format table or json")
-    _, hw, model, req = load_run(args.config, args.override or [])
     spec = SweepSpec((hw.buffers.local,), (hw.frequency,),
                      (hw.ext_bandwidth,), (args.phase,))
     [record] = run_sweep(spec, hw, model, req).records
     if not record.ok:
-        raise TilingError(record.error)
+        return "", record.error
     d = _record_dict(record)
     if args.decode_mode == "mean":
         d["decode_mean"] = decode_mean_over_generation(hw, model, req)
     # every format prints numbers of the record: one check serves them all
     text = output_text("print the record", json_text, d)
-    print(text if args.format == "json" else
-          (_csv_text if args.format == "csv" else _table_text)(d), end="")
-    return True
+    return (text if args.format == "json" else
+            (_csv_text if args.format == "csv" else _table_text)(d)), None

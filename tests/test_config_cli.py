@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from acceldse import config, report
 from acceldse.cli import (VERBS as CLI_VERBS, _plain_args, build_parser,
@@ -19,7 +20,7 @@ from acceldse.config import (GB, KIB, MHZ, ConfigError, apply_overrides,
                              load_hardware, load_model_spec, load_request,
                              load_sweep_axes, parse_config)
 from acceldse.report import ARGMIN_METRICS
-from acceldse.sweep import run_sweep
+from acceldse.sweep import load_run, run_sweep
 from acceldse.workload import PHASES, InferenceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,9 +88,15 @@ def test_overrides_last_writer_wins():
 
 
 def test_cli_missing_config_exits_2(capsys):
-    rc = main(["simulate", "--config", "/nonexistent/path.conf"])
-    assert rc == 2
-    assert "/nonexistent/path.conf" in capsys.readouterr().err
+    # the run loads before the verb checks its flags, so a config that
+    # cannot be read is reported before a refused --decode-mode
+    for flags in ([], ["--decode-mode", "mean", "--format", "csv"]):
+        rc = main(["simulate", "--config", "/nonexistent/path.conf", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot read config file "
+                                       "/nonexistent/path.conf")
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -169,16 +176,31 @@ def test_cli_entrypoint_subprocess():
     assert record["compute_fraction"] == 1.0
 
 
+# an S axis whose 0.01 KB cells no tile set fits: `sweep`, `report` and
+# `roofline` print all they can, then fail
+INCOMPLETE = "--override sweep.local_buffer_kb=0.01,64"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_cli_stdout_that_cannot_be_written_exits_1_with_one_line():
+@pytest.mark.parametrize("args", [
+    "simulate --format csv",
+    # a command that fails after printing writes one line all the same
+    f"sweep {INCOMPLETE} --out {{out}}",
+    f"report {INCOMPLETE}",
+    f"roofline {INCOMPLETE}",
+    "calibrate",  # the baseline target is not reachable
+])
+def test_cli_stdout_that_cannot_be_written_exits_1_with_one_line(tmp_path,
+                                                                 args):
     # without PYTHONUNBUFFERED stdout is block-buffered, so the write
     # fails when `main` flushes it, not in `print`
     env = {key: value for key, value in CHILD_ENV.items()
            if key != "PYTHONUNBUFFERED"}
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "acceldse.cli", "simulate",
-             "--config", str(BASELINE), "--format", "csv"],
+            [sys.executable, "-m", "acceldse.cli",
+             *args.format(out=tmp_path / "out").split(),
+             "--config", str(BASELINE)],
             env=env, stdout=full, stderr=subprocess.PIPE, text=True)
     assert (proc.returncode, proc.stderr) \
         == (1, "error: [Errno 28] No space left on device\n")
@@ -200,6 +222,86 @@ def test_console_script_ends_through_run():
         "project"]["scripts"]
     module, name = scripts["acceldse"].split(":")
     assert getattr(importlib.import_module(module), name) is run
+
+
+# Each verb's command line tail that does all it asks (exit 0), then one
+# that does not (exit 1): `main` prints what `cmd_<verb>` returns.
+VERB_TAILS = {
+    "simulate": ("", "--override hw.local_buffer_kb=0.01"),
+    "sweep": ("--out {out}", f"--out {{out}} {INCOMPLETE}"),
+    "roofline": ("", INCOMPLETE),
+    "calibrate": ("--override hw.sram_leakage_w_per_byte=1e-7", ""),
+    "report": ("", INCOMPLETE),
+}
+
+
+@pytest.mark.parametrize("verb", list(CLI_VERBS))
+@pytest.mark.parametrize("fails", [False, True])
+def test_cli_verb_returns_what_main_prints(verb, fails, tmp_path, capsys):
+    argv = [verb, "--config", str(BASELINE),
+            *VERB_TAILS[verb][fails].format(out=tmp_path / "out").split()]
+    args = _plain_args(argv)
+    module = importlib.import_module(f"acceldse.{CLI_VERBS[verb][0]}")
+    text, failure = getattr(module, f"cmd_{verb}")(
+        args, *load_run(args.config, args.override or []))
+    assert capsys.readouterr() == ("", "")
+    assert (failure is not None) == fails
+    assert main(argv) == fails
+    assert capsys.readouterr() == (
+        text, "" if failure is None else f"error: {failure}\n")
+
+
+def test_verb_modules_do_not_print():
+    # only `main` prints, even on a branch no command line above reaches
+    for name in ("simulate", "report", "calibrate"):
+        tree = ast.parse((ROOT / "src" / "acceldse" / f"{name}.py")
+                         .read_text())
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "print"], name
+        assert not [alias for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names
+                    if alias.name == "sys"], name
+
+
+# Override values that each key must parse and range-check, or reject:
+# non-finite, negative, zero, overflowing, Arabic-Indic digits (12), a
+# 400-digit integer, an empty list item, not a number.
+BAD_VALUES = ["nan", "inf", "-1", "0", "1e400", "\u0661\u0662",
+              "1" + "0" * 399, "1,,2", "x"]
+
+
+@st.composite
+def bad_command_lines(draw):
+    """A verb's command line with 1-3 overrides of bad values; the decode
+    mean, whose time is linear in `model.gen_tokens`, never draws that
+    key."""
+    verb = draw(st.sampled_from(list(CLI_VERBS)))
+    mean = verb == "simulate" and draw(st.booleans())
+    keys = sorted(config.KEYS - ({"model.gen_tokens"} if mean else set()))
+    overrides = draw(st.lists(st.tuples(st.sampled_from(keys),
+                                        st.sampled_from(BAD_VALUES)),
+                              min_size=1, max_size=3))
+    return [verb, "--config", str(BASELINE),
+            *(["--decode-mode", "mean"] if mean else []),
+            *(token for key, value in overrides
+              for token in ("--override", f"{key}={value}"))]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad_command_lines())
+def test_cli_bad_override_ends_with_its_exit_code_and_one_line(
+        tmp_path, capsys, argv):
+    if "--out" in CLI_VERBS[argv[0]][2]:
+        argv = [*argv, "--out", str(tmp_path / argv[0])]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err == "")
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                         and err.endswith("\n"))
+    assert code != 2 or out == ""
 
 
 def test_cli_simulate_csv_format(capsys):
