@@ -4,9 +4,10 @@
 help text and its options, each with the keyword arguments of argparse's
 `add_argument`.  `build_parser` builds argparse's parser from it, and
 `_plain_args` reads a plain command line (the verb, then `--flag value`
-pairs) from it directly, so `main` loads argparse only for `--help` and
-for a command line that `_plain_args` declines, which argparse then
-parses or rejects with its usage error.
+pairs) from it directly, into a `types.SimpleNamespace` with the
+fields of `argparse.Namespace`, so `main` loads argparse only for
+`--help` and for a command line that `_plain_args` declines, which
+argparse then parses or rejects with its usage error.
 
 `main` loads the configured run (`sweep.load_run`), imports the module
 of the verb it runs, which holds the code only that verb runs
@@ -14,17 +15,21 @@ of the verb it runs, which holds the code only that verb runs
 `roofline`), and calls its `cmd_<verb>(args, spec, hw, model, req)`:
 (stdout text, failure), where failure is the message of the one
 `error:` line of a command that did not do all it was asked, or None.
-Only `main` prints, and it alone picks the exit code.  `sweep` and
-`report` evaluate the configured phases; every other command evaluates
-only the phase it names: `simulate` and `roofline` their `--phase`,
-`calibrate` decode.  Each command builds every text it outputs, which
-`sweep.output_text` checks, before any of them is written or printed."""
+Only `main` prints, and it alone picks the exit code: every outcome,
+returned or raised, sets one (exit code, failure) pair, and one exit
+path prints the failure's `error:` line and returns the code.  `sweep`
+and `report` evaluate the configured phases; every other command
+evaluates only the phase it names: `simulate` and `roofline` their
+`--phase`, `calibrate` decode.  Each command builds every text it
+outputs, which `sweep.output_text` checks, before any of them is
+written or printed."""
 
 from __future__ import annotations
 
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from .config import ConfigError
 from .memory import TilingError
@@ -88,15 +93,7 @@ def build_parser():
     return parser
 
 
-class _Args:
-    """The fields of a plain command line, as `argparse.Namespace` holds
-    them, without importing argparse."""
-
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
-
-
-def _plain_args(argv: list[str]) -> _Args | None:
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     """The fields `build_parser().parse_args(argv)` gives, if `argv` is a
     verb and then `--flag value` pairs, each flag one of the verb's in
     full, each value starting with no `-` and accepted by its option's
@@ -121,14 +118,15 @@ def _plain_args(argv: list[str]) -> _Args | None:
     if any(kwargs.get("required") and flag not in argv[1::2]
            for flag, kwargs in options.items()):
         return None
-    return _Args(verb=argv[0], **{flag[2:].replace("-", "_"): value
-                                  for flag, value in fields.items()})
+    return SimpleNamespace(verb=argv[0], **{
+        flag[2:].replace("-", "_"): value for flag, value in fields.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the command line `argv` (default `sys.argv[1:]`): print the
     verb's stdout text, then the `error:` line of its failure, if any,
-    and return the exit code.
+    and return the exit code.  The verb's return and each exception
+    family only set (code, failure), which one exit path ends.
 
     A command line `_plain_args` declines goes to argparse, which parses
     it or prints the help or a usage error and exits."""
@@ -142,21 +140,19 @@ def main(argv: list[str] | None = None) -> int:
         # a buffered write fails here, not after `run`'s os._exit; print,
         # unlike sys.stdout.flush(), skips a closed stdout (None)
         print(text, end="", flush=True)
-        if failure is None:
-            return EXIT_OK
-        print(f"error: {failure}", file=sys.stderr)
-        return EXIT_FAILURE
+        code = EXIT_OK if failure is None else EXIT_FAILURE
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (OSError, OutputError, TilingError) as exc:
-        # an output that cannot be written, or no cell that can be evaluated
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        code, failure = EXIT_BAD_CONFIG, exc
+    except (OSError, OutputError, TilingError, UnicodeError) as exc:
+        # an output that cannot be written or encoded, or no cell that
+        # can be evaluated
+        code, failure = EXIT_FAILURE, exc
     except OverflowError as exc:
         # counts too large for a float: no one key is at fault
-        print(f"error: cannot evaluate: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        code, failure = EXIT_FAILURE, f"cannot evaluate: {exc}"
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 def run() -> None:

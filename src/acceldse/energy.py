@@ -67,9 +67,12 @@ def energy_terms(totals: PhaseTotals, phase: str, hw: HardwareConfig,
                    * (cycles / hw.array_ref_frequency)
                    * fabric.total_arrays),
     }
-    # summed from 0, left to right: 0 + x and x * 1 are exact
-    static_w = sum(watts * count for watts, count, _ in components.values())
-    dynamic = sum(joules for _, _, joules in components.values())
+    # summed left to right from 0.0 on every Python (`sum` compensates
+    # floats from 3.12 on): 0.0 + x and x * 1 are exact
+    static_w = dynamic = 0.0
+    for watts, count, joules in components.values():
+        static_w += watts * count
+        dynamic += joules
     saving = hw.gating_prefill if phase == "prefill" else hw.gating_decode
     return EnergyTerms(components, static_w, 1.0 - saving, dynamic,
                        utilization)

@@ -245,7 +245,9 @@ def cell_energy(result, phase, hw, local) -> dict:
                    * (result["compute_cycles"] / hw.array_ref_frequency)
                    * fabric.total_arrays),
     }
-    dynamic = sum(dyn_parts.values())
+    dynamic = 0.0  # left to right, as `energy.energy_terms` adds them
+    for part in dyn_parts.values():
+        dynamic += part
     if static < 0 or dynamic < 0:
         raise ValueError("energy must be non-negative")
     static_parts = {

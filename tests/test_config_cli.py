@@ -206,6 +206,26 @@ def test_cli_stdout_that_cannot_be_written_exits_1_with_one_line(tmp_path,
         == (1, "error: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.parametrize("encoding, args", [
+    ("ascii", ("sweep", "--out", "é")),
+    ("ascii", ("report", "--out", "é")),
+    ("ascii", ("calibrate", "--out", "é.conf")),
+    # the byte 0xE9 of a command line decodes to a lone surrogate
+    ("utf-8", ("sweep", "--out", os.fsdecode(b"\xe9"))),
+], ids=["sweep", "report", "calibrate", "sweep surrogate"])
+def test_cli_stdout_that_cannot_encode_the_text_exits_1_with_one_line(
+        tmp_path, encoding, args):
+    verb, flag, name = args
+    proc = subprocess.run(
+        [sys.executable, "-m", "acceldse.cli", verb, flag,
+         str(tmp_path / name), "--config", str(BASELINE)],
+        env={**CHILD_ENV, "PYTHONIOENCODING": encoding}, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert re.fullmatch(rf"error: '{encoding}' codec can't encode character "
+                        r"'\\(xe9|udce9)' in position \d+: [^\n]+\n",
+                        proc.stderr.decode("ascii"))
+
+
 @pytest.mark.parametrize("verb, code", [("simulate", 0), ("calibrate", 1)])
 def test_cli_with_stdout_and_stderr_closed_keeps_its_exit_code(verb, code):
     # a process started with fds 1 and 2 closed has sys.stdout and

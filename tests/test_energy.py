@@ -1,3 +1,4 @@
+import builtins
 import random
 
 import pytest
@@ -8,7 +9,9 @@ from acceldse.config import (GB, KIB, MIB, ConfigError, load_hardware,
 from acceldse.dataflow import FabricSpec
 from acceldse.energy import by_component, energy_terms, sram_access_energy
 from acceldse.memory import Buffers, PhaseTotals, phase_totals
-from acceldse.sweep import evaluate_point, evaluate_sweep, phase_table
+from acceldse.simulate import decode_mean_over_generation
+from acceldse.sweep import (evaluate_point, evaluate_sweep, phase_table,
+                           run_sweep)
 from acceldse.workload import build_decode_trace, build_prefill_trace
 
 HW = load_hardware({})
@@ -167,10 +170,45 @@ def test_component_split_sums_to_totals(leakage, access, exponent):
                      sram_access_exponent=exponent)
     for record in evaluate_sweep(DEFAULT_SPEC, hw, DEFAULT_TABLE).records:
         parts = by_component(record.energy, record.latency).values()
-        assert record.energy.dynamic_j == sum(c["dynamic_j"] for c in parts)
+        dynamic_j = 0.0  # left to right, as `energy_terms` adds them
+        for c in parts:
+            dynamic_j += c["dynamic_j"]
+        assert record.energy.dynamic_j == dynamic_j
         assert record.total_j == record.static_j + record.energy.dynamic_j
         assert sum(c["static_j"] for c in parts) == pytest.approx(
             record.static_j, rel=1e-12)
+
+
+BUILTIN_SUM = builtins.sum
+
+
+def neumaier_sum(items, start=0):
+    """`sum` as Python 3.12 and later compute it: floats added with
+    Neumaier's compensation, all-int input summed exactly."""
+    items = list(items)
+    if all(isinstance(x, int) for x in (start, *items)):
+        return BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        compensation += ((total - t) + x if abs(total) >= abs(x)
+                         else (x - t) + total)
+        total = t
+    return total + compensation
+
+
+def test_energy_sums_do_not_depend_on_sum(monkeypatch):
+    # `sum` adds floats left to right up to Python 3.11 and compensates
+    # from 3.12 on; every supported Python must give the same bytes
+    def reprs():
+        records = run_sweep(DEFAULT_SPEC, HW, MODEL, REQ).records
+        mean = decode_mean_over_generation(HW, MODEL,
+                                           REQ._replace(gen_tokens=16))
+        return ([repr((r.static_j, r.total_j, r.edp)) for r in records],
+                repr(mean))
+    expected = reprs()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert reprs() == expected
 
 
 def test_memory_bound_array_energy_invariant_to_frequency():
