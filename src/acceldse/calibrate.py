@@ -1,5 +1,5 @@
 """Calibration of the SRAM energy constants against argmin targets, and
-the `calibrate` command that runs it (`cmd_calibrate`).
+the `calibrate` command (`cmd_calibrate`), whose file `cli.main` writes.
 
 Deterministic greedy coordinate search over two fields of
 `config.HardwareConfig`, `sram_leakage_per_byte` and
@@ -117,7 +117,7 @@ def constants_file_text(outcome: CalibrationOutcome,
     return "\n".join(lines) + "\n"
 
 
-def cmd_calibrate(args, spec, hw, model, req) -> tuple[str, str | None]:
+def cmd_calibrate(args, spec, hw, model, req) -> tuple[str, dict, str | None]:
     # whole bytes, as the S axis is parsed; nan and inf stay off the grid
     s_bytes = args.target_s_kb * KIB // 1
     f_hz = args.target_f_mhz * MHZ
@@ -130,14 +130,14 @@ def cmd_calibrate(args, spec, hw, model, req) -> tuple[str, str | None]:
     target = (int(s_bytes), f_hz)
     outcome = calibrate(hw, spec, model, req, target)
     text = constants_file_text(outcome, target)
-    if args.out:
-        Path(args.out).write_text(text)
+    files = {Path(args.out): text} if args.out else {}
+    if files:
         text = f"wrote constants to {args.out}\n"
     s_got, f_got = outcome.achieved
     text += (f"achieved argmin (S={s_got} B, f={label(f_got)} Hz) after "
              f"{outcome.evaluations} evaluations; displacement "
              f"{outcome.displacement} grid step(s)\n")
     if outcome.displacement == 0:
-        return text, None
-    return text, ("target argmin not reachable; best displacement "
-                  f"{outcome.displacement} grid step(s)")
+        return text, files, None
+    return text, files, ("target argmin not reachable; best displacement "
+                         f"{outcome.displacement} grid step(s)")

@@ -13,16 +13,17 @@ argparse then parses or rejects with its usage error.
 of the verb it runs, which holds the code only that verb runs
 (`simulate`; `calibrate`; `report` for `sweep`, `report` and
 `roofline`), and calls its `cmd_<verb>(args, spec, hw, model, req)`:
-(stdout text, failure), where failure is the message of the one
+(stdout text, files, failure).  files maps each output path to its text,
+or to None for a directory to make; failure is the message of the one
 `error:` line of a command that did not do all it was asked, or None.
-Only `main` prints, and it alone picks the exit code: every outcome,
-returned or raised, sets one (exit code, failure) pair, and one exit
-path prints the failure's `error:` line and returns the code.  `sweep`
-and `report` evaluate the configured phases; every other command
-evaluates only the phase it names: `simulate` and `roofline` their
-`--phase`, `calibrate` decode.  Each command builds every text it
-outputs, which `sweep.output_text` checks, before any of them is
-written or printed."""
+Verbs do no I/O: only `main` checks that stdout can encode the text,
+writes the files (`sweep.emit_reports`), prints and picks the exit code:
+every outcome, returned or raised, sets one (exit code, failure) pair,
+and one exit path prints the failure's `error:` line and returns the
+code.  `sweep` and `report` evaluate the configured phases; every other
+command evaluates only the phase it names: `simulate` and `roofline`
+their `--phase`, `calibrate` decode.  Each command builds every text it
+outputs, which `sweep.output_text` checks, before any is written."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from types import SimpleNamespace
 
 from .config import ConfigError
 from .memory import TilingError
-from .sweep import OutputError, load_run
+from .sweep import OutputError, emit_reports, load_run
 from .workload import PHASES
 
 EXIT_OK = 0
@@ -123,10 +124,10 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the command line `argv` (default `sys.argv[1:]`): print the
-    verb's stdout text, then the `error:` line of its failure, if any,
-    and return the exit code.  The verb's return and each exception
-    family only set (code, failure), which one exit path ends.
+    """Run the command line `argv` (default `sys.argv[1:]`): check that
+    stdout encodes the verb's text, write its files, print the text and
+    its failure's `error:` line, if any, and return the exit code; the
+    verb and each exception family only set (code, failure).
 
     A command line `_plain_args` declines goes to argparse, which parses
     it or prints the help or a usage error and exits."""
@@ -136,7 +137,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         configured = load_run(args.config, args.override or [])
         module = import_module(f".{VERBS[args.verb][0]}", __package__)
-        text, failure = getattr(module, f"cmd_{args.verb}")(args, *configured)
+        text, files, failure = getattr(module, f"cmd_{args.verb}")(
+            args, *configured)
+        if getattr(sys.stdout, "encoding", None):  # before any file is written
+            text.encode(sys.stdout.encoding, sys.stdout.errors)
+        if files:
+            emit_reports(files)
         # a buffered write fails here, not after `run`'s os._exit; print,
         # unlike sys.stdout.flush(), skips a closed stdout (None)
         print(text, end="", flush=True)

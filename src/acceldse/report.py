@@ -1,7 +1,7 @@
 """The `sweep`, `report` and `roofline` commands.  Reports are per-metric
 grid CSVs, a roofline CSV, and a JSON summary with argmin cells, contour
 levels and bound-transition frequencies (`summary_dict`), every text
-built and checked before `sweep.emit_reports` writes any file."""
+built and checked here, which `cli.main` writes (`sweep.emit_reports`)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .config import GB, KIB, MHZ
 from .sweep import (METRICS, SweepRecord, SweepResult, argmin, contour_levels,
-                    emit_reports, json_text, label, output_text, run_sweep)
+                    json_text, label, output_text, run_sweep)
 
 SCHEMA_VERSION = 1
 DECODE_CONVENTION = "per_output_token_at_fixed_step"
@@ -85,10 +85,10 @@ def summary_dict(result: SweepResult, decode_step: int) -> dict:
     return summary
 
 
-def write_reports(result: SweepResult, out_dir: str | Path,
-                  summary: dict) -> list[Path]:
-    """Write grid CSVs, the roofline CSV and `summary`, every text built
-    first: an OutputError leaves the directory and every file unwritten."""
+def report_files(result: SweepResult, out_dir: str | Path,
+                 summary: dict) -> dict[Path, str | None]:
+    """The directory `out_dir` (None), then the texts of its grid CSVs,
+    roofline CSV and `summary`; OutputError if one cannot be built."""
     out = Path(out_dir)
     builds = {out / f"{metric}_{phase}_bw{round(bw / GB)}.csv":
               (_grid_csv, result.select(phase, bw), metric, phase, bw)
@@ -96,8 +96,8 @@ def write_reports(result: SweepResult, out_dir: str | Path,
               for bw in result.spec.bw_values}
     builds[out / "roofline.csv"] = (_roofline_csv, result)
     builds[out / "summary.json"] = (json_text, summary)
-    return emit_reports({path: output_text(f"write {path}", *build)
-                         for path, build in builds.items()})
+    return {out: None, **{path: output_text(f"write {path}", *build)
+                          for path, build in builds.items()}}
 
 
 def _failure(result: SweepResult) -> str | None:
@@ -108,22 +108,23 @@ def _failure(result: SweepResult) -> str | None:
             "not be evaluated")
 
 
-def cmd_sweep(args, spec, hw, model, req) -> tuple[str, str | None]:
+def cmd_sweep(args, spec, hw, model, req) -> tuple[str, dict, str | None]:
     result = run_sweep(spec, hw, model, req)
-    written = write_reports(result, args.out,
-                            summary_dict(result, req.decode_step))
-    return (f"evaluated {len(result.records)} records, "
-            f"wrote {len(written)} files to {args.out}\n", _failure(result))
+    files = report_files(result, args.out,
+                         summary_dict(result, req.decode_step))
+    return (f"evaluated {len(result.records)} records, wrote "
+            f"{len(files) - 1} files to {args.out}\n", files, _failure(result))
 
 
-def cmd_roofline(args, spec, *run) -> tuple[str, str | None]:
+def cmd_roofline(args, spec, *run) -> tuple[str, dict, str | None]:
     result = run_sweep(spec._replace(phases=(args.phase,)), *run)
     points = [r for r in result.records if r.ok]
-    return output_text("print the roofline", lambda: "\n".join(
-        [ROOFLINE_HEADER, *map(roofline_row, points), ""])), _failure(result)
+    text = output_text("print the roofline", lambda: "\n".join(
+        [ROOFLINE_HEADER, *map(roofline_row, points), ""]))
+    return text, {}, _failure(result)
 
 
-def cmd_report(args, spec, hw, model, req) -> tuple[str, str | None]:
+def cmd_report(args, spec, hw, model, req) -> tuple[str, dict, str | None]:
     result = run_sweep(spec, hw, model, req)
     summary = summary_dict(result, req.decode_step)
     lines = [f"records: {len(result.records)}  complete: {result.complete}",
@@ -143,7 +144,7 @@ def cmd_report(args, spec, hw, model, req) -> tuple[str, str | None]:
                                          else "none")
             for s, mhz in entry["bound_transition_mhz"].items()}
         lines.append(f"  memory-bound from   {transitions}")
-    if args.out:
-        written = write_reports(result, args.out, summary)
-        lines.append(f"wrote {len(written)} files to {args.out}")
-    return "\n".join([*lines, ""]), _failure(result)
+    files = report_files(result, args.out, summary) if args.out else {}
+    if files:  # the directory, then its files
+        lines.append(f"wrote {len(files) - 1} files to {args.out}")
+    return "\n".join([*lines, ""]), files, _failure(result)

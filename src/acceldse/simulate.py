@@ -158,7 +158,7 @@ def decode_mean_over_generation(hw: HardwareConfig, model: ModelSpec,
     }
 
 
-def cmd_simulate(args, _, hw, model, req) -> tuple[str, str | None]:
+def cmd_simulate(args, _, hw, model, req) -> tuple[str, dict, str | None]:
     if args.decode_mode == "mean" and (args.phase == "prefill"
                                        or args.format == "csv"):
         raise ConfigError("--decode-mode mean needs --phase decode and "
@@ -167,11 +167,11 @@ def cmd_simulate(args, _, hw, model, req) -> tuple[str, str | None]:
                      (hw.ext_bandwidth,), (args.phase,))
     [record] = run_sweep(spec, hw, model, req).records
     if not record.ok:
-        return "", record.error
+        return "", {}, record.error
     d = _record_dict(record)
     if args.decode_mode == "mean":
         d["decode_mean"] = decode_mean_over_generation(hw, model, req)
     # every format prints numbers of the record: one check serves them all
     text = output_text("print the record", json_text, d)
     return (text if args.format == "json" else
-            (_csv_text if args.format == "csv" else _table_text)(d)), None
+            (_csv_text if args.format == "csv" else _table_text)(d)), {}, None

@@ -20,7 +20,7 @@ values, and is None where there are none; only a block with an argmin
 has contour levels.  Every output's numbers must be finite
 (`output_text`), and a grid value's label for people reads back as the
 value (`label`).  The `report` module builds the report files' texts,
-which `emit_reports` writes.
+which `cli.main` writes through `emit_reports`.
 """
 
 from __future__ import annotations
@@ -283,11 +283,12 @@ def output_text(output: str, build, *args) -> str:
         raise OutputError(f"cannot {output}: it holds inf or nan") from None
 
 
-def emit_reports(texts: dict[Path, str]) -> list[Path]:
-    """Write each report text, all built first, to its path, making its
-    directory: an output that cannot be built leaves every file unwritten."""
-    for directory in {path.parent for path in texts}:
-        directory.mkdir(parents=True, exist_ok=True)
-    for path, text in texts.items():
-        path.write_text(text)
-    return list(texts)
+def emit_reports(files: dict[Path, str | None]) -> list[Path]:
+    """Make each path whose text is None a directory, with its parents, and
+    write each other text to its path, in order; the paths written."""
+    for path, text in files.items():
+        if text is None:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.write_text(text)
+    return [path for path, text in files.items() if text is not None]

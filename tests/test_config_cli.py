@@ -224,6 +224,8 @@ def test_cli_stdout_that_cannot_encode_the_text_exits_1_with_one_line(
     assert re.fullmatch(rf"error: '{encoding}' codec can't encode character "
                         r"'\\(xe9|udce9)' in position \d+: [^\n]+\n",
                         proc.stderr.decode("ascii"))
+    # the text is checked before any file is written
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("verb, code", [("simulate", 0), ("calibrate", 1)])
@@ -245,13 +247,15 @@ def test_console_script_ends_through_run():
 
 
 # Each verb's command line tail that does all it asks (exit 0), then one
-# that does not (exit 1): `main` prints what `cmd_<verb>` returns.
+# that does not (exit 1): `main` writes and prints what `cmd_<verb>`
+# returns.
 VERB_TAILS = {
     "simulate": ("", "--override hw.local_buffer_kb=0.01"),
     "sweep": ("--out {out}", f"--out {{out}} {INCOMPLETE}"),
     "roofline": ("", INCOMPLETE),
-    "calibrate": ("--override hw.sram_leakage_w_per_byte=1e-7", ""),
-    "report": ("", INCOMPLETE),
+    "calibrate": ("--override hw.sram_leakage_w_per_byte=1e-7 "
+                  "--out {out}.conf", "--out {out}.conf"),
+    "report": ("--out {out}", INCOMPLETE),
 }
 
 
@@ -262,23 +266,33 @@ def test_cli_verb_returns_what_main_prints(verb, fails, tmp_path, capsys):
             *VERB_TAILS[verb][fails].format(out=tmp_path / "out").split()]
     args = _plain_args(argv)
     module = importlib.import_module(f"acceldse.{CLI_VERBS[verb][0]}")
-    text, failure = getattr(module, f"cmd_{verb}")(
+    text, files, failure = getattr(module, f"cmd_{verb}")(
         args, *load_run(args.config, args.override or []))
     assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
     assert (failure is not None) == fails
     assert main(argv) == fails
     assert capsys.readouterr() == (
         text, "" if failure is None else f"error: {failure}\n")
+    # exactly `files`: each directory made, each text written byte for byte
+    assert set(tmp_path.rglob("*")) == set(files)
+    for path, file_text in files.items():
+        if file_text is None:
+            assert path.is_dir()
+        else:
+            assert path.read_bytes() == file_text.encode()
 
 
 def test_verb_modules_do_not_print():
-    # only `main` prints, even on a branch no command line above reaches
+    # only `main` prints and writes files, even on a branch no command
+    # line above reaches
+    io_calls = {"print", "write_text", "open", "mkdir", "emit_reports"}
     for name in ("simulate", "report", "calibrate"):
         tree = ast.parse((ROOT / "src" / "acceldse" / f"{name}.py")
                          .read_text())
-        assert not [node for node in ast.walk(tree)
-                    if isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) == "print"], name
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & io_calls, name
         assert not [alias for node in ast.walk(tree)
                     if isinstance(node, ast.Import) for alias in node.names
                     if alias.name == "sys"], name
